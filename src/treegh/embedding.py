@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metric import FiniteMetricSpace, four_point_defect
+from .metric import FiniteMetricSpace
 from .tree import (
     MetricTree,
     ReplacementEntry,
@@ -146,11 +146,6 @@ class EmbedConfig:
         for t, bp in zip(self.trees, self.basepoints):
             if not t.has_vertex(bp):
                 raise EmbedConfigError("basepoint %r missing from its tree" % bp)
-            defect = four_point_defect(t.as_space())
-            if defect > self.tol:
-                raise EmbedConfigError(
-                    "endpoint tree fails the four-point condition by %.3g" % defect
-                )
         if self.m < 1:
             raise EmbedConfigError("m must be at least 1")
         if self.branches < 3:
@@ -296,7 +291,8 @@ class _PartGeometry:
         self.truncation = max(
             (c.metadata["truncation_error"] for c in combs), default=0.0
         )
-        self.reach = float(self.replaced.dist[self.replaced.index(basepoint)].max())
+        self.reach = self.replaced.eccentricity(basepoint)
+        self._corner_rows: Dict[str, np.ndarray] = {}
 
         cc: Dict[str, Dict[int, Tuple[float, float]]] = {}
         for l, (entry, comb) in enumerate(zip(plan, combs)):
@@ -325,6 +321,13 @@ class _PartGeometry:
         self.coords: Dict[str, Dict[int, Tuple[float, float]]] = {
             v: cc.get(v, {}) for v in self.tree.vertices
         }
+
+    def corner_row(self, v: str) -> np.ndarray:
+        """Distances from segment corner v in the comb-replaced tree, cached."""
+        row = self._corner_rows.get(v)
+        if row is None:
+            row = self._corner_rows[v] = self.replaced.row(v)
+        return row
 
 
 @dataclass
@@ -706,6 +709,7 @@ def _routed_nearest(
     scale = geo.seg_scale[l]
     toa = scale * (h + x)
     tob = scale * (h + 1.0 - x)
+    from_a, from_b = geo.corner_row(seg.a), geo.corner_row(seg.b)
     best: Optional[Tuple[float, str]] = None
     for l2 in index.part_segments[part]:
         xs, hs, vids = index.seg[(part, l2)]
@@ -713,10 +717,9 @@ def _routed_nearest(
         s2 = geo.seg_scale[l2]
         ca = s2 * (hs + xs)
         cb = s2 * (hs + 1.0 - xs)
-        daa = geo.replaced.distance(seg.a, seg2.a)
-        dab = geo.replaced.distance(seg.a, seg2.b)
-        dba = geo.replaced.distance(seg.b, seg2.a)
-        dbb = geo.replaced.distance(seg.b, seg2.b)
+        ia2, ib2 = geo.replaced.index(seg2.a), geo.replaced.index(seg2.b)
+        daa, dab = float(from_a[ia2]), float(from_a[ib2])
+        dba, dbb = float(from_b[ia2]), float(from_b[ib2])
         cost = np.minimum(
             np.minimum(toa + daa + ca, toa + dab + cb),
             np.minimum(tob + dba + ca, tob + dbb + cb),
@@ -833,9 +836,11 @@ def continuity_scan(
             raise ValueError(
                 "adjacent cells must share the fiber index, got %d and %d" % (ka, kb)
             )
+        # The atlas trees are already subdivided at eps, so gh_tree_interval
+        # samples exactly the spaces the composite correspondence relates.
         extra = _composite_correspondence(sub(ia), sub(ib))
         interval = gh_tree_interval(
-            atlases[ia].tree, atlases[ib].tree, cfg.eps, cap=DEFAULT_CAP, extra_upper=extra
+            sub(ia).tree, sub(ib).tree, cfg.eps, cap=DEFAULT_CAP, extra_upper=extra
         )
         bound = _analytic_bound(atlases[ia], atlases[ib])
         margin = bound + 2.0 * cfg.eps + cfg.tol - interval.hi
@@ -890,7 +895,6 @@ def replacement_path(
         if not (0.0 <= s <= 1.0):
             raise ValueError("s values must lie in [0, 1], got %r" % s)
     steps: List[PathStep] = []
-    prev: Optional[_Atlas] = None
     prev_sub: Optional[_Atlas] = None
     prev_s = 0.0
     for s in svals:
@@ -906,13 +910,13 @@ def replacement_path(
         )
         hi = bound = None
         cur_sub = _subdivide_atlas(atlas, eps)
-        if prev is not None:
+        if prev_sub is not None:
             extra = _composite_correspondence(prev_sub, cur_sub)
             interval = gh_tree_interval(
-                prev.tree, atlas.tree, eps, cap=DEFAULT_CAP, extra_upper=extra
+                prev_sub.tree, cur_sub.tree, eps, cap=DEFAULT_CAP, extra_upper=extra
             )
             hi = interval.hi
             bound = _comb_modulus_bound(prev_s, s)
         steps.append(PathStep(s=s, tree=atlas.tree, hi=hi, bound=bound))
-        prev, prev_sub, prev_s = atlas, cur_sub, s
+        prev_sub, prev_s = cur_sub, s
     return steps

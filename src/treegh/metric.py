@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+_BLOCK_CELLS = 4_000_000  # entries per four-point sum tensor, bounds memory
 
 
 class MetricValidationError(ValueError):
@@ -201,25 +202,30 @@ def four_point_defect(space: FiniteMetricSpace) -> float:
     sort them ``S1 >= S2 >= S3``.  The defect of the quadruple is
     ``S1 - S2``; the defect of the space is the maximum over quadruples.
     It is 0 exactly when the metric is 0-hyperbolic, i.e. a tree metric.
+    The matrix is taken to be symmetric, as a metric is.
     """
     d = space.dist
     n = space.n
     if n <= 2:
         return 0.0
     worst = 0.0
-    # Vectorised per first point, chunked over the second to bound memory:
-    # for fixed x and a block of y build the three sum tensors over (z, t).
-    block = max(1, int(4_000_000 // max(1, n * n)))
+    # The sorted pairing sums of a quadruple do not change when its points
+    # are permuted, so it suffices to visit x <= y <= z, t with z and t at
+    # least y: for fixed x and a block of y starting at y0 >= x, build the
+    # three sum tensors over z, t >= y0, chunked to bound memory.
+    block = max(1, int(_BLOCK_CELLS // max(1, n * n)))
     for x in range(n):
-        dx = d[x]
-        for y0 in range(0, n, block):
-            dy = d[y0 : y0 + block]
-            A = dx[y0 : y0 + block][:, None, None] + d[None, :, :]  # d(x,y)+d(z,t)
-            B = dx[None, :, None] + dy[:, None, :]                   # d(x,z)+d(y,t)
-            C = dx[None, None, :] + dy[:, :, None]                   # d(x,t)+d(y,z)
+        for y0 in range(x, n, block):
+            y1 = min(n, y0 + block)
+            dx = d[x, y0:]
+            dy = d[y0:y1, y0:]
+            A = d[x, y0:y1][:, None, None] + d[None, y0:, y0:]  # d(x,y)+d(z,t)
+            B = dx[None, :, None] + dy[:, None, :]               # d(x,z)+d(y,t)
+            C = dx[None, None, :] + dy[:, :, None]               # d(x,t)+d(y,z)
             top = np.maximum(np.maximum(A, B), C)
-            low = np.minimum(np.minimum(A, B), C)
-            mid = A + B + C - top - low
+            # The median of the three sums, exactly one of them, whatever
+            # their order.
+            mid = np.maximum(np.minimum(A, B), np.minimum(np.maximum(A, B), C))
             m = float((top - mid).max())
             if m > worst:
                 worst = m

@@ -1,10 +1,13 @@
 """Combinatorial metric trees with positive edge lengths.
 
 A tree here is a finite vertex/edge model of a geodesic tree: vertices carry
-string identifiers, edges carry positive lengths, and the full matrix of
-path distances is computed once at construction and cached.  Points of the
-underlying continuum exist only once an operation materialises them --
-subdivision, chunk boundaries and ball cuts all insert explicit vertices.
+string identifiers and edges carry positive lengths.  Construction only
+validates the edge list.  The full matrix of path distances is built on its
+first read and cached; operations that need one source's distances or only
+edge lengths (balls, degree-<=2 components, edge replacement) never build
+it.  Points of the underlying continuum exist only once an operation
+materialises them -- subdivision, chunk boundaries and ball cuts all insert
+explicit vertices.
 
 Operations that insert vertices record them in ``metadata["inserted"]`` as
 ``new_id -> (u, v, offset)``, meaning the new vertex sits on the former
@@ -58,7 +61,9 @@ class MetricTree:
     Attributes:
         vertices: vertex identifiers in insertion order.
         edges: tuples ``(a, b, length)``.
-        dist: cached matrix of path distances (float64, read-only).
+        dist: matrix of path distances (float64, read-only), built on first
+            read and cached; :meth:`row` gives one source's distances in
+            O(n) without it.
         labels: optional display labels per vertex id.
         metadata: free-form provenance (generators fill this in).
     """
@@ -83,7 +88,7 @@ class MetricTree:
             ia, ib = self._index[a], self._index[b]
             self._adj[ia].append((ib, w))
             self._adj[ib].append((ia, w))
-        self.dist: np.ndarray = self._all_pairs()
+        self._dist: Optional[np.ndarray] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -148,21 +153,44 @@ class MetricTree:
         return path[::-1] + [a]
 
     def _all_pairs(self) -> np.ndarray:
+        # One DFS preorder from vertex 0 makes the subtree of the vertex at
+        # position i the contiguous range [i, i + size).  Moving the source from a parent p to its
+        # child v across an edge of length w adds w to the distance of every
+        # vertex outside v's subtree and subtracts w inside it, so each row
+        # is one vectorized update of its parent's row (in preorder columns).
         n = len(self.vertices)
-        d = np.zeros((n, n), dtype=float)
-        for s in range(n):
-            row = d[s]
-            seen = np.zeros(n, dtype=bool)
-            seen[s] = True
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                du = row[u]
-                for v, w in self._adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        row[v] = du + w
-                        stack.append(v)
+        order: List[int] = []
+        parent = [0] * n  # preorder position of each vertex's parent
+        up = [0.0] * n  # length of the edge to the parent
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v, w in self._adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = len(order)
+                    up[v] = w
+                    stack.append(v)
+            order.append(u)
+        size = [1] * n  # subtree size, by preorder position
+        for i in range(n - 1, 0, -1):
+            size[parent[order[i]]] += size[i]
+        pre = np.empty((n, n), dtype=float)
+        root = pre[0]
+        root[0] = 0.0
+        for i in range(1, n):
+            v = order[i]
+            root[i] = root[parent[v]] + up[v]
+        for i in range(1, n):
+            v = order[i]
+            prow, row, w, end = pre[parent[v]], pre[i], up[v], i + size[i]
+            np.add(prow, w, out=row)
+            np.subtract(prow[i:end], w, out=row[i:end])
+        inv = np.argsort(order)
+        d = pre[np.ix_(inv, inv)]
+        np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
         return d
 
@@ -187,11 +215,56 @@ class MetricTree:
     def neighbors(self, v: str) -> List[Tuple[str, float]]:
         return [(self.vertices[j], w) for j, w in self._adj[self.index(v)]]
 
+    @property
+    def dist(self) -> np.ndarray:
+        """Matrix of path distances in vertex order, built on first read."""
+        if self._dist is None:
+            self._dist = self._all_pairs()
+        return self._dist
+
+    def row(self, v: str) -> np.ndarray:
+        """Distances from vertex v to every vertex, in vertex order (read-only).
+
+        Reads the cached matrix when it has been built; otherwise one O(n)
+        traversal from v, which leaves the matrix unbuilt.
+        """
+        s = self.index(v)
+        if self._dist is not None:
+            return self._dist[s]
+        d = np.zeros(self.n, dtype=float)
+        seen = [False] * self.n
+        seen[s] = True
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            du = d[u]
+            for x, w in self._adj[u]:
+                if not seen[x]:
+                    seen[x] = True
+                    d[x] = du + w
+                    stack.append(x)
+        d.setflags(write=False)
+        return d
+
     def distance(self, x: str, y: str) -> float:
         return float(self.dist[self.index(x), self.index(y)])
 
+    def _edge_length(self, a: str, b: str) -> float:
+        """Length of the edge (a, b); raises KeyError if a and b are not adjacent."""
+        ib = self.index(b)
+        for j, w in self._adj[self.index(a)]:
+            if j == ib:
+                return w
+        raise KeyError("no edge (%s, %s) in tree" % (a, b))
+
+    def _path_length(self, path: Sequence[str]) -> float:
+        """Length of a vertex path whose consecutive vertices are adjacent."""
+        return float(
+            sum(self._edge_length(path[i], path[i + 1]) for i in range(len(path) - 1))
+        )
+
     def eccentricity(self, v: str) -> float:
-        return float(self.dist[self.index(v)].max())
+        return float(self.row(v).max())
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
@@ -326,16 +399,13 @@ def deg2_components(tree: MetricTree) -> List[Deg2Component]:
         if closure[0] > closure[-1]:
             closure = closure[::-1]
             ordered = ordered[::-1]
-        length = sum(
-            tree.distance(closure[i], closure[i + 1]) for i in range(len(closure) - 1)
-        )
         delims = tuple(sorted(set(head_delims[:1] + tail_delims[:1])))
         out.append(
             Deg2Component(
                 vertices=tuple(ordered),
                 delimiters=delims,
                 closure_path=tuple(closure),
-                closure_diameter=float(length),
+                closure_diameter=tree._path_length(closure),
             )
         )
     out.sort(key=lambda c: c.closure_path)
@@ -407,7 +477,7 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
         remaining = max_len
         for i in range(len(path) - 1):
             u, v = path[i], path[i + 1]
-            edge_len = tree.distance(u, v)
+            edge_len = tree._edge_length(u, v)
             pos = 0.0
             cur_u = u
             while edge_len - pos > remaining + _EPS_VERTEX:
@@ -438,8 +508,7 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
 
     segments = []
     for p in plans:
-        length = sum(host.distance(p[i], p[i + 1]) for i in range(len(p) - 1))
-        segments.append(TreeSegment(a=p[0], b=p[-1], length=float(length), path=tuple(p)))
+        segments.append(TreeSegment(a=p[0], b=p[-1], length=host._path_length(p), path=tuple(p)))
     return Deg2Decomposition(tree=host, segments=tuple(segments))
 
 
@@ -457,13 +526,13 @@ def _insert_points(
     per_edge: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
     edge_key = {}
     for a, b, w in tree.edges:
-        edge_key[(a, b)] = (a, b)
-        edge_key[(b, a)] = (a, b)
+        edge_key[(a, b)] = (a, b, w)
+        edge_key[(b, a)] = (a, b, w)
     for u, v, off, new_id in points:
         if (u, v) not in edge_key:
             raise TreeStructureError("no edge (%s, %s) to insert into" % (u, v))
-        a, b = edge_key[(u, v)]
-        off_a = off if (u, v) == (a, b) else tree.distance(a, b) - off
+        a, b, w = edge_key[(u, v)]
+        off_a = off if (u, v) == (a, b) else w - off
         per_edge.setdefault((a, b), []).append((off_a, new_id))
 
     new_edges: List[Tuple[str, str, float]] = []
@@ -494,9 +563,8 @@ def _insert_points(
 # -- balls --------------------------------------------------------------------
 
 
-def _sphere_crossings(tree: MetricTree, origin: str, r: float):
-    """Edges crossing the sphere of radius r about origin, with offsets."""
-    d = tree.dist[tree.index(origin)]
+def _sphere_crossings(tree: MetricTree, d: np.ndarray, r: float):
+    """Edges crossing the sphere of radius r about the source of row d, with offsets."""
     crossings = []
     for a, b, w in tree.edges:
         da, db = d[tree.index(a)], d[tree.index(b)]
@@ -516,8 +584,12 @@ def refine_at_radius(tree: MetricTree, origin: str, r: float) -> MetricTree:
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    tree.index(origin)
-    crossings = _sphere_crossings(tree, origin, r)
+    return _refine(tree, origin, r, tree.row(origin))
+
+
+def _refine(tree: MetricTree, origin: str, r: float, d: np.ndarray) -> MetricTree:
+    # refine_at_radius, given the row d of distances from origin
+    crossings = _sphere_crossings(tree, d, r)
     if not crossings:
         return tree
     base = 0
@@ -544,12 +616,11 @@ def closed_ball_subtree(tree: MetricTree, origin: str, r: float) -> MetricTree:
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    io = tree.index(origin)
-    d = tree.dist[io]
+    d = tree.row(origin)
     if math.isinf(r) or r >= float(d.max()):
         return tree
-    refined = refine_at_radius(tree, origin, r)
-    dr = refined.dist[refined.index(origin)]
+    refined = _refine(tree, origin, r, d)
+    dr = refined.row(origin)
     keep = [v for v in refined.vertices if dr[refined.index(v)] <= r + _EPS_VERTEX]
     keep_set = set(keep)
     edges = [
@@ -657,15 +728,16 @@ def replace_edges(
         e.tree.index(e.alpha), e.tree.index(e.beta)
         if e.alpha == e.beta:
             raise ReplacementError("entry %d: marks coincide (%s)" % (k, e.alpha))
-        span_host = tree.distance(e.a, e.b)
-        span_repl = e.tree.distance(e.alpha, e.beta)
+        path = geodesic(tree, e.a, e.b)
+        span_host = tree._path_length(path)
+        span_repl = float(e.tree.row(e.alpha)[e.tree.index(e.beta)])
         if abs(span_host - span_repl) > tol:
             raise ReplacementError(
                 "entry %d: replacement spans %.12g between marks but host "
                 "geodesic [%s, %s] has length %.12g"
                 % (k, span_repl, e.a, e.b, span_host)
             )
-        paths.append(geodesic(tree, e.a, e.b))
+        paths.append(path)
         endpoint_ids.update((e.a, e.b))
 
     interiors: List[set] = [set(p[1:-1]) for p in paths]

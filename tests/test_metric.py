@@ -114,3 +114,44 @@ def test_euclidean_sets_always_validate(pts):
     # distinct planar points may still coincide after rounding; only a
     # genuine triangle/symmetry failure would be a bug
     assert rep.category in ("ok", "positivity")
+
+
+def _four_point_defect_all_quadruples(d):
+    """Reference: every ordered quadruple, middle sum as total minus extremes."""
+    n = d.shape[0]
+    if n <= 2:
+        return 0.0
+    worst = 0.0
+    for x in range(n):
+        dx = d[x]
+        A = dx[:, None, None] + d[None, :, :]
+        B = dx[None, :, None] + d[:, None, :]
+        C = dx[None, None, :] + d[:, :, None]
+        top = np.maximum(np.maximum(A, B), C)
+        low = np.minimum(np.minimum(A, B), C)
+        worst = max(worst, float((top - (A + B + C - top - low)).max()))
+    return worst
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+def test_four_point_defect_matches_all_quadruples(block, monkeypatch):
+    # block=None keeps the default chunking (one chunk of y per x at these
+    # sizes); 1 and 2 split the y range, so later chunks start past x
+    rng = np.random.default_rng(20261018)
+    spaces = []
+    for _ in range(25):
+        n = int(rng.integers(1, 16))
+        pts = rng.uniform(0.0, 2.0, (n, int(rng.integers(1, 4))))
+        spaces.append(FiniteMetricSpace.from_matrix(euclidean(pts)))
+    for _ in range(5):
+        n = int(rng.integers(3, 12))
+        m = rng.uniform(0.0, 1.0, (n, n))
+        spaces.append(FiniteMetricSpace.from_matrix(m + m.T))
+    trees = [random_tree(rng, n_lo=2, n_hi=16).as_space() for _ in range(10)]
+    for x in spaces + trees:
+        if block is not None:
+            monkeypatch.setattr("treegh.metric._BLOCK_CELLS", block * x.n * x.n)
+        want = _four_point_defect_all_quadruples(x.dist)
+        assert abs(four_point_defect(x) - want) <= 1e-12
+    for t in trees:
+        assert four_point_defect(t) <= 1e-12

@@ -6,16 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegh import (
+    EmbedConfig,
     MetricTree,
     ReplacementEntry,
     ReplacementError,
     TreeStructureError,
+    build_F,
     closed_ball_subtree,
     comb_tree,
     decompose_deg2,
     deg2_components,
     four_point_defect,
     geodesic,
+    injectivity_scan,
     replace_edges,
     subdivide,
     tree_from_edges,
@@ -91,6 +94,67 @@ def test_as_space_matches_pairwise_distances():
 def test_random_trees_are_zero_hyperbolic(seed):
     t = random_tree(np.random.default_rng(seed), n_lo=2, n_hi=9)
     assert four_point_defect(t.as_space()) <= 1e-12
+
+
+def _reference_all_pairs(tree):
+    """One DFS per source vertex: the matrix fill the vectorized one replaced."""
+    n = tree.n
+    d = np.zeros((n, n))
+    for s in range(n):
+        row = d[s]
+        seen = [False] * n
+        seen[s] = True
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v, w in tree._adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    row[v] = row[u] + w
+                    stack.append(v)
+    return d
+
+
+def _differential_trees(small_config):
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        t = random_tree(rng, n_lo=1, n_hi=80)
+        order = list(t.vertices)
+        rng.shuffle(order)
+        yield MetricTree(order, t.edges)
+    yield tree_from_edges(
+        [("q%d" % i, "q%d" % (i + 1), float(rng.uniform(0.1, 1.0))) for i in range(70)]
+    )
+    yield tree_from_edges(
+        [("c", "l%d" % i, float(rng.uniform(0.1, 1.0))) for i in range(70)],
+        vertices=["l%d" % i for i in range(70)] + ["c"],
+    )
+    yield build_F(small_config, "g0_1", 1)
+
+
+def test_vectorized_distances_match_reference(small_config):
+    for t in _differential_trees(small_config):
+        ref = _reference_all_pairs(t)
+        for i, v in enumerate(t.vertices):
+            assert np.abs(t.row(v) - ref[i]).max() <= 1e-12
+        assert t._dist is None  # single-source queries leave the matrix unbuilt
+        d = t.dist
+        assert not d.flags.writeable
+        assert np.abs(d - ref).max() <= 1e-12
+        assert np.all(np.diag(d) == 0.0)
+        for i, v in enumerate(t.vertices):
+            assert np.array_equal(t.row(v), d[i])
+
+
+def test_injectivity_scan_never_builds_a_matrix(small_config, monkeypatch):
+    def refuse(self):
+        raise AssertionError("built the %d x %d distance matrix" % (self.n, self.n))
+
+    monkeypatch.setattr(MetricTree, "_all_pairs", refuse)
+    cfg = EmbedConfig.from_document(small_config.to_document())
+    cells = [(lab, k) for k in (1, 2) for lab in cfg.h_space.labels if lab not in cfg.marked]
+    rep = injectivity_scan(cfg, cells)
+    assert len(rep.rows) == len(cells)
 
 
 # -- degree-<=2 components ----------------------------------------------------
