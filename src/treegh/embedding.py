@@ -36,8 +36,8 @@ from .tree import (
 from .families import (
     CombParams,
     StarParams,
+    _tooth_heights,
     c_fun,
-    comb_attachments,
     comb_tree,
     cube_interval,
     rho_embed,
@@ -310,14 +310,9 @@ class _PartGeometry:
         if self.tree is not self.replaced:
             edge_len = {(a, b): w for a, b, w in self.replaced.edges}
             for cid, (a, b, off) in self.tree.metadata.get("inserted", {}).items():
-                la, lb = cc.get(a, {}), cc.get(b, {})
-                common = sorted(set(la) & set(lb))
-                if not common:
-                    continue
-                l = common[0]
-                t = off / edge_len[(a, b)]
-                (xa, ha), (xb, hb) = la[l], lb[l]
-                cc[cid] = {l: (xa + t * (xb - xa), ha + t * (hb - ha))}
+                cc[cid] = _interpolate_on_shared_segment(
+                    cc.get(a, {}), cc.get(b, {}), off / edge_len[(a, b)]
+                )
         self.coords: Dict[str, Dict[int, Tuple[float, float]]] = {
             v: cc.get(v, {}) for v in self.tree.vertices
         }
@@ -328,6 +323,20 @@ class _PartGeometry:
         if row is None:
             row = self._corner_rows[v] = self.replaced.row(v)
         return row
+
+
+def _interpolate_on_shared_segment(
+    la: Dict[int, Tuple[float, float]], lb: Dict[int, Tuple[float, float]], t: float
+) -> Dict[int, Tuple[float, float]]:
+    """Comb coordinates at fraction t of an edge from a vertex with segment
+    coordinates la to one with lb, on the lowest segment both carry (empty
+    when they share none)."""
+    common = sorted(set(la) & set(lb))
+    if not common:
+        return {}
+    l = common[0]
+    (xa, ha), (xb, hb) = la[l], lb[l]
+    return {l: (xa + t * (xb - xa), ha + t * (hb - ha))}
 
 
 @dataclass
@@ -341,7 +350,6 @@ class _Atlas:
     tree: MetricTree
     coords: Optional[Dict[str, dict]]
     parts: List[_PartGeometry]
-    star: Optional[StarParams]
     wedge: Optional[str]
     fields: Optional[ScalarFields] = None
     rho: Optional[Tuple[float, ...]] = None
@@ -354,7 +362,7 @@ def _assemble(cfg: EmbedConfig, u: str, k: int) -> _Atlas:
     if u in cfg.marked:
         i = cfg.marked.index(u)
         return _Atlas(
-            tree=cfg.trees[i], coords=None, parts=[], star=None, wedge=None,
+            tree=cfg.trees[i], coords=None, parts=[], wedge=None,
             fields=scalar_fields(cfg, u), rho=None,
         )
     f = scalar_fields(cfg, u)
@@ -363,8 +371,7 @@ def _assemble(cfg: EmbedConfig, u: str, k: int) -> _Atlas:
         for i in range(len(cfg.marked))
     ]
     a = rho_embed(cfg.coords[u], k, cfg.m, cfg.branches)
-    sp = StarParams(a=a, scale=f.xi, eps=cfg.eps)
-    st = star_tree(sp)
+    st = star_tree(StarParams(a=a, scale=f.xi, eps=cfg.eps))
     tip = "branch:0:1.0"
     w = wedge_sum([(g.tree, g.basepoint) for g in parts] + [(st, tip)])
 
@@ -393,7 +400,7 @@ def _assemble(cfg: EmbedConfig, u: str, k: int) -> _Atlas:
         }
     )
     return _Atlas(
-        tree=w, coords=coords, parts=parts, star=sp, wedge="p", fields=f, rho=a
+        tree=w, coords=coords, parts=parts, wedge="p", fields=f, rho=a
     )
 
 
@@ -647,21 +654,12 @@ class _CandidateIndex:
             for br, rows in star.items()
         }
         self.heights = {
-            i: _comb_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)
+            i: _tooth_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)
         }
         self.part_segments = {
             i: sorted(l for (pi, l) in self.seg if pi == i)
             for i in range(len(atlas.parts))
         }
-
-
-def _comb_heights(s: float, cap: int) -> Dict[float, float]:
-    out: Dict[float, float] = {}
-    for n, xs in comb_attachments(s, cap).items():
-        h = s * c_fun(n, s)
-        for x in xs:
-            out[x] = h
-    return out
 
 
 def _partner(
@@ -749,21 +747,16 @@ def _subdivide_atlas(atlas: _Atlas, eps: float) -> _Atlas:
             br = i1 if s1 > 0 else i2
             coords[sid] = {"star": (br, s1 + t * (s2 - s1))}
         else:
-            la, lb = ca[key], cb[key]
-            l = sorted(set(la) & set(lb))[0]
-            (xa, ha), (xb, hb) = la[l], lb[l]
-            coords[sid] = {key: {l: (xa + t * (xb - xa), ha + t * (hb - ha))}}
+            coords[sid] = {key: _interpolate_on_shared_segment(ca[key], cb[key], t)}
     return _Atlas(
-        tree=s, coords=coords, parts=atlas.parts, star=atlas.star,
-        wedge=atlas.wedge, fields=atlas.fields, rho=atlas.rho,
+        tree=s, coords=coords, parts=atlas.parts, wedge=atlas.wedge,
+        fields=atlas.fields, rho=atlas.rho,
     )
 
 
-def _composite_correspondence(
-    sa: _Atlas, sb: _Atlas
-) -> Tuple[FiniteMetricSpace, FiniteMetricSpace, Correspondence]:
-    xs = sa.tree.as_space()
-    ys = sb.tree.as_space()
+def _composite_correspondence(sa: _Atlas, sb: _Atlas) -> Correspondence:
+    """Each vertex of either subdivided atlas paired with its nearest partner
+    in the other, indexed in the atlas trees' vertex order."""
     ib = _CandidateIndex(sb)
     ia = _CandidateIndex(sa)
     pairs = []
@@ -771,7 +764,7 @@ def _composite_correspondence(
         pairs.append((sa.tree.index(vid), sb.tree.index(_partner(vid, sa, sb, ib))))
     for vid in sb.tree.vertices:
         pairs.append((sa.tree.index(_partner(vid, sb, sa, ia)), sb.tree.index(vid)))
-    return xs, ys, Correspondence.from_pairs(pairs)
+    return Correspondence.from_pairs(pairs)
 
 
 @dataclass(frozen=True)
@@ -905,7 +898,6 @@ def replacement_path(
             tree=geom.tree,
             coords={v: {0: geom.coords[v]} for v in geom.tree.vertices},
             parts=[geom],
-            star=None,
             wedge=None,
         )
         hi = bound = None

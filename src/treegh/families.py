@@ -108,6 +108,15 @@ def comb_attachments(s: float, cap: int) -> Dict[int, List[float]]:
     return out
 
 
+def _tooth_heights(s: float, cap: int) -> Dict[float, float]:
+    """Tooth height ``s * c_n(s)`` at the spine position of every active tooth."""
+    return {
+        x: s * c_fun(n, s)
+        for n, xs in comb_attachments(s, cap).items()
+        for x in xs
+    }
+
+
 def comb_tree(params: CombParams) -> MetricTree:
     """Materialise a comb as a metric tree.
 
@@ -119,15 +128,10 @@ def comb_tree(params: CombParams) -> MetricTree:
     ``scale * s`` and is recorded as ``metadata["truncation_error"]``.
     """
     s, M, cap = params.s, params.scale, params.depth_cap
-    attach = comb_attachments(s, cap)
+    heights = _tooth_heights(s, cap)
     points: Dict[str, Tuple[float, float]] = {}
 
-    xs = sorted({0.0, 1.0} | {x for xs_ in attach.values() for x in xs_})
-    heights: Dict[float, float] = {}
-    for n, xs_ in attach.items():
-        h = s * c_fun(n, s)
-        for x in xs_:
-            heights[x] = h
+    xs = sorted({0.0, 1.0} | set(heights))
 
     vertices: List[str] = []
     edges: List[Tuple[str, str, float]] = []

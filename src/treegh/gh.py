@@ -116,11 +116,8 @@ def gh_exact(
     best_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
     # Seed the pruning threshold with the rank-aligned correspondence; the
     # strict inequality below still lets the first optimal leaf through.
-    seed = _rank_aligned_pairs(x, y)
-    I = np.array([i for i, _ in seed], dtype=int)
-    J = np.array([j for _, j in seed], dtype=int)
-    seed_value = float(np.abs(dX[np.ix_(I, I)] - dY[np.ix_(J, J)]).max())
-    best = math.nextafter(seed_value, math.inf)
+    seed = greedy_tree_correspondence(x, y)
+    best = math.nextafter(distortion(x, y, seed), math.inf)
     px: List[int] = []  # x side of pairs chosen so far
     py: List[int] = []
 
@@ -170,13 +167,12 @@ def gh_exact(
         assign(0, 0.0)
     except _SearchDone:
         pass
-    if best_pairs is None:  # unreachable: the optimal leaf beats the threshold
-        best_pairs = seed
-    I = np.array([i for i, _ in best_pairs], dtype=int)
-    J = np.array([j for _, j in best_pairs], dtype=int)
-    value = 0.5 * float(np.abs(dX[np.ix_(I, I)] - dY[np.ix_(J, J)]).max())
+    # The optimal leaf always beats the threshold, so the seed fallback is
+    # unreachable.
+    witness = seed if best_pairs is None else Correspondence.from_pairs(best_pairs)
+    value = gh_upper_bound(x, y, witness)
     if return_witness:
-        return value, Correspondence.from_pairs(best_pairs)
+        return value, witness
     return value
 
 
@@ -205,22 +201,6 @@ def gh_upper_bound(
     return 0.5 * distortion(x, y, corr)
 
 
-def _rank_aligned_pairs(
-    x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> Tuple[Tuple[int, int], ...]:
-    order_x = np.argsort(x.eccentricities(), kind="stable")
-    order_y = np.argsort(y.eccentricities(), kind="stable")
-    nx, ny = len(order_x), len(order_y)
-    pairs = set()
-    for r, i in enumerate(order_x):
-        j = order_y[round(r * (ny - 1) / max(1, nx - 1))] if nx > 1 else order_y[0]
-        pairs.add((int(i), int(j)))
-    for r, j in enumerate(order_y):
-        i = order_x[round(r * (nx - 1) / max(1, ny - 1))] if ny > 1 else order_x[0]
-        pairs.add((int(i), int(j)))
-    return tuple(sorted(pairs))
-
-
 def greedy_tree_correspondence(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> Correspondence:
@@ -230,7 +210,17 @@ def greedy_tree_correspondence(
     proportional ranks, in both directions.  On two copies of one space
     this yields the identity, hence zero distortion.
     """
-    return Correspondence.from_pairs(_rank_aligned_pairs(x, y))
+    order_x = np.argsort(x.eccentricities(), kind="stable")
+    order_y = np.argsort(y.eccentricities(), kind="stable")
+    nx, ny = len(order_x), len(order_y)
+    pairs = []
+    for r, i in enumerate(order_x):
+        j = order_y[round(r * (ny - 1) / max(1, nx - 1))] if nx > 1 else order_y[0]
+        pairs.append((i, j))
+    for r, j in enumerate(order_y):
+        i = order_x[round(r * (nx - 1) / max(1, ny - 1))] if ny > 1 else order_x[0]
+        pairs.append((i, j))
+    return Correspondence.from_pairs(pairs)
 
 
 @dataclass(frozen=True)
@@ -250,7 +240,7 @@ def gh_tree_interval(
     t2: MetricTree,
     eps: float,
     cap: int = DEFAULT_CAP,
-    extra_upper: Optional[Tuple[FiniteMetricSpace, FiniteMetricSpace, Correspondence]] = None,
+    extra_upper: Optional[Correspondence] = None,
 ) -> GHInterval:
     """Two-sided Gromov-Hausdorff bounds between metric trees.
 
@@ -258,40 +248,45 @@ def gh_tree_interval(
     are ``eps/2``-dense in the underlying continua; the half-distortion
     computed on samples is then correct for the continua up to ``eps``.
     Within the cap the sampled distance is computed exactly; otherwise the
-    interval combines the certified lower bound with the rank-aligned upper
-    correspondence.
+    interval combines the certified lower bound with the smaller of the
+    upper bounds from the rank-aligned correspondence and ``extra_upper``.
 
     Args:
         t1, t2: metric trees.
         eps: sampling resolution (also the interval widening).
         cap: exactness cap on sampled point counts.
-        extra_upper: optionally, sampled spaces and a covering
-            correspondence whose distortion tightens the upper end.
+        extra_upper: optionally, a correspondence between the samples
+            whose distortion may tighten the upper end.  Its pairs index
+            the vertices of ``subdivide(t1, eps)`` and ``subdivide(t2, eps)``
+            in their vertex order; a tree with no edge longer than ``eps``
+            is its own sample.
 
     Returns:
         A :class:`GHInterval` with ``lo <= hi``.
+
+    Raises:
+        ValueError: ``eps`` is not positive, or ``extra_upper`` does not
+            cover both samples.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    s1 = subdivide(t1, eps)
-    s2 = subdivide(t2, eps)
-    xs = s1.as_space()
-    ys = s2.as_space()
+    xs = subdivide(t1, eps).as_space()
+    ys = subdivide(t2, eps).as_space()
+    if extra_upper is not None and not extra_upper.covers(xs.n, ys.n):
+        raise ValueError(
+            "extra_upper does not cover the eps-samples (%d and %d vertices)"
+            % (xs.n, ys.n)
+        )
     if max(xs.n, ys.n) <= cap:
         value, witness = gh_exact(xs, ys, cap=cap, return_witness=True)
         lo = max(0.0, value - eps)
         hi = value + eps
         return GHInterval(lo, hi, eps, "exact", "exact sampled distance - eps", witness)
     lo = max(0.0, gh_lower_bound(xs, ys) - eps)
-    corr = greedy_tree_correspondence(xs, ys)
-    hi = gh_upper_bound(xs, ys, corr) + eps
-    witness = corr
+    witness = greedy_tree_correspondence(xs, ys)
+    hi = gh_upper_bound(xs, ys, witness) + eps
     if extra_upper is not None:
-        ex, ey, ecorr = extra_upper
-        cand = gh_upper_bound(ex, ey, ecorr) + eps
+        cand = gh_upper_bound(xs, ys, extra_upper) + eps
         if cand < hi:
-            hi = cand
-            witness = ecorr
-    if hi < lo:
-        hi = lo
+            hi, witness = cand, extra_upper
     return GHInterval(lo, hi, eps, "bounds", "diameter/eccentricity bound - eps", witness)

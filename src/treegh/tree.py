@@ -472,14 +472,12 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
     for path in closures:
         if len(path) < 2:
             continue
-        boundaries: List[str] = [path[0]]
         seg_paths: List[List[str]] = [[path[0]]]
         remaining = max_len
         for i in range(len(path) - 1):
             u, v = path[i], path[i + 1]
             edge_len = tree._edge_length(u, v)
             pos = 0.0
-            cur_u = u
             while edge_len - pos > remaining + _EPS_VERTEX:
                 off = pos + remaining
                 new_id = "chop:%d" % counter
@@ -487,16 +485,13 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
                 pending.append((u, v, off, new_id))
                 seg_paths[-1].append(new_id)
                 seg_paths.append([new_id])
-                boundaries.append(new_id)
                 pos = off
                 remaining = max_len
-                cur_u = new_id
             # rest of this edge fits in the current chunk
             consumed = edge_len - pos
             remaining -= consumed
             seg_paths[-1].append(v)
             if remaining <= _EPS_VERTEX and i < len(path) - 2:
-                boundaries.append(v)
                 seg_paths.append([v])
                 remaining = max_len
         plans.extend(p for p in seg_paths if len(p) >= 2)

@@ -7,6 +7,7 @@ from treegh import (
     EmbedConfig,
     EmbedConfigError,
     FingerprintError,
+    MetricTree,
     ScanError,
     StarParams,
     build_F,
@@ -238,6 +239,22 @@ def test_continuity_scan_self_pair_is_tight(small_config):
     row = rep.rows[0]
     assert row.bound == 0.0
     assert row.hi <= 2.0 * small_config.eps
+
+
+def test_continuity_scan_copies_each_sample_once_per_pair(small_config, monkeypatch):
+    calls = []
+    as_space = MetricTree.as_space
+
+    def counted(self):
+        calls.append(self.n)
+        return as_space(self)
+
+    monkeypatch.setattr(MetricTree, "as_space", counted)
+    grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 1)]
+    adjacency = [(0, 1), (1, 2)]
+    rep = continuity_scan(small_config, grid, adjacency)
+    assert len(rep.rows) == len(adjacency)
+    assert len(calls) <= 2 * len(adjacency)
 
 
 def test_continuity_scan_rejects_mixed_fibers(small_config):

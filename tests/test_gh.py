@@ -8,6 +8,7 @@ from treegh import (
     Correspondence,
     FiniteMetricSpace,
     GHCapError,
+    MetricTree,
     comb_tree,
     distortion,
     gh_exact,
@@ -15,6 +16,7 @@ from treegh import (
     gh_tree_interval,
     gh_upper_bound,
     greedy_tree_correspondence,
+    subdivide,
     tree_from_edges,
 )
 from treegh.families import CombParams
@@ -186,3 +188,38 @@ def test_interval_rejects_bad_eps():
     t = tree_from_edges([("a", "b", 1.0)])
     with pytest.raises(ValueError):
         gh_tree_interval(t, t, eps=0.0)
+
+
+def test_interval_takes_a_better_covering_correspondence():
+    # the same comb with its vertex list reversed: rank alignment breaks
+    # eccentricity ties by index and mismatches the copies, while pairing
+    # equal vertex ids of the two samples is an isometry
+    t = comb_tree(CombParams(s=0.5))
+    u = MetricTree(tuple(reversed(t.vertices)), t.edges)
+    eps = 2.0 ** -4
+    s1, s2 = subdivide(t, eps), subdivide(u, eps)
+    corr = Correspondence.from_pairs([(s1.index(v), s2.index(v)) for v in s1.vertices])
+    plain = gh_tree_interval(t, u, eps)
+    assert plain.method == "bounds" and plain.hi > 2.0 * eps
+    iv = gh_tree_interval(t, u, eps, extra_upper=corr)
+    assert iv.hi == eps
+    assert iv.hi_witness is corr
+    assert iv.lo == plain.lo
+
+
+def test_interval_rejects_a_correspondence_off_the_samples():
+    # the identity on the comb's own sample leaves most of the segment's
+    # sample uncovered; its zero distortion must not certify hi = lo
+    t = comb_tree(CombParams(s=0.5))
+    seg = tree_from_edges([("a", "b", 3.0)])
+    eps = 2.0 ** -4
+    n = subdivide(t, eps).n
+    ident = Correspondence.from_pairs([(i, i) for i in range(n)])
+    with pytest.raises(ValueError):
+        gh_tree_interval(t, seg, eps, extra_upper=ident)
+    iv = gh_tree_interval(t, seg, eps)
+    assert iv.lo == 0.4375 and iv.hi == 1.5
+    # within the cap too
+    tiny = tree_from_edges([("a", "b", 1.0)])
+    with pytest.raises(ValueError):
+        gh_tree_interval(tiny, tiny, 0.5, extra_upper=Correspondence.from_pairs([(0, 0)]))
