@@ -44,7 +44,7 @@ from .families import (
     star_tree,
     tau,
 )
-from .gh import DEFAULT_CAP, Correspondence, gh_tree_interval
+from .gh import Correspondence, gh_upper_bound
 from .io import tree_from_document, tree_to_document
 
 __all__ = [
@@ -798,6 +798,9 @@ def continuity_scan(
     computes a certified upper bound ``hi`` on the Gromov-Hausdorff
     distance between the two assembled trees and the analytic modulus
     (comb + ball + star terms); ``hi <= bound + 2 eps + tol`` must hold.
+    Each tree is subdivided once at ``eps``; ``hi`` is half the distortion
+    of the composite correspondence, which pairs every sample vertex with
+    its nearest atlas partner in the other tree, plus ``eps``.
 
     Args:
         cfg: embedding configuration.
@@ -829,18 +832,14 @@ def continuity_scan(
             raise ValueError(
                 "adjacent cells must share the fiber index, got %d and %d" % (ka, kb)
             )
-        # The atlas trees are already subdivided at eps, so gh_tree_interval
-        # samples exactly the spaces the composite correspondence relates.
-        extra = _composite_correspondence(sub(ia), sub(ib))
-        interval = gh_tree_interval(
-            sub(ia).tree, sub(ib).tree, cfg.eps, cap=DEFAULT_CAP, extra_upper=extra
-        )
+        sa, sb = sub(ia), sub(ib)
+        hi = gh_upper_bound(sa.tree, sb.tree, _composite_correspondence(sa, sb)) + cfg.eps
         bound = _analytic_bound(atlases[ia], atlases[ib])
-        margin = bound + 2.0 * cfg.eps + cfg.tol - interval.hi
+        margin = bound + 2.0 * cfg.eps + cfg.tol - hi
         rows.append(
             ContinuityRow(
                 label_a=la, label_b=lb, u=cfg.coords[la], k=ka,
-                hi=interval.hi, bound=bound, margin=margin, ok=margin >= 0.0,
+                hi=hi, bound=bound, margin=margin, ok=margin >= 0.0,
             )
         )
     if strict:
@@ -876,6 +875,8 @@ def replacement_path(
     segments are combs of parameter s (s = 0 reproduces the input tree's
     metric on its vertices); consecutive entries get a certified GH upper
     bound ``hi`` together with the comb modulus between the parameters.
+    As in :func:`continuity_scan`, ``hi`` is half the distortion of the
+    composite correspondence between the two eps-samples, plus ``eps``.
 
     Returns:
         One :class:`PathStep` per grid entry; the first has no predecessor,
@@ -903,11 +904,8 @@ def replacement_path(
         hi = bound = None
         cur_sub = _subdivide_atlas(atlas, eps)
         if prev_sub is not None:
-            extra = _composite_correspondence(prev_sub, cur_sub)
-            interval = gh_tree_interval(
-                prev_sub.tree, cur_sub.tree, eps, cap=DEFAULT_CAP, extra_upper=extra
-            )
-            hi = interval.hi
+            corr = _composite_correspondence(prev_sub, cur_sub)
+            hi = gh_upper_bound(prev_sub.tree, cur_sub.tree, corr) + eps
             bound = _comb_modulus_bound(prev_s, s)
         steps.append(PathStep(s=s, tree=atlas.tree, hi=hi, bound=bound))
         prev_sub, prev_s = cur_sub, s

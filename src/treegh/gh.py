@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,21 +61,24 @@ class Correspondence:
         return len(self.pairs)
 
 
-def distortion(
-    x: FiniteMetricSpace, y: FiniteMetricSpace, corr: Correspondence
-) -> float:
+Space = Union[FiniteMetricSpace, MetricTree]
+
+
+def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     """Largest distance mismatch over a covering correspondence.
 
     ``max |d_X(a, a') - d_Y(b, b')|`` over pairs ``(a, b), (a', b')`` of the
-    correspondence.  Raises if the relation fails to cover both spaces.
+    correspondence.  Only ``.n`` and ``.dist`` are read, so a
+    :class:`MetricTree` is indexed in its vertex order without copying its
+    matrix.  Raises if the relation fails to cover both spaces.
     """
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
     I = np.array([i for i, _ in corr.pairs], dtype=int)
     J = np.array([j for _, j in corr.pairs], dtype=int)
     A = x.dist[np.ix_(I, I)]
-    B = y.dist[np.ix_(J, J)]
-    return float(np.abs(A - B).max())
+    A -= y.dist[np.ix_(J, J)]
+    return float(np.abs(A, out=A).max())
 
 
 def gh_exact(
@@ -194,10 +197,9 @@ def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     return 0.5 * max(diam_gap, ecc_hausdorff)
 
 
-def gh_upper_bound(
-    x: FiniteMetricSpace, y: FiniteMetricSpace, corr: Correspondence
-) -> float:
-    """Upper bound from an explicit covering correspondence."""
+def gh_upper_bound(x: Space, y: Space, corr: Correspondence) -> float:
+    """Upper bound from an explicit covering correspondence; like
+    :func:`distortion`, it accepts spaces or metric trees."""
     return 0.5 * distortion(x, y, corr)
 
 
@@ -236,11 +238,7 @@ class GHInterval:
 
 
 def gh_tree_interval(
-    t1: MetricTree,
-    t2: MetricTree,
-    eps: float,
-    cap: int = DEFAULT_CAP,
-    extra_upper: Optional[Correspondence] = None,
+    t1: MetricTree, t2: MetricTree, eps: float, cap: int = DEFAULT_CAP
 ) -> GHInterval:
     """Two-sided Gromov-Hausdorff bounds between metric trees.
 
@@ -248,35 +246,24 @@ def gh_tree_interval(
     are ``eps/2``-dense in the underlying continua; the half-distortion
     computed on samples is then correct for the continua up to ``eps``.
     Within the cap the sampled distance is computed exactly; otherwise the
-    interval combines the certified lower bound with the smaller of the
-    upper bounds from the rank-aligned correspondence and ``extra_upper``.
+    interval combines the certified lower bound with the upper bound from
+    the rank-aligned correspondence.
 
     Args:
         t1, t2: metric trees.
         eps: sampling resolution (also the interval widening).
         cap: exactness cap on sampled point counts.
-        extra_upper: optionally, a correspondence between the samples
-            whose distortion may tighten the upper end.  Its pairs index
-            the vertices of ``subdivide(t1, eps)`` and ``subdivide(t2, eps)``
-            in their vertex order; a tree with no edge longer than ``eps``
-            is its own sample.
 
     Returns:
         A :class:`GHInterval` with ``lo <= hi``.
 
     Raises:
-        ValueError: ``eps`` is not positive, or ``extra_upper`` does not
-            cover both samples.
+        ValueError: ``eps`` is not positive.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     xs = subdivide(t1, eps).as_space()
     ys = subdivide(t2, eps).as_space()
-    if extra_upper is not None and not extra_upper.covers(xs.n, ys.n):
-        raise ValueError(
-            "extra_upper does not cover the eps-samples (%d and %d vertices)"
-            % (xs.n, ys.n)
-        )
     if max(xs.n, ys.n) <= cap:
         value, witness = gh_exact(xs, ys, cap=cap, return_witness=True)
         lo = max(0.0, value - eps)
@@ -285,8 +272,4 @@ def gh_tree_interval(
     lo = max(0.0, gh_lower_bound(xs, ys) - eps)
     witness = greedy_tree_correspondence(xs, ys)
     hi = gh_upper_bound(xs, ys, witness) + eps
-    if extra_upper is not None:
-        cand = gh_upper_bound(xs, ys, extra_upper) + eps
-        if cand < hi:
-            hi, witness = cand, extra_upper
     return GHInterval(lo, hi, eps, "bounds", "diameter/eccentricity bound - eps", witness)

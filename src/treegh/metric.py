@@ -94,7 +94,9 @@ class ValidationReport:
     ``ok`` holds iff ``worst_violation <= tol`` used for the check.
     ``witness`` points at the offending entries: a pair for symmetry /
     positivity problems, ``(i, i)`` for a nonzero diagonal, and a triple
-    ``(i, j, k)`` meaning ``d(i, j) > d(i, k) + d(k, j)``.
+    ``(i, j, k)`` meaning ``d(i, j) > d(i, k) + d(k, j)``.  A tolerated
+    violation is still measured in ``worst_violation`` but reported with
+    category ``"ok"`` and an empty witness.
     """
 
     ok: bool
@@ -155,7 +157,9 @@ def validate_metric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Valid
             witness = (int(i), int(j), int(k))
             category = "triangle"
 
-    return ValidationReport(worst <= tol, worst, witness if worst > 0 else (), category if worst > 0 else "ok")
+    if worst <= tol:
+        return ValidationReport(True, worst, (), "ok")
+    return ValidationReport(False, worst, witness, category)
 
 
 def restrict(space: FiniteMetricSpace, indices: Sequence[int]) -> FiniteMetricSpace:

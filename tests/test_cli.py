@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import treegh.cli
+import treegh.metric
 from treegh import parse_tree, save_tree, space_from_csv, tree_from_edges
 from treegh.cli import main
 
@@ -99,6 +101,24 @@ def test_tree_comb_reloads_and_validates(capsys, tmp_path):
     code, out2, _ = _run(capsys, ["tree", "validate", doc])
     assert code == 0
     assert json.loads(out2)["ok"] is True
+
+
+def test_tree_validate_skips_the_four_point_check(capsys, tmp_path, monkeypatch):
+    # building the tree already proves its metric is a tree metric
+    def boom(*args, **kwargs):
+        raise AssertionError("four_point_defect called")
+
+    monkeypatch.setattr(treegh.metric, "four_point_defect", boom)
+    monkeypatch.setattr(treegh.cli, "four_point_defect", boom, raising=False)
+    code, out, _ = _run(capsys, ["tree", "comb", "--s", "0.25", "--depth", "3"])
+    assert code == 0
+    doc = _write(tmp_path / "c.json", out)
+    code, out2, _ = _run(capsys, ["tree", "validate", doc])
+    assert code == 0
+    report = json.loads(out2)
+    assert report["ok"] is True and report["category"] == "ok"
+    assert report["n"] == parse_tree(out).n
+    assert "four_point_defect" not in report
 
 
 def test_tree_validate_reports_cycle(capsys, tmp_path):

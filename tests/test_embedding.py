@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import treegh.embedding
+import treegh.gh
 from treegh import (
     EmbedConfig,
     EmbedConfigError,
@@ -241,7 +243,7 @@ def test_continuity_scan_self_pair_is_tight(small_config):
     assert row.hi <= 2.0 * small_config.eps
 
 
-def test_continuity_scan_copies_each_sample_once_per_pair(small_config, monkeypatch):
+def test_continuity_scan_copies_no_matrix(small_config, monkeypatch):
     calls = []
     as_space = MetricTree.as_space
 
@@ -254,7 +256,22 @@ def test_continuity_scan_copies_each_sample_once_per_pair(small_config, monkeypa
     adjacency = [(0, 1), (1, 2)]
     rep = continuity_scan(small_config, grid, adjacency)
     assert len(rep.rows) == len(adjacency)
-    assert len(calls) <= 2 * len(adjacency)
+    assert calls == []
+
+
+def test_scans_take_hi_from_the_composite_correspondence_only(small_config, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("scan called the general GH solver")
+
+    for name in ("gh_tree_interval", "gh_lower_bound", "greedy_tree_correspondence", "gh_exact"):
+        monkeypatch.setattr(treegh.gh, name, boom)
+        monkeypatch.setattr(treegh.embedding, name, boom, raising=False)
+    grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 1)]
+    rep = continuity_scan(small_config, grid, [(0, 1), (1, 2), (1, 1)])
+    assert all(r.ok for r in rep.rows)
+    x = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8)])
+    steps = replacement_path(x, [0.0, 0.3, 0.3], eps=2.0 ** -4)
+    assert all(step.hi is not None for step in steps[1:])
 
 
 def test_continuity_scan_rejects_mixed_fibers(small_config):

@@ -190,7 +190,7 @@ def test_interval_rejects_bad_eps():
         gh_tree_interval(t, t, eps=0.0)
 
 
-def test_interval_takes_a_better_covering_correspondence():
+def test_id_correspondence_beats_rank_alignment_on_reversed_comb():
     # the same comb with its vertex list reversed: rank alignment breaks
     # eccentricity ties by index and mismatches the copies, while pairing
     # equal vertex ids of the two samples is an isometry
@@ -201,25 +201,22 @@ def test_interval_takes_a_better_covering_correspondence():
     corr = Correspondence.from_pairs([(s1.index(v), s2.index(v)) for v in s1.vertices])
     plain = gh_tree_interval(t, u, eps)
     assert plain.method == "bounds" and plain.hi > 2.0 * eps
-    iv = gh_tree_interval(t, u, eps, extra_upper=corr)
-    assert iv.hi == eps
-    assert iv.hi_witness is corr
-    assert iv.lo == plain.lo
+    assert gh_upper_bound(s1, s2, corr) == 0.0
 
 
-def test_interval_rejects_a_correspondence_off_the_samples():
+def test_distortion_rejects_a_correspondence_off_the_samples():
     # the identity on the comb's own sample leaves most of the segment's
-    # sample uncovered; its zero distortion must not certify hi = lo
+    # sample uncovered; its zero distortion must not certify a bound
     t = comb_tree(CombParams(s=0.5))
     seg = tree_from_edges([("a", "b", 3.0)])
     eps = 2.0 ** -4
-    n = subdivide(t, eps).n
-    ident = Correspondence.from_pairs([(i, i) for i in range(n)])
+    s1, s2 = subdivide(t, eps), subdivide(seg, eps)
+    ident = Correspondence.from_pairs([(i, i) for i in range(s1.n)])
     with pytest.raises(ValueError):
-        gh_tree_interval(t, seg, eps, extra_upper=ident)
+        distortion(s1, s2, ident)
     iv = gh_tree_interval(t, seg, eps)
     assert iv.lo == 0.4375 and iv.hi == 1.5
-    # within the cap too
+    # one point of a two-point tree covers neither side
     tiny = tree_from_edges([("a", "b", 1.0)])
     with pytest.raises(ValueError):
-        gh_tree_interval(tiny, tiny, 0.5, extra_upper=Correspondence.from_pairs([(0, 0)]))
+        distortion(tiny, tiny, Correspondence.from_pairs([(0, 0)]))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treegh import (
@@ -107,6 +107,9 @@ def test_four_point_defect_on_cycle_and_tree():
         unique=True,
     )
 )
+# collinear points whose rounded distances exceed the triangle inequality
+# by 8.9e-16, well inside tol
+@example(pts=[(4.846859794949629, 0.0), (-2.0, 0.0), (-1e-05, 0.0)])
 def test_euclidean_sets_always_validate(pts):
     d = euclidean(pts)
     x = FiniteMetricSpace.from_matrix(d)
