@@ -1,9 +1,9 @@
 """Gromov-Hausdorff distances: exact solves, certified bounds, intervals.
 
-For small spaces the branch-and-bound solver returns the exact distance
-(half the minimal correspondence distortion) plus the witness achieving
-it.  Larger trees get a certified two-sided interval from an eps-dense
-subdivision instead.
+For small spaces a search over distortion thresholds returns the exact
+distance (half the minimal correspondence distortion) plus the witness
+achieving it.  Larger trees get a certified two-sided interval from an
+eps-dense subdivision instead.
 """
 
 import numpy as np

@@ -1,17 +1,16 @@
 """Gromov-Hausdorff distance between finite metric spaces.
 
-The distance is computed as half the minimal distortion over covering
-correspondences.  Exact minimisation explores assignments with branch and
-bound and is capped by point count; beyond the cap, certified two-sided
-bounds are produced instead (a diameter/eccentricity lower bound and the
-distortion of a deterministic rank-aligned correspondence as upper bound).
+The distance is half the minimal distortion over covering correspondences.
+Within a point-count cap a threshold search computes it exactly (see
+:func:`gh_exact`); beyond the cap, certified two-sided bounds are produced
+instead (a diameter/eccentricity lower bound and the distortion of a
+deterministic rank-aligned correspondence as upper bound).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,28 +36,37 @@ class GHCapError(ValueError):
     """Raised when exact search is requested beyond the point-count cap."""
 
 
-class _SearchDone(Exception):
-    """Internal: unwinds the branch-and-bound once the lower bound is met."""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correspondence:
-    """A relation between point indices of two spaces, stored as sorted pairs."""
+    """A relation between point indices of two spaces: distinct ``(i, j)``
+    pairs in sorted order, packed in the narrowest unsigned numpy type ``code``."""
 
-    pairs: Tuple[Tuple[int, int], ...]
+    packed: bytes
+    code: str
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[Tuple[int, int]]) -> "Correspondence":
-        return cls(tuple(sorted({(int(i), int(j)) for i, j in pairs})))
+    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "Correspondence":
+        rows = np.array(sorted({(int(i), int(j)) for i, j in pairs}), np.int64).reshape(-1, 2)
+        if rows.size and rows.min() < 0:
+            raise ValueError("correspondence indices must be nonnegative")
+        rows = rows.astype(np.min_scalar_type(int(rows.max(initial=0))))
+        return cls(rows.tobytes(), rows.dtype.char)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The pairs as a read-only ``(len, 2)`` array."""
+        return np.frombuffer(self.packed, dtype=self.code).reshape(-1, 2)
+
+    @property
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     def covers(self, nx: int, ny: int) -> bool:
-        return (
-            {i for i, _ in self.pairs} == set(range(nx))
-            and {j for _, j in self.pairs} == set(range(ny))
-        )
+        i, j = self.rows.T.tolist()
+        return set(i) == set(range(nx)) and set(j) == set(range(ny))
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.rows)
 
 
 Space = Union[FiniteMetricSpace, MetricTree]
@@ -74,8 +82,7 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     """
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
-    I = np.array([i for i, _ in corr.pairs], dtype=int)
-    J = np.array([j for _, j in corr.pairs], dtype=int)
+    I, J = corr.rows.T.astype(np.intp)
     A = x.dist[np.ix_(I, I)]
     A -= y.dist[np.ix_(J, J)]
     return float(np.abs(A, out=A).max())
@@ -87,14 +94,15 @@ def gh_exact(
     cap: int = DEFAULT_CAP,
     return_witness: bool = False,
 ):
-    """Exact Gromov-Hausdorff distance by branch-and-bound.
+    """Exact Gromov-Hausdorff distance by a search over distortion thresholds.
 
-    Minimises distortion over all covering correspondences: every minimiser
-    is dominated by a map assigning each point of ``x`` one partner in
-    ``y`` plus one repair partner for every uncovered point of ``y``, so
-    only that family is explored, depth-first with pruning on the running
-    distortion.  The reported witness is the first minimiser in exploration
-    order, which is deterministic.
+    Every distortion is one of the mismatches ``|d_X(a, a') - d_Y(b, b')|``,
+    so the optimum is binary-searched among their distinct values, from
+    twice :func:`gh_lower_bound` (a mismatch never above the optimum) to the
+    largest, which the full product ``x × y`` meets.  Each step asks
+    :func:`_covering_within` for a covering correspondence within the
+    threshold; the one found at the smallest feasible threshold is the
+    deterministic witness, and the value is half its distortion.
 
     Args:
         x, y: finite metric spaces with at most ``cap`` points each.
@@ -111,72 +119,69 @@ def gh_exact(
         raise GHCapError(
             "exact search capped at %d points, got %d and %d" % (cap, nx, ny)
         )
-    dX, dY = x.dist, y.dist
-    # No correspondence can distort less than the certified lower bound, so
-    # once the running best hits it the remaining search cannot improve.
-    floor = 2.0 * gh_lower_bound(x, y)
-
-    best_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
-    # Seed the pruning threshold with the rank-aligned correspondence; the
-    # strict inequality below still lets the first optimal leaf through.
-    seed = greedy_tree_correspondence(x, y)
-    best = math.nextafter(distortion(x, y, seed), math.inf)
-    px: List[int] = []  # x side of pairs chosen so far
-    py: List[int] = []
-
-    def repair(u_idx: int, uncovered: List[int], cur: float):
-        nonlocal best, best_pairs
-        if u_idx == len(uncovered):
-            if cur < best:
-                best = cur
-                best_pairs = tuple(zip(px, py))
-                if best <= floor:
-                    raise _SearchDone
-            return
-        u = uncovered[u_idx]
-        row_y = dY[u]
-        for xi in range(nx):
-            inc = float(np.abs(dX[xi, px] - row_y[py]).max())
-            nm = cur if cur >= inc else inc
-            if nm < best:
-                px.append(xi)
-                py.append(u)
-                repair(u_idx + 1, uncovered, nm)
-                px.pop()
-                py.pop()
-
-    def assign(i: int, cur: float):
-        nonlocal best, best_pairs
-        if i == nx:
-            used = set(py)
-            uncovered = [u for u in range(ny) if u not in used]
-            repair(0, uncovered, cur)
-            return
-        row_x = dX[i]
-        for j in range(ny):
-            if i == 0:
-                inc = 0.0
-            else:
-                inc = float(np.abs(row_x[px] - dY[j, py]).max())
-            nm = cur if cur >= inc else inc
-            if nm < best:
-                px.append(i)
-                py.append(j)
-                assign(i + 1, nm)
-                px.pop()
-                py.pop()
-
-    try:
-        assign(0, 0.0)
-    except _SearchDone:
-        pass
-    # The optimal leaf always beats the threshold, so the seed fallback is
-    # unreachable.
-    witness = seed if best_pairs is None else Correspondence.from_pairs(best_pairs)
+    # mismatch[i * ny + j, k * ny + l] = |d_X(i, k) - d_Y(j, l)|, rounded as in distortion
+    mismatch = np.abs(x.dist[:, None, :, None] - y.dist[None, :, None, :]).reshape(nx * ny, -1)
+    thresholds = np.sort(mismatch, axis=None)
+    thresholds = thresholds[np.r_[True, thresholds[1:] != thresholds[:-1]]]
+    lo = int(np.searchsorted(thresholds, 2.0 * gh_lower_bound(x, y)))
+    hi, chosen = len(thresholds) - 1, None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = _covering_within(mismatch, thresholds[mid], nx, ny)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, chosen = mid, found
+    if chosen is None:
+        chosen = _covering_within(mismatch, thresholds[hi], nx, ny)
+    witness = Correspondence.from_pairs(divmod(u, ny) for u in range(nx * ny) if chosen >> u & 1)
     value = gh_upper_bound(x, y, witness)
-    if return_witness:
-        return value, witness
-    return value
+    return (value, witness) if return_witness else value
+
+
+def _covering_within(mismatch, delta, nx: int, ny: int) -> Optional[int]:
+    """Bitset of a covering correspondence within ``delta``, or None.
+
+    Node ``i * ny + j`` is the pair ``(i, j)``; its bitset holds the nodes
+    within ``delta`` of it.  Live nodes with no compatible live node in some
+    row or column are dropped to a fixpoint (arc consistency); the search
+    then branches on the uncovered row or column with the fewest live nodes,
+    ANDs each chosen node's bitset into the live set and drops failed nodes.
+    """
+    ok = (mismatch <= delta) & (mismatch.T <= delta)
+    compat = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(ok, 1, bitorder="little")]
+    lines = [((1 << ny) - 1) << (i * ny) for i in range(nx)]
+    lines += [sum(1 << (i * ny + j) for i in range(nx)) for j in range(ny)]
+
+    def search(live: int, chosen: int) -> Optional[int]:
+        # Compatibility is symmetric, so the nodes with a compatible live
+        # node in a line are the union of that line's live bitsets.
+        last = None
+        while live != last:
+            last = live
+            for line in lines:
+                support, rest = 0, live & line
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    support |= compat[low.bit_length() - 1]
+                live &= support
+        if chosen & ~live:
+            return None
+        open_lines = [line for line in lines if not chosen & line]
+        if not open_lines:
+            return chosen
+        options = min((live & line for line in open_lines), key=int.bit_count)
+        while options:
+            low = options & -options
+            options ^= low
+            found = search(live & compat[low.bit_length() - 1], chosen | low)
+            if found is not None:
+                return found
+            live ^= low
+        return None
+
+    return search((1 << (nx * ny)) - 1, 0)
 
 
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
@@ -215,17 +220,12 @@ def greedy_tree_correspondence(
     order_x = np.argsort(x.eccentricities(), kind="stable")
     order_y = np.argsort(y.eccentricities(), kind="stable")
     nx, ny = len(order_x), len(order_y)
-    pairs = []
-    for r, i in enumerate(order_x):
-        j = order_y[round(r * (ny - 1) / max(1, nx - 1))] if nx > 1 else order_y[0]
-        pairs.append((i, j))
-    for r, j in enumerate(order_y):
-        i = order_x[round(r * (nx - 1) / max(1, ny - 1))] if ny > 1 else order_x[0]
-        pairs.append((i, j))
-    return Correspondence.from_pairs(pairs)
+    to_y = order_y[np.round(np.arange(nx) * (ny - 1) / max(1, nx - 1)).astype(int)]
+    to_x = order_x[np.round(np.arange(ny) * (nx - 1) / max(1, ny - 1)).astype(int)]
+    return Correspondence.from_pairs(zip(np.r_[order_x, to_x], np.r_[to_y, order_y]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GHInterval:
     """A certified enclosure ``[lo, hi]`` of a Gromov-Hausdorff distance."""
 

@@ -121,6 +121,24 @@ def test_tree_validate_skips_the_four_point_check(capsys, tmp_path, monkeypatch)
     assert "four_point_defect" not in report
 
 
+def test_tree_validate_checks_no_metric_axioms(capsys, tmp_path, monkeypatch):
+    # a loaded tree's path metric satisfies the axioms; the report needs
+    # neither the O(n^3) axiom check nor a matrix copy
+    def boom(*args, **kwargs):
+        raise AssertionError("metric check or matrix copy")
+
+    monkeypatch.setattr(treegh.metric, "validate_metric", boom)
+    monkeypatch.setattr(treegh.cli, "validate_metric", boom, raising=False)
+    monkeypatch.setattr(treegh.MetricTree, "as_space", boom)
+    # a path a-b-c-d listed from an inner vertex, with a side leaf at c
+    edges = [("b", "c", 1.0), ("a", "b", 2.0), ("c", "d", 0.5), ("c", "e", 2.5)]
+    doc = str(tmp_path / "t.json")
+    save_tree(tree_from_edges(edges), doc)
+    code, out, _ = _run(capsys, ["tree", "validate", doc])
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "n": 5, "diameter": 5.5, "category": "ok"}
+
+
 def test_tree_validate_reports_cycle(capsys, tmp_path):
     doc = {
         "schema_version": "treegh/1",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import treegh.gh
 from treegh import (
     Correspondence,
     FiniteMetricSpace,
@@ -44,6 +45,81 @@ def brute_force_gh(x, y):
         )
         best = min(best, dis)
     return best / 2.0
+
+
+class _SearchDone(Exception):
+    """Unwinds the reference search once the lower bound is met."""
+
+
+def branch_and_bound_gh(x, y):
+    """Reference: the depth-first solver that the threshold search replaced,
+    kept to check it against.  Every minimiser is dominated by a map giving
+    each point of x one partner plus one repair partner for every uncovered
+    point of y; that family is explored with pruning on running distortion,
+    seeded by the rank-aligned correspondence."""
+    nx, ny = x.n, y.n
+    dX, dY = x.dist, y.dist
+    floor = 2.0 * gh_lower_bound(x, y)
+    best_pairs = None
+    seed = greedy_tree_correspondence(x, y)
+    best = math.nextafter(distortion(x, y, seed), math.inf)
+    px, py = [], []
+
+    def repair(u_idx, uncovered, cur):
+        nonlocal best, best_pairs
+        if u_idx == len(uncovered):
+            if cur < best:
+                best = cur
+                best_pairs = tuple(zip(px, py))
+                if best <= floor:
+                    raise _SearchDone
+            return
+        u = uncovered[u_idx]
+        row_y = dY[u]
+        for xi in range(nx):
+            inc = float(np.abs(dX[xi, px] - row_y[py]).max())
+            nm = cur if cur >= inc else inc
+            if nm < best:
+                px.append(xi)
+                py.append(u)
+                repair(u_idx + 1, uncovered, nm)
+                px.pop()
+                py.pop()
+
+    def assign(i, cur):
+        if i == nx:
+            used = set(py)
+            repair(0, [u for u in range(ny) if u not in used], cur)
+            return
+        row_x = dX[i]
+        for j in range(ny):
+            inc = 0.0 if i == 0 else float(np.abs(row_x[px] - dY[j, py]).max())
+            nm = cur if cur >= inc else inc
+            if nm < best:
+                px.append(i)
+                py.append(j)
+                assign(i + 1, nm)
+                px.pop()
+                py.pop()
+
+    try:
+        assign(0, 0.0)
+    except _SearchDone:
+        pass
+    witness = seed if best_pairs is None else Correspondence.from_pairs(best_pairs)
+    return gh_upper_bound(x, y, witness)
+
+
+def panel_pair(n, k):
+    """Pair k of the fixed cloud stream default_rng([2112, n]) that the
+    gh-solve benchmark draws its 5- to 8-point clouds from."""
+    panel = np.random.default_rng([2112, n])
+    for _ in range(k + 1):
+        px, py = panel.uniform(0, 1, (n, 3)), panel.uniform(0, 1, (n, 3))
+    return tuple(
+        FiniteMetricSpace.from_matrix(np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1)))
+        for p in (px, py)
+    )
 
 
 # -- frozen examples ----------------------------------------------------------
@@ -105,6 +181,49 @@ def test_triangle_inequality_sampled():
         assert dik <= dij + djk + 1e-9
 
 
+def test_exact_matches_branch_and_bound_bit_for_bit():
+    # both report half the distortion of an optimal correspondence, so the
+    # floats agree exactly; sizes 1-6 are drawn independently per side
+    rng = np.random.default_rng(61)
+    for _ in range(150):
+        x = random_space(rng, n_lo=1, n_hi=6)
+        y = random_space(rng, n_lo=1, n_hi=6)
+        value, witness = gh_exact(x, y, return_witness=True)
+        assert value.hex() == branch_and_bound_gh(x, y).hex()
+        assert witness.covers(x.n, y.n)
+        assert distortion(x, y, witness) == 2.0 * value
+
+
+# Values the branch-and-bound solver gave on the panel pairs that made its
+# heavy tail (seconds per solve); the threshold search takes milliseconds.
+PANEL_VALUES = {
+    (8, 0): "0x1.801fad2d3626dp-3",
+    (8, 1): "0x1.3c25ec9a47816p-3",
+    (8, 2): "0x1.09d7cc7e84f37p-2",
+    (8, 3): "0x1.5a0d4b5a2c348p-3",
+    (7, 2): "0x1.c956a3939b3b0p-3",
+    (7, 35): "0x1.0e478bc8f7f67p-2",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(PANEL_VALUES))
+def test_exact_on_heavy_tail_panel_pairs(n, k):
+    x, y = panel_pair(n, k)
+    assert gh_exact(x, y).hex() == PANEL_VALUES[(n, k)]
+
+
+def test_exact_takes_no_rank_aligned_seed(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("greedy_tree_correspondence called")
+
+    monkeypatch.setattr(treegh.gh, "greedy_tree_correspondence", boom)
+    rng = np.random.default_rng(67)
+    pairs = [(random_space(rng, 1, 4), random_space(rng, 5, 8)) for _ in range(4)]
+    for x, y in pairs + [panel_pair(8, 2)]:
+        value, witness = gh_exact(x, y, return_witness=True)
+        assert distortion(x, y, witness) == 2.0 * value
+
+
 def test_cap_guard():
     rng = np.random.default_rng(2)
     big = random_space(rng, n_lo=9, n_hi=9)
@@ -116,6 +235,17 @@ def test_cap_guard():
 
 
 # -- correspondences ----------------------------------------------------------
+
+
+def test_correspondence_packs_sorted_distinct_pairs():
+    corr = Correspondence.from_pairs([(3, 1), (0, 0), (3, 1), (300, 2)])
+    assert corr.pairs == ((0, 0), (3, 1), (300, 2)) and len(corr) == 3
+    assert corr.rows.dtype == np.uint16 and len(corr.packed) == 12
+    same = Correspondence.from_pairs([(300, 2), (0, 0), (3, 1)])
+    assert corr == same and hash(corr) == hash(same)
+    assert Correspondence.from_pairs([]).pairs == ()
+    with pytest.raises(ValueError):
+        Correspondence.from_pairs([(0, -1)])
 
 
 def test_distortion_of_identity_is_zero():
