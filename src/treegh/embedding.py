@@ -628,29 +628,37 @@ def _analytic_bound(a: _Atlas, b: _Atlas) -> float:
 
 
 class _CandidateIndex:
-    """Per-segment and per-branch vertex arrays of one atlas, for matching."""
+    """An atlas with its vertices grouped for matching: per (part, segment)
+    the comb coordinates ``(xs, hs)`` and per star branch the positions
+    ``ss``, each with the vertices' tree indices ``idx`` in vertex order.
+    ``fallback`` is the wedge's index, or 0 without a wedge."""
 
     def __init__(self, atlas: _Atlas):
-        seg: Dict[Tuple[int, int], List[Tuple[float, float, str]]] = {}
-        star: Dict[int, List[Tuple[float, str]]] = {}
-        for vid in atlas.tree.vertices:
+        self.atlas = atlas
+        self.fallback = atlas.tree.index(atlas.wedge) if atlas.wedge is not None else 0
+        seg: Dict[Tuple[int, int], List[Tuple[float, float, int]]] = {}
+        star: Dict[int, List[Tuple[float, int]]] = {}
+        for n, vid in enumerate(atlas.tree.vertices):
             for key, val in atlas.coords[vid].items():
                 if key == "star":
                     br, sv = val
-                    star.setdefault(int(br), []).append((float(sv), vid))
+                    star.setdefault(int(br), []).append((float(sv), n))
                 else:
                     for l, (x, h) in val.items():
-                        seg.setdefault((key, l), []).append((x, h, vid))
+                        seg.setdefault((key, l), []).append((x, h, n))
         self.seg = {
             key: (
                 np.array([x for x, _, _ in rows]),
                 np.array([h for _, h, _ in rows]),
-                [v for _, _, v in rows],
+                np.array([n for _, _, n in rows], dtype=np.intp),
             )
             for key, rows in seg.items()
         }
         self.star = {
-            br: (np.array([s for s, _ in rows]), [v for _, v in rows])
+            br: (
+                np.array([s for s, _ in rows]),
+                np.array([n for _, n in rows], dtype=np.intp),
+            )
             for br, rows in star.items()
         }
         self.heights = {
@@ -662,55 +670,73 @@ class _CandidateIndex:
         }
 
 
-def _partner(
-    vid: str, src: _Atlas, dst: _Atlas, index: _CandidateIndex
-) -> str:
-    if src.wedge is not None and vid == src.wedge:
-        return dst.wedge
-    entry = src.coords[vid]
-    key = next(iter(entry))
-    if key == "star":
-        br, sv = entry[key]
-        ss, vids = index.star[int(br)]
-        j = int(np.argmin(np.abs(ss - sv)))
-        return vids[j]
-    part = key
-    cdict = entry[key]
-    best: Optional[Tuple[float, str]] = None
-    for l in sorted(cdict):
-        x, h = cdict[l]
-        scale = dst.parts[part].seg_scale[l]
-        target_h = min(h, index.heights[part].get(x, 0.0))
-        if (part, l) in index.seg:
-            xs, hs, vids = index.seg[(part, l)]
-            cost = scale * np.where(
-                xs == x, np.abs(hs - target_h), target_h + np.abs(xs - x) + hs
-            )
-            j = int(np.argmin(cost))
-            cand = (float(cost[j]), vids[j])
-        else:
-            cand = _routed_nearest(part, l, x, h, dst, index)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return dst.wedge if dst.wedge is not None else dst.tree.vertices[0]
-    return best[1]
+def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
+    """Tree index in ``dst`` of the nearest partner of every ``src`` vertex.
+
+    A star vertex takes the closest position on its branch; a part vertex
+    takes, over the segments it lies on, the least ``(cost, vid)`` of the
+    per-segment nearest vertices (first minimum within a segment), where a
+    segment the ball cut removed from ``dst`` is reached through its corners
+    (:func:`_routed_nearest`).  The wedge goes to the wedge, and a vertex
+    without coordinates to the wedge or, lacking one, to vertex 0.  Each
+    source group is one broadcast cost matrix.
+    """
+    a, b = src.atlas, dst.atlas
+    names = b.tree.vertices
+    cost = np.full(a.tree.n, math.inf)
+    partner = np.full(a.tree.n, -1, dtype=np.intp)
+
+    def offer(rows: np.ndarray, c: np.ndarray, cand: np.ndarray) -> None:
+        held = cost[rows]
+        take = c < held
+        for k in np.flatnonzero(c == held):
+            old = partner[rows[k]]
+            take[k] = old < 0 or names[cand[k]] < names[old]
+        cost[rows[take]] = c[take]
+        partner[rows[take]] = cand[take]
+
+    for br, (sv, rows) in src.star.items():
+        ss, idx = dst.star[br]
+        partner[rows] = idx[np.argmin(np.abs(ss[None, :] - sv[:, None]), axis=1)]
+    for (part, l), (x, h, rows) in src.seg.items():
+        if (part, l) not in dst.seg:
+            routed = [
+                _routed_nearest(part, l, xv, hv, dst) for xv, hv in zip(x.tolist(), h.tolist())
+            ]
+            c, cand = zip(*routed)
+            offer(rows, np.array(c), np.array(cand, dtype=np.intp))
+            continue
+        scale = b.parts[part].seg_scale[l]
+        heights = dst.heights[part]
+        target_h = np.minimum(h, [heights.get(xv, 0.0) for xv in x.tolist()])[:, None]
+        xs, hs, idx = dst.seg[(part, l)]
+        c = scale * np.where(
+            xs == x[:, None], np.abs(hs - target_h), target_h + np.abs(xs - x[:, None]) + hs
+        )
+        j = np.argmin(c, axis=1)
+        offer(rows, c[np.arange(len(j)), j], idx[j])
+    partner[partner < 0] = dst.fallback
+    if a.wedge is not None:
+        partner[src.fallback] = dst.fallback
+    return partner
 
 
 def _routed_nearest(
-    part: int, l: int, x: float, h: float, dst: _Atlas, index: _CandidateIndex
-) -> Tuple[float, str]:
-    """Nearest vertex of a part when the home segment has no vertices left
-    (the ball cut it away entirely): route through the segment corners."""
-    geo = dst.parts[part]
+    part: int, l: int, x: float, h: float, dst: _CandidateIndex
+) -> Tuple[float, int]:
+    """Least ``(cost, vid)`` vertex of a part, as (cost, tree index), when
+    the home segment has no vertices left (the ball cut it away entirely):
+    route through the segment corners."""
+    atlas = dst.atlas
+    geo = atlas.parts[part]
     seg = geo.segments[l]
     scale = geo.seg_scale[l]
     toa = scale * (h + x)
     tob = scale * (h + 1.0 - x)
     from_a, from_b = geo.corner_row(seg.a), geo.corner_row(seg.b)
     best: Optional[Tuple[float, str]] = None
-    for l2 in index.part_segments[part]:
-        xs, hs, vids = index.seg[(part, l2)]
+    for l2 in dst.part_segments[part]:
+        xs, hs, idx = dst.seg[(part, l2)]
         seg2 = geo.segments[l2]
         s2 = geo.seg_scale[l2]
         ca = s2 * (hs + xs)
@@ -723,12 +749,12 @@ def _routed_nearest(
             np.minimum(tob + dba + ca, tob + dbb + cb),
         )
         j = int(np.argmin(cost))
-        cand = (float(cost[j]), vids[j])
+        cand = (float(cost[j]), atlas.tree.vertices[idx[j]])
         if best is None or cand < best:
             best = cand
     if best is None:
-        return (math.inf, dst.wedge if dst.wedge is not None else dst.tree.vertices[0])
-    return best
+        return (math.inf, dst.fallback)
+    return best[0], atlas.tree.index(best[1])
 
 
 def _subdivide_atlas(atlas: _Atlas, eps: float) -> _Atlas:
@@ -754,16 +780,19 @@ def _subdivide_atlas(atlas: _Atlas, eps: float) -> _Atlas:
     )
 
 
-def _composite_correspondence(sa: _Atlas, sb: _Atlas) -> Correspondence:
+def _sample(atlas: _Atlas, eps: float) -> _CandidateIndex:
+    """The atlas subdivided at ``eps``, indexed for matching."""
+    return _CandidateIndex(_subdivide_atlas(atlas, eps))
+
+
+def _composite_correspondence(ia: _CandidateIndex, ib: _CandidateIndex) -> Correspondence:
     """Each vertex of either subdivided atlas paired with its nearest partner
     in the other, indexed in the atlas trees' vertex order."""
-    ib = _CandidateIndex(sb)
-    ia = _CandidateIndex(sa)
-    pairs = []
-    for vid in sa.tree.vertices:
-        pairs.append((sa.tree.index(vid), sb.tree.index(_partner(vid, sa, sb, ib))))
-    for vid in sb.tree.vertices:
-        pairs.append((sa.tree.index(_partner(vid, sb, sa, ia)), sb.tree.index(vid)))
+    to_b, to_a = _matches(ia, ib), _matches(ib, ia)
+    pairs = np.concatenate([
+        np.column_stack([np.arange(len(to_b)), to_b]),
+        np.column_stack([to_a, np.arange(len(to_a))]),
+    ])
     return Correspondence.from_pairs(pairs)
 
 
@@ -800,7 +829,10 @@ def continuity_scan(
     (comb + ball + star terms); ``hi <= bound + 2 eps + tol`` must hold.
     Each tree is subdivided once at ``eps``; ``hi`` is half the distortion
     of the composite correspondence, which pairs every sample vertex with
-    its nearest atlas partner in the other tree, plus ``eps``.
+    its nearest atlas partner in the other tree, plus ``eps``.  Each cell's
+    sample and its matching index are built once and reused by all of the
+    cell's pairs, then freed, with the sample's distance matrix, after the
+    cell's last pair, so only cells with pairs still to come hold a sample.
 
     Args:
         cfg: embedding configuration.
@@ -816,25 +848,29 @@ def continuity_scan(
             raise EmbedConfigError(
                 "grid cell %r is a marked point; the scan domain excludes them" % lab
             )
-    atlases = [_assemble(cfg, lab, k) for lab, k in grid]
-    sub_cache: Dict[int, _Atlas] = {}
-
-    def sub(i: int) -> _Atlas:
-        if i not in sub_cache:
-            sub_cache[i] = _subdivide_atlas(atlases[i], cfg.eps)
-        return sub_cache[i]
+    atlases: List[Optional[_Atlas]] = [_assemble(cfg, lab, k) for lab, k in grid]
+    last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
+    samples: Dict[int, _CandidateIndex] = {}
 
     rows: List[ContinuityRow] = []
-    for ia, ib in adjacency:
+    for pos, (ia, ib) in enumerate(adjacency):
         la, ka = grid[ia]
         lb, kb = grid[ib]
         if ka != kb:
             raise ValueError(
                 "adjacent cells must share the fiber index, got %d and %d" % (ka, kb)
             )
-        sa, sb = sub(ia), sub(ib)
-        hi = gh_upper_bound(sa.tree, sb.tree, _composite_correspondence(sa, sb)) + cfg.eps
+        for i in (ia, ib):
+            if i not in samples:
+                samples[i] = _sample(atlases[i], cfg.eps)
+        sa, sb = samples[ia], samples[ib]
+        corr = _composite_correspondence(sa, sb)
+        hi = gh_upper_bound(sa.atlas.tree, sb.atlas.tree, corr) + cfg.eps
         bound = _analytic_bound(atlases[ia], atlases[ib])
+        for i in (ia, ib):
+            if last_use[i] == pos:
+                samples.pop(i, None)
+                atlases[i] = None
         margin = bound + 2.0 * cfg.eps + cfg.tol - hi
         rows.append(
             ContinuityRow(
@@ -889,7 +925,7 @@ def replacement_path(
         if not (0.0 <= s <= 1.0):
             raise ValueError("s values must lie in [0, 1], got %r" % s)
     steps: List[PathStep] = []
-    prev_sub: Optional[_Atlas] = None
+    prev_sub: Optional[_CandidateIndex] = None
     prev_s = 0.0
     for s in svals:
         geom = _PartGeometry(
@@ -902,10 +938,10 @@ def replacement_path(
             wedge=None,
         )
         hi = bound = None
-        cur_sub = _subdivide_atlas(atlas, eps)
+        cur_sub = _sample(atlas, eps)
         if prev_sub is not None:
             corr = _composite_correspondence(prev_sub, cur_sub)
-            hi = gh_upper_bound(prev_sub.tree, cur_sub.tree, corr) + eps
+            hi = gh_upper_bound(prev_sub.atlas.tree, cur_sub.atlas.tree, corr) + eps
             bound = _comb_modulus_bound(prev_s, s)
         steps.append(PathStep(s=s, tree=atlas.tree, hi=hi, bound=bound))
         prev_sub, prev_s = cur_sub, s

@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 8
+# Entries per block of the distortion product.  A block of rows then stays
+# within L2 cache on the continuity-scan sizes (|C| from 1000 to 1500), where
+# 2**16 ran about three times faster than one whole |C|^2 pass and faster
+# than 2**13 or 2**20; metric._BLOCK_CELLS (4M) would hold all of |C|^2 in
+# one block and gain nothing.
+_DISTORTION_BLOCK_CELLS = 1 << 16
 
 
 class GHCapError(ValueError):
@@ -45,11 +51,24 @@ class Correspondence:
     code: str
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "Correspondence":
-        rows = np.array(sorted({(int(i), int(j)) for i, j in pairs}), np.int64).reshape(-1, 2)
+    def from_pairs(
+        cls, pairs: Union[Iterable[Tuple[int, int]], np.ndarray]
+    ) -> "Correspondence":
+        """Pack pairs given as an iterable of ``(i, j)`` or an ``(m, 2)``
+        integer array; duplicates collapse and the order is ``(i, j)``."""
+        if isinstance(pairs, np.ndarray):
+            if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+                raise ValueError("correspondence indices must be integers")
+            rows = pairs.astype(np.int64).reshape(-1, 2)
+        else:
+            rows = np.array([(int(i), int(j)) for i, j in pairs], np.int64).reshape(-1, 2)
         if rows.size and rows.min() < 0:
             raise ValueError("correspondence indices must be nonnegative")
-        rows = rows.astype(np.min_scalar_type(int(rows.max(initial=0))))
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        fresh = np.ones(len(rows), dtype=bool)
+        differs = rows[1:] != rows[:-1]
+        np.logical_or(differs[:, 0], differs[:, 1], out=fresh[1:])
+        rows = rows[fresh].astype(np.min_scalar_type(int(rows.max(initial=0))))
         return cls(rows.tobytes(), rows.dtype.char)
 
     @property
@@ -62,8 +81,17 @@ class Correspondence:
         return tuple(map(tuple, self.rows.tolist()))
 
     def covers(self, nx: int, ny: int) -> bool:
-        i, j = self.rows.T.tolist()
-        return set(i) == set(range(nx)) and set(j) == set(range(ny))
+        """Whether the pairs use every index of ``range(nx)`` and of
+        ``range(ny)`` and no index outside them."""
+        for side, n in zip(self.rows.T, (nx, ny)):
+            hit = np.zeros(n, dtype=bool)
+            try:
+                hit[side] = True
+            except IndexError:
+                return False
+            if not hit.all():
+                return False
+        return True
 
     def __len__(self):
         return len(self.rows)
@@ -78,14 +106,25 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     ``max |d_X(a, a') - d_Y(b, b')|`` over pairs ``(a, b), (a', b')`` of the
     correspondence.  Only ``.n`` and ``.dist`` are read, so a
     :class:`MetricTree` is indexed in its vertex order without copying its
-    matrix.  Raises if the relation fails to cover both spaces.
+    matrix.  The full ``|C| x |C|`` product is walked in blocks of whole
+    rows holding about ``_DISTORTION_BLOCK_CELLS`` (2**16) entries, so the
+    memory it adds beyond the two matrices is O(block), not O(|C|^2).  The
+    maximum over the same entries is exact, so blocking leaves the value
+    bit for bit unchanged; both triangles are read because a tree matrix
+    need not be bit-symmetric.  Raises if the relation fails to cover both
+    spaces.
     """
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
     I, J = corr.rows.T.astype(np.intp)
-    A = x.dist[np.ix_(I, I)]
-    A -= y.dist[np.ix_(J, J)]
-    return float(np.abs(A, out=A).max())
+    dx, dy = x.dist, y.dist
+    step = max(1, _DISTORTION_BLOCK_CELLS // max(1, len(I)))
+    worst = 0.0
+    for start in range(0, len(I), step):
+        block = dx[I[start : start + step]][:, I]
+        block -= dy[J[start : start + step]][:, J]
+        worst = np.maximum(worst, np.abs(block, out=block).max())
+    return float(worst)
 
 
 def gh_exact(

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +30,8 @@ from treegh import (
     unit_grid,
     validate_metric,
 )
-from treegh.families import CombParams, comb_tree
+from treegh.families import CombParams, _tooth_heights, comb_tree
+from treegh.gh import Correspondence
 
 
 # -- grids and fields ---------------------------------------------------------
@@ -272,6 +276,191 @@ def test_scans_take_hi_from_the_composite_correspondence_only(small_config, monk
     x = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8)])
     steps = replacement_path(x, [0.0, 0.3, 0.3], eps=2.0 ** -4)
     assert all(step.hi is not None for step in steps[1:])
+
+
+# The per-vertex matcher the batched one replaced, kept as its reference.
+# `reached` counts the star and routed branches it took.
+
+
+class ReferenceIndex:
+    def __init__(self, atlas):
+        seg, star = {}, {}
+        for vid in atlas.tree.vertices:
+            for key, val in atlas.coords[vid].items():
+                if key == "star":
+                    br, sv = val
+                    star.setdefault(int(br), []).append((float(sv), vid))
+                else:
+                    for l, (x, h) in val.items():
+                        seg.setdefault((key, l), []).append((x, h, vid))
+        self.seg = {
+            key: (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+                  [r[2] for r in rows])
+            for key, rows in seg.items()
+        }
+        self.star = {
+            br: (np.array([r[0] for r in rows]), [r[1] for r in rows])
+            for br, rows in star.items()
+        }
+        self.heights = {i: _tooth_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)}
+        self.part_segments = {
+            i: sorted(l for (pi, l) in self.seg if pi == i) for i in range(len(atlas.parts))
+        }
+
+
+def reference_partner(vid, src, dst, index, reached):
+    if src.wedge is not None and vid == src.wedge:
+        return dst.wedge
+    entry = src.coords[vid]
+    key = next(iter(entry))
+    if key == "star":
+        reached["star"] += 1
+        br, sv = entry[key]
+        ss, vids = index.star[int(br)]
+        return vids[int(np.argmin(np.abs(ss - sv)))]
+    best = None
+    for l in sorted(entry[key]):
+        x, h = entry[key][l]
+        scale = dst.parts[key].seg_scale[l]
+        target_h = min(h, index.heights[key].get(x, 0.0))
+        if (key, l) in index.seg:
+            xs, hs, vids = index.seg[(key, l)]
+            cost = scale * np.where(
+                xs == x, np.abs(hs - target_h), target_h + np.abs(xs - x) + hs
+            )
+            j = int(np.argmin(cost))
+            cand = (float(cost[j]), vids[j])
+        else:
+            reached["routed"] += 1
+            cand = reference_routed(key, l, x, h, dst, index)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return dst.wedge if dst.wedge is not None else dst.tree.vertices[0]
+    return best[1]
+
+
+def reference_routed(part, l, x, h, dst, index):
+    geo = dst.parts[part]
+    seg, scale = geo.segments[l], geo.seg_scale[l]
+    toa, tob = scale * (h + x), scale * (h + 1.0 - x)
+    from_a, from_b = geo.corner_row(seg.a), geo.corner_row(seg.b)
+    best = None
+    for l2 in index.part_segments[part]:
+        xs, hs, vids = index.seg[(part, l2)]
+        seg2, s2 = geo.segments[l2], geo.seg_scale[l2]
+        ca, cb = s2 * (hs + xs), s2 * (hs + 1.0 - xs)
+        ia2, ib2 = geo.replaced.index(seg2.a), geo.replaced.index(seg2.b)
+        daa, dab = float(from_a[ia2]), float(from_a[ib2])
+        dba, dbb = float(from_b[ia2]), float(from_b[ib2])
+        cost = np.minimum(
+            np.minimum(toa + daa + ca, toa + dab + cb),
+            np.minimum(tob + dba + ca, tob + dbb + cb),
+        )
+        j = int(np.argmin(cost))
+        cand = (float(cost[j]), vids[j])
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return (math.inf, dst.wedge if dst.wedge is not None else dst.tree.vertices[0])
+    return best
+
+
+def reference_composite(sa, sb, reached):
+    ia, ib = ReferenceIndex(sa), ReferenceIndex(sb)
+    pairs = [
+        (sa.tree.index(v), sb.tree.index(reference_partner(v, sa, sb, ib, reached)))
+        for v in sa.tree.vertices
+    ]
+    pairs += [
+        (sa.tree.index(reference_partner(v, sb, sa, ia, reached)), sb.tree.index(v))
+        for v in sb.tree.vertices
+    ]
+    return Correspondence.from_pairs(pairs)
+
+
+def test_batched_matcher_equals_the_per_vertex_reference(small_config, monkeypatch):
+    reached = {"star": 0, "routed": 0}
+    checked = []
+    batched = treegh.embedding._composite_correspondence
+
+    def compare(ia, ib):
+        corr = batched(ia, ib)
+        want = reference_composite(ia.atlas, ib.atlas, reached)
+        assert (corr.packed, corr.code) == (want.packed, want.code)
+        checked.append(len(corr))
+        return corr
+
+    monkeypatch.setattr(treegh.embedding, "_composite_correspondence", compare)
+    cells = [lab for lab in small_config.h_space.labels if lab not in small_config.marked]
+    adjacency = [(i, j) for i in range(len(cells)) for j in range(i, len(cells))]
+    for e in range(5):
+        small_config.eps = 2.0 ** -e
+        for k in (1, 2):
+            continuity_scan(small_config, [(lab, k) for lab in cells], adjacency, strict=False)
+    for x in (
+        tree_from_edges([("a", "b", 1.0)]),
+        tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8), ("b", "d", 0.6)]),
+        tree_from_edges([("a", "b", 2.5), ("b", "c", 0.3)]),
+    ):
+        for grid in ([0.0, 0.25, 0.3, 0.5, 1.0], [0.1, 0.13, 0.13, 0.4]):
+            replacement_path(x, grid, eps=2.0 ** -4)
+    assert len(checked) == 10 * len(adjacency) + 3 * 7
+    assert reached["star"] > 0 and reached["routed"] > 0
+
+
+def test_matcher_tie_and_empty_coordinate_rules():
+    # "v" lies on segments 0 and 1 and is equally near "b" on the first and
+    # "a" on the second: the smaller vid wins, whatever the vertex order.
+    # "w" carries no comb coordinates and goes to the wedge "a"; so does the
+    # wedge "u", although "b" sits at its coordinates.
+    part = SimpleNamespace(s=0.0, depth_cap=1, seg_scale=[1.0, 1.0])
+    src = treegh.embedding._Atlas(
+        tree=tree_from_edges([("v", "w", 1.0), ("w", "u", 1.0)]),
+        coords={"v": {0: {0: (0.5, 0.0), 1: (0.5, 0.0)}}, "w": {0: {}}, "u": {0: {0: (0.5, 0.25)}}},
+        parts=[part], wedge="u",
+    )
+    dst = treegh.embedding._Atlas(
+        tree=tree_from_edges([("b", "a", 1.0), ("a", "c", 1.0)]),
+        coords={"b": {0: {0: (0.5, 0.25)}}, "a": {0: {1: (0.5, 0.25)}}, "c": {0: {}}},
+        parts=[part], wedge="a",
+    )
+    want = [dst.tree.index(reference_partner(v, src, dst, ReferenceIndex(dst), {})) for v in "vwu"]
+    assert want == [dst.tree.index("a")] * 3
+    index = treegh.embedding._CandidateIndex
+    assert treegh.embedding._matches(index(src), index(dst)).tolist() == want
+
+
+def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, monkeypatch):
+    grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 1), ("g2_1", 1)]
+    adjacency = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)]
+    last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
+    samples = []  # (cell, weak reference to its subdivided tree), in build order
+    sample = treegh.embedding._sample
+    upper = treegh.embedding.gh_upper_bound
+    seen = []
+
+    def tracked(atlas, eps):
+        index = sample(atlas, eps)
+        cell = grid.index((atlas.tree.metadata["u"], atlas.tree.metadata["k"]))
+        samples.append((cell, weakref.ref(index.atlas.tree)))
+        return index
+
+    def bound(x, y, corr):
+        pos = len(seen)
+        gc.collect()
+        alive = {cell for cell, ref in samples if ref() is not None}
+        seen.append(alive)
+        assert alive == {cell for cell, _ in samples if last_use[cell] >= pos}
+        return upper(x, y, corr)
+
+    monkeypatch.setattr(treegh.embedding, "_sample", tracked)
+    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", bound)
+    freed = continuity_scan(small_config, grid, adjacency)
+    monkeypatch.undo()
+    assert [cell for cell, _ in samples] == [0, 1, 2, 3]  # each cell sampled once
+    assert seen == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
+    assert freed == continuity_scan(small_config, grid, adjacency)
 
 
 def test_continuity_scan_rejects_mixed_fibers(small_config):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from treegh import (
     tree_from_edges,
 )
 from treegh.families import CombParams
-from conftest import random_space
+from conftest import random_space, random_tree
 
 
 def two_point(diam):
@@ -246,6 +247,93 @@ def test_correspondence_packs_sorted_distinct_pairs():
     assert Correspondence.from_pairs([]).pairs == ()
     with pytest.raises(ValueError):
         Correspondence.from_pairs([(0, -1)])
+
+
+def test_from_pairs_accepts_an_integer_array():
+    rng = np.random.default_rng(43)
+    raw = rng.integers(0, 300, size=(500, 2))
+    raw[250:] = raw[:250]  # every pair twice
+    corr = Correspondence.from_pairs(raw)
+    assert corr == Correspondence.from_pairs(map(tuple, raw.tolist()))
+    assert corr.pairs == tuple(sorted(set(map(tuple, raw.tolist()))))
+    assert Correspondence.from_pairs(np.zeros((0, 2), dtype=np.int64)).pairs == ()
+    with pytest.raises(ValueError):
+        Correspondence.from_pairs(np.array([[0, 0], [2, -1]]))
+    with pytest.raises(ValueError):
+        Correspondence.from_pairs(np.array([[0.0, 1.0]]))
+
+
+def test_covers_is_false_on_out_of_range_indices():
+    corr = Correspondence.from_pairs([(0, 0), (1, 1), (2, 1)])
+    assert corr.covers(3, 2)
+    assert not corr.covers(2, 2)  # i = 2 lies outside range(2)
+    assert not corr.covers(3, 1)  # j = 1 lies outside range(1)
+    assert not corr.covers(4, 2)  # i = 3 is missing
+    assert not corr.covers(3, 3)  # j = 2 is missing
+
+
+def unblocked_distortion(x, y, corr):
+    """The distortion formula as one |C| x |C| product, for reference."""
+    I, J = corr.rows.T.astype(np.intp)
+    A = x.dist[np.ix_(I, I)]
+    A -= y.dist[np.ix_(J, J)]
+    return float(np.abs(A, out=A).max())
+
+
+def random_covering(rng, nx, ny, extra):
+    """A covering correspondence whose points mostly recur in many pairs."""
+    pairs = [(i, int(rng.integers(ny))) for i in range(nx)]
+    pairs += [(int(rng.integers(nx)), j) for j in range(ny)]
+    pairs += [(int(rng.integers(nx)), int(rng.integers(ny))) for _ in range(extra)]
+    return Correspondence.from_pairs(pairs)
+
+
+def test_blocked_distortion_equals_the_unblocked_formula(monkeypatch):
+    rng = np.random.default_rng(59)
+    cases = []
+    for _ in range(30):
+        x, y = random_space(rng, 2, 9), random_space(rng, 2, 9)
+        cases.append((x, y, random_covering(rng, x.n, y.n, int(rng.integers(0, 20)))))
+    for _ in range(10):
+        x = subdivide(random_tree(rng, 2, 8), 0.1)
+        y = subdivide(random_tree(rng, 2, 8), 0.1)
+        cases.append((x, y, random_covering(rng, x.n, y.n, 3 * max(x.n, y.n))))
+    for r, c in itertools.permutations(range(4), 2):
+        # one mismatch off the diagonal of an asymmetric matrix: every
+        # entry of the product counts, not one triangle of it
+        d = np.zeros((4, 4))
+        d[r, c] = 1.0
+        x = FiniteMetricSpace(tuple("abcd"), d)
+        ident = Correspondence.from_pairs([(i, i) for i in range(4)])
+        cases.append((x, random_space(rng, 4, 4, spread=0.0), ident))
+    for x, y, corr in cases:
+        m = len(corr)
+        want = unblocked_distortion(x, y, corr)
+        uneven = next((k for k in range(2, m) if m % k), 1)
+        # 1-row blocks, blocks of `uneven` rows with a short last one, one block
+        for cells in (1, m * uneven, 10 ** 9):
+            monkeypatch.setattr(treegh.gh, "_DISTORTION_BLOCK_CELLS", cells)
+            assert distortion(x, y, corr) == want
+
+
+def test_distortion_memory_stays_far_below_the_full_product():
+    x = subdivide(comb_tree(CombParams(s=0.5)), 2.0 ** -8)
+    y = subdivide(comb_tree(CombParams(s=0.375)), 2.0 ** -8)
+    ny = y.n
+    corr = Correspondence.from_pairs(
+        [(i, (i * ny // x.n + step) % ny) for i in range(x.n) for step in (0, 1, 2)]
+        + [(j * x.n // ny, j) for j in range(ny)]
+    )
+    assert len(corr) >= 1400
+    x.dist, y.dist  # both matrices built before tracing
+    tracemalloc.start()
+    try:
+        value = distortion(x, y, corr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == unblocked_distortion(x, y, corr)
+    assert peak < len(corr) ** 2 * 8 / 8
 
 
 def test_distortion_of_identity_is_zero():
