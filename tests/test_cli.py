@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -317,3 +318,41 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     tree = parse_tree(target.read_text())
     assert tree.n == 6
+
+
+# -- golden outputs -----------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# (golden file, argv, exit code); "{cfg}" is the small_config document and
+# "{comb_a}", "{comb_b}", "{star}" and "{embed}" the documents pinned by
+# the cases that print them.
+GOLDEN_CASES = [
+    ("comb_a.json", ["tree", "comb", "--s", "0.5", "--depth", "4"], 0),
+    ("comb_b.json", ["tree", "comb", "--s", "0.375", "--depth", "4"], 0),
+    ("validate_comb_a.json", ["tree", "validate", "{comb_a}"], 0),
+    ("validate_comb_b.json", ["tree", "validate", "{comb_b}"], 0),
+    ("gh_trees.json", ["--eps", "0.0625", "gh", "trees", "{comb_a}", "{comb_b}"], 0),
+    ("star.json", ["tree", "star", "--a", "0.25,0.0625", "--k", "1"], 0),
+    ("path.json", ["--eps", "0.03125", "lab", "path", "--x", "{star}",
+                   "--s-grid", "0,0.25,0.5", "--depth", "4"], 0),
+    ("embed.json", ["lab", "embed", "--config", "{cfg}", "--u", "g1_1", "--k", "1"], 0),
+    ("validate_embed.json", ["tree", "validate", "{embed}"], 0),
+    ("scan_continuity_k1.json", ["--eps", "0.125", "lab", "scan-continuity",
+                                 "--config", "{cfg}", "--k", "1"], 0),
+    ("scan_continuity_k2.csv", ["--format", "csv", "--eps", "0.125", "lab",
+                                "scan-continuity", "--config", "{cfg}", "--k", "2"], 0),
+    ("scan_injectivity.json", ["lab", "scan-injectivity", "--config", "{cfg}"], 0),
+]
+
+
+def test_cli_outputs_match_golden_bytes(capsys, tmp_path, config_path):
+    # Every report is byte-deterministic; these files pin the bytes so a
+    # refactor of the layers below cannot move a single digit unnoticed.
+    inputs = {"cfg": config_path}
+    for name, argv, want_code in GOLDEN_CASES:
+        argv = [a.format(**inputs) for a in argv]
+        code, out, err = _run(capsys, argv)
+        assert code == want_code, (name, err)
+        assert out == (GOLDEN / name).read_text(), name
+        inputs[name.split(".")[0]] = _write(tmp_path / name, out)
