@@ -1,11 +1,15 @@
 """Combinatorial metric trees with positive edge lengths.
 
 A tree here is a finite vertex/edge model of a geodesic tree: vertices carry
-string identifiers and edges carry positive lengths.  Construction only
-validates the edge list.  The full matrix of path distances is built on its
-first read and cached; operations that need one source's distances or only
-edge lengths (balls, degree-<=2 components, edge replacement) never build
-it.  Points of the underlying continuum exist only once an operation
+string identifiers and edges carry positive lengths.  Construction checks
+each edge (known endpoints, no self-loop, positive finite length) and then
+proves the edge list is a tree by counting: one depth-first walk from vertex
+0 must reach all n vertices over exactly n - 1 edges.  Only when that fails
+is the graph searched again, to name a cycle or the components.  The same
+walk, as a preorder with parents and edge lengths, fills the full matrix of
+path distances on its first read (then cached) and finds geodesics;
+operations that need one source's distances or only edge lengths (balls,
+degree-<=2 components, edge replacement) never build the matrix.  Points of the underlying continuum exist only once an operation
 materialises them -- subdivision, chunk boundaries and ball cuts all insert
 explicit vertices.
 
@@ -82,114 +86,117 @@ class MetricTree:
         self.labels: Dict[str, str] = dict(labels or {})
         self.metadata: dict = dict(metadata or {})
         self._index: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
-        self._validate()
-        self._adj: List[List[Tuple[int, float]]] = [[] for _ in self.vertices]
-        for a, b, w in self.edges:
-            ia, ib = self._index[a], self._index[b]
-            self._adj[ia].append((ib, w))
-            self._adj[ib].append((ia, w))
-        self._dist: Optional[np.ndarray] = None
-
-    # -- construction helpers -------------------------------------------------
-
-    def _validate(self):
-        if len(self.vertices) == 0:
+        n = len(self.vertices)
+        if n == 0:
             raise TreeStructureError("a tree needs at least one vertex")
-        if len(self._index) != len(self.vertices):
+        if len(self._index) != n:
             dupes = [v for v in self.vertices if self.vertices.count(v) > 1]
             raise TreeStructureError("duplicate vertex ids: %s" % sorted(set(dupes))[:3])
-        parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        accepted: List[Tuple[str, str, float]] = []
+        self._adj: List[List[Tuple[int, float]]] = [[] for _ in self.vertices]
         for a, b, w in self.edges:
-            if a not in self._index or b not in self._index:
+            ia, ib = self._index.get(a), self._index.get(b)
+            if ia is None or ib is None:
                 raise TreeStructureError("edge (%s, %s) references unknown vertex" % (a, b))
-            if a == b:
+            if ia == ib:
                 raise TreeStructureError("self-loop at vertex %s" % a)
             if not (w > 0) or not math.isfinite(w):
                 raise TreeStructureError(
                     "edge (%s, %s) must have positive finite length, got %r" % (a, b, w)
                 )
-            ra, rb = find(self._index[a]), find(self._index[b])
-            if ra == rb:
-                cycle = self._cycle_witness(accepted, a, b)
-                raise TreeStructureError(
-                    "cycle detected: %s" % " -> ".join(cycle)
-                )
-            parent[ra] = rb
-            accepted.append((a, b, w))
-        roots = {find(i) for i in range(len(self.vertices))}
-        if len(roots) > 1:
-            reps = sorted(self.vertices[i] for i in roots)
-            raise TreeStructureError(
-                "tree is disconnected (components containing %s)" % ", ".join(reps[:4])
-            )
+            self._adj[ia].append((ib, w))
+            self._adj[ib].append((ia, w))
+        # A graph on n vertices is a tree iff it is connected with n - 1 edges.
+        if len(self.edges) != n - 1 or sum(1 for _ in self._walk(0)) != n:
+            raise TreeStructureError(self._not_a_tree())
+        self._dist: Optional[np.ndarray] = None
 
-    def _cycle_witness(self, accepted, a, b) -> List[str]:
-        # Path a..b through already accepted edges, closed by the edge (a, b).
-        adj: Dict[str, List[str]] = {}
-        for u, v, _ in accepted:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for v in adj.get(u, []):
-                if v not in prev:
-                    prev[v] = u
-                    stack.append(v)
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        return path[::-1] + [a]
+    # -- construction helpers -------------------------------------------------
 
-    def _all_pairs(self) -> np.ndarray:
-        # One DFS preorder from vertex 0 makes the subtree of the vertex at
-        # position i the contiguous range [i, i + size).  Moving the source from a parent p to its
-        # child v across an edge of length w adds w to the distance of every
-        # vertex outside v's subtree and subtracts w inside it, so each row
-        # is one vectorized update of its parent's row (in preorder columns).
-        n = len(self.vertices)
-        order: List[int] = []
-        parent = [0] * n  # preorder position of each vertex's parent
-        up = [0.0] * n  # length of the edge to the parent
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
+    def _walk(self, root: int, seen: Optional[List[bool]] = None):
+        """Iterative DFS preorder from root over the integer adjacency.
+
+        Yields ``(v, parent, w)``: a vertex, the vertex it was reached from
+        and the length of that edge (``-1`` and ``0.0`` for the root).  The
+        subtree of each vertex is a contiguous run of the sequence.  ``seen``
+        holds reached-flags and may be shared by walks of one forest.
+        """
+        if seen is None:
+            seen = [False] * len(self._adj)
+        seen[root] = True
+        stack = [(root, -1, 0.0)]
         while stack:
-            u = stack.pop()
+            item = stack.pop()
+            yield item
+            u = item[0]
             for v, w in self._adj[u]:
                 if not seen[v]:
                     seen[v] = True
-                    parent[v] = len(order)
-                    up[v] = w
-                    stack.append(v)
-            order.append(u)
+                    stack.append((v, u, w))
+
+    def _not_a_tree(self) -> str:
+        # Error path only: walk every component and name the first edge, in
+        # edge-list order, that no walk crossed (it closes a cycle through
+        # the walk tree), or else the components.
+        n = len(self.vertices)
+        seen = [False] * n
+        parent = [-1] * n
+        depth = [0] * n
+        roots = []
+        for r in range(n):
+            if not seen[r]:
+                roots.append(r)
+                for v, p, _ in self._walk(r, seen):
+                    if p >= 0:
+                        parent[v], depth[v] = p, depth[p] + 1
+        crossed = [False] * n  # the edge to a vertex's parent was matched
+        for a, b, _ in self.edges:
+            ia, ib = self._index[a], self._index[b]
+            for c, p in ((ib, ia), (ia, ib)):
+                if parent[c] == p and not crossed[c]:
+                    crossed[c] = True
+                    break
+            else:
+                head, tail = [ia], [ib]
+                while head[-1] != tail[-1]:
+                    deeper = head if depth[head[-1]] >= depth[tail[-1]] else tail
+                    deeper.append(parent[deeper[-1]])
+                cycle = head + tail[-2::-1] + [ia]
+                return "cycle detected: %s" % " -> ".join(self.vertices[i] for i in cycle)
+        reps = sorted(self.vertices[i] for i in roots)
+        return "tree is disconnected (components containing %s)" % ", ".join(reps[:4])
+
+    def _all_pairs(self) -> np.ndarray:
+        # In the DFS preorder from vertex 0 the subtree of the vertex at
+        # position i is the range [i, i + size).  Moving the source from a
+        # parent p to its child v across an edge of length w adds w to the
+        # distance of every vertex outside v's subtree and subtracts w inside
+        # it, so each row is one vectorized update of its parent's row.  Rows
+        # are stored at their vertex's index with columns in preorder, then
+        # each row's columns are permuted to vertex order in place.
+        n = len(self.vertices)
+        walk = list(self._walk(0))
+        pos = [0] * n  # preorder position of each vertex
+        for i, (v, _, _) in enumerate(walk):
+            pos[v] = i
         size = [1] * n  # subtree size, by preorder position
         for i in range(n - 1, 0, -1):
-            size[parent[order[i]]] += size[i]
-        pre = np.empty((n, n), dtype=float)
-        root = pre[0]
+            size[pos[walk[i][1]]] += size[i]
+        d = np.empty((n, n), dtype=float)
+        root = d[0]
         root[0] = 0.0
         for i in range(1, n):
-            v = order[i]
-            root[i] = root[parent[v]] + up[v]
+            _, p, w = walk[i]
+            root[i] = root[pos[p]] + w
         for i in range(1, n):
-            v = order[i]
-            prow, row, w, end = pre[parent[v]], pre[i], up[v], i + size[i]
+            v, p, w = walk[i]
+            prow, row, end = d[p], d[v], i + size[i]
             np.add(prow, w, out=row)
             np.subtract(prow[i:end], w, out=row[i:end])
-        inv = np.argsort(order)
-        d = pre[np.ix_(inv, inv)]
+        cols = np.array(pos)
+        tmp = np.empty(n, dtype=float)
+        for row in d:
+            np.take(row, cols, out=tmp)
+            row[:] = tmp
         np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
         return d
@@ -267,7 +274,10 @@ class MetricTree:
         return float(self.row(v).max())
 
     def diameter(self) -> float:
-        return float(self.dist.max()) if self.n else 0.0
+        """Largest distance, from two single-source rows: the vertex farthest
+        from any vertex ends a diameter of a tree."""
+        far = self.vertices[int(self.row(self.vertices[0]).argmax())]
+        return float(self.row(far).max())
 
     def total_edge_length(self) -> float:
         return float(sum(w for _, _, w in self.edges))
@@ -306,16 +316,11 @@ def tree_from_edges(
 def geodesic(tree: MetricTree, x: str, y: str) -> List[str]:
     """The unique vertex path from x to y (inclusive)."""
     ix, iy = tree.index(x), tree.index(y)
-    prev = {ix: -1}
-    stack = [ix]
-    while stack:
-        u = stack.pop()
-        if u == iy:
+    prev = {}
+    for v, p, _ in tree._walk(ix):
+        prev[v] = p
+        if v == iy:
             break
-        for v, _ in tree._adj[u]:
-            if v not in prev:
-                prev[v] = u
-                stack.append(v)
     path = [iy]
     while path[-1] != ix:
         path.append(prev[path[-1]])
@@ -349,63 +354,49 @@ def deg2_components(tree: MetricTree) -> List[Deg2Component]:
     canonical orientation (lexicographically smaller closure endpoint
     first) and sorted by their closure paths.
     """
-    low = [v for v in tree.vertices if tree.degree(v) <= 2]
-    low_set = set(low)
-    comps: List[List[str]] = []
-    seen = set()
-    for v in low:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for nb, _ in tree.neighbors(u):
-                if nb in low_set and nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(comp)
-
+    adj, names = tree._adj, tree.vertices
+    # A neighbour of a component vertex is in the component iff it is low.
+    low = [len(nbrs) <= 2 for nbrs in adj]
+    seen = [False] * len(adj)
     out: List[Deg2Component] = []
-    for comp in comps:
-        cset = set(comp)
-        if len(comp) == 1:
-            ordered = comp
-            outside = [nb for nb, _ in tree.neighbors(comp[0]) if nb not in cset]
-            head_delims = outside[:1]
-            tail_delims = outside[1:2]
-        else:
-            ends = [
-                v for v in comp
-                if sum(1 for nb, _ in tree.neighbors(v) if nb in cset) <= 1
-            ]
-            start = min(ends)
-            ordered = [start]
-            prev = None
-            while True:
-                nxts = [
-                    nb for nb, _ in tree.neighbors(ordered[-1])
-                    if nb in cset and nb != prev
-                ]
-                if not nxts:
-                    break
-                prev = ordered[-1]
-                ordered.append(nxts[0])
-            head_delims = [nb for nb, _ in tree.neighbors(ordered[0]) if nb not in cset]
-            tail_delims = [nb for nb, _ in tree.neighbors(ordered[-1]) if nb not in cset]
-        closure = head_delims[:1] + ordered + tail_delims[:1]
-        if closure[0] > closure[-1]:
-            closure = closure[::-1]
-            ordered = ordered[::-1]
-        delims = tuple(sorted(set(head_delims[:1] + tail_delims[:1])))
+    for v in range(len(adj)):
+        if not low[v] or seen[v]:
+            continue
+        seen[v] = True
+        comp, stack = [v], [v]
+        while stack:
+            for x, _ in adj[stack.pop()]:
+                if low[x] and not seen[x]:
+                    seen[x] = True
+                    comp.append(x)
+                    stack.append(x)
+        # Walk the path from its smaller end, collecting edge lengths.
+        start = min(
+            (u for u in comp if sum(low[x] for x, _ in adj[u]) <= 1),
+            key=names.__getitem__,
+        )
+        ordered, lengths, prev = [start], [], -1
+        while True:
+            nxt = [(x, w) for x, w in adj[ordered[-1]] if low[x] and x != prev]
+            if not nxt:
+                break
+            prev = ordered[-1]
+            ordered.append(nxt[0][0])
+            lengths.append(nxt[0][1])
+        head = [(x, w) for x, w in adj[ordered[0]] if not low[x]][:1]
+        tail = [(x, w) for x, w in adj[ordered[-1]] if not low[x] and (x, w) not in head][:1]
+        closure = [x for x, _ in head] + ordered + [x for x, _ in tail]
+        lengths = [w for _, w in head] + lengths + [w for _, w in tail]
+        if names[closure[0]] > names[closure[-1]]:
+            closure.reverse()
+            ordered.reverse()
+            lengths.reverse()
         out.append(
             Deg2Component(
-                vertices=tuple(ordered),
-                delimiters=delims,
-                closure_path=tuple(closure),
-                closure_diameter=tree._path_length(closure),
+                vertices=tuple(names[u] for u in ordered),
+                delimiters=tuple(sorted({names[x] for x, _ in head + tail})),
+                closure_path=tuple(names[u] for u in closure),
+                closure_diameter=float(sum(lengths)),
             )
         )
     out.sort(key=lambda c: c.closure_path)

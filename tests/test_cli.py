@@ -88,9 +88,13 @@ def test_gh_trees_widens_by_truncation(capsys, tmp_path):
 
 def test_tree_comb_is_deterministic(capsys):
     code1, out1, _ = _run(capsys, ["tree", "comb", "--s", "0.5"])
-    code2, out2, _ = _run(capsys, ["tree", "comb", "--s", "0.5", "--seed", "7"])
+    code2, out2, _ = _run(capsys, ["tree", "comb", "--s", "0.5"])
     assert code1 == code2 == 0
     assert out1 == out2
+    # every command is deterministic, so there is no seed to pass
+    code, _, err = _run(capsys, ["tree", "comb", "--s", "0.5", "--seed", "7"])
+    assert code == 1
+    assert "usage error" in err
 
 
 def test_tree_comb_reloads_and_validates(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegh import (
+    Deg2Component,
     EmbedConfig,
     MetricTree,
     ReplacementEntry,
@@ -67,6 +70,123 @@ def test_single_vertex_tree():
     t = MetricTree(("v",), ())
     assert t.n == 1
     assert t.diameter() == 0.0
+
+
+def _reference_validate(vertices, edges):
+    """The union-find validator the single counting walk replaced."""
+    vertices = tuple(str(v) for v in vertices)
+    edges = tuple((str(a), str(b), float(w)) for a, b, w in edges)
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(vertices) == 0:
+        raise TreeStructureError("a tree needs at least one vertex")
+    if len(index) != len(vertices):
+        raise TreeStructureError("duplicate vertex ids")
+    parent = list(range(len(vertices)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b, w in edges:
+        if a not in index or b not in index:
+            raise TreeStructureError("edge (%s, %s) references unknown vertex" % (a, b))
+        if a == b:
+            raise TreeStructureError("self-loop at vertex %s" % a)
+        if not (w > 0) or not math.isfinite(w):
+            raise TreeStructureError(
+                "edge (%s, %s) must have positive finite length, got %r" % (a, b, w)
+            )
+        ra, rb = find(index[a]), find(index[b])
+        if ra == rb:
+            raise TreeStructureError("cycle detected")
+        parent[ra] = rb
+    if len({find(i) for i in range(len(vertices))}) > 1:
+        raise TreeStructureError("tree is disconnected")
+
+
+def _edge_lists(rng, count):
+    """Seeded (vertices, edges) inputs: valid trees and one defect each."""
+    defects = (
+        None, "extra", "duplicate", "loop", "zero", "negative", "inf", "nan",
+        "unknown", "forest", "forest+cycle", "dupe-id",
+    )
+    for i in range(count):
+        defect = defects[i % len(defects)]
+        n = int(rng.integers(1 if defect in (None, "unknown", "dupe-id") else 3, 30))
+        names = ["v%d" % j for j in range(n)]
+        edges = [
+            (names[int(rng.integers(0, j))], names[j], float(rng.uniform(0.1, 2.0)))
+            for j in range(1, n)
+        ]
+        edges = [(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in edges]
+        rng.shuffle(edges)
+        if defect == "extra":
+            a, b = rng.choice(n, size=2, replace=False)
+            edges.insert(int(rng.integers(0, n)), (names[a], names[b], 1.0))
+        elif defect == "duplicate":
+            edges.insert(int(rng.integers(0, n)), edges[int(rng.integers(0, n - 1))])
+        elif defect == "loop":
+            v = names[int(rng.integers(0, n))]
+            edges.insert(int(rng.integers(0, n)), (v, v, 1.0))
+        elif defect in ("zero", "negative", "inf", "nan"):
+            k = int(rng.integers(0, n - 1))
+            bad = {"zero": 0.0, "negative": -0.5, "inf": math.inf, "nan": math.nan}[defect]
+            edges[k] = edges[k][:2] + (bad,)
+        elif defect == "unknown":
+            edges.insert(int(rng.integers(0, n)), (names[0], "ghost", 1.0))
+        elif defect in ("forest", "forest+cycle"):
+            edges.pop(int(rng.integers(0, n - 1)))
+            if defect == "forest+cycle" and edges:
+                edges.append(edges[int(rng.integers(0, len(edges)))])
+        elif defect == "dupe-id":
+            names.append(names[-1])
+        rng.shuffle(names)
+        yield names, edges
+
+
+def _failure(build):
+    try:
+        build()
+    except Exception as exc:  # compared by type and kind, not caught blindly
+        msg = str(exc)
+        for kind in ("cycle detected", "tree is disconnected"):
+            if msg.startswith(kind):
+                return type(exc), kind
+        return type(exc), msg.split(":")[0]
+    return None
+
+
+def test_validation_matches_the_union_find_reference():
+    rng = np.random.default_rng(7_2026)
+    rejected = 0
+    for names, edges in _edge_lists(rng, 600):
+        want = _failure(lambda: _reference_validate(names, edges))
+        got = _failure(lambda: MetricTree(names, edges))
+        assert got == want, (names, edges)
+        rejected += want is not None
+    assert 400 <= rejected < 600
+
+
+def test_cycle_witness_is_a_closed_edge_path():
+    rng = np.random.default_rng(11)
+    for names, edges in _edge_lists(rng, 240):
+        try:
+            MetricTree(names, edges)
+        except TreeStructureError as exc:
+            msg = str(exc)
+            if not msg.startswith("cycle detected: "):
+                continue
+            cycle = msg[len("cycle detected: "):].split(" -> ")
+            assert cycle[0] == cycle[-1] and len(cycle) >= 3
+            hops = list(zip(cycle, cycle[1:]))
+            pairs = [frozenset(e[:2]) for e in edges]
+            for a, b in hops:
+                assert frozenset((a, b)) in pairs
+            # a cycle uses each edge once: a two-hop cycle needs a doubled edge
+            for hop in {frozenset(h) for h in hops}:
+                assert pairs.count(hop) >= sum(frozenset(h) == hop for h in hops)
 
 
 # -- distances ----------------------------------------------------------------
@@ -146,6 +266,92 @@ def test_vectorized_distances_match_reference(small_config):
             assert np.array_equal(t.row(v), d[i])
 
 
+def _reference_fill(tree):
+    """The preorder fill with one fancy-index copy that the in-place fill replaced."""
+    n = tree.n
+    order = []
+    parent = [0] * n
+    up = [0.0] * n
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, w in tree._adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = len(order)
+                up[v] = w
+                stack.append(v)
+        order.append(u)
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[parent[order[i]]] += size[i]
+    pre = np.empty((n, n), dtype=float)
+    root = pre[0]
+    root[0] = 0.0
+    for i in range(1, n):
+        v = order[i]
+        root[i] = root[parent[v]] + up[v]
+    for i in range(1, n):
+        v = order[i]
+        prow, row, w, end = pre[parent[v]], pre[i], up[v], i + size[i]
+        np.add(prow, w, out=row)
+        np.subtract(prow[i:end], w, out=row[i:end])
+    inv = np.argsort(order)
+    d = pre[np.ix_(inv, inv)]
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _large_cell(small_config):
+    tree = build_F(dataclasses.replace(small_config, eps=2.0 ** -6), "g0_2", 1)
+    assert tree.n >= 700
+    return tree
+
+
+def test_fill_is_bitwise_the_preorder_copy_fill(small_config):
+    for t in list(_differential_trees(small_config)) + [_large_cell(small_config)]:
+        assert np.array_equal(t.dist, _reference_fill(t))
+
+
+def test_fill_holds_one_matrix(small_config):
+    t = _large_cell(small_config)
+    tracemalloc.start()
+    try:
+        t.dist
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * t.n * t.n * 8, (peak, t.n)
+
+
+def test_diameter_takes_two_rows(small_config):
+    for t in _differential_trees(small_config):
+        want = _reference_all_pairs(t).max()
+        assert abs(t.diameter() - want) <= 1e-12
+        assert t._dist is None
+
+
+def test_geodesic_matches_per_source_search(small_config):
+    rng = np.random.default_rng(5)
+    for t in _differential_trees(small_config):
+        for _ in range(10):
+            x, y = (t.vertices[int(i)] for i in rng.integers(0, t.n, size=2))
+            prev = {x: None}
+            stack = [x]
+            while stack:
+                u = stack.pop()
+                for v, _ in t.neighbors(u):
+                    if v not in prev:
+                        prev[v] = u
+                        stack.append(v)
+            want = [y]
+            while want[-1] != x:
+                want.append(prev[want[-1]])
+            assert geodesic(t, x, y) == want[::-1]
+
+
 def test_injectivity_scan_never_builds_a_matrix(small_config, monkeypatch):
     def refuse(self):
         raise AssertionError("built the %d x %d distance matrix" % (self.n, self.n))
@@ -158,6 +364,76 @@ def test_injectivity_scan_never_builds_a_matrix(small_config, monkeypatch):
 
 
 # -- degree-<=2 components ----------------------------------------------------
+
+
+def _reference_deg2_components(tree):
+    """The string-id component search that the integer walk replaced."""
+    low = [v for v in tree.vertices if tree.degree(v) <= 2]
+    low_set = set(low)
+    comps = []
+    seen = set()
+    for v in low:
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for nb, _ in tree.neighbors(u):
+                if nb in low_set and nb not in seen:
+                    seen.add(nb)
+                    comp.append(nb)
+                    stack.append(nb)
+        comps.append(comp)
+    out = []
+    for comp in comps:
+        cset = set(comp)
+        if len(comp) == 1:
+            ordered = comp
+            outside = [nb for nb, _ in tree.neighbors(comp[0]) if nb not in cset]
+            head_delims = outside[:1]
+            tail_delims = outside[1:2]
+        else:
+            ends = [
+                v for v in comp
+                if sum(1 for nb, _ in tree.neighbors(v) if nb in cset) <= 1
+            ]
+            ordered = [min(ends)]
+            prev = None
+            while True:
+                nxts = [
+                    nb for nb, _ in tree.neighbors(ordered[-1])
+                    if nb in cset and nb != prev
+                ]
+                if not nxts:
+                    break
+                prev = ordered[-1]
+                ordered.append(nxts[0])
+            head_delims = [nb for nb, _ in tree.neighbors(ordered[0]) if nb not in cset]
+            tail_delims = [nb for nb, _ in tree.neighbors(ordered[-1]) if nb not in cset]
+        closure = head_delims[:1] + ordered + tail_delims[:1]
+        if closure[0] > closure[-1]:
+            closure = closure[::-1]
+            ordered = ordered[::-1]
+        out.append(
+            Deg2Component(
+                vertices=tuple(ordered),
+                delimiters=tuple(sorted(set(head_delims[:1] + tail_delims[:1]))),
+                closure_path=tuple(closure),
+                closure_diameter=tree._path_length(closure),
+            )
+        )
+    out.sort(key=lambda c: c.closure_path)
+    return out
+
+
+def test_deg2_components_match_string_reference(small_config):
+    trees = list(_differential_trees(small_config))
+    trees += [MetricTree(("v",), ()), path_tree(), star3(), _large_cell(small_config)]
+    trees += [build_F(small_config, lab, 2) for lab in ("g0_1", "g1_1", "g2_0")]
+    for t in trees:
+        assert deg2_components(t) == _reference_deg2_components(t)
 
 
 def test_path_is_one_component():
