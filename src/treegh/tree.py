@@ -9,9 +9,9 @@ is the graph searched again, to name a cycle or the components.  The same
 walk, as a preorder with parents and edge lengths, fills the full matrix of
 path distances on its first read (then cached) and finds geodesics;
 operations that need one source's distances or only edge lengths (balls,
-degree-<=2 components, edge replacement) never build the matrix.  Points of the underlying continuum exist only once an operation
-materialises them -- subdivision, chunk boundaries and ball cuts all insert
-explicit vertices.
+degree-<=2 components, edge replacement) never build the matrix.  Points of
+the underlying continuum exist only once an operation materialises them --
+subdivision, chunk boundaries and ball cuts all insert explicit vertices.
 
 Operations that insert vertices record them in ``metadata["inserted"]`` as
 ``new_id -> (u, v, offset)``, meaning the new vertex sits on the former
@@ -355,27 +355,15 @@ def deg2_components(tree: MetricTree) -> List[Deg2Component]:
     first) and sorted by their closure paths.
     """
     adj, names = tree._adj, tree.vertices
-    # A neighbour of a component vertex is in the component iff it is low.
+    # A neighbour of a component vertex is in the component iff it is low,
+    # so each component is the path of low vertices between its two ends.
     low = [len(nbrs) <= 2 for nbrs in adj]
     seen = [False] * len(adj)
     out: List[Deg2Component] = []
     for v in range(len(adj)):
-        if not low[v] or seen[v]:
+        if not low[v] or seen[v] or sum(low[x] for x, _ in adj[v]) > 1:
             continue
-        seen[v] = True
-        comp, stack = [v], [v]
-        while stack:
-            for x, _ in adj[stack.pop()]:
-                if low[x] and not seen[x]:
-                    seen[x] = True
-                    comp.append(x)
-                    stack.append(x)
-        # Walk the path from its smaller end, collecting edge lengths.
-        start = min(
-            (u for u in comp if sum(low[x] for x, _ in adj[u]) <= 1),
-            key=names.__getitem__,
-        )
-        ordered, lengths, prev = [start], [], -1
+        ordered, lengths, prev = [v], [], -1
         while True:
             nxt = [(x, w) for x, w in adj[ordered[-1]] if low[x] and x != prev]
             if not nxt:
@@ -383,6 +371,11 @@ def deg2_components(tree: MetricTree) -> List[Deg2Component]:
             prev = ordered[-1]
             ordered.append(nxt[0][0])
             lengths.append(nxt[0][1])
+        seen[v] = seen[ordered[-1]] = True
+        if names[ordered[-1]] < names[ordered[0]]:  # run from the smaller end
+            ordered.reverse()
+            lengths.reverse()
+        # A lone vertex takes its first two outside neighbours as delimiters.
         head = [(x, w) for x, w in adj[ordered[0]] if not low[x]][:1]
         tail = [(x, w) for x, w in adj[ordered[-1]] if not low[x] and (x, w) not in head][:1]
         closure = [x for x, _ in head] + ordered + [x for x, _ in tail]
