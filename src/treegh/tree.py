@@ -90,8 +90,9 @@ class MetricTree:
         if n == 0:
             raise TreeStructureError("a tree needs at least one vertex")
         if len(self._index) != n:
-            dupes = [v for v in self.vertices if self.vertices.count(v) > 1]
-            raise TreeStructureError("duplicate vertex ids: %s" % sorted(set(dupes))[:3])
+            # an id listed twice maps to its last position only
+            dupes = {v for i, v in enumerate(self.vertices) if self._index[v] != i}
+            raise TreeStructureError("duplicate vertex ids: %s" % sorted(dupes)[:3])
         self._adj: List[List[Tuple[int, float]]] = [[] for _ in self.vertices]
         for a, b, w in self.edges:
             ia, ib = self._index.get(a), self._index.get(b)
@@ -141,10 +142,8 @@ class MetricTree:
         seen = [False] * n
         parent = [-1] * n
         depth = [0] * n
-        roots = []
         for r in range(n):
             if not seen[r]:
-                roots.append(r)
                 for v, p, _ in self._walk(r, seen):
                     if p >= 0:
                         parent[v], depth[v] = p, depth[p] + 1
@@ -162,7 +161,7 @@ class MetricTree:
                     deeper.append(parent[deeper[-1]])
                 cycle = head + tail[-2::-1] + [ia]
                 return "cycle detected: %s" % " -> ".join(self.vertices[i] for i in cycle)
-        reps = sorted(self.vertices[i] for i in roots)
+        reps = sorted(self.vertices[r] for r in range(n) if parent[r] < 0)
         return "tree is disconnected (components containing %s)" % ", ".join(reps[:4])
 
     def _all_pairs(self) -> np.ndarray:

@@ -66,6 +66,13 @@ def test_bad_edges_rejected():
         MetricTree(("a", "b"), (("a", "c", 1.0),))
 
 
+def test_duplicate_ids_are_named():
+    # a long vertex list with repeats is rejected in linear time
+    names = ["v%d" % i for i in range(50_000)] + ["v9", "v2", "v9", "v40"]
+    with pytest.raises(TreeStructureError, match=r"duplicate vertex ids: \['v2', 'v40', 'v9'\]"):
+        MetricTree(names, ())
+
+
 def test_single_vertex_tree():
     t = MetricTree(("v",), ())
     assert t.n == 1
