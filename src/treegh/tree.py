@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _EPS_VERTEX = 1e-12  # slack for "a position lands exactly on a vertex"
+# Entries per block when the matrix fill permutes columns: the only
+# temporary beside the matrix, small enough to stay in cache.
+_PERMUTE_BLOCK_CELLS = 1 << 16
 
 
 class TreeStructureError(ValueError):
@@ -171,7 +174,7 @@ class MetricTree:
         # distance of every vertex outside v's subtree and subtracts w inside
         # it, so each row is one vectorized update of its parent's row.  Rows
         # are stored at their vertex's index with columns in preorder, then
-        # each row's columns are permuted to vertex order in place.
+        # the columns are permuted to vertex order a block of rows at a time.
         n = len(self.vertices)
         walk = list(self._walk(0))
         pos = [0] * n  # preorder position of each vertex
@@ -192,10 +195,9 @@ class MetricTree:
             np.add(prow, w, out=row)
             np.subtract(prow[i:end], w, out=row[i:end])
         cols = np.array(pos)
-        tmp = np.empty(n, dtype=float)
-        for row in d:
-            np.take(row, cols, out=tmp)
-            row[:] = tmp
+        step = max(1, _PERMUTE_BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            d[lo:lo + step] = d[lo:lo + step, cols]
         np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
         return d
