@@ -156,7 +156,7 @@ def _edge_lists(rng, count):
 def _failure(build):
     try:
         build()
-    except Exception as exc:  # compared by type and kind, not caught blindly
+    except Exception as exc:  # any type: the tests compare it
         msg = str(exc)
         for kind in ("cycle detected", "tree is disconnected"):
             if msg.startswith(kind):
