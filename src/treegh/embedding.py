@@ -12,6 +12,11 @@ diameter margin, so ``star_fingerprint`` can read (xi, a) back out of the
 bare tree; ``injectivity_scan`` checks pairwise distinctness of the
 fingerprints, and ``continuity_scan`` certifies Gromov-Hausdorff upper
 bounds between neighbouring cells against an analytic modulus.
+
+Internally an assembled cell is an atlas: the tree, its parts and the comb
+or star coordinates of every vertex.  The coordinates are built lazily, on
+first read, as a tree's distance matrix is; only the continuity matcher
+reads them, so fingerprinting never pays for them.
 """
 
 from __future__ import annotations
@@ -26,22 +31,22 @@ from .metric import FiniteMetricSpace
 from .tree import (
     MetricTree,
     ReplacementEntry,
+    _wedge,
     closed_ball_subtree,
     decompose_deg2,
     deg2_components,
     replace_edges,
     subdivide,
-    wedge_sum,
 )
 from .families import (
     CombParams,
     StarParams,
+    _star_parts,
     _tooth_heights,
     c_fun,
     comb_tree,
     cube_interval,
     rho_embed,
-    star_tree,
     tau,
 )
 from .gh import Correspondence, gh_upper_bound
@@ -339,54 +344,93 @@ def _interpolate_on_shared_segment(
     return {l: (xa + t * (xb - xa), ha + t * (hb - ha))}
 
 
-@dataclass
+_STAR_TIP = "branch:0:1.0"  # the star's basepoint: the tip of its unit branch
+
+# The fields at a label and its endpoint trees comb-replaced and ball-cut for
+# them: the part of a cell's assembly that does not depend on the fiber.
+_LabelParts = Tuple[ScalarFields, List[_PartGeometry]]
+
+
 class _Atlas:
     """An assembled tree together with coordinates for every vertex.
 
     ``coords[vid]`` maps a part key (part index, or "star") to that part's
-    coordinate record; only the wedge vertex carries several keys.
+    coordinate record; only the wedge vertex carries several keys.  Unless
+    given, they are built from the parts and the star's ``(branch,
+    parameter)`` points on first read, since only the continuity matcher
+    reads them.
     """
 
-    tree: MetricTree
-    coords: Optional[Dict[str, dict]]
-    parts: List[_PartGeometry]
-    wedge: Optional[str]
-    fields: Optional[ScalarFields] = None
-    rho: Optional[Tuple[float, ...]] = None
+    def __init__(
+        self,
+        tree: MetricTree,
+        parts: List[_PartGeometry],
+        wedge: Optional[str],
+        fields: Optional[ScalarFields] = None,
+        rho: Optional[Tuple[float, ...]] = None,
+        coords: Optional[Dict[str, dict]] = None,
+        star_points: Optional[Dict[str, Tuple[int, float]]] = None,
+    ):
+        self.tree = tree
+        self.parts = parts
+        self.wedge = wedge
+        self.fields = fields
+        self.rho = rho
+        self.star_points = star_points
+        self._coords = coords
+
+    @property
+    def coords(self) -> Dict[str, dict]:
+        if self._coords is None:
+            # The renaming of wedge_sum: part i's vertices become "P<i>."
+            # + vid, the star is the last part, and basepoints the wedge.
+            coords: Dict[str, dict] = {}
+            for i, g in enumerate(self.parts):
+                prefix = "P%d." % i
+                for v in g.tree.vertices:
+                    wid = self.wedge if v == g.basepoint else prefix + v
+                    coords.setdefault(wid, {})[i] = g.coords[v]
+            spref = "P%d." % len(self.parts)
+            for v, point in self.star_points.items():
+                wid = self.wedge if v == _STAR_TIP else spref + v
+                coords.setdefault(wid, {})["star"] = point
+            self._coords = coords
+        return self._coords
 
 
-def _assemble(cfg: EmbedConfig, u: str, k: int) -> _Atlas:
+def _assemble(
+    cfg: EmbedConfig,
+    u: str,
+    k: int,
+    by_label: Optional[Dict[str, _LabelParts]] = None,
+) -> _Atlas:
+    # by_label holds the parts of labels assembled before; the cell adds
+    # its own there, for the other fibers of u.
     if not (1 <= k <= cfg.m):
         raise ValueError("fiber index k=%r outside 1..%d" % (k, cfg.m))
     cfg.h_space.index(u)
     if u in cfg.marked:
         i = cfg.marked.index(u)
         return _Atlas(
-            tree=cfg.trees[i], coords=None, parts=[], wedge=None,
+            tree=cfg.trees[i], parts=[], wedge=None,
             fields=scalar_fields(cfg, u), rho=None,
         )
-    f = scalar_fields(cfg, u)
-    parts = [
-        _PartGeometry(cfg.trees[i], cfg.basepoints[i], f.phi, cfg.depth_cap, f.sigma[i])
-        for i in range(len(cfg.marked))
-    ]
+    if by_label is None:
+        by_label = {}
+    if u not in by_label:
+        f = scalar_fields(cfg, u)
+        by_label[u] = f, [
+            _PartGeometry(cfg.trees[i], cfg.basepoints[i], f.phi, cfg.depth_cap, f.sigma[i])
+            for i in range(len(cfg.marked))
+        ]
+    f, parts = by_label[u]
     a = rho_embed(cfg.coords[u], k, cfg.m, cfg.branches)
-    st = star_tree(StarParams(a=a, scale=f.xi, eps=cfg.eps))
-    tip = "branch:0:1.0"
-    w = wedge_sum([(g.tree, g.basepoint) for g in parts] + [(st, tip)])
-
-    coords: Dict[str, dict] = {}
-    for i, g in enumerate(parts):
-        prefix = "P%d." % i
-        for v in g.tree.vertices:
-            wid = "p" if v == g.basepoint else prefix + v
-            coords.setdefault(wid, {})[i] = g.coords[v]
-    spref = "P%d." % len(parts)
-    spoints = st.metadata["points"]
-    for v in st.vertices:
-        wid = "p" if v == tip else spref + v
-        coords.setdefault(wid, {})["star"] = spoints[v]
-
+    # The star goes into the wedge as bare lists; the wedge validates it.
+    s_vertices, s_edges, s_points = _star_parts(StarParams(a=a, scale=f.xi, eps=cfg.eps))
+    w = _wedge(
+        [(g.tree.vertices, g.tree.edges, g.tree.labels, g.basepoint) for g in parts]
+        + [(s_vertices, s_edges, {}, _STAR_TIP)]
+    )
     w.metadata.update(
         {
             "generator": "embed",
@@ -400,7 +444,7 @@ def _assemble(cfg: EmbedConfig, u: str, k: int) -> _Atlas:
         }
     )
     return _Atlas(
-        tree=w, coords=coords, parts=parts, wedge="p", fields=f, rho=a
+        tree=w, parts=parts, wedge="p", fields=f, rho=a, star_points=s_points
     )
 
 
@@ -511,6 +555,12 @@ def injectivity_scan(
     fiber k* must exist whose fingerprints collide with no endpoint tree
     (the smallest such k* is reported).
 
+    The comb-replaced, ball-cut endpoint trees depend on the label u, not
+    on the fiber k, so each label's parts are built once per call and
+    shared by all of its fibers; only the star and the wedge are built per
+    cell.  Every row equals what :func:`build_F` and
+    :func:`star_fingerprint` give for that cell alone.
+
     Raises:
         EmbedConfigError: a grid cell sits on a marked point.
         ScanError: recovery failure, a fingerprint collision, or no
@@ -522,8 +572,9 @@ def injectivity_scan(
                 "grid cell %r is a marked point; the scan domain excludes them" % lab
             )
     rows: List[InjectivityRow] = []
+    by_label: Dict[str, _LabelParts] = {}
     for lab, k in grid:
-        atlas = _assemble(cfg, lab, k)
+        atlas = _assemble(cfg, lab, k, by_label)
         fp = star_fingerprint(atlas.tree, tol=cfg.tol)
         expected = atlas.rho
         if len(fp.a_hat) != len(expected):
@@ -924,13 +975,13 @@ def replacement_path(
     for s in svals:
         if not (0.0 <= s <= 1.0):
             raise ValueError("s values must lie in [0, 1], got %r" % s)
+    # replace_edges keeps every vertex whose degree is not 2.
+    basepoint = next(v for v in x.vertices if x.degree(v) != 2)
     steps: List[PathStep] = []
     prev_sub: Optional[_CandidateIndex] = None
     prev_s = 0.0
     for s in svals:
-        geom = _PartGeometry(
-            x, x.vertices[0], s, depth_cap, math.inf
-        )
+        geom = _PartGeometry(x, basepoint, s, depth_cap, math.inf)
         atlas = _Atlas(
             tree=geom.tree,
             coords={v: {0: geom.coords[v]} for v in geom.tree.vertices},

@@ -225,6 +225,22 @@ def star_tree(params: StarParams) -> MetricTree:
     normalised branch parameter).  ``scale = 0`` collapses to the single
     center vertex.
     """
+    vertices, edges, points = _star_parts(params)
+    meta = {
+        "generator": "star",
+        "a": list(params.a),
+        "scale": params.scale,
+        "eps": params.eps,
+        "points": points,
+    }
+    return MetricTree(vertices, edges, metadata=meta)
+
+
+def _star_parts(
+    params: StarParams,
+) -> Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]:
+    """Vertices, edges and ``(branch, parameter)`` points of :func:`star_tree`,
+    unvalidated, for callers that glue the star into a larger tree."""
     K = params.scale
     n_branches = len(params.a) + 1
     vertices: List[str] = ["center"]
@@ -243,14 +259,7 @@ def star_tree(params: StarParams) -> MetricTree:
                 points[vid] = (i, sv)
                 edges.append((prev_id, vid, pos - prev_pos))
                 prev_id, prev_pos = vid, pos
-    meta = {
-        "generator": "star",
-        "a": list(params.a),
-        "scale": K,
-        "eps": params.eps,
-        "points": points,
-    }
-    return MetricTree(vertices, edges, metadata=meta)
+    return vertices, edges, points
 
 
 def tau(a: Sequence[float], b: Sequence[float]) -> float:

@@ -98,17 +98,18 @@ def tree_from_document(doc: dict) -> MetricTree:
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise TreeDocumentError("document needs 'nodes' and 'edges' lists")
     vertices: List[str] = []
+    known = set()
     labels = {}
     for node in nodes:
         if not isinstance(node, dict) or "id" not in node:
             raise TreeDocumentError("each node needs an 'id' field")
         vid = str(node["id"])
-        if vid in labels or vid in vertices:
+        if vid in known:
             raise TreeDocumentError("duplicate node id %r" % vid)
         vertices.append(vid)
+        known.add(vid)
         if "label" in node:
             labels[vid] = str(node["label"])
-    known = set(vertices)
     edge_list: List[Tuple[str, str, float]] = []
     for edge in edges:
         if not isinstance(edge, dict) or not {"a", "b", "len"} <= set(edge):

@@ -361,17 +361,24 @@ def deg2_components(tree: MetricTree) -> List[Deg2Component]:
     low = [len(nbrs) <= 2 for nbrs in adj]
     seen = [False] * len(adj)
     out: List[Deg2Component] = []
-    for v in range(len(adj)):
-        if not low[v] or seen[v] or sum(low[x] for x, _ in adj[v]) > 1:
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) > 2 or seen[v]:
             continue
-        ordered, lengths, prev = [v], [], -1
-        while True:
-            nxt = [(x, w) for x, w in adj[ordered[-1]] if low[x] and x != prev]
-            if not nxt:
-                break
-            prev = ordered[-1]
-            ordered.append(nxt[0][0])
-            lengths.append(nxt[0][1])
+        if len(nbrs) == 2 and low[nbrs[0][0]] and low[nbrs[1][0]]:
+            continue  # inside a path: only an end starts a walk
+        ordered, lengths = [v], []
+        step = next(((x, w) for x, w in nbrs if low[x]), None)
+        while step is not None:
+            prev, (cur, w) = ordered[-1], step
+            ordered.append(cur)
+            lengths.append(w)
+            # cur is low, so besides prev it has at most one neighbour.
+            step = None
+            for x, wx in adj[cur]:
+                if x != prev:
+                    if low[x]:
+                        step = (x, wx)
+                    break
         seen[v] = seen[ordered[-1]] = True
         if names[ordered[-1]] < names[ordered[0]]:  # run from the smaller end
             ordered.reverse()
@@ -639,24 +646,28 @@ def wedge_sum(parts: Sequence[Tuple[MetricTree, str]]) -> MetricTree:
             )
     if len(parts) == 1:
         return parts[0][0]
+    return _wedge([(t.vertices, t.edges, t.labels, bp) for t, bp in parts])
+
+
+def _wedge(
+    parts: Sequence[
+        Tuple[Sequence[str], Sequence[Tuple[str, str, float]], Dict[str, str], str]
+    ],
+) -> MetricTree:
+    """:func:`wedge_sum` of parts given as ``(vertices, edges, labels,
+    basepoint)`` lists; the result is validated as a whole."""
     vertices: List[str] = ["p"]
     edges: List[Tuple[str, str, float]] = []
     labels: Dict[str, str] = {}
     meta_parts = []
-    for i, (t, bp) in enumerate(parts):
+    for i, (part_vertices, part_edges, part_labels, bp) in enumerate(parts):
         prefix = "P%d." % i
         meta_parts.append({"prefix": prefix, "basepoint": bp})
-
-        def rename(v, bp=bp, prefix=prefix):
-            return "p" if v == bp else prefix + v
-
-        for v in t.vertices:
-            if v != bp:
-                vertices.append(rename(v))
-        for a, b, w in t.edges:
-            edges.append((rename(a), rename(b), w))
-        for k, v in t.labels.items():
-            labels[rename(k)] = v
+        rename = {v: prefix + v for v in part_vertices}
+        rename[bp] = "p"
+        vertices.extend(rename[v] for v in part_vertices if v != bp)
+        edges.extend((rename[a], rename[b], w) for a, b, w in part_edges)
+        labels.update((rename[k], v) for k, v in part_labels.items())
     meta = {"generator": "wedge", "parts": meta_parts, "wedge_vertex": "p"}
     return MetricTree(vertices, edges, labels=labels, metadata=meta)
 

@@ -50,3 +50,28 @@ def small_config():
         branches=3,
         eps=2.0 ** -4,
     )
+
+
+def _grid_config(trees, basepoints, m):
+    h, coords = unit_grid(3)
+    return EmbedConfig(
+        h_space=h, coords=coords, marked=("g0_0", "g2_2"), trees=trees,
+        basepoints=basepoints, m=m, branches=3, eps=2.0 ** -6,
+    )
+
+
+@pytest.fixture
+def inject_scan_grids(small_config):
+    """The two grids the inject-scan benchmark scans, with fixed edge
+    lengths: small_config's trees at m=3 and a tripod with a two-edge path at
+    m=1, each as (config, every unmarked cell at every fiber)."""
+    tripod = tree_from_edges([("c", "a", 0.45), ("c", "b", 0.35), ("c", "d", 0.55)])
+    path = tree_from_edges([("x", "y", 0.7), ("y", "z", 0.85)])
+    grids = []
+    for cfg in (
+        _grid_config(small_config.trees, small_config.basepoints, m=3),
+        _grid_config((tripod, path), ("a", "x"), m=1),
+    ):
+        labels = [lab for lab in cfg.h_space.labels if lab not in cfg.marked]
+        grids.append((cfg, [(lab, k) for k in range(1, cfg.m + 1) for lab in labels]))
+    return grids

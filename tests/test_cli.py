@@ -315,6 +315,20 @@ def test_lab_path_csv(capsys, tmp_path):
         assert float(hi) <= float(bound) + 2 * 0.03125 + 1e-9
 
 
+def test_lab_path_runs_on_a_comb_document(capsys, tmp_path):
+    code, out, _ = _run(capsys, ["tree", "comb", "--s", "0.5", "--depth", "4"])
+    assert code == 0
+    doc = _write(tmp_path / "comb.json", out)
+    code, out, err = _run(
+        capsys, ["--eps", "0.03125", "lab", "path", "--x", doc, "--s-grid", "0,0.25,0.5"]
+    )
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [row["s"] for row in rows] == [0.0, 0.25, 0.5]
+    for row in rows[1:]:
+        assert row["hi"] <= row["bound"] + 2 * 0.03125 + 1e-9
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "comb.json"
     code, out, _ = _run(capsys, ["--out", str(target), "tree", "comb", "--s", "0.5"])

@@ -231,6 +231,47 @@ def test_injectivity_scan_rejects_marked_cells(small_config):
         injectivity_scan(small_config, [("g0_0", 1)])
 
 
+def _hex_fingerprint(fp, err):
+    return (fp.xi_hat.hex(), [a.hex() for a in fp.a_hat], fp.margin.hex(), float(err).hex())
+
+
+def test_injectivity_scan_equals_per_cell_reference(small_config, inject_scan_grids):
+    # The scan shares each label's parts across its fibers; every row must
+    # still be what build_F and star_fingerprint give for the cell alone.
+    labels = [lab for lab in small_config.h_space.labels if lab not in small_config.marked]
+    grids = [(small_config, [(lab, k) for k in (1, 2) for lab in labels])]
+    for cfg, cells in grids + inject_scan_grids:
+        rep = injectivity_scan(cfg, cells)
+        assert [(r.label, r.k) for r in rep.rows] == cells
+        for r in rep.rows:
+            fp = star_fingerprint(build_F(cfg, r.label, r.k), tol=cfg.tol)
+            err = tau(fp.a_hat, rho_embed(cfg.coords[r.label], r.k, cfg.m, cfg.branches))
+            assert _hex_fingerprint(r.fingerprint, r.recovery_error) == _hex_fingerprint(fp, err)
+
+
+def test_injectivity_scan_builds_each_label_parts_once(inject_scan_grids, monkeypatch):
+    cfg, cells = inject_scan_grids[0]  # 7 labels x 3 fibers, 2 endpoint trees
+    built = []
+
+    class Counted(treegh.embedding._PartGeometry):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(treegh.embedding, "_PartGeometry", Counted)
+    injectivity_scan(cfg, cells)
+    assert len(cells) == 21 and len(built) == 14
+
+
+def test_injectivity_scan_builds_no_atlas_coordinates(small_config, monkeypatch):
+    def refuse(atlas):
+        raise AssertionError("built the atlas coordinates")
+
+    monkeypatch.setattr(treegh.embedding._Atlas, "coords", property(refuse))
+    cells = [(lab, k) for k in (1, 2) for lab in ("g0_1", "g1_1", "g2_1")]
+    assert len(injectivity_scan(small_config, cells).rows) == 6
+
+
 def test_continuity_scan_bounds_hold(small_config):
     grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 1)]
     rep = continuity_scan(small_config, grid, [(0, 1), (1, 2)])
@@ -495,6 +536,17 @@ def test_replacement_path_in_band_bound():
     eps = 2.0 ** -6
     steps = replacement_path(x, [0.26, 0.3], eps=eps)  # band n = 1
     assert steps[1].hi <= steps[1].bound + 2.0 * eps + 1e-9
+
+
+def test_replacement_path_on_a_comb():
+    # The comb's first vertex, spine:0.0, has degree 2 inside a unit
+    # segment that replace_edges removes, so it cannot be the basepoint.
+    x = comb_tree(CombParams(s=0.5, depth_cap=4))
+    eps = 2.0 ** -5
+    steps = replacement_path(x, [0.0, 0.25, 0.5], eps=eps)
+    assert [step.s for step in steps] == [0.0, 0.25, 0.5]
+    for step in steps[1:]:
+        assert step.hi <= step.bound + 2.0 * eps + 1e-9
 
 
 def test_replacement_path_rejects_unsorted_grid():

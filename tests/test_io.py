@@ -86,6 +86,15 @@ def test_document_errors():
         parse_tree("this is not json")
 
 
+def test_duplicate_node_id_is_named():
+    # a long node list with one repeat near its end is rejected in linear time
+    nodes = [{"id": "v%d" % i} for i in range(50_000)]
+    nodes.insert(49_990, {"id": "v7"})
+    doc = {"schema_version": "treegh/1", "nodes": nodes, "edges": []}
+    with pytest.raises(TreeDocumentError, match="duplicate node id 'v7'"):
+        tree_from_document(doc)
+
+
 def test_save_and_load(tmp_path):
     t = tree_from_edges([("a", "b", 0.5), ("b", "c", 0.7)])
     path = tmp_path / "t.json"

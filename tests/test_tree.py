@@ -435,10 +435,14 @@ def _reference_deg2_components(tree):
     return out
 
 
-def test_deg2_components_match_string_reference(small_config):
+def test_deg2_components_match_string_reference(small_config, inject_scan_grids):
+    rng = np.random.default_rng(20261019)
     trees = list(_differential_trees(small_config))
-    trees += [MetricTree(("v",), ()), path_tree(), star3(), _large_cell(small_config)]
+    trees += [random_tree(rng, n_lo=1, n_hi=60) for _ in range(200)]
+    trees += [MetricTree(("v",), ()), tree_from_edges([("a", "b", 0.5)])]
+    trees += [path_tree(), star3(), _large_cell(small_config)]
     trees += [build_F(small_config, lab, 2) for lab in ("g0_1", "g1_1", "g2_0")]
+    trees += [build_F(cfg, lab, k) for cfg, cells in inject_scan_grids for lab, k in cells]
     for t in trees:
         assert deg2_components(t) == _reference_deg2_components(t)
 
@@ -540,6 +544,44 @@ def test_wedge_preserves_part_distances():
 def test_wedge_requires_known_basepoints():
     with pytest.raises(TreeStructureError):
         wedge_sum([(path_tree(), "nope"), (star3(), "c")])
+
+
+def _reference_wedge_sum(parts):
+    """The wedge that renamed through one closure per part, which the
+    dict-renaming wedge replaced."""
+    if len(parts) == 1:
+        return parts[0][0]
+    vertices, edges, labels, meta_parts = ["p"], [], {}, []
+    for i, (t, bp) in enumerate(parts):
+        prefix = "P%d." % i
+        meta_parts.append({"prefix": prefix, "basepoint": bp})
+
+        def rename(v, bp=bp, prefix=prefix):
+            return "p" if v == bp else prefix + v
+
+        for v in t.vertices:
+            if v != bp:
+                vertices.append(rename(v))
+        for a, b, w in t.edges:
+            edges.append((rename(a), rename(b), w))
+        for k, v in t.labels.items():
+            labels[rename(k)] = v
+    meta = {"generator": "wedge", "parts": meta_parts, "wedge_vertex": "p"}
+    return MetricTree(vertices, edges, labels=labels, metadata=meta)
+
+
+def test_wedge_matches_closure_reference():
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        parts = []
+        for _ in range(int(rng.integers(1, 6))):
+            t = random_tree(rng, n_lo=1, n_hi=12)
+            labelled = [v for v in t.vertices if rng.random() < 0.4]
+            t = MetricTree(t.vertices, t.edges, labels={v: "L" + v for v in labelled})
+            parts.append((t, t.vertices[int(rng.integers(0, t.n))]))
+        got, want = wedge_sum(parts), _reference_wedge_sum(parts)
+        assert (got.vertices, got.edges) == (want.vertices, want.edges)
+        assert (got.labels, got.metadata) == (want.labels, want.metadata)
 
 
 # -- edge replacement ---------------------------------------------------------
