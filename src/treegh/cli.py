@@ -8,6 +8,7 @@ arguments produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -111,11 +112,9 @@ def _load_config(args) -> EmbedConfig:
     with open(args.config, "r") as fh:
         doc = json.load(fh)
     cfg = EmbedConfig.from_document(doc)
-    if args.eps is not None:
-        cfg.eps = args.eps
-    if args.tol is not None:
-        cfg.tol = args.tol
-    return cfg
+    overrides = {k: getattr(args, k) for k in ("eps", "tol") if getattr(args, k) is not None}
+    # replace() rebuilds the config, so the flags are validated like the document
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _config_cells(cfg: EmbedConfig, k: int) -> List[Tuple[str, int]]:

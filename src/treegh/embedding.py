@@ -157,6 +157,8 @@ class EmbedConfig:
             raise EmbedConfigError("need at least 3 star branches")
         if not self.eps > 0:
             raise EmbedConfigError("eps must be positive")
+        if not (self.tol >= 0 and math.isfinite(self.tol)):
+            raise EmbedConfigError("tol must be finite and nonnegative, got %r" % self.tol)
 
     @property
     def n(self) -> int:

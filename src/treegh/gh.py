@@ -36,6 +36,9 @@ DEFAULT_CAP = 8
 # than 2**13 or 2**20; metric._BLOCK_CELLS (4M) would hold all of |C|^2 in
 # one block and gain nothing.
 _DISTORTION_BLOCK_CELLS = 1 << 16
+# Between trees, distortion computes every this-many-th row of the product
+# exactly and bounds the others from those rows.
+_REPRESENTATIVE_STRIDE = 32
 
 
 class GHCapError(ValueError):
@@ -103,28 +106,108 @@ Space = Union[FiniteMetricSpace, MetricTree]
 def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     """Largest distance mismatch over a covering correspondence.
 
-    ``max |d_X(a, a') - d_Y(b, b')|`` over pairs ``(a, b), (a', b')`` of the
-    correspondence.  Only ``.n`` and ``.dist`` are read, so a
-    :class:`MetricTree` is indexed in its vertex order without copying its
-    matrix.  The full ``|C| x |C|`` product is walked in blocks of whole
-    rows holding about ``_DISTORTION_BLOCK_CELLS`` (2**16) entries, so the
-    memory it adds beyond the two matrices is O(block), not O(|C|^2).  The
-    maximum over the same entries is exact, so blocking leaves the value
-    bit for bit unchanged; both triangles are read because a tree matrix
-    need not be bit-symmetric.  Raises if the relation fails to cover both
-    spaces.
+    ``max |d_X(a, a') - d_Y(b, b')|`` over pairs ``c = (a, b), c' = (a', b')``
+    of the correspondence: the largest entry of the ``|C| x |C|`` mismatch
+    product, whose row ``c`` runs over every ``c'``.  Rows are computed in
+    blocks holding about ``_DISTORTION_BLOCK_CELLS`` (2**16) entries, so the
+    memory added beyond the two matrices is O(block), not O(|C|^2).  Both
+    triangles are read because a tree matrix need not be bit-symmetric.
+    Raises if the relation fails to cover both spaces.
+
+    A :class:`FiniteMetricSpace` need not satisfy the triangle inequality,
+    so two spaces (or a space and a tree) walk the whole product.  Between
+    two :class:`MetricTree` objects, whose distances do, most rows are
+    skipped.  The rows of every ``_REPRESENTATIVE_STRIDE``-th pair
+    ``r = (a_r, b_r)`` are computed exactly, and every other row ``c`` is
+    bounded by the smallest ``rowmax(r) + d_X(a, a_r) + d_Y(b, b_r) + slack``
+    (the triangle inequality on both sides).  The slack,
+    ``4 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)`` with ``L`` the total
+    edge length, covers rounding: each entry of a tree's fill is at most
+    2(n - 1) roundings of values at most ``L`` away from the exact
+    distance, the bound rests on three such entries per tree, and the
+    subtraction and the bound's own sums round once each.  Rows are then
+    computed in order of decreasing bound until no remaining bound exceeds
+    the running maximum; a NaN bound keeps its row.  Every entry computed
+    is the float the full product holds, so the value is bit for bit the
+    full product's maximum.  Tree matrices are read through
+    :meth:`MetricTree._filled`, with columns in fill order, so
+    ``distortion`` never permutes them.
     """
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
     I, J = corr.rows.T.astype(np.intp)
-    dx, dy = x.dist, y.dist
-    step = max(1, _DISTORTION_BLOCK_CELLS // max(1, len(I)))
-    worst = 0.0
-    for start in range(0, len(I), step):
-        block = dx[I[start : start + step]][:, I]
-        block -= dy[J[start : start + step]][:, J]
-        worst = np.maximum(worst, np.abs(block, out=block).max())
+    # Both matrices are filled before any other array is made (see
+    # MetricTree._all_pairs), then the points are mapped to their columns.
+    (dx, px), (dy, py) = _filled(x), _filled(y)
+    cx = I if px is None else px[I]
+    cy = J if py is None else py[J]
+
+    def row_maxima(rows):
+        return _row_maxima(dx, I, cx, dy, J, cy, rows)
+
+    if not (isinstance(x, MetricTree) and isinstance(y, MetricTree)):
+        return float(row_maxima(np.arange(len(I))).max(initial=0.0))
+    reps = np.arange(0, len(I), _REPRESENTATIVE_STRIDE)
+    rep_max = row_maxima(reps)
+    worst = rep_max.max()
+    slack = 4.0 * 2.0 ** -52 * (
+        (x.n + 1) * x.total_edge_length() + (y.n + 1) * y.total_edge_length()
+    )
+    bound = _row_bounds(dx, I[reps], cx, dy, J[reps], cy, rep_max) + slack
+    bound[np.isnan(bound)] = np.inf
+    bound[reps] = -np.inf
+    order = np.argsort(-bound, kind="stable")
+    step = _block_rows(len(I))
+    for start in range(0, len(order), step):
+        if not bound[order[start]] > worst:
+            break
+        worst = np.maximum(worst, row_maxima(order[start : start + step]).max())
     return float(worst)
+
+
+def _filled(space: Space) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    # A distance matrix and, if its columns are not in point order, the
+    # column of each point.
+    if isinstance(space, MetricTree):
+        return space._filled()
+    return space.dist, None
+
+
+def _block_rows(m: int) -> int:
+    """Rows of an ``m``-column block of about ``_DISTORTION_BLOCK_CELLS`` entries."""
+    return max(1, _DISTORTION_BLOCK_CELLS // max(1, m))
+
+
+def _row_maxima(dx, I, cx, dy, J, cy, rows: np.ndarray) -> np.ndarray:
+    """Largest entry of each given row of the mismatch product.
+
+    Row ``c`` holds ``|dx[I[c], cx] - dy[J[c], cy]|``, where ``cx``/``cy``
+    are the matrix columns of the correspondence's points.
+    """
+    out = np.empty(len(rows))
+    step = _block_rows(len(cx))
+    for start in range(0, len(rows), step):
+        blk = rows[start : start + step]
+        block = dx[I[blk]][:, cx]
+        block -= dy[J[blk]][:, cy]
+        np.abs(block, out=block).max(axis=1, out=out[start : start + step])
+    return out
+
+
+def _row_bounds(dx, I_r, cx, dy, J_r, cy, rep_max: np.ndarray) -> np.ndarray:
+    """Bound on each row ``c`` of the mismatch product from the
+    representative rows ``r``: the smallest ``rep_max[r] + dx[I_r[r], cx[c]]
+    + dy[J_r[r], cy[c]]``, over blocks of about ``_DISTORTION_BLOCK_CELLS``
+    pairs ``(r, c)``."""
+    out = np.empty(len(cx))
+    step = _block_rows(len(I_r))
+    for start in range(0, len(cx), step):
+        cols = slice(start, start + step)
+        block = dx[np.ix_(I_r, cx[cols])]
+        block += rep_max[:, None]
+        block += dy[np.ix_(J_r, cy[cols])]
+        block.min(axis=0, out=out[cols])
+    return out
 
 
 def gh_exact(

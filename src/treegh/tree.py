@@ -7,7 +7,8 @@ proves the edge list is a tree by counting: one depth-first walk from vertex
 0 must reach all n vertices over exactly n - 1 edges.  Only when that fails
 is the graph searched again, to name a cycle or the components.  The same
 walk, as a preorder with parents and edge lengths, fills the full matrix of
-path distances on its first read (then cached) and finds geodesics;
+path distances when it is first needed (then cached; its columns stay in
+preorder until ``dist`` is read) and finds geodesics;
 operations that need one source's distances or only edge lengths (balls,
 degree-<=2 components, edge replacement) never build the matrix.  Points of
 the underlying continuum exist only once an operation materialises them --
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 _EPS_VERTEX = 1e-12  # slack for "a position lands exactly on a vertex"
-# Entries per block when the matrix fill permutes columns: the only
+# Entries per block when `dist` permutes the fill's columns: the only
 # temporary beside the matrix, small enough to stay in cache.
 _PERMUTE_BLOCK_CELLS = 1 << 16
 
@@ -68,9 +69,10 @@ class MetricTree:
     Attributes:
         vertices: vertex identifiers in insertion order.
         edges: tuples ``(a, b, length)``.
-        dist: matrix of path distances (float64, read-only), built on first
-            read and cached; :meth:`row` gives one source's distances in
-            O(n) without it.
+        dist: matrix of path distances (float64, read-only), filled with
+            its columns in DFS preorder when first needed, permuted to
+            vertex order on the first read of ``dist`` and cached;
+            :meth:`row` gives one source's distances in O(n) without it.
         labels: optional display labels per vertex id.
         metadata: free-form provenance (generators fill this in).
     """
@@ -112,7 +114,10 @@ class MetricTree:
         # A graph on n vertices is a tree iff it is connected with n - 1 edges.
         if len(self.edges) != n - 1 or sum(1 for _ in self._walk(0)) != n:
             raise TreeStructureError(self._not_a_tree())
+        # The filled distance matrix, and while its columns are still in
+        # DFS preorder, the preorder position of each vertex.
         self._dist: Optional[np.ndarray] = None
+        self._cols: Optional[np.ndarray] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -167,15 +172,24 @@ class MetricTree:
         reps = sorted(self.vertices[r] for r in range(n) if parent[r] < 0)
         return "tree is disconnected (components containing %s)" % ", ".join(reps[:4])
 
-    def _all_pairs(self) -> np.ndarray:
+    def _all_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         # In the DFS preorder from vertex 0 the subtree of the vertex at
         # position i is the range [i, i + size).  Moving the source from a
         # parent p to its child v across an edge of length w adds w to the
         # distance of every vertex outside v's subtree and subtracts w inside
         # it, so each row is one vectorized update of its parent's row.  Rows
-        # are stored at their vertex's index with columns in preorder, then
-        # the columns are permuted to vertex order a block of rows at a time.
+        # are stored at their vertex's index with columns in preorder; the
+        # matrix is returned with the preorder position of each vertex, and
+        # `dist` permutes the columns to vertex order on its first read.
         n = len(self.vertices)
+        # One allocation, made before the walk's lists, holds the matrix and
+        # the preorder positions that live as long as it: a small long-lived
+        # array allocated after a matrix can split the heap hole that a
+        # later fill needs, and peak memory over repeated scans then crept
+        # up by a matrix.
+        buf = np.empty(n * n + n)
+        d = buf[: n * n].reshape(n, n)
+        cols = buf[n * n :].view(np.int64)
         walk = list(self._walk(0))
         pos = [0] * n  # preorder position of each vertex
         for i, (v, _, _) in enumerate(walk):
@@ -183,7 +197,6 @@ class MetricTree:
         size = [1] * n  # subtree size, by preorder position
         for i in range(n - 1, 0, -1):
             size[pos[walk[i][1]]] += size[i]
-        d = np.empty((n, n), dtype=float)
         root = d[0]
         root[0] = 0.0
         for i in range(1, n):
@@ -194,13 +207,9 @@ class MetricTree:
             prow, row, end = d[p], d[v], i + size[i]
             np.add(prow, w, out=row)
             np.subtract(prow[i:end], w, out=row[i:end])
-        cols = np.array(pos)
-        step = max(1, _PERMUTE_BLOCK_CELLS // n)
-        for lo in range(0, n, step):
-            d[lo:lo + step] = d[lo:lo + step, cols]
-        np.fill_diagonal(d, 0.0)
-        d.setflags(write=False)
-        return d
+        cols[:] = pos
+        d[np.arange(n), cols] = 0.0
+        return d, cols
 
     # -- queries --------------------------------------------------------------
 
@@ -225,10 +234,34 @@ class MetricTree:
 
     @property
     def dist(self) -> np.ndarray:
-        """Matrix of path distances in vertex order, built on first read."""
+        """Matrix of path distances in vertex order, built on first read.
+
+        The fill leaves its columns in DFS preorder; the first read of
+        ``dist`` permutes them in place, a block of rows at a time, so the
+        matrix is held once.  Callers that only gather blocks of it (such as
+        :func:`treegh.gh.distortion`) read the unpermuted fill through
+        :meth:`_filled` and never pay for the permutation.
+        """
+        d, cols = self._filled()
+        if cols is not None:
+            step = max(1, _PERMUTE_BLOCK_CELLS // self.n)
+            for lo in range(0, self.n, step):
+                d[lo:lo + step] = d[lo:lo + step, cols]
+            d.setflags(write=False)
+            self._cols = None
+        return d
+
+    def _filled(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The distance matrix, filled on first call, and the preorder
+        position of each vertex while its columns are still in preorder
+        (None once ``dist`` has permuted them to vertex order).
+
+        Row ``u``, column ``pos[v]`` (or ``v``) is then the distance from
+        ``u`` to ``v``.  The matrix is private: do not write it.
+        """
         if self._dist is None:
-            self._dist = self._all_pairs()
-        return self._dist
+            self._dist, self._cols = self._all_pairs()
+        return self._dist, self._cols
 
     def row(self, v: str) -> np.ndarray:
         """Distances from vertex v to every vertex, in vertex order (read-only).
@@ -238,7 +271,11 @@ class MetricTree:
         """
         s = self.index(v)
         if self._dist is not None:
-            return self._dist[s]
+            if self._cols is None:
+                return self._dist[s]
+            d = self._dist[s, self._cols]
+            d.setflags(write=False)
+            return d
         d = np.zeros(self.n, dtype=float)
         seen = [False] * self.n
         seen[s] = True

@@ -296,6 +296,15 @@ def test_lab_scan_continuity_csv(capsys, config_path):
         assert float(cells[5]) >= 0.0  # margin = bound + 2eps + tol - hi
 
 
+@pytest.mark.parametrize("flag", [["--tol", "-1"], ["--tol", "nan"], ["--eps", "-0.125"]])
+def test_lab_config_overrides_are_validated(capsys, config_path, flag):
+    # the flags replace the document's values and are checked like them
+    code, out, err = _run(capsys, flag + ["lab", "scan-injectivity", "--config", config_path])
+    assert code == 2
+    assert out == ""
+    assert "error: %s must be" % flag[0][2:] in err
+
+
 def test_lab_path_csv(capsys, tmp_path):
     doc = tmp_path / "x.json"
     save_tree(tree_from_edges([("a", "b", 1.0)]), str(doc))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -111,6 +112,17 @@ def test_config_rejects_misaligned_lists():
             h_space=h, coords=coords, marked=("g0_0", "g2_2"),
             trees=(t,), basepoints=("a", "a"),
         )
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.inf, math.nan])
+def test_config_rejects_a_negative_or_nonfinite_tol(small_config, tol):
+    doc = small_config.to_document()
+    doc["tol"] = tol
+    with pytest.raises(EmbedConfigError, match="tol must be finite and nonnegative"):
+        EmbedConfig.from_document(doc)
+    with pytest.raises(EmbedConfigError, match="tol must be finite and nonnegative"):
+        dataclasses.replace(small_config, tol=tol)
+    assert dataclasses.replace(small_config, tol=0.0).tol == 0.0
 
 
 def test_config_document_roundtrip(small_config):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import treegh.embedding
 import treegh.gh
 from treegh import (
     Correspondence,
@@ -12,12 +14,14 @@ from treegh import (
     GHCapError,
     MetricTree,
     comb_tree,
+    continuity_scan,
     distortion,
     gh_exact,
     gh_lower_bound,
     gh_tree_interval,
     gh_upper_bound,
     greedy_tree_correspondence,
+    replacement_path,
     subdivide,
     tree_from_edges,
 )
@@ -334,6 +338,113 @@ def test_distortion_memory_stays_far_below_the_full_product():
         tracemalloc.stop()
     assert value == unblocked_distortion(x, y, corr)
     assert peak < len(corr) ** 2 * 8 / 8
+
+
+def _certified_distortions(monkeypatch, run):
+    """Run ``run()`` and return the ``(x, y, corr)`` of every upper bound
+    that continuity_scan and replacement_path certify during it."""
+    seen = []
+    real = treegh.embedding.gh_upper_bound
+
+    def record(x, y, corr):
+        seen.append((x, y, corr))
+        return real(x, y, corr)
+
+    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", record)
+    run()
+    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", real)
+    return seen
+
+
+def _star_pair(rng, leaves, stretched):
+    """Two stars on one vertex order (centre first): y stretches the leaf
+    edges of the given vertex indices, so the identity correspondence has
+    its largest mismatch between the two stretched leaves only."""
+    lengths = rng.uniform(0.5, 1.0, leaves)
+    extra = np.zeros(leaves)
+    extra[[v - 1 for v in stretched]] = [0.25, 0.5]
+    names = ["c"] + ["l%d" % i for i in range(leaves)]
+    x, y = (
+        MetricTree(names, [("c", names[i + 1], float(w)) for i, w in enumerate(lengths + e)])
+        for e in (np.zeros(leaves), extra)
+    )
+    return x, y, Correspondence.from_pairs([(i, i) for i in range(leaves + 1)])
+
+
+def test_pruned_tree_distortion_equals_the_unblocked_formula(small_config, monkeypatch):
+    rng = np.random.default_rng(2026)
+    cases = []
+    for lo, hi, eps in ((2, 8, 0.1), (2, 8, 0.1), (1, 3, 0.5), (5, 12, 0.05)) * 3:
+        x = subdivide(random_tree(rng, lo, hi), eps)
+        y = subdivide(random_tree(rng, lo, hi), eps)
+        extra = int(rng.integers(0, 3 * max(x.n, y.n) + 1))
+        cases.append((x, y, random_covering(rng, x.n, y.n, extra)))
+    one = MetricTree(("v",), ())
+    cases.append((one, MetricTree(("w",), ()), Correspondence.from_pairs([(0, 0)])))
+    cases.append(_star_pair(rng, 99, stretched=(37, 70)))
+    cells = [(lab, 1) for lab in small_config.h_space.labels if lab not in small_config.marked]
+    adjacency = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
+    cases += _certified_distortions(
+        monkeypatch, lambda: continuity_scan(small_config, cells, adjacency, strict=False)
+    )
+    tripod = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8), ("b", "d", 0.6)])
+    cases += _certified_distortions(
+        monkeypatch, lambda: replacement_path(tripod, [0.0, 0.25, 0.3, 0.5, 1.0], eps=2.0 ** -4)
+    )
+    stride = treegh.gh._REPRESENTATIVE_STRIDE
+    assert any(len(c) < stride for _, _, c in cases)
+    assert sum(len(c) > 4 * stride for _, _, c in cases) >= 20
+
+    def values(x, y, corr):
+        m = len(corr)
+        uneven = next((k for k in range(2, m) if m % k), 1)
+        for cells in (1, m * uneven, 10 ** 9):
+            monkeypatch.setattr(treegh.gh, "_DISTORTION_BLOCK_CELLS", cells)
+            yield distortion(x, y, corr)
+
+    # first over the fills as they stand, columns in preorder, then again
+    # once the reference has permuted every matrix to vertex order
+    before = [list(values(*case)) for case in cases]
+    assert all(t._cols is not None for x, y, _ in cases for t in (x, y) if t.n > 1)
+    for (x, y, corr), got in zip(cases, before):
+        want = unblocked_distortion(x, y, corr)
+        assert got == list(values(x, y, corr)) == [want] * 3
+
+
+def test_unique_maximum_in_a_skipped_row_is_found(monkeypatch):
+    x, y, corr = _star_pair(np.random.default_rng(7), 99, stretched=(37, 70))
+    stride = treegh.gh._REPRESENTATIVE_STRIDE
+    I = corr.rows[:, 0].astype(np.intp)
+    full = np.abs(x.dist[np.ix_(I, I)] - y.dist[np.ix_(I, I)])
+    rows = np.flatnonzero((full == full.max()).any(axis=1))
+    assert rows.tolist() == [37, 70] and all(r % stride for r in rows)
+    assert distortion(x, y, corr) == full.max() == unblocked_distortion(x, y, corr)
+    # a NaN bound proves nothing about its row, so the row is still read
+    real = treegh.gh._row_bounds
+    monkeypatch.setattr(treegh.gh, "_row_bounds", lambda *args: np.nan * real(*args))
+    assert distortion(x, y, corr) == full.max()
+
+
+def test_pruned_distortion_reads_few_rows(small_config, monkeypatch):
+    cfg = dataclasses.replace(small_config, eps=2.0 ** -6, m=3)
+    cells = [("g0_1", 1), ("g1_1", 1), ("g1_2", 1)]
+    cases = _certified_distortions(
+        monkeypatch, lambda: continuity_scan(cfg, cells, [(0, 1), (1, 2)], strict=False)
+    )
+    read = []
+    real = treegh.gh._row_maxima
+
+    def count(*args):
+        read.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(treegh.gh, "_row_maxima", count)
+    for x, y, corr in cases:
+        read.clear()
+        value = distortion(x, y, corr)
+        assert len(corr) >= 1000
+        assert sum(read) <= len(corr) / 2, (sum(read), len(corr))
+        assert value == unblocked_distortion(x, y, corr)
 
 
 def test_distortion_of_identity_is_zero():

@@ -322,6 +322,33 @@ def test_fill_is_bitwise_the_preorder_copy_fill(small_config):
         assert np.array_equal(t.dist, _reference_fill(t))
 
 
+def test_unpermuted_fill_reads_like_dist(small_config):
+    rng = np.random.default_rng(17)
+
+    def block(t, rows, cols):
+        d, pos = t._filled()
+        return d[rows][:, cols if pos is None else pos[cols]]
+
+    for t in list(_differential_trees(small_config)) + [_large_cell(small_config)]:
+        n = t.n
+        rows = rng.permutation(n)[:7]
+        some = rng.integers(0, n, size=2 * n)
+        d, pos = t._filled()
+        assert pos is not None  # columns still in preorder
+        assert np.all(d[np.arange(n), pos] == 0.0)
+        before = block(t, rows, np.arange(n))
+        some_before = block(t, rows, some)
+        for k, r in enumerate(rows):
+            assert np.array_equal(t.row(t.vertices[r]), before[k])
+        full = t.dist
+        assert t._filled()[1] is None
+        assert np.array_equal(full[rows], before)
+        assert np.array_equal(full[rows][:, some], some_before)
+        assert np.array_equal(block(t, rows, some), some_before)
+        for r in rows:
+            assert np.array_equal(t.row(t.vertices[r]), full[r])
+
+
 def test_fill_holds_one_matrix(small_config):
     t = _large_cell(small_config)
     tracemalloc.start()
