@@ -41,7 +41,7 @@ from .tree import (
 from .families import (
     CombParams,
     StarParams,
-    _star_parts,
+    _assembly_star_parts,
     _tooth_heights,
     c_fun,
     comb_tree,
@@ -105,7 +105,9 @@ class EmbedConfig:
         basepoints: one vertex id per endpoint tree.
         m: number of fibers k = 1..m.
         branches: star branch count used by the parameter encoding (>= 3).
-        eps: sampling resolution for star branches and GH intervals.
+        eps: sampling resolution.  The scans certify on each tree
+            subdivided at eps; the assembly reads it only to put each star
+            branch's one interior vertex at its last eps-sample.
         tol: validation tolerance.
         depth_cap: comb generation cap.
     """
@@ -428,7 +430,9 @@ def _assemble(
     f, parts = by_label[u]
     a = rho_embed(cfg.coords[u], k, cfg.m, cfg.branches)
     # The star goes into the wedge as bare lists; the wedge validates it.
-    s_vertices, s_edges, s_points = _star_parts(StarParams(a=a, scale=f.xi, eps=cfg.eps))
+    s_vertices, s_edges, s_points = _assembly_star_parts(
+        StarParams(a=a, scale=f.xi, eps=cfg.eps)
+    )
     w = _wedge(
         [(g.tree.vertices, g.tree.edges, g.tree.labels, g.basepoint) for g in parts]
         + [(s_vertices, s_edges, {}, _STAR_TIP)]
@@ -457,6 +461,9 @@ def build_F(cfg: EmbedConfig, u: str, k: int) -> MetricTree:
     Elsewhere every endpoint tree is comb-replaced at tooth size phi(u),
     cut to the ball of radius sigma_i(u) about its basepoint, and wedged
     with the parameter star of scale xi(u) attached at its unit branch tip.
+    Each star branch is two edges, split at its last ``cfg.eps``-sample, so
+    ``subdivide(build_F(cfg, u, k), cfg.eps)`` puts back, up to rounding,
+    the branch samples of :func:`~treegh.families.star_tree`.
 
     Args:
         cfg: embedding configuration.
@@ -539,11 +546,44 @@ class InjectivityRow:
     recovery_error: float
 
 
-@dataclass(frozen=True)
 class InjectivityReport:
-    rows: Tuple[InjectivityRow, ...]
-    min_separation: float
-    k_star: int
+    """Fingerprints of the scanned cells, their least pairwise separation and
+    the first fiber ``k_star`` free of endpoint collisions.
+
+    Each row's floats -- ``xi_hat``, ``margin``, ``recovery_error`` and the
+    ``a_hat`` -- are one row of a float64 array; the cells and their
+    coordinates are the caller's, held by reference.  :attr:`rows` builds
+    the :class:`InjectivityRow` tuple afresh on every read.
+    """
+
+    __slots__ = ("_cells", "_coords", "_values", "min_separation", "k_star")
+
+    def __init__(
+        self,
+        cells: Sequence[Tuple[str, int]],
+        coords: Dict[str, Tuple[float, float]],
+        values: np.ndarray,
+        min_separation: float,
+        k_star: int,
+    ):
+        self._cells = cells
+        self._coords = coords
+        self._values = values
+        self.min_separation = min_separation
+        self.k_star = k_star
+
+    @property
+    def rows(self) -> Tuple[InjectivityRow, ...]:
+        return tuple(
+            InjectivityRow(
+                label=lab,
+                u=self._coords[lab],
+                k=k,
+                fingerprint=Fingerprint(xi_hat=v[0], a_hat=tuple(v[3:]), margin=v[1]),
+                recovery_error=v[2],
+            )
+            for (lab, k), v in zip(self._cells, self._values.tolist())
+        )
 
 
 def injectivity_scan(
@@ -561,7 +601,8 @@ def injectivity_scan(
     on the fiber k, so each label's parts are built once per call and
     shared by all of its fibers; only the star and the wedge are built per
     cell.  Every row equals what :func:`build_F` and
-    :func:`star_fingerprint` give for that cell alone.
+    :func:`star_fingerprint` give for that cell alone.  The report keeps
+    ``grid`` itself, so the caller should not change it afterwards.
 
     Raises:
         EmbedConfigError: a grid cell sits on a marked point.
@@ -573,7 +614,8 @@ def injectivity_scan(
             raise EmbedConfigError(
                 "grid cell %r is a marked point; the scan domain excludes them" % lab
             )
-    rows: List[InjectivityRow] = []
+    fps: List[Fingerprint] = []
+    values: List[List[float]] = []
     by_label: Dict[str, _LabelParts] = {}
     for lab, k in grid:
         atlas = _assemble(cfg, lab, k, by_label)
@@ -596,23 +638,20 @@ def injectivity_scan(
                     "cell (%s, %d): coefficient %d = %.6g outside its "
                     "admissible range" % (lab, k, i, val)
                 )
-        rows.append(
-            InjectivityRow(
-                label=lab, u=cfg.coords[lab], k=k, fingerprint=fp, recovery_error=err
-            )
-        )
+        fps.append(fp)
+        values.append([fp.xi_hat, fp.margin, err, *fp.a_hat])
 
     min_sep = math.inf
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            sep = tau(rows[i].fingerprint.a_hat, rows[j].fingerprint.a_hat)
+    for i in range(len(fps)):
+        for j in range(i + 1, len(fps)):
+            sep = tau(fps[i].a_hat, fps[j].a_hat)
             min_sep = min(min_sep, sep)
             if sep <= 1e-12:
                 raise ScanError(
                     "fingerprint collision between cells (%s, %d) and (%s, %d)"
-                    % (rows[i].label, rows[i].k, rows[j].label, rows[j].k)
+                    % (grid[i][0], grid[i][1], grid[j][0], grid[j][1])
                 )
-    if not rows:
+    if not fps:
         raise ScanError("empty scan grid")
 
     endpoint_fps = []
@@ -623,7 +662,7 @@ def injectivity_scan(
             endpoint_fps.append(None)
     k_star = 0
     for k in range(1, cfg.m + 1):
-        cells_k = [r.fingerprint for r in rows if r.k == k]
+        cells_k = [fp for (_, kc), fp in zip(grid, fps) if kc == k]
         collide = False
         for fp in endpoint_fps:
             if fp is None:
@@ -641,9 +680,7 @@ def injectivity_scan(
     if k_star == 0:
         raise ScanError("every fiber collides with an endpoint fingerprint")
     return InjectivityReport(
-        rows=tuple(rows),
-        min_separation=float(min_sep) if rows else 0.0,
-        k_star=k_star,
+        grid, cfg.coords, np.array(values), float(min_sep), k_star
     )
 
 

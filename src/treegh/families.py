@@ -240,7 +240,7 @@ def _star_parts(
     params: StarParams,
 ) -> Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]:
     """Vertices, edges and ``(branch, parameter)`` points of :func:`star_tree`,
-    unvalidated, for callers that glue the star into a larger tree."""
+    unvalidated: every branch sampled at ``eps``, one vertex per sample."""
     K = params.scale
     n_branches = len(params.a) + 1
     vertices: List[str] = ["center"]
@@ -259,6 +259,36 @@ def _star_parts(
                 points[vid] = (i, sv)
                 edges.append((prev_id, vid, pos - prev_pos))
                 prev_id, prev_pos = vid, pos
+    return vertices, edges, points
+
+
+def _assembly_star_parts(
+    params: StarParams,
+) -> Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]:
+    """The star of :func:`_star_parts` with one interior vertex per branch,
+    unvalidated, for callers that glue it into a larger tree.
+
+    The interior vertex is the last eps-sample, at ``L (p - 1) / p`` with
+    ``p = ceil(L / eps)`` pieces (at least 2) on a branch of length ``L``,
+    so :func:`~treegh.tree.subdivide` at ``eps`` puts the other samples
+    back.  It keeps a branch whose two ends both have degree >= 3 a
+    degree-<=2 component.  The tip edge ``L - L (p - 1) / p`` is exact
+    (Sterbenz), so each branch's two edges sum to ``L`` exactly.
+    """
+    K = params.scale
+    vertices: List[str] = ["center"]
+    edges: List[Tuple[str, str, float]] = []
+    points: Dict[str, Tuple[int, float]] = {"center": (0, 0.0)}
+    if K > 0:
+        for i in range(len(params.a) + 1):
+            length = K * params.coefficient(i)
+            pieces = max(2, int(math.ceil(length / params.eps - 1e-12)))
+            inner = length * (pieces - 1) / pieces
+            sv = (pieces - 1) / pieces
+            mid, tip = "branch:%d:%r" % (i, sv), "branch:%d:1.0" % i
+            vertices += [mid, tip]
+            points[mid], points[tip] = (i, sv), (i, 1.0)
+            edges += [("center", mid, inner), (mid, tip, length - inner)]
     return vertices, edges, points
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from treegh import (
     unit_grid,
     validate_metric,
 )
+from treegh.cli import _grid_adjacency
 from treegh.families import CombParams, _tooth_heights, comb_tree
 from treegh.gh import Correspondence
 
@@ -259,6 +261,35 @@ def test_injectivity_scan_equals_per_cell_reference(small_config, inject_scan_gr
             fp = star_fingerprint(build_F(cfg, r.label, r.k), tol=cfg.tol)
             err = tau(fp.a_hat, rho_embed(cfg.coords[r.label], r.k, cfg.m, cfg.branches))
             assert _hex_fingerprint(r.fingerprint, r.recovery_error) == _hex_fingerprint(fp, err)
+
+
+def test_injectivity_rows_are_rebuilt_from_the_packed_report(small_config):
+    cells = [(lab, k) for k in (1, 2) for lab in ("g0_1", "g1_0", "g1_2", "g2_1")]
+    rep = injectivity_scan(small_config, cells)
+    rows = rep.rows
+    assert rows is not rep.rows and rows == rep.rows  # built on every read
+    for r in rows:
+        fp = star_fingerprint(build_F(small_config, r.label, r.k), tol=small_config.tol)
+        err = tau(fp.a_hat, rho_embed(small_config.coords[r.label], r.k, small_config.m, 3))
+        assert r.u == small_config.coords[r.label]
+        assert _hex_fingerprint(r.fingerprint, r.recovery_error) == _hex_fingerprint(fp, err)
+
+
+def test_injectivity_reports_keep_few_bytes_per_row(small_config):
+    # One fiber's 7 cells and small combs: tracing slows every scan tenfold.
+    cfg = dataclasses.replace(small_config, depth_cap=0)
+    cells = [(lab, 1) for lab in cfg.h_space.labels if lab not in cfg.marked]
+    injectivity_scan(cfg, cells)  # warm every import and cache first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [injectivity_scan(cfg, cells) for _ in range(50)]
+        gc.collect()
+        per_row = (tracemalloc.get_traced_memory()[0] - before) / (50 * len(cells))
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 50 and per_row < 200, per_row
 
 
 def test_injectivity_scan_builds_each_label_parts_once(inject_scan_grids, monkeypatch):
@@ -514,6 +545,53 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     assert [cell for cell, _ in samples] == [0, 1, 2, 3]  # each cell sampled once
     assert seen == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
     assert freed == continuity_scan(small_config, grid, adjacency)
+
+
+def sampled_star_parts(params):
+    """The assembly star as it was before it kept one interior vertex per
+    branch: every branch sampled at eps, one vertex per sample."""
+    K = params.scale
+    vertices, edges, points = ["center"], [], {"center": (0, 0.0)}
+    if K > 0:
+        for i in range(len(params.a) + 1):
+            length = K * params.coefficient(i)
+            pieces = max(1, int(math.ceil(length / params.eps - 1e-12)))
+            prev_id, prev_pos = "center", 0.0
+            for j in range(1, pieces + 1):
+                sv = j / pieces
+                pos = length * j / pieces
+                vid = "branch:%d:%r" % (i, sv)
+                vertices.append(vid)
+                points[vid] = (i, sv)
+                edges.append((prev_id, vid, pos - prev_pos))
+                prev_id, prev_pos = vid, pos
+    return vertices, edges, points
+
+
+@pytest.mark.parametrize("eps_exp", [3, 4, 5, 6])
+def test_scans_match_the_eps_sampled_star(small_config, monkeypatch, eps_exp):
+    # Sampling the one-interior-vertex star at eps puts the eps-sampled
+    # star's points back, so certificates move only by rounding, and each
+    # branch's two edges sum to its length exactly.
+    cfg = dataclasses.replace(small_config, eps=2.0 ** -eps_exp)
+    for k in (1, 2):
+        cells = [(lab, k) for lab in cfg.h_space.labels if lab not in cfg.marked]
+        adjacency = _grid_adjacency(cfg, cells)
+        new = continuity_scan(cfg, cells, adjacency, strict=False)
+        new_fps = injectivity_scan(cfg, cells).rows
+        with monkeypatch.context() as m:
+            m.setattr(treegh.embedding, "_assembly_star_parts", sampled_star_parts)
+            old = continuity_scan(cfg, cells, adjacency, strict=False)
+            old_fps = injectivity_scan(cfg, cells).rows
+        assert len(new.rows) == len(old.rows) == len(adjacency)
+        for a, b in zip(new.rows, old.rows):
+            assert a.ok and b.ok
+            for name in ("hi", "bound", "margin"):
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, (name, a, b)
+        for a, b in zip(new_fps, old_fps):
+            assert abs(a.fingerprint.xi_hat - b.fingerprint.xi_hat) <= 1e-14
+            assert tau(a.fingerprint.a_hat, b.fingerprint.a_hat) <= 1e-14
+            assert a.recovery_error <= b.recovery_error
 
 
 def test_continuity_scan_rejects_mixed_fibers(small_config):

@@ -312,7 +312,9 @@ def _reference_fill(tree):
 
 
 def _large_cell(small_config):
-    tree = build_F(dataclasses.replace(small_config, eps=2.0 ** -6), "g0_2", 1)
+    # The cell's sample at its eps, which is what the scans read.
+    eps = 2.0 ** -6
+    tree = subdivide(build_F(dataclasses.replace(small_config, eps=eps), "g0_2", 1), eps)
     assert tree.n >= 700
     return tree
 
