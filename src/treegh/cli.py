@@ -186,7 +186,8 @@ def _cmd_tree_replace(args) -> Tuple[str, int]:
     entry = ReplacementEntry(
         a=ends[0], b=ends[1], tree=patch, alpha=args.alpha, beta=args.beta
     )
-    out = replace_edges(host, [entry], tol=args.tol)
+    tol = args.tol if args.tol is not None else 1e-9
+    out = replace_edges(host, [entry], tol=tol)
     return _tree_output(out, args.format), 0
 
 
@@ -336,9 +337,11 @@ def _add_common(p: _Parser, leaf: bool = True):
     # The same flags are registered on the top-level parser (with real
     # defaults) and on every leaf subparser (defaulting to SUPPRESS so an
     # unset leaf flag never clobbers a value given before the subcommand).
+    # --tol and --eps default to None, so a config document's own values
+    # stand unless the flag is given.
     sup = argparse.SUPPRESS
     p.add_argument(
-        "--tol", type=float, default=sup if leaf else 1e-9,
+        "--tol", type=float, default=sup if leaf else None,
         help="validation tolerance",
     )
     p.add_argument(

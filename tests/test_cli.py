@@ -220,6 +220,17 @@ def test_tree_replace_rejects_span_mismatch(capsys, tmp_path):
     assert "error" in err
 
 
+def test_tree_replace_tolerance_defaults_to_1e9(capsys, tmp_path):
+    host = tmp_path / "host.json"
+    patch = tmp_path / "patch.json"
+    save_tree(tree_from_edges([("u", "v", 1.0)]), str(host))
+    save_tree(tree_from_edges([("s", "t", 1.0 + 1e-8)]), str(patch))
+    argv = ["tree", "replace", str(host), "--edge", "u,v", "--with", str(patch),
+            "--alpha", "s", "--beta", "t"]
+    assert _run(capsys, argv)[0] == 2
+    assert _run(capsys, ["--tol", "1e-6"] + argv)[0] == 0
+
+
 def test_tree_subdivide_requires_eps(capsys, tmp_path):
     doc = tmp_path / "t.json"
     save_tree(tree_from_edges([("a", "b", 1.0)]), str(doc))
@@ -303,6 +314,22 @@ def test_lab_config_overrides_are_validated(capsys, config_path, flag):
     assert code == 2
     assert out == ""
     assert "error: %s must be" % flag[0][2:] in err
+
+
+def test_lab_scan_continuity_keeps_the_config_tol(capsys, tmp_path, small_config):
+    # A document's tol stands unless --tol is given, and the margin carries it.
+    doc = small_config.to_document()
+    doc["tol"] = 0.5
+    cfg = _write(tmp_path / "cfg.json", json.dumps(doc))
+    argv = ["--eps", "0.125", "lab", "scan-continuity", "--config", cfg, "--k", "1"]
+    for flags, tol in (([], 0.5), (["--tol", "0.25"], 0.25)):
+        code, out, err = _run(capsys, flags + argv)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["tol"] == tol
+        for row in report["rows"]:
+            slack = row["margin"] - (row["bound"] + 2 * 0.125 - row["hi"])
+            assert slack == pytest.approx(tol, abs=1e-9)
 
 
 def test_lab_path_csv(capsys, tmp_path):
