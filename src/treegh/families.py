@@ -225,29 +225,12 @@ def star_tree(params: StarParams) -> MetricTree:
     normalised branch parameter).  ``scale = 0`` collapses to the single
     center vertex.
     """
-    vertices, edges, points = _star_parts(params)
-    meta = {
-        "generator": "star",
-        "a": list(params.a),
-        "scale": params.scale,
-        "eps": params.eps,
-        "points": points,
-    }
-    return MetricTree(vertices, edges, metadata=meta)
-
-
-def _star_parts(
-    params: StarParams,
-) -> Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]:
-    """Vertices, edges and ``(branch, parameter)`` points of :func:`star_tree`,
-    unvalidated: every branch sampled at ``eps``, one vertex per sample."""
     K = params.scale
-    n_branches = len(params.a) + 1
     vertices: List[str] = ["center"]
     edges: List[Tuple[str, str, float]] = []
     points: Dict[str, Tuple[int, float]] = {"center": (0, 0.0)}
     if K > 0:
-        for i in range(n_branches):
+        for i in range(len(params.a) + 1):
             length = K * params.coefficient(i)
             pieces = max(1, int(math.ceil(length / params.eps - 1e-12)))
             prev_id, prev_pos = "center", 0.0
@@ -259,14 +242,22 @@ def _star_parts(
                 points[vid] = (i, sv)
                 edges.append((prev_id, vid, pos - prev_pos))
                 prev_id, prev_pos = vid, pos
-    return vertices, edges, points
+    meta = {
+        "generator": "star",
+        "a": list(params.a),
+        "scale": params.scale,
+        "eps": params.eps,
+        "points": points,
+    }
+    return MetricTree(vertices, edges, metadata=meta)
 
 
 def _assembly_star_parts(
     params: StarParams,
 ) -> Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]:
-    """The star of :func:`_star_parts` with one interior vertex per branch,
-    unvalidated, for callers that glue it into a larger tree.
+    """Vertices, edges and ``(branch, parameter)`` points of the star of
+    :func:`star_tree` with one interior vertex per branch, unvalidated, for
+    callers that glue it into a larger tree.
 
     The interior vertex is the last eps-sample, at ``L (p - 1) / p`` with
     ``p = ceil(L / eps)`` pieces (at least 2) on a branch of length ``L``,
