@@ -397,6 +397,9 @@ GOLDEN_CASES = [
     ("scan_continuity_k2.csv", ["--format", "csv", "--eps", "0.125", "lab",
                                 "scan-continuity", "--config", "{cfg}", "--k", "2"], 0),
     ("scan_injectivity.json", ["lab", "scan-injectivity", "--config", "{cfg}"], 0),
+    ("subdivide_comb_a.json", ["--eps", "0.1", "tree", "subdivide", "{comb_a}"], 0),
+    ("subdivide_comb_a.csv", ["--format", "csv", "--eps", "0.1", "tree", "subdivide",
+                              "{comb_a}"], 0),
 ]
 
 
