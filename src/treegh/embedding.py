@@ -15,15 +15,17 @@ bounds between neighbouring cells against an analytic modulus.
 
 Internally an assembled cell is an atlas: the tree, its parts and the comb
 or star coordinates of every vertex.  The coordinates are built lazily, on
-first read, as a tree's distance matrix is; only the continuity matcher
-reads them, so fingerprinting never pays for them.
+first read, as a tree's distance matrix is; only the continuity matcher's
+index reads them, so fingerprinting never pays for them.  An eps-sample of
+an atlas has no coordinates per vertex: its index takes the inserted
+vertices' coordinates as arrays, one interpolation per subdivided edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .tree import (
     closed_ball_subtree,
     decompose_deg2,
     deg2_components,
+    _offsets,
+    _pieces,
     replace_edges,
     subdivide,
 )
@@ -335,11 +339,14 @@ class _PartGeometry:
 
 
 def _interpolate_on_shared_segment(
-    la: Dict[int, Tuple[float, float]], lb: Dict[int, Tuple[float, float]], t: float
-) -> Dict[int, Tuple[float, float]]:
+    la: Dict[int, Tuple[float, float]],
+    lb: Dict[int, Tuple[float, float]],
+    t: Union[float, np.ndarray],
+) -> dict:
     """Comb coordinates at fraction t of an edge from a vertex with segment
     coordinates la to one with lb, on the lowest segment both carry (empty
-    when they share none)."""
+    when they share none).  t is a float, or an array of fractions that
+    gives an array of each coordinate."""
     common = sorted(set(la) & set(lb))
     if not common:
         return {}
@@ -361,8 +368,9 @@ class _Atlas:
     ``coords[vid]`` maps a part key (part index, or "star") to that part's
     coordinate record; only the wedge vertex carries several keys.  Unless
     given, they are built from the parts and the star's ``(branch,
-    parameter)`` points on first read, since only the continuity matcher
-    reads them.
+    parameter)`` points on first read, since only the continuity matcher's
+    :class:`_CandidateIndex` reads them.  The atlas of an eps-sample holds
+    no coordinates: its index interpolates them per edge.
     """
 
     def __init__(
@@ -718,39 +726,76 @@ def _analytic_bound(a: _Atlas, b: _Atlas) -> float:
 
 
 class _CandidateIndex:
-    """An atlas with its vertices grouped for matching: per (part, segment)
-    the comb coordinates ``(xs, hs)`` and per star branch the positions
-    ``ss``, each with the vertices' tree indices ``idx`` in vertex order.
-    ``fallback`` is the wedge's index, or 0 without a wedge."""
+    """An atlas, or its subdivision at ``eps``, with its vertices grouped
+    for matching: per (part, segment) the comb coordinates ``(xs, hs)`` and
+    per star branch the positions ``ss``, each with the vertices' tree
+    indices ``idx`` in vertex order.  ``sorted_star`` holds each branch
+    sorted by position (stably, so ``idx`` rises within equal positions).
+    ``fallback`` is the wedge's index, or 0 without a wedge.
 
-    def __init__(self, atlas: _Atlas):
-        self.atlas = atlas
+    The atlas's own vertices are grouped from their coordinates.  The
+    vertices that :func:`~treegh.tree.subdivide` inserts on an edge come
+    as one run per edge, interpolated from the edge's two ends at the
+    offsets subdivide uses: along the star branch, or on the lowest comb
+    segment both ends carry (no coordinates when they share none).  A
+    sample's ``atlas`` is the subdivided tree with the atlas's parts and
+    wedge; it carries no coordinates of its own.
+    """
+
+    def __init__(self, atlas: _Atlas, eps: Optional[float] = None):
         self.fallback = atlas.tree.index(atlas.wedge) if atlas.wedge is not None else 0
+        coords = atlas.coords
         seg: Dict[Tuple[int, int], List[Tuple[float, float, int]]] = {}
         star: Dict[int, List[Tuple[float, int]]] = {}
         for n, vid in enumerate(atlas.tree.vertices):
-            for key, val in atlas.coords[vid].items():
+            for key, val in coords[vid].items():
                 if key == "star":
                     br, sv = val
                     star.setdefault(int(br), []).append((float(sv), n))
                 else:
                     for l, (x, h) in val.items():
                         seg.setdefault((key, l), []).append((x, h, n))
-        self.seg = {
-            key: (
+        seg_runs = {
+            key: [(
                 np.array([x for x, _, _ in rows]),
                 np.array([h for _, h, _ in rows]),
                 np.array([n for _, _, n in rows], dtype=np.intp),
-            )
+            )]
             for key, rows in seg.items()
         }
-        self.star = {
-            br: (
-                np.array([s for s, _ in rows]),
-                np.array([n for _, n in rows], dtype=np.intp),
-            )
+        star_runs = {
+            br: [(np.array([s for s, _ in rows]), np.array([n for _, n in rows], dtype=np.intp))]
             for br, rows in star.items()
         }
+        tree = atlas.tree if eps is None else subdivide(atlas.tree, eps)
+        if tree is not atlas.tree:
+            lengths = np.array([w for _, _, w in atlas.tree.edges])
+            cuts = _pieces(lengths, eps).astype(np.intp) - 1
+            t = _offsets(lengths, cuts) / np.repeat(lengths, cuts)
+            rows = np.arange(atlas.tree.n, tree.n, dtype=np.intp)
+            for (a, b, _), c, e in zip(atlas.tree.edges, cuts.tolist(), np.cumsum(cuts).tolist()):
+                if c == 0:
+                    continue
+                ca, cb = coords[a], coords[b]
+                key = next(key for key in ca if key in cb)
+                frac, run = t[e - c:e], rows[e - c:e]
+                if key == "star":
+                    (i1, s1), (i2, s2) = ca[key], cb[key]
+                    star_runs[int(i1 if s1 > 0 else i2)].append((s1 + frac * (s2 - s1), run))
+                else:
+                    for l, (x, h) in _interpolate_on_shared_segment(ca[key], cb[key], frac).items():
+                        seg_runs[(key, l)].append((x, h, run))
+            atlas = _Atlas(
+                tree=tree, parts=atlas.parts, wedge=atlas.wedge,
+                fields=atlas.fields, rho=atlas.rho,
+            )
+        self.atlas = atlas
+        self.seg = {key: _joined(runs) for key, runs in seg_runs.items()}
+        self.star = {br: _joined(runs) for br, runs in star_runs.items()}
+        self.sorted_star: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for br, (ss, idx) in self.star.items():
+            order = np.argsort(ss, kind="stable")
+            self.sorted_star[br] = ss[order], idx[order]
         self.heights = {
             i: _tooth_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)
         }
@@ -758,6 +803,45 @@ class _CandidateIndex:
             i: sorted(l for (pi, l) in self.seg if pi == i)
             for i in range(len(atlas.parts))
         }
+
+
+def _joined(runs: List[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
+    """Runs of aligned arrays concatenated, column by column."""
+    if len(runs) == 1:
+        return runs[0]
+    return tuple(np.concatenate(cols) for cols in zip(*runs))
+
+
+def _nearest_on_branch(ss: np.ndarray, idx: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """Tree index of the nearest vertex to each position of ``sv``, on a
+    branch sorted by position (``ss`` ascending, ``idx`` stably alongside):
+    the least index on a tie, as ``argmin(|ss - sv|)`` over the branch in
+    vertex order gives.
+
+    Correctly rounded subtraction is monotone, so the cost falls along the
+    sorted branch up to the insertion point of sv and rises after it.  The
+    nearest vertices are then one run next to that point; it is found from
+    the two neighbours and widened while the cost stays equal, which only
+    equal or near-equal positions make it do.
+    """
+    last = len(ss) - 1
+    right = np.minimum(np.searchsorted(ss, sv), last)
+    left = np.maximum(right - 1, 0)
+    cl, cr = np.abs(ss[left] - sv), np.abs(ss[right] - sv)
+    best = np.minimum(cl, cr)
+    lo = np.where(cl == best, left, right)
+    hi = np.where(cr == best, right, left)
+    win = np.minimum(idx[lo], idx[hi])
+    for end, step in ((lo, -1), (hi, 1)):
+        while True:
+            nxt = end + step
+            grow = np.flatnonzero((nxt >= 0) & (nxt <= last))
+            grow = grow[np.abs(ss[nxt[grow]] - sv[grow]) == best[grow]]
+            if len(grow) == 0:
+                break
+            end[grow] = nxt[grow]
+            win[grow] = np.minimum(win[grow], idx[nxt[grow]])
+    return win
 
 
 def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
@@ -768,8 +852,9 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
     per-segment nearest vertices (first minimum within a segment), where a
     segment the ball cut removed from ``dst`` is reached through its corners
     (:func:`_routed_nearest`).  The wedge goes to the wedge, and a vertex
-    without coordinates to the wedge or, lacking one, to vertex 0.  Each
-    source group is one broadcast cost matrix.
+    without coordinates to the wedge or, lacking one, to vertex 0.  A star
+    branch is matched by sorted search (:func:`_nearest_on_branch`); each
+    segment group is one broadcast cost matrix.
     """
     a, b = src.atlas, dst.atlas
     names = b.tree.vertices
@@ -786,8 +871,7 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
         partner[rows[take]] = cand[take]
 
     for br, (sv, rows) in src.star.items():
-        ss, idx = dst.star[br]
-        partner[rows] = idx[np.argmin(np.abs(ss[None, :] - sv[:, None]), axis=1)]
+        partner[rows] = _nearest_on_branch(*dst.sorted_star[br], sv)
     for (part, l), (x, h, rows) in src.seg.items():
         if (part, l) not in dst.seg:
             routed = [
@@ -847,32 +931,9 @@ def _routed_nearest(
     return best[0], atlas.tree.index(best[1])
 
 
-def _subdivide_atlas(atlas: _Atlas, eps: float) -> _Atlas:
-    s = subdivide(atlas.tree, eps)
-    if s is atlas.tree:
-        return atlas
-    edge_len = {(a, b): w for a, b, w in atlas.tree.edges}
-    coords = dict(atlas.coords)
-    for sid, (a, b, off) in s.metadata["inserted"].items():
-        ca, cb = coords[a], coords[b]
-        common = [key for key in ca if key in cb]
-        key = common[0]
-        t = off / edge_len[(a, b)]
-        if key == "star":
-            (i1, s1), (i2, s2) = ca[key], cb[key]
-            br = i1 if s1 > 0 else i2
-            coords[sid] = {"star": (br, s1 + t * (s2 - s1))}
-        else:
-            coords[sid] = {key: _interpolate_on_shared_segment(ca[key], cb[key], t)}
-    return _Atlas(
-        tree=s, coords=coords, parts=atlas.parts, wedge=atlas.wedge,
-        fields=atlas.fields, rho=atlas.rho,
-    )
-
-
 def _sample(atlas: _Atlas, eps: float) -> _CandidateIndex:
     """The atlas subdivided at ``eps``, indexed for matching."""
-    return _CandidateIndex(_subdivide_atlas(atlas, eps))
+    return _CandidateIndex(atlas, eps)
 
 
 def _composite_correspondence(ia: _CandidateIndex, ib: _CandidateIndex) -> Correspondence:
@@ -920,9 +981,10 @@ def continuity_scan(
     Each tree is subdivided once at ``eps``; ``hi`` is half the distortion
     of the composite correspondence, which pairs every sample vertex with
     its nearest atlas partner in the other tree, plus ``eps``.  Each cell's
-    sample and its matching index are built once and reused by all of the
-    cell's pairs, then freed, with the sample's distance matrix, after the
-    cell's last pair, so only cells with pairs still to come hold a sample.
+    sample and its matching index are built once, in one pass over the
+    atlas's edges, and reused by all of the cell's pairs, then freed, with
+    the sample's distance matrix, after the cell's last pair, so only cells
+    with pairs still to come hold a sample.
 
     Args:
         cfg: embedding configuration.

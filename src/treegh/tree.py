@@ -5,7 +5,9 @@ string identifiers and edges carry positive lengths.  Construction checks
 each edge (known endpoints, no self-loop, positive finite length) and then
 proves the edge list is a tree by counting: one depth-first walk from vertex
 0 must reach all n vertices over exactly n - 1 edges.  Only when that fails
-is the graph searched again, to name a cycle or the components.  The same
+is the graph searched again, to name a cycle or the components.
+:func:`subdivide` only puts vertices on the edges of a valid tree, so it
+builds its result without the checks or the proof.  The same
 walk, as a preorder with parents and edge lengths, fills the full matrix of
 path distances when it is first needed (then cached; its columns stay in
 preorder until ``dist`` is read) and finds geodesics;
@@ -53,6 +55,9 @@ _EPS_VERTEX = 1e-12  # slack for "a position lands exactly on a vertex"
 # Entries per block when `dist` permutes the fill's columns: the only
 # temporary beside the matrix, small enough to stay in cache.
 _PERMUTE_BLOCK_CELLS = 1 << 16
+# Most vertices `subdivide` inserts: a finer eps fails at once instead of
+# allocating without bound.
+_MAX_SUBDIVIDE_VERTICES = 1 << 20
 
 
 class TreeStructureError(ValueError):
@@ -118,6 +123,27 @@ class MetricTree:
         # DFS preorder, the preorder position of each vertex.
         self._dist: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
+
+    @classmethod
+    def _unchecked(
+        cls,
+        vertices: List[str],
+        edges: List[Tuple[str, str, float]],
+        adj: List[List[Tuple[int, float]]],
+        labels: Dict[str, str],
+        metadata: dict,
+    ) -> "MetricTree":
+        """A tree from parts already known to form one, such as a valid tree
+        with vertices inserted on its edges: string ids, float lengths and
+        the adjacency lists in edge order, as the constructor would build
+        them.  Nothing is checked and no walk is made."""
+        t = cls.__new__(cls)
+        t.vertices, t.edges = tuple(vertices), tuple(edges)
+        t.labels, t.metadata = labels, metadata
+        t._index = {v: i for i, v in enumerate(t.vertices)}
+        t._adj = adj
+        t._dist = t._cols = None
+        return t
 
     # -- construction helpers -------------------------------------------------
 
@@ -828,24 +854,96 @@ def replace_edges(
     return MetricTree(vertices, edges, labels=labels, metadata=meta)
 
 
+def _pieces(lengths: np.ndarray, eps: float) -> np.ndarray:
+    """How many equal pieces :func:`subdivide` cuts each edge length into
+    at eps: 1 for a length of at most ``eps`` (up to a relative 1e-12),
+    else ``ceil(w / eps)`` less the same slack.  The counts are floats, so
+    an eps far below a length gives a huge or infinite count, not an error.
+    """
+    with np.errstate(over="ignore"):
+        k = np.ceil(lengths / eps - 1e-12)
+    k[lengths <= eps * (1 + 1e-12)] = 1.0
+    return k
+
+
+def _offsets(lengths: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Where :func:`subdivide` puts its vertices: the offsets ``w * j / k``,
+    j = 1..k-1, from the first end of each edge of length w cut into
+    ``k = cuts + 1`` equal pieces, concatenated in edge order."""
+    runs = np.cumsum(cuts) - cuts  # where each edge's offsets start
+    j = np.arange(1, int(cuts.sum()) + 1) - np.repeat(runs, cuts)
+    return np.repeat(lengths, cuts) * j / np.repeat(cuts + 1, cuts)
+
+
 def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     """Split every edge longer than eps into equal pieces of length <= eps.
 
     Original vertices and their pairwise distances are preserved; inserted
-    vertices get ids ``sub:k``.  If no edge exceeds eps the input tree is
-    returned unchanged.
+    vertices get ids ``sub:k``, numbered along the edges in edge order, and
+    follow the original vertices.  If no edge exceeds eps the input tree is
+    returned unchanged.  The sample is built in one pass over the edges and,
+    being the input tree with vertices on its edges, is not proved a tree
+    again.
+
+    Raises:
+        ValueError: eps is not positive, or the sample would insert more
+            than 2**20 vertices (checked before anything is built).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    points: List[Tuple[str, str, float, str]] = []
-    counter = 0
-    for a, b, w in tree.edges:
-        if w <= eps * (1 + 1e-12):
-            continue
-        k = int(math.ceil(w / eps - 1e-12))
-        for j in range(1, k):
-            points.append((a, b, w * j / k, "sub:%d" % counter))
-            counter += 1
-    if not points:
+    lengths = np.array([w for _, _, w in tree.edges])
+    pieces = _pieces(lengths, eps)
+    added = float(pieces.sum()) - len(pieces)
+    if added > _MAX_SUBDIVIDE_VERTICES:
+        raise ValueError(
+            "subdividing at eps=%r would insert %.0f vertices, more than %d"
+            % (eps, added, _MAX_SUBDIVIDE_VERTICES)
+        )
+    if added == 0:
         return tree
-    return _insert_points(tree, points, generator="subdivide", extra_metadata={"eps": eps})
+    cuts = pieces.astype(np.intp) - 1
+    off = _offsets(lengths, cuts)
+    # Per inserted vertex, the pieces to its left and right neighbours,
+    # which are the next vertices along the edge or its ends.
+    ends = np.cumsum(cuts)
+    split = cuts > 0
+    first, last = (ends - cuts)[split], ends[split] - 1
+    left, right = np.empty_like(off), np.empty_like(off)
+    left[1:] = right[:-1] = off[1:] - off[:-1]
+    left[first] = off[first]
+    right[last] = lengths[split] - off[last]
+    n = tree.n
+    index = tree._index
+    ids = ["sub:%d" % c for c in range(len(off))]
+    prev = np.arange(n - 1, n - 1 + len(off))
+    succ = prev + 2
+    adj = [list(nbrs) for nbrs in tree._adj]
+    edges: List[Tuple[str, str, float]] = []
+    a_ids: List[str] = []
+    b_ids: List[str] = []
+    left_l, right_l = left.tolist(), right.tolist()
+    for (a, b, w), c, e in zip(tree.edges, cuts.tolist(), ends.tolist()):
+        if c == 0:
+            edges.append((a, b, w))
+            continue
+        s = e - c
+        ia, ib = index[a], index[b]
+        prev[s], succ[e - 1] = ia, ib
+        run = ids[s:e]
+        edges.extend(zip([a, *run], [*run, b], [*left_l[s:e], right_l[e - 1]]))
+        a_ids += [a] * c
+        b_ids += [b] * c
+        # The split edge keeps its place in each end's adjacency list, so
+        # the lists stay in edge order, as the constructor builds them.
+        for end, other, entry in (
+            (ia, ib, (n + s, left_l[s])), (ib, ia, (n + e - 1, right_l[e - 1]))
+        ):
+            nbrs = adj[end]
+            nbrs[nbrs.index((other, w))] = entry
+    adj.extend(
+        [(p, lw), (q, rw)]
+        for p, lw, q, rw in zip(prev.tolist(), left_l, succ.tolist(), right_l)
+    )
+    inserted = dict(zip(ids, zip(a_ids, b_ids, off.tolist())))
+    meta = {"generator": "subdivide", "inserted": inserted, "eps": eps}
+    return MetricTree._unchecked([*tree.vertices, *ids], edges, adj, dict(tree.labels), meta)

@@ -243,6 +243,14 @@ def test_tree_subdivide_requires_eps(capsys, tmp_path):
     assert max(w for _, _, w in t.edges) <= 0.25 + 1e-12
 
 
+def test_tree_subdivide_fails_fast_on_a_tiny_eps(capsys, tmp_path):
+    doc = tmp_path / "t.json"
+    save_tree(tree_from_edges([("a", "b", 1.0)]), str(doc))
+    code, out, err = _run(capsys, ["--eps", "1e-12", "tree", "subdivide", str(doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "999999999999 vertices" in err
+
+
 # -- lab ----------------------------------------------------------------------
 
 

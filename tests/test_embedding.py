@@ -27,6 +27,7 @@ from treegh import (
     scalar_fields,
     star_fingerprint,
     star_tree,
+    subdivide,
     tau,
     tree_from_edges,
     unit_grid,
@@ -453,18 +454,164 @@ def reference_composite(sa, sb, reached):
     return Correspondence.from_pairs(pairs)
 
 
+# The per-vertex sampler and index that the per-edge sample index replaced,
+# kept as its reference: every inserted vertex gets its own coordinate dict,
+# interpolated from the edge record that subdivide leaves in the metadata.
+
+
+def reference_subdivide_atlas(atlas, eps):
+    s = subdivide(atlas.tree, eps)
+    if s is atlas.tree:
+        return atlas
+    edge_len = {(a, b): w for a, b, w in atlas.tree.edges}
+    coords = dict(atlas.coords)
+    for sid, (a, b, off) in s.metadata["inserted"].items():
+        ca, cb = coords[a], coords[b]
+        key = [key for key in ca if key in cb][0]
+        t = off / edge_len[(a, b)]
+        if key == "star":
+            (i1, s1), (i2, s2) = ca[key], cb[key]
+            coords[sid] = {"star": (i1 if s1 > 0 else i2, s1 + t * (s2 - s1))}
+        else:
+            coords[sid] = {
+                key: treegh.embedding._interpolate_on_shared_segment(ca[key], cb[key], t)
+            }
+    return treegh.embedding._Atlas(
+        tree=s, coords=coords, parts=atlas.parts, wedge=atlas.wedge,
+        fields=atlas.fields, rho=atlas.rho,
+    )
+
+
+class ReferenceCandidateIndex:
+    def __init__(self, atlas):
+        self.fallback = atlas.tree.index(atlas.wedge) if atlas.wedge is not None else 0
+        seg, star = {}, {}
+        for n, vid in enumerate(atlas.tree.vertices):
+            for key, val in atlas.coords[vid].items():
+                if key == "star":
+                    br, sv = val
+                    star.setdefault(int(br), []).append((float(sv), n))
+                else:
+                    for l, (x, h) in val.items():
+                        seg.setdefault((key, l), []).append((x, h, n))
+        self.seg = {
+            key: (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+                  np.array([r[2] for r in rows], dtype=np.intp))
+            for key, rows in seg.items()
+        }
+        self.star = {
+            br: (np.array([r[0] for r in rows]), np.array([r[1] for r in rows], dtype=np.intp))
+            for br, rows in star.items()
+        }
+        self.heights = {i: _tooth_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)}
+        self.part_segments = {
+            i: sorted(l for (pi, l) in self.seg if pi == i) for i in range(len(atlas.parts))
+        }
+
+
+def _same_arrays(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+# The continuity-scan benchmark's seed-1 grid: its seeded edge lengths and fiber.
+BENCH_SEED1_TREES = (
+    tree_from_edges([("a", "b", 0.7793660573329088)]),
+    tree_from_edges([("x", "y", 0.7223527950177351), ("y", "z", 0.7179996517568769)]),
+)
+
+
+def test_sample_index_equals_the_per_vertex_reference(small_config):
+    bench = dataclasses.replace(small_config, trees=BENCH_SEED1_TREES, m=3, eps=2.0 ** -6)
+    cases = [
+        (small_config, 2.0 ** -e, k) for e in range(7) for k in (1, 2)
+    ] + [(bench, bench.eps, 1)]
+    atlases = []
+    for cfg, eps, k in cases:
+        by_label = {}
+        for lab in cfg.h_space.labels:
+            if lab not in cfg.marked:
+                atlases.append((treegh.embedding._assemble(cfg, lab, k, by_label), eps))
+    x = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8), ("b", "d", 0.6)])
+    for s in (0.0, 0.3):
+        geom = treegh.embedding._PartGeometry(x, "b", s, 8, math.inf)
+        atlases.append((treegh.embedding._Atlas(
+            tree=geom.tree, coords={v: {0: geom.coords[v]} for v in geom.tree.vertices},
+            parts=[geom], wedge=None,
+        ), 2.0 ** -4))
+    inserted = 0
+    for atlas, eps in atlases:
+        got = treegh.embedding._sample(atlas, eps)
+        ref_atlas = reference_subdivide_atlas(atlas, eps)
+        want = ReferenceCandidateIndex(ref_atlas)
+        tree = got.atlas.tree
+        assert (tree.vertices, tree.edges) == (ref_atlas.tree.vertices, ref_atlas.tree.edges)
+        assert (got.atlas.parts, got.atlas.wedge) == (atlas.parts, atlas.wedge)
+        assert got.fallback == want.fallback
+        assert list(got.seg) == list(want.seg) and list(got.star) == list(want.star)
+        for key in want.seg:
+            assert _same_arrays(got.seg[key], want.seg[key]), key
+        for br in want.star:
+            assert _same_arrays(got.star[br], want.star[br]), br
+        assert got.heights == want.heights and got.part_segments == want.part_segments
+        inserted += tree.n - atlas.tree.n
+    assert len(atlases) == 14 * 7 + 7 + 2 and inserted > 3 * 10 ** 4
+
+
+def _broadcast_nearest(ss, idx, sv):
+    return idx[np.argmin(np.abs(ss[None, :] - sv[:, None]), axis=1)]
+
+
+def test_sorted_star_search_equals_the_broadcast_argmin():
+    rng = np.random.default_rng(20)
+    ties = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 40))
+        kind = trial % 3
+        if kind == 0:  # a coarse grid: duplicate positions, midpoint ties
+            ss = rng.integers(0, 9, n) / 8.0
+            sv = np.concatenate([rng.integers(0, 17, 30) / 16.0, rng.uniform(-0.2, 1.2, 10)])
+        elif kind == 1:  # clusters of positions a few ulps apart
+            base = rng.uniform(0.0, 0.2, 4)
+            ss = np.nextafter(base[rng.integers(0, 4, n)], 1.0) * (1 + rng.integers(0, 3, n) * 2.0 ** -52)
+            sv = np.concatenate([rng.uniform(0.5, 1.0, 20), base, rng.uniform(0.0, 0.2, 10)])
+        else:  # plain floats, with some copies among the queries
+            ss = rng.uniform(0.0, 1.0, n)
+            sv = np.concatenate([rng.uniform(-0.1, 1.1, 20), ss[rng.integers(0, n, 5)]])
+        idx = np.sort(rng.choice(10 * n + 10, n, replace=False)).astype(np.intp)
+        order = np.argsort(ss, kind="stable")
+        got = treegh.embedding._nearest_on_branch(ss[order], idx[order], sv)
+        want = _broadcast_nearest(ss, idx, sv)
+        assert got.tolist() == want.tolist(), trial
+        cost = np.abs(ss[None, :] - sv[:, None])
+        ties += int(((cost == cost.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties > 1000
+
+
 def test_batched_matcher_equals_the_per_vertex_reference(small_config, monkeypatch):
     reached = {"star": 0, "routed": 0}
     checked = []
     batched = treegh.embedding._composite_correspondence
+    sample = treegh.embedding._sample
+    # Samples carry no coordinates; the reference reads them from the
+    # per-vertex sampler, run on the atlas each sample came from.
+    coords_of = weakref.WeakKeyDictionary()
+
+    def tracked(atlas, eps):
+        index = sample(atlas, eps)
+        coords_of[index] = reference_subdivide_atlas(atlas, eps)
+        return index
 
     def compare(ia, ib):
         corr = batched(ia, ib)
-        want = reference_composite(ia.atlas, ib.atlas, reached)
+        want = reference_composite(coords_of[ia], coords_of[ib], reached)
         assert (corr.packed, corr.code) == (want.packed, want.code)
         checked.append(len(corr))
         return corr
 
+    monkeypatch.setattr(treegh.embedding, "_sample", tracked)
     monkeypatch.setattr(treegh.embedding, "_composite_correspondence", compare)
     cells = [lab for lab in small_config.h_space.labels if lab not in small_config.marked]
     adjacency = [(i, j) for i in range(len(cells)) for j in range(i, len(cells))]

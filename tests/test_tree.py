@@ -28,6 +28,7 @@ from treegh import (
     wedge_sum,
 )
 from treegh.families import CombParams
+from treegh.tree import _insert_points
 from conftest import random_tree
 
 
@@ -677,3 +678,58 @@ def test_subdivide_reaches_resolution_and_preserves_distances():
 def test_subdivide_noop_returns_same_tree():
     t = path_tree()
     assert subdivide(t, 2.0) is t
+
+
+def reference_subdivide(tree, eps):
+    # The point-list path that subdivide replaced: one insertion record per
+    # vertex, then a rebuild through _insert_points and the tree proof.
+    points = []
+    for a, b, w in tree.edges:
+        if w <= eps * (1 + 1e-12):
+            continue
+        k = int(math.ceil(w / eps - 1e-12))
+        for j in range(1, k):
+            points.append((a, b, w * j / k, "sub:%d" % len(points)))
+    if not points:
+        return tree
+    return _insert_points(tree, points, generator="subdivide", extra_metadata={"eps": eps})
+
+
+def test_subdivide_equals_the_insert_points_reference():
+    rng = np.random.default_rng(12)
+    sampled = 0
+    for trial in range(320):
+        t = random_tree(rng, 1, 14, scale=float(rng.choice([0.3, 1.0, 3.0])))
+        lengths = [w for _, _, w in t.edges] or [1.0]
+        w = lengths[int(rng.integers(len(lengths)))]
+        # eps on and next to the "w <= eps (1 + 1e-12)" boundary of one edge,
+        # next to the ceiling boundary of w / eps, and plain.
+        at = w / (1 + 1e-12)
+        whole = w / int(rng.integers(2, 9))
+        for eps in (
+            at, np.nextafter(at, 0.0), np.nextafter(at, 1.0),
+            whole, np.nextafter(whole, 0.0), np.nextafter(whole, 1.0),
+            float(rng.uniform(0.02, 0.5)),
+        ):
+            eps = float(eps)
+            got, want = subdivide(t, eps), reference_subdivide(t, eps)
+            assert (got is t) == (want is t), (trial, eps)
+            assert got.vertices == want.vertices and got.edges == want.edges
+            assert got.metadata == want.metadata and got.labels == want.labels
+            assert got._adj == want._adj, (trial, eps)
+            assert got.dist.tobytes() == want.dist.tobytes()
+            sampled += got is not t
+    assert sampled > 1000
+
+
+def test_subdivide_fails_fast_on_huge_samples():
+    unit = tree_from_edges([("a", "b", 1.0)])
+    with pytest.raises(ValueError, match=r"eps=1e-12 would insert 999999999999 vertices"):
+        subdivide(unit, 1e-12)
+    with pytest.raises(ValueError, match="would insert inf vertices"):
+        subdivide(tree_from_edges([("a", "b", 1e10)]), 5e-324)
+    # the cap counts the whole sample: two edges of 2**19 + 1 vertices each
+    two = tree_from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
+    with pytest.raises(ValueError, match="would insert 1048578 vertices, more than 1048576"):
+        subdivide(two, 1.0 / (2 ** 19 + 2))
+    assert subdivide(unit, 2.0 ** -9).n == 2 ** 9 + 1
