@@ -7,7 +7,7 @@ proves the edge list is a tree by counting: one depth-first walk from vertex
 0 must reach all n vertices over exactly n - 1 edges.  Only when that fails
 is the graph searched again, to name a cycle or the components.
 :func:`subdivide` only puts vertices on the edges of a valid tree, so it
-builds its result without the checks or the proof.  The same
+checks only its new ids and pieces, and skips the proof.  The same
 walk, as a preorder with parents and edge lengths, fills the full matrix of
 path distances when it is first needed (then cached; its columns stay in
 preorder until ``dist`` is read) and finds geodesics;
@@ -872,7 +872,8 @@ def _offsets(lengths: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     ``k = cuts + 1`` equal pieces, concatenated in edge order."""
     runs = np.cumsum(cuts) - cuts  # where each edge's offsets start
     j = np.arange(1, int(cuts.sum()) + 1) - np.repeat(runs, cuts)
-    return np.repeat(lengths, cuts) * j / np.repeat(cuts + 1, cuts)
+    with np.errstate(over="ignore"):  # w * j can pass the largest float
+        return np.repeat(lengths, cuts) * j / np.repeat(cuts + 1, cuts)
 
 
 def subdivide(tree: MetricTree, eps: float) -> MetricTree:
@@ -888,6 +889,9 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     Raises:
         ValueError: eps is not positive, or the sample would insert more
             than 2**20 vertices (checked before anything is built).
+        TreeStructureError: a ``sub:k`` id is already a vertex (as when a
+            sample is subdivided again), or an edge so long that ``w * j``
+            overflows would get a piece that is not positive.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -912,9 +916,22 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     left[1:] = right[:-1] = off[1:] - off[:-1]
     left[first] = off[first]
     right[last] = lengths[split] - off[last]
+    # The two things a tree with vertices on its edges can get wrong, which
+    # the constructor's checks would catch: a piece that is not positive
+    # (w * j overflowing), and a new id the tree already has.
+    bad = np.flatnonzero(~((left > 0) & (right > 0)))
+    if len(bad):
+        a, b, w = tree.edges[int(np.searchsorted(ends, bad[0], side="right"))]
+        raise TreeStructureError(
+            "subdividing edge (%s, %s) of length %r at eps=%r leaves a piece "
+            "that is not positive" % (a, b, w, eps)
+        )
     n = tree.n
     index = tree._index
     ids = ["sub:%d" % c for c in range(len(off))]
+    taken = index.keys() & ids
+    if taken:
+        raise TreeStructureError("duplicate vertex ids: %s" % sorted(taken)[:3])
     prev = np.arange(n - 1, n - 1 + len(off))
     succ = prev + 2
     adj = [list(nbrs) for nbrs in tree._adj]

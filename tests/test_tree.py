@@ -720,6 +720,14 @@ def test_subdivide_equals_the_insert_points_reference():
             assert got.dist.tobytes() == want.dist.tobytes()
             sampled += got is not t
     assert sampled > 1000
+    # What the constructor's checks caught on the old path: a sample cut
+    # again reuses its sub:k ids, and w * j can overflow on a long edge.
+    again = subdivide(path_tree(), 0.4)
+    for fn in (subdivide, reference_subdivide):
+        with pytest.raises(TreeStructureError, match=r"duplicate vertex ids: \['sub:0', 'sub:1'"):
+            fn(again, 0.1)
+        with pytest.raises(TreeStructureError, match="not positive|outside edge"):
+            fn(tree_from_edges([("a", "b", 1.7e308), ("b", "c", 1.0)]), 1.7e308 / 3)
 
 
 def test_subdivide_fails_fast_on_huge_samples():
