@@ -2,7 +2,10 @@
 
 The distance is half the minimal distortion over covering correspondences.
 Within a point-count cap a threshold search computes it exactly (see
-:func:`gh_exact`); beyond the cap, certified two-sided bounds are produced
+:func:`gh_exact`): each threshold is decided by arc consistency and
+branching over Python-int bitsets of compatible pairs, all cut from one
+packed matrix, and each feasible decision moves the search to its witness's
+own distortion.  Beyond the cap, certified two-sided bounds are produced
 instead (a diameter/eccentricity lower bound and the distortion of a
 deterministic rank-aligned correspondence as upper bound).
 """
@@ -10,7 +13,7 @@ deterministic rank-aligned correspondence as upper bound).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -223,8 +226,18 @@ def gh_exact(
     twice :func:`gh_lower_bound` (a mismatch never above the optimum) to the
     largest, which the full product ``x × y`` meets.  Each step asks
     :func:`_covering_within` for a covering correspondence within the
-    threshold; the one found at the smallest feasible threshold is the
-    deterministic witness, and the value is half its distortion.
+    threshold.  A feasible step moves ``hi`` down to the index of the found
+    correspondence's own distortion, not just to the threshold asked.
+
+    The value is ``0.5 * thresholds[hi]`` once ``lo == hi``, so no
+    correspondence is built unless ``return_witness`` asks for one.  Proof:
+    the distortion of the witness found at ``thresholds[hi]`` is the largest
+    mismatch among its pairs, rounded as the mismatch matrix rounds it, so
+    it is itself a threshold no larger than ``thresholds[hi]``; every
+    threshold below ``lo`` is infeasible (decided so, or below the lower
+    bound).  Hence the witness's distortion is ``thresholds[hi]`` bit for
+    bit.  The witness returned is the one found at ``thresholds[hi]``,
+    decided again when the last feasible step was made at another threshold.
 
     Args:
         x, y: finite metric spaces with at most ``cap`` points each.
@@ -245,65 +258,114 @@ def gh_exact(
     mismatch = np.abs(x.dist[:, None, :, None] - y.dist[None, :, None, :]).reshape(nx * ny, -1)
     thresholds = np.sort(mismatch, axis=None)
     thresholds = thresholds[np.r_[True, thresholds[1:] != thresholds[:-1]]]
+    # Two nodes are compatible within delta when both triangles are.
+    sym = np.maximum(mismatch, mismatch.T)
+    lines = _lines(nx, ny)
     lo = int(np.searchsorted(thresholds, 2.0 * gh_lower_bound(x, y)))
-    hi, chosen = len(thresholds) - 1, None
+    hi, chosen, chosen_at = len(thresholds) - 1, None, None
     while lo < hi:
         mid = (lo + hi) // 2
-        found = _covering_within(mismatch, thresholds[mid], nx, ny)
+        found = _covering_within(_compatibility(sym, thresholds[mid]), lines)
         if found is None:
             lo = mid + 1
         else:
-            hi, chosen = mid, found
-    if chosen is None:
-        chosen = _covering_within(mismatch, thresholds[hi], nx, ny)
-    witness = Correspondence.from_pairs(divmod(u, ny) for u in range(nx * ny) if chosen >> u & 1)
-    value = gh_upper_bound(x, y, witness)
-    return (value, witness) if return_witness else value
+            nodes = _members(found)
+            hi = int(np.searchsorted(thresholds, mismatch[np.ix_(nodes, nodes)].max()))
+            chosen, chosen_at = found, mid
+    value = 0.5 * float(thresholds[hi])
+    if not return_witness:
+        return value
+    if chosen_at != hi:
+        chosen = _covering_within(_compatibility(sym, thresholds[hi]), lines)
+    witness = Correspondence.from_pairs(divmod(u, ny) for u in _members(chosen))
+    return value, witness
 
 
-def _covering_within(mismatch, delta, nx: int, ny: int) -> Optional[int]:
-    """Bitset of a covering correspondence within ``delta``, or None.
-
-    Node ``i * ny + j`` is the pair ``(i, j)``; its bitset holds the nodes
-    within ``delta`` of it.  Live nodes with no compatible live node in some
-    row or column are dropped to a fixpoint (arc consistency); the search
-    then branches on the uncovered row or column with the fewest live nodes,
-    ANDs each chosen node's bitset into the live set and drops failed nodes.
-    """
-    ok = (mismatch <= delta) & (mismatch.T <= delta)
-    compat = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(ok, 1, bitorder="little")]
+def _lines(nx: int, ny: int) -> List[int]:
+    """Bitsets of the nodes ``i * ny + j`` of each row ``i``, then of each
+    column ``j``."""
     lines = [((1 << ny) - 1) << (i * ny) for i in range(nx)]
     lines += [sum(1 << (i * ny + j) for i in range(nx)) for j in range(ny)]
+    return lines
 
-    def search(live: int, chosen: int) -> Optional[int]:
+
+def _compatibility(sym: np.ndarray, delta) -> List[int]:
+    """Bitset of the nodes ``v`` with ``sym[u, v] <= delta``, for each node
+    ``u``: the rows of one packed matrix, read as one integer and cut apart."""
+    packed = np.packbits(sym <= delta, axis=1, bitorder="little")
+    width = 8 * packed.shape[1]
+    bits = int.from_bytes(packed.tobytes(), "little")
+    mask = (1 << width) - 1
+    return [bits >> (u * width) & mask for u in range(len(sym))]
+
+
+def _members(bits: int) -> List[int]:
+    """Positions of the set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _covering_within(compat: List[int], lines: List[int]) -> Optional[int]:
+    """Bitset of a covering correspondence within a threshold, or None.
+
+    Node ``i * ny + j`` is the pair ``(i, j)``.  ``compat[u]`` is the
+    bitset of the nodes within the threshold of node ``u`` (see
+    :func:`_compatibility`) and ``lines`` the row and column
+    bitsets (see :func:`_lines`).  Live nodes with no compatible live node
+    in some open line are dropped to a fixpoint (arc consistency); the
+    search then branches on the open line with the fewest live nodes, ANDs
+    each chosen node's bitset into the live set and drops failed nodes.
+
+    A line is open while it holds no chosen node.  A closed line drops
+    nothing: every live node lies in the bitset of the chosen node ``c`` in
+    it, so ``c`` supports it there as long as ``c`` is live.  The fixpoint
+    is the greatest arc-consistent subset of the live set, so it does not
+    depend on the order lines are visited in.  The support of a line, the
+    union of the bitsets of its live nodes, is memoised under that live
+    subset for the whole decision.
+    """
+    supports: Dict[int, int] = {}
+
+    def search(live: int, chosen: int, open_lines: List[int]) -> Optional[int]:
         # Compatibility is symmetric, so the nodes with a compatible live
         # node in a line are the union of that line's live bitsets.
         last = None
         while live != last:
             last = live
-            for line in lines:
-                support, rest = 0, live & line
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    support |= compat[low.bit_length() - 1]
+            for line in open_lines:
+                rest = live & line
+                support = supports.get(rest)
+                if support is None:
+                    key, support = rest, 0
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        support |= compat[low.bit_length() - 1]
+                    supports[key] = support
                 live &= support
         if chosen & ~live:
             return None
-        open_lines = [line for line in lines if not chosen & line]
         if not open_lines:
             return chosen
         options = min((live & line for line in open_lines), key=int.bit_count)
         while options:
             low = options & -options
             options ^= low
-            found = search(live & compat[low.bit_length() - 1], chosen | low)
+            found = search(
+                live & compat[low.bit_length() - 1],
+                chosen | low,
+                [line for line in open_lines if not line & low],
+            )
             if found is not None:
                 return found
             live ^= low
         return None
 
-    return search((1 << (nx * ny)) - 1, 0)
+    return search((1 << len(compat)) - 1, 0, lines)
 
 
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:

@@ -123,6 +123,7 @@ class MetricTree:
         # DFS preorder, the preorder position of each vertex.
         self._dist: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
+        self._total_length: Optional[float] = None
 
     @classmethod
     def _unchecked(
@@ -142,7 +143,7 @@ class MetricTree:
         t.labels, t.metadata = labels, metadata
         t._index = {v: i for i, v in enumerate(t.vertices)}
         t._adj = adj
-        t._dist = t._cols = None
+        t._dist = t._cols = t._total_length = None
         return t
 
     # -- construction helpers -------------------------------------------------
@@ -344,7 +345,10 @@ class MetricTree:
         return float(self.row(far).max())
 
     def total_edge_length(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        """Sum of the edge lengths, computed on the first call and cached."""
+        if self._total_length is None:
+            self._total_length = float(sum(w for _, _, w in self.edges))
+        return self._total_length
 
     def as_space(self) -> FiniteMetricSpace:
         return FiniteMetricSpace(self.vertices, self.dist)

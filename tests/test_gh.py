@@ -229,6 +229,129 @@ def test_exact_takes_no_rank_aligned_seed(monkeypatch):
         assert distortion(x, y, witness) == 2.0 * value
 
 
+def reference_covering_within(mismatch, delta, nx: int, ny: int):
+    """Reference: the decision that packed compatibility rows and memoised
+    line supports replaced, kept verbatim to check against.  Bitset of a
+    covering correspondence within ``delta``, or None."""
+    ok = (mismatch <= delta) & (mismatch.T <= delta)
+    compat = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(ok, 1, bitorder="little")]
+    lines = [((1 << ny) - 1) << (i * ny) for i in range(nx)]
+    lines += [sum(1 << (i * ny + j) for i in range(nx)) for j in range(ny)]
+
+    def search(live: int, chosen: int):
+        # Compatibility is symmetric, so the nodes with a compatible live
+        # node in a line are the union of that line's live bitsets.
+        last = None
+        while live != last:
+            last = live
+            for line in lines:
+                support, rest = 0, live & line
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    support |= compat[low.bit_length() - 1]
+                live &= support
+        if chosen & ~live:
+            return None
+        open_lines = [line for line in lines if not chosen & line]
+        if not open_lines:
+            return chosen
+        options = min((live & line for line in open_lines), key=int.bit_count)
+        while options:
+            low = options & -options
+            options ^= low
+            found = search(live & compat[low.bit_length() - 1], chosen | low)
+            if found is not None:
+                return found
+            live ^= low
+        return None
+
+    return search((1 << (nx * ny)) - 1, 0)
+
+
+def mismatch_matrix(x, y):
+    nx, ny = x.n, y.n
+    return np.abs(x.dist[:, None, :, None] - y.dist[None, :, None, :]).reshape(nx * ny, -1)
+
+
+def reference_threshold_search(x, y):
+    """Reference: the threshold search as it was before ``hi`` jumped to
+    the witness's own distortion, on the reference decision.  Returns the
+    value, the witness and every threshold it decided."""
+    nx, ny = x.n, y.n
+    mismatch = mismatch_matrix(x, y)
+    thresholds = np.unique(mismatch)
+    lo = int(np.searchsorted(thresholds, 2.0 * gh_lower_bound(x, y)))
+    hi, chosen, visited = len(thresholds) - 1, None, []
+    while lo < hi:
+        mid = (lo + hi) // 2
+        visited.append(thresholds[mid])
+        found = reference_covering_within(mismatch, thresholds[mid], nx, ny)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, chosen = mid, found
+    if chosen is None:
+        visited.append(thresholds[hi])
+        chosen = reference_covering_within(mismatch, thresholds[hi], nx, ny)
+    witness = Correspondence.from_pairs(divmod(u, ny) for u in range(nx * ny) if chosen >> u & 1)
+    return gh_upper_bound(x, y, witness), witness, visited
+
+
+def seeded_pairs(seed, count):
+    """``count`` pairs of random spaces, each side of 1 to 8 points."""
+    rng = np.random.default_rng(seed)
+    return [(random_space(rng, 1, 8), random_space(rng, 1, 8)) for _ in range(count)]
+
+
+def test_decision_and_witness_match_the_reference(monkeypatch):
+    # every threshold either search decides, on 400 seeded pairs and the
+    # panel pairs of the old heavy tail
+    pairs = seeded_pairs(1313, 400) + [panel_pair(n, k) for n, k in sorted(PANEL_VALUES)]
+    assert any(x.n != y.n for x, y in pairs)
+    assert {x.n for x, _ in pairs} == set(range(1, 9))
+    visited = []
+    compatibility = treegh.gh._compatibility
+
+    def record(sym, delta):
+        visited.append(delta)
+        return compatibility(sym, delta)
+
+    monkeypatch.setattr(treegh.gh, "_compatibility", record)
+    decisions = 0
+    for x, y in pairs:
+        visited.clear()
+        value, witness = gh_exact(x, y, return_witness=True)
+        want_value, want_witness, want_visited = reference_threshold_search(x, y)
+        assert value.hex() == want_value.hex()
+        assert (witness.packed, witness.code) == (want_witness.packed, want_witness.code)
+        mismatch = mismatch_matrix(x, y)
+        sym, lines = np.maximum(mismatch, mismatch.T), treegh.gh._lines(x.n, y.n)
+        for delta in sorted(set(visited) | set(want_visited)):
+            got = treegh.gh._covering_within(compatibility(sym, delta), lines)
+            assert got == reference_covering_within(mismatch, delta, x.n, y.n)
+            decisions += 1
+    assert decisions >= 2 * len(pairs)
+
+
+def test_value_without_witness_builds_no_correspondence(monkeypatch):
+    pairs = [panel_pair(n, k) for n, k in sorted(PANEL_VALUES)] + seeded_pairs(71, 60)
+    want = []
+    for x, y in pairs:
+        value, witness = gh_exact(x, y, return_witness=True)
+        assert value.hex() == (0.5 * distortion(x, y, witness)).hex()
+        want.append(value.hex())
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a correspondence was built or measured")
+
+    monkeypatch.setattr(Correspondence, "from_pairs", boom)
+    monkeypatch.setattr(treegh.gh, "distortion", boom)
+    assert [gh_exact(x, y).hex() for x, y in pairs] == want
+    with pytest.raises(AssertionError):
+        gh_exact(*pairs[0], return_witness=True)
+
+
 def test_cap_guard():
     rng = np.random.default_rng(2)
     big = random_space(rng, n_lo=9, n_hi=9)

@@ -210,6 +210,14 @@ def test_path_distances_and_geodesic():
     assert t.total_edge_length() == 2.0
 
 
+def test_total_edge_length_is_cached_unchanged():
+    t = star3()
+    for tree in (t, subdivide(t, 0.3)):
+        first = tree.total_edge_length()
+        assert first == float(sum(w for _, _, w in tree.edges))
+        assert tree.total_edge_length() is first
+
+
 def test_as_space_matches_pairwise_distances():
     t = star3()
     sp = t.as_space()
