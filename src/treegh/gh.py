@@ -328,44 +328,51 @@ def _covering_within(compat: List[int], lines: List[int]) -> Optional[int]:
     union of the bitsets of its live nodes, is memoised under that live
     subset for the whole decision.
     """
-    supports: Dict[int, int] = {}
+    return _search(compat, {}, (1 << len(compat)) - 1, 0, lines)
 
-    def search(live: int, chosen: int, open_lines: List[int]) -> Optional[int]:
-        # Compatibility is symmetric, so the nodes with a compatible live
-        # node in a line are the union of that line's live bitsets.
-        last = None
-        while live != last:
-            last = live
-            for line in open_lines:
-                rest = live & line
-                support = supports.get(rest)
-                if support is None:
-                    key, support = rest, 0
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        support |= compat[low.bit_length() - 1]
-                    supports[key] = support
-                live &= support
-        if chosen & ~live:
-            return None
-        if not open_lines:
-            return chosen
-        options = min((live & line for line in open_lines), key=int.bit_count)
-        while options:
-            low = options & -options
-            options ^= low
-            found = search(
-                live & compat[low.bit_length() - 1],
-                chosen | low,
-                [line for line in open_lines if not line & low],
-            )
-            if found is not None:
-                return found
-            live ^= low
+
+def _search(
+    compat: List[int], supports: Dict[int, int], live: int, chosen: int, open_lines: List[int]
+) -> Optional[int]:
+    """The search of :func:`_covering_within` below the node ``chosen``,
+    with ``supports`` the memo of line supports.  A module function rather
+    than a closure, so that a decision's memo is freed when it returns and
+    not at the next garbage collection."""
+    # Compatibility is symmetric, so the nodes with a compatible live
+    # node in a line are the union of that line's live bitsets.
+    last = None
+    while live != last:
+        last = live
+        for line in open_lines:
+            rest = live & line
+            support = supports.get(rest)
+            if support is None:
+                key, support = rest, 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    support |= compat[low.bit_length() - 1]
+                supports[key] = support
+            live &= support
+    if chosen & ~live:
         return None
-
-    return search((1 << len(compat)) - 1, 0, lines)
+    if not open_lines:
+        return chosen
+    options = min((live & line for line in open_lines), key=int.bit_count)
+    while options:
+        low = options & -options
+        options ^= low
+        found = _search(
+            compat,
+            supports,
+            live & compat[low.bit_length() - 1],
+            chosen | low,
+            [line for line in open_lines if not line & low],
+        )
+        if found is not None:
+            return found
+        live ^= low
+    return None
 
 
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
