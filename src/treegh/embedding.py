@@ -357,9 +357,9 @@ def _interpolate_on_shared_segment(
 
 _STAR_TIP = "branch:0:1.0"  # the star's basepoint: the tip of its unit branch
 
-# The fields at a label and its endpoint trees comb-replaced and ball-cut for
-# them: the part of a cell's assembly that does not depend on the fiber.
-_LabelParts = Tuple[ScalarFields, List[_PartGeometry]]
+# The inputs of an endpoint part: the endpoint tree's index i, the tooth size
+# phi(u) and the ball radius sigma_i(u).  The config fixes the rest.
+_PartKey = Tuple[int, float, float]
 
 
 class _Atlas:
@@ -414,28 +414,28 @@ def _assemble(
     cfg: EmbedConfig,
     u: str,
     k: int,
-    by_label: Optional[Dict[str, _LabelParts]] = None,
+    memo: Optional[Dict[_PartKey, _PartGeometry]] = None,
 ) -> _Atlas:
-    # by_label holds the parts of labels assembled before; the cell adds
-    # its own there, for the other fibers of u.
+    # memo holds the parts of cells assembled before, by their inputs; the
+    # cell adds its own there, for any later cell whose parts have the same
+    # inputs: the other fibers of u, and labels with equal phi and sigma_i.
     if not (1 <= k <= cfg.m):
         raise ValueError("fiber index k=%r outside 1..%d" % (k, cfg.m))
     cfg.h_space.index(u)
+    f = scalar_fields(cfg, u)
     if u in cfg.marked:
         i = cfg.marked.index(u)
-        return _Atlas(
-            tree=cfg.trees[i], parts=[], wedge=None,
-            fields=scalar_fields(cfg, u), rho=None,
-        )
-    if by_label is None:
-        by_label = {}
-    if u not in by_label:
-        f = scalar_fields(cfg, u)
-        by_label[u] = f, [
-            _PartGeometry(cfg.trees[i], cfg.basepoints[i], f.phi, cfg.depth_cap, f.sigma[i])
-            for i in range(len(cfg.marked))
-        ]
-    f, parts = by_label[u]
+        return _Atlas(tree=cfg.trees[i], parts=[], wedge=None, fields=f, rho=None)
+    if memo is None:
+        memo = {}
+    parts = []
+    for i in range(len(cfg.marked)):
+        key = (i, f.phi, f.sigma[i])
+        if key not in memo:
+            memo[key] = _PartGeometry(
+                cfg.trees[i], cfg.basepoints[i], f.phi, cfg.depth_cap, f.sigma[i]
+            )
+        parts.append(memo[key])
     a = rho_embed(cfg.coords[u], k, cfg.m, cfg.branches)
     # The star goes into the wedge as bare lists; the wedge validates it.
     s_vertices, s_edges, s_points = _assembly_star_parts(
@@ -605,12 +605,16 @@ def injectivity_scan(
     fiber k* must exist whose fingerprints collide with no endpoint tree
     (the smallest such k* is reported).
 
-    The comb-replaced, ball-cut endpoint trees depend on the label u, not
-    on the fiber k, so each label's parts are built once per call and
-    shared by all of its fibers; only the star and the wedge are built per
-    cell.  Every row equals what :func:`build_F` and
-    :func:`star_fingerprint` give for that cell alone.  The report keeps
-    ``grid`` itself, so the caller should not change it afterwards.
+    An endpoint part, X_i comb-replaced and ball-cut, depends on the cell
+    only through its inputs (i, phi(u), sigma_i(u)), not on the label or
+    the fiber, so each distinct part is built once per call and shared by
+    every cell with those inputs: all fibers of a label, and labels with
+    equal fields, such as mirror images across a symmetry of the marks.
+    Only the star and the wedge are built per cell.  Every row equals what
+    :func:`build_F` and :func:`star_fingerprint` give for that cell alone.
+    The separations are read in one array pass over the coefficients, and
+    a collision names the first colliding pair in grid order.  The report
+    keeps ``grid`` itself, so the caller should not change it afterwards.
 
     Raises:
         EmbedConfigError: a grid cell sits on a marked point.
@@ -624,9 +628,9 @@ def injectivity_scan(
             )
     fps: List[Fingerprint] = []
     values: List[List[float]] = []
-    by_label: Dict[str, _LabelParts] = {}
+    memo: Dict[_PartKey, _PartGeometry] = {}
     for lab, k in grid:
-        atlas = _assemble(cfg, lab, k, by_label)
+        atlas = _assemble(cfg, lab, k, memo)
         fp = star_fingerprint(atlas.tree, tol=cfg.tol)
         expected = atlas.rho
         if len(fp.a_hat) != len(expected):
@@ -649,18 +653,21 @@ def injectivity_scan(
         fps.append(fp)
         values.append([fp.xi_hat, fp.margin, err, *fp.a_hat])
 
-    min_sep = math.inf
-    for i in range(len(fps)):
-        for j in range(i + 1, len(fps)):
-            sep = tau(fps[i].a_hat, fps[j].a_hat)
-            min_sep = min(min_sep, sep)
-            if sep <= 1e-12:
-                raise ScanError(
-                    "fingerprint collision between cells (%s, %d) and (%s, %d)"
-                    % (grid[i][0], grid[i][1], grid[j][0], grid[j][1])
-                )
     if not fps:
         raise ScanError("empty scan grid")
+    packed = np.array(values)
+    # tau of every pair i < j, in the order of a loop over i then j.
+    a_hat = packed[:, 3:]
+    first, second = np.triu_indices(len(fps), 1)
+    seps = np.abs(a_hat[first] - a_hat[second]).max(axis=1)
+    collisions = np.flatnonzero(seps <= 1e-12)
+    if len(collisions):
+        i, j = first[collisions[0]], second[collisions[0]]
+        raise ScanError(
+            "fingerprint collision between cells (%s, %d) and (%s, %d)"
+            % (grid[i][0], grid[i][1], grid[j][0], grid[j][1])
+        )
+    min_sep = seps.min(initial=math.inf)
 
     endpoint_fps = []
     for t in cfg.trees:
@@ -687,9 +694,7 @@ def injectivity_scan(
             break
     if k_star == 0:
         raise ScanError("every fiber collides with an endpoint fingerprint")
-    return InjectivityReport(
-        grid, cfg.coords, np.array(values), float(min_sep), k_star
-    )
+    return InjectivityReport(grid, cfg.coords, packed, float(min_sep), k_star)
 
 
 def _comb_modulus_bound(s: float, t: float) -> float:
@@ -980,11 +985,13 @@ def continuity_scan(
     (comb + ball + star terms); ``hi <= bound + 2 eps + tol`` must hold.
     Each tree is subdivided once at ``eps``; ``hi`` is half the distortion
     of the composite correspondence, which pairs every sample vertex with
-    its nearest atlas partner in the other tree, plus ``eps``.  Each cell's
-    sample and its matching index are built once, in one pass over the
-    atlas's edges, and reused by all of the cell's pairs, then freed, with
-    the sample's distance matrix, after the cell's last pair, so only cells
-    with pairs still to come hold a sample.
+    its nearest atlas partner in the other tree, plus ``eps``.  As in
+    :func:`injectivity_scan`, the cells share each distinct endpoint part,
+    built once per call from its inputs (i, phi(u), sigma_i(u)).  Each
+    cell's sample and its matching index are built once, in one pass over
+    the atlas's edges, and reused by all of the cell's pairs, then freed,
+    with the sample's distance matrix, after the cell's last pair, so only
+    cells with pairs still to come hold a sample.
 
     Args:
         cfg: embedding configuration.
@@ -994,24 +1001,41 @@ def continuity_scan(
 
     Returns:
         A :class:`ContinuityReport` with one row per pair, in input order.
+
+    Raises:
+        EmbedConfigError: a grid cell sits on a marked point.
+        ValueError: an adjacency pair holds an index outside ``grid`` or
+            joins cells of different fibers; raised before any cell is
+            assembled.
+        ScanError: a bound violation, when ``strict``.
     """
     for lab, k in grid:
         if lab in cfg.marked:
             raise EmbedConfigError(
                 "grid cell %r is a marked point; the scan domain excludes them" % lab
             )
-    atlases: List[Optional[_Atlas]] = [_assemble(cfg, lab, k) for lab, k in grid]
+    for ia, ib in adjacency:
+        for i in (ia, ib):
+            if not 0 <= i < len(grid):
+                raise ValueError(
+                    "adjacency pair (%r, %r): index %r outside the %d grid cells"
+                    % (ia, ib, i, len(grid))
+                )
+        if grid[ia][1] != grid[ib][1]:
+            raise ValueError(
+                "adjacency pair (%r, %r): adjacent cells must share the fiber "
+                "index, got %d and %d" % (ia, ib, grid[ia][1], grid[ib][1])
+            )
+    memo: Dict[_PartKey, _PartGeometry] = {}
+    atlases: List[Optional[_Atlas]] = [_assemble(cfg, lab, k, memo) for lab, k in grid]
+    del memo  # each part is then freed with the last atlas that holds it
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
     samples: Dict[int, _CandidateIndex] = {}
 
     rows: List[ContinuityRow] = []
     for pos, (ia, ib) in enumerate(adjacency):
         la, ka = grid[ia]
-        lb, kb = grid[ib]
-        if ka != kb:
-            raise ValueError(
-                "adjacent cells must share the fiber index, got %d and %d" % (ka, kb)
-            )
+        lb = grid[ib][0]
         for i in (ia, ib):
             if i not in samples:
                 samples[i] = _sample(atlases[i], cfg.eps)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ def small_config():
         branches=3,
         eps=2.0 ** -4,
     )
+
+
+@pytest.fixture
+def asymmetric_config(small_config):
+    """small_config with marks that no symmetry of the grid fixes, so no
+    two labels share their phi and sigma_i."""
+    return dataclasses.replace(small_config, marked=("g0_0", "g1_2"))
 
 
 def _grid_config(trees, basepoints, m):

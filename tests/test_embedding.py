@@ -250,20 +250,41 @@ def _hex_fingerprint(fp, err):
     return (fp.xi_hat.hex(), [a.hex() for a in fp.a_hat], fp.margin.hex(), float(err).hex())
 
 
-def test_injectivity_scan_equals_per_cell_reference(small_config, inject_scan_grids):
-    # The scan shares each label's parts across its fibers; every row must
-    # still be what build_F and star_fingerprint give for the cell alone.
-    labels = [lab for lab in small_config.h_space.labels if lab not in small_config.marked]
-    grids = [(small_config, [(lab, k) for k in (1, 2) for lab in labels])]
+def _all_cells(cfg):
+    return [(lab, k) for k in range(1, cfg.m + 1) for lab in cfg.h_space.labels if lab not in cfg.marked]
+
+
+def test_injectivity_scan_equals_per_cell_reference(small_config, asymmetric_config, inject_scan_grids):
+    # The scan shares each distinct part between the cells with its inputs;
+    # every row must still be what build_F and star_fingerprint give for the
+    # cell alone, and the separation what tau gives pair by pair.
+    grids = [(cfg, _all_cells(cfg)) for cfg in (small_config, asymmetric_config)]
     for cfg, cells in grids + inject_scan_grids:
         rep = injectivity_scan(cfg, cells)
         assert rep.rows is not rep.rows  # rebuilt from the packed floats on every read
         assert [(r.label, r.k) for r in rep.rows] == cells
+        fps = []
         for r in rep.rows:
             assert r.u == cfg.coords[r.label]
             fp = star_fingerprint(build_F(cfg, r.label, r.k), tol=cfg.tol)
             err = tau(fp.a_hat, rho_embed(cfg.coords[r.label], r.k, cfg.m, cfg.branches))
             assert _hex_fingerprint(r.fingerprint, r.recovery_error) == _hex_fingerprint(fp, err)
+            fps.append(fp.a_hat)
+        min_sep = math.inf
+        for i in range(len(fps)):
+            for j in range(i + 1, len(fps)):
+                min_sep = min(min_sep, tau(fps[i], fps[j]))
+        assert rep.min_separation.hex() == min_sep.hex()
+        assert rep.k_star == 1
+
+
+def test_injectivity_scan_names_the_first_collision_in_grid_order(small_config):
+    # Pairs (0, 3) and (1, 2) collide; a loop over i then j meets (0, 3) first.
+    cells = [("g0_1", 1), ("g1_1", 1), ("g1_1", 1), ("g0_1", 1)]
+    with pytest.raises(ScanError, match=r"\(g0_1, 1\) and \(g0_1, 1\)"):
+        injectivity_scan(small_config, cells)
+    rep = injectivity_scan(small_config, cells[:1])
+    assert rep.min_separation == math.inf
 
 
 def test_injectivity_reports_keep_few_bytes_per_row(small_config):
@@ -283,18 +304,39 @@ def test_injectivity_reports_keep_few_bytes_per_row(small_config):
     assert len(kept) == 50 and per_row < 200, per_row
 
 
-def test_injectivity_scan_builds_each_label_parts_once(inject_scan_grids, monkeypatch):
-    cfg, cells = inject_scan_grids[0]  # 7 labels x 3 fibers, 2 endpoint trees
+def _part_inputs(cfg, cells):
+    """The distinct (i, phi, sigma_i) of the endpoint parts of the cells."""
+    fields = [scalar_fields(cfg, lab) for lab, _ in cells]
+    return {(i, f.phi, f.sigma[i]) for f in fields for i in range(len(cfg.marked))}
+
+
+def test_scans_build_each_distinct_part_once(inject_scan_grids, asymmetric_config, monkeypatch):
+    # On the two-corner grid each off-diagonal label has a mirror label with
+    # the same phi and sigma: 7 labels make 4 distinct field values, and 2
+    # endpoint trees 8 parts.  No symmetry of the grid fixes the asymmetric
+    # marks, so there each label's parts are its own: 14.
     built = []
 
     class Counted(treegh.embedding._PartGeometry):
-        def __init__(self, *args):
-            built.append(args[1])
-            super().__init__(*args)
+        def __init__(self, base, basepoint, s, depth_cap, radius):
+            built.append((basepoint, s, radius))
+            super().__init__(base, basepoint, s, depth_cap, radius)
 
     monkeypatch.setattr(treegh.embedding, "_PartGeometry", Counted)
-    injectivity_scan(cfg, cells)
-    assert len(cells) == 21 and len(built) == 14
+    cfg, cells = inject_scan_grids[0]  # 7 labels x 3 fibers, 2 endpoint trees
+    asym_cells = _all_cells(asymmetric_config)
+    fiber = [(lab, k) for lab, k in cells if k == 2]
+    for scan, want in (
+        (lambda: injectivity_scan(cfg, cells), 8),
+        (lambda: injectivity_scan(asymmetric_config, asym_cells), 14),
+        (lambda: continuity_scan(cfg, fiber, _grid_adjacency(cfg, fiber)), 8),
+    ):
+        built.clear()
+        scan()
+        assert len(built) == len(set(built)) == want
+    assert len(cells) == 21 and len(fiber) == 7
+    assert len(_part_inputs(cfg, cells)) == len(_part_inputs(cfg, fiber)) == 8
+    assert len(_part_inputs(asymmetric_config, asym_cells)) == 14
 
 
 def test_injectivity_scan_builds_no_atlas_coordinates(small_config, monkeypatch):
@@ -530,10 +572,10 @@ def test_sample_index_equals_the_per_vertex_reference(small_config):
     ] + [(bench, bench.eps, 1)]
     atlases = []
     for cfg, eps, k in cases:
-        by_label = {}
+        memo = {}
         for lab in cfg.h_space.labels:
             if lab not in cfg.marked:
-                atlases.append((treegh.embedding._assemble(cfg, lab, k, by_label), eps))
+                atlases.append((treegh.embedding._assemble(cfg, lab, k, memo), eps))
     x = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8), ("b", "d", 0.6)])
     for s in (0.0, 0.3):
         geom = treegh.embedding._PartGeometry(x, "b", s, 8, math.inf)
@@ -731,10 +773,51 @@ def test_scans_match_the_eps_sampled_star(small_config, monkeypatch, eps_exp):
             assert a.recovery_error <= b.recovery_error
 
 
-def test_continuity_scan_rejects_mixed_fibers(small_config):
-    grid = [("g0_1", 1), ("g1_1", 2)]
-    with pytest.raises(ValueError):
-        continuity_scan(small_config, grid, [(0, 1)])
+def _refuse_assembly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("assembled a cell before checking the adjacency")
+
+    monkeypatch.setattr(treegh.embedding, "_assemble", refuse)
+
+
+def test_continuity_scan_rejects_mixed_fibers(small_config, monkeypatch):
+    # The mixed pair comes second: it is caught before any cell is assembled.
+    _refuse_assembly(monkeypatch)
+    grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 2)]
+    with pytest.raises(ValueError, match=r"pair \(1, 2\).*fiber index, got 1 and 2"):
+        continuity_scan(small_config, grid, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("adjacency", [
+    [(0, -1)],  # would pair cell 0 with the last cell
+    [(0, -1), (1, 2)],  # would free the last cell and then read it
+    [(0, 3)],
+    [(0, 1), (3, 2)],
+])
+def test_continuity_scan_rejects_pairs_outside_the_grid(small_config, monkeypatch, adjacency):
+    _refuse_assembly(monkeypatch)
+    grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 1)]
+    bad = next(pair for pair in adjacency if not all(0 <= i < 3 for i in pair))
+    with pytest.raises(ValueError, match=r"pair \(%d, %d\).*outside the 3 grid cells" % bad):
+        continuity_scan(small_config, grid, adjacency)
+
+
+def test_continuity_scan_equals_the_scan_of_each_pair_alone(small_config, asymmetric_config):
+    # Cells share parts across the whole grid; each row must still be what
+    # scanning its pair alone gives.
+    for cfg in (small_config, asymmetric_config):
+        for k in range(1, cfg.m + 1):
+            cells = [(lab, kc) for lab, kc in _all_cells(cfg) if kc == k]
+            adjacency = _grid_adjacency(cfg, cells)
+            rows = continuity_scan(cfg, cells, adjacency).rows
+            assert len(rows) == len(adjacency) > 0
+            for (ia, ib), row in zip(adjacency, rows):
+                alone = continuity_scan(cfg, [cells[ia], cells[ib]], [(0, 1)]).rows[0]
+                assert (row.label_a, row.label_b, row.u, row.k, row.ok) == (
+                    alone.label_a, alone.label_b, alone.u, alone.k, alone.ok
+                )
+                for name in ("hi", "bound", "margin"):
+                    assert getattr(row, name).hex() == getattr(alone, name).hex(), name
 
 
 # -- replacement paths --------------------------------------------------------
