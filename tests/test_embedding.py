@@ -251,10 +251,13 @@ def _hex_fingerprint(fp, err):
 
 
 def _all_cells(cfg):
-    return [(lab, k) for k in range(1, cfg.m + 1) for lab in cfg.h_space.labels if lab not in cfg.marked]
+    labels = [lab for lab in cfg.h_space.labels if lab not in cfg.marked]
+    return [(lab, k) for k in range(1, cfg.m + 1) for lab in labels]
 
 
-def test_injectivity_scan_equals_per_cell_reference(small_config, asymmetric_config, inject_scan_grids):
+def test_injectivity_scan_equals_per_cell_reference(
+    small_config, asymmetric_config, inject_scan_grids
+):
     # The scan shares each distinct part between the cells with its inputs;
     # every row must still be what build_F and star_fingerprint give for the
     # cell alone, and the separation what tau gives pair by pair.
