@@ -161,8 +161,8 @@ class EmbedConfig:
             raise EmbedConfigError("m must be at least 1")
         if self.branches < 3:
             raise EmbedConfigError("need at least 3 star branches")
-        if not self.eps > 0:
-            raise EmbedConfigError("eps must be positive")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise EmbedConfigError("eps must be positive and finite, got %r" % self.eps)
         if not (self.tol >= 0 and math.isfinite(self.tol)):
             raise EmbedConfigError("tol must be finite and nonnegative, got %r" % self.tol)
 
@@ -244,20 +244,19 @@ def scalar_fields(cfg: EmbedConfig, u: str) -> ScalarFields:
     lies in [0, 1/2] and vanishes exactly at the marked points; ``xi`` is
     ``32 phi``.
     """
-    iu = u if isinstance(u, str) else str(u)
-    row = cfg.h_space.dist[cfg.h_space.index(iu)]
-    dv = np.array([row[cfg.h_space.index(v)] for v in cfg.marked])
+    h = cfg.h_space
+    row = h.dist[h.index(u if isinstance(u, str) else str(u))]
+    dv = [float(row[h.index(v)]) for v in cfg.marked]
     sigma = []
-    for i in range(len(cfg.marked)):
-        other = float(np.min(np.delete(dv, i)))
-        own = float(dv[i])
+    for i, own in enumerate(dv):
+        other = min(dv[:i] + dv[i + 1 :])
         if other == 0.0:
             sigma.append(0.0)
         elif own == 0.0:
             sigma.append(math.inf)
         else:
             sigma.append(other / own)
-    phi = float(dv.min()) / (2.0 * cfg.h_space.diameter())
+    phi = min(dv) / (2.0 * h.diameter())
     return ScalarFields(sigma=tuple(sigma), phi=phi, xi=32.0 * phi)
 
 
@@ -613,7 +612,8 @@ def injectivity_scan(
     Only the star and the wedge are built per cell.  Every row equals what
     :func:`build_F` and :func:`star_fingerprint` give for that cell alone.
     The separations are read in one array pass over the coefficients, and
-    a collision names the first colliding pair in grid order.  The report
+    a collision names the first colliding pair in grid order; the endpoint
+    collisions that fix k* take one pass per endpoint tree.  The report
     keeps ``grid`` itself, so the caller should not change it afterwards.
 
     Raises:
@@ -626,7 +626,6 @@ def injectivity_scan(
             raise EmbedConfigError(
                 "grid cell %r is a marked point; the scan domain excludes them" % lab
             )
-    fps: List[Fingerprint] = []
     values: List[List[float]] = []
     memo: Dict[_PartKey, _PartGeometry] = {}
     for lab, k in grid:
@@ -650,15 +649,14 @@ def injectivity_scan(
                     "cell (%s, %d): coefficient %d = %.6g outside its "
                     "admissible range" % (lab, k, i, val)
                 )
-        fps.append(fp)
         values.append([fp.xi_hat, fp.margin, err, *fp.a_hat])
 
-    if not fps:
+    if not values:
         raise ScanError("empty scan grid")
     packed = np.array(values)
     # tau of every pair i < j, in the order of a loop over i then j.
-    a_hat = packed[:, 3:]
-    first, second = np.triu_indices(len(fps), 1)
+    xi_hat, a_hat = packed[:, 0], packed[:, 3:]
+    first, second = np.triu_indices(len(values), 1)
     seps = np.abs(a_hat[first] - a_hat[second]).max(axis=1)
     collisions = np.flatnonzero(seps <= 1e-12)
     if len(collisions):
@@ -669,29 +667,20 @@ def injectivity_scan(
         )
     min_sep = seps.min(initial=math.inf)
 
-    endpoint_fps = []
+    # A cell collides with an endpoint tree whose star has as many legs,
+    # the same scale and coefficients within tol of the cell's.
+    collides = np.zeros(len(values), dtype=bool)
     for t in cfg.trees:
         try:
-            endpoint_fps.append(star_fingerprint(t, tol=cfg.tol))
+            fp = star_fingerprint(t, tol=cfg.tol)
         except FingerprintError:
-            endpoint_fps.append(None)
-    k_star = 0
-    for k in range(1, cfg.m + 1):
-        cells_k = [fp for (_, kc), fp in zip(grid, fps) if kc == k]
-        collide = False
-        for fp in endpoint_fps:
-            if fp is None:
-                continue
-            for cell in cells_k:
-                if (
-                    len(cell.a_hat) == len(fp.a_hat)
-                    and abs(cell.xi_hat - fp.xi_hat) <= cfg.tol
-                    and tau(cell.a_hat, fp.a_hat) <= cfg.tol
-                ):
-                    collide = True
-        if not collide:
-            k_star = k
-            break
+            continue
+        if len(fp.a_hat) == a_hat.shape[1]:
+            collides |= (np.abs(xi_hat - fp.xi_hat) <= cfg.tol) & (
+                np.abs(a_hat - fp.a_hat).max(axis=1) <= cfg.tol
+            )
+    hit = {grid[c][1] for c in np.flatnonzero(collides)}
+    k_star = next((k for k in range(1, cfg.m + 1) if k not in hit), 0)
     if k_star == 0:
         raise ScanError("every fiber collides with an endpoint fingerprint")
     return InjectivityReport(grid, cfg.coords, packed, float(min_sep), k_star)
@@ -1093,7 +1082,13 @@ def replacement_path(
     Returns:
         One :class:`PathStep` per grid entry; the first has no predecessor,
         so its ``hi`` and ``bound`` are ``None``.
+
+    Raises:
+        ValueError: ``eps`` is not positive and finite, ``s_grid`` is not
+            sorted, or an entry lies outside [0, 1].
     """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite, got %r" % (eps,))
     svals = [float(s) for s in s_grid]
     if svals != sorted(svals):
         raise ValueError("s_grid must be sorted ascending")

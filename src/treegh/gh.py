@@ -1,7 +1,10 @@
-"""Gromov-Hausdorff distance between finite metric spaces.
+"""Gromov-Hausdorff distance between finite metric spaces and metric trees.
 
 The distance is half the minimal distortion over covering correspondences.
-Within a point-count cap a threshold search computes it exactly (see
+Each function takes a :class:`~treegh.metric.FiniteMetricSpace` or a
+:class:`~treegh.tree.MetricTree` for each argument (the ``Space`` union); a
+tree is read through its own distances and eccentricities, never copied into
+a space.  Within a point-count cap a threshold search computes it exactly (see
 :func:`gh_exact`): each threshold is decided by arc consistency and
 branching over Python-int bitsets of compatible pairs, all cut from one
 packed matrix, and each feasible decision moves the search to its witness's
@@ -12,6 +15,7 @@ deterministic rank-aligned correspondence as upper bound).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -214,8 +218,8 @@ def _row_bounds(dx, I_r, cx, dy, J_r, cy, rep_max: np.ndarray) -> np.ndarray:
 
 
 def gh_exact(
-    x: FiniteMetricSpace,
-    y: FiniteMetricSpace,
+    x: Space,
+    y: Space,
     cap: int = DEFAULT_CAP,
     return_witness: bool = False,
 ):
@@ -240,7 +244,8 @@ def gh_exact(
     decided again when the last feasible step was made at another threshold.
 
     Args:
-        x, y: finite metric spaces with at most ``cap`` points each.
+        x, y: finite metric spaces or metric trees with at most ``cap``
+            points each.
         cap: exactness cap on point counts.
         return_witness: also return the minimising :class:`Correspondence`.
 
@@ -375,13 +380,15 @@ def _search(
     return None
 
 
-def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
+def gh_lower_bound(x: Space, y: Space) -> float:
     """Certified lower bound: diameter gap and eccentricity-profile gap.
 
     Any covering correspondence moves eccentricities by at most its
     distortion, so half the Hausdorff distance between the two sets of
     eccentricities (as subsets of the line) never exceeds the true
-    distance; the diameter gap is the classical bound.
+    distance; the diameter gap is the classical bound.  Each diameter is
+    the largest eccentricity, which is the largest distance bit for bit on
+    a space and on a tree alike.
     """
     if x.n == 0 or y.n == 0:
         raise ValueError("Gromov-Hausdorff bounds need nonempty spaces")
@@ -389,7 +396,7 @@ def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     ey = y.eccentricities()
     gaps = np.abs(ex[:, None] - ey[None, :])
     ecc_hausdorff = max(float(gaps.min(axis=1).max()), float(gaps.min(axis=0).max()))
-    diam_gap = abs(x.diameter() - y.diameter())
+    diam_gap = abs(float(ex.max()) - float(ey.max()))
     return 0.5 * max(diam_gap, ecc_hausdorff)
 
 
@@ -399,14 +406,13 @@ def gh_upper_bound(x: Space, y: Space, corr: Correspondence) -> float:
     return 0.5 * distortion(x, y, corr)
 
 
-def greedy_tree_correspondence(
-    x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> Correspondence:
+def greedy_tree_correspondence(x: Space, y: Space) -> Correspondence:
     """Deterministic covering correspondence by eccentricity rank alignment.
 
-    Both vertex sets are sorted by (eccentricity, index) and matched at
-    proportional ranks, in both directions.  On two copies of one space
-    this yields the identity, hence zero distortion.
+    Takes spaces or metric trees.  Both vertex sets are sorted by
+    (eccentricity, index) and matched at proportional ranks, in both
+    directions.  On two copies of one space this yields the identity, hence
+    zero distortion.
     """
     order_x = np.argsort(x.eccentricities(), kind="stable")
     order_y = np.argsort(y.eccentricities(), kind="stable")
@@ -438,7 +444,9 @@ def gh_tree_interval(
     computed on samples is then correct for the continua up to ``eps``.
     Within the cap the sampled distance is computed exactly; otherwise the
     interval combines the certified lower bound with the upper bound from
-    the rank-aligned correspondence.
+    the rank-aligned correspondence.  The two samples go to the solver and
+    the bounds as trees, so between them :func:`distortion` takes its
+    row-bound path and no distance matrix is copied.
 
     Args:
         t1, t2: metric trees.
@@ -449,12 +457,13 @@ def gh_tree_interval(
         A :class:`GHInterval` with ``lo <= hi``.
 
     Raises:
-        ValueError: ``eps`` is not positive.
+        ValueError: ``eps`` is not positive and finite; an infinite ``eps``
+            would widen the interval to ``[0, inf]``.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    xs = subdivide(t1, eps).as_space()
-    ys = subdivide(t2, eps).as_space()
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite, got %r" % (eps,))
+    xs = subdivide(t1, eps)
+    ys = subdivide(t2, eps)
     if max(xs.n, ys.n) <= cap:
         value, witness = gh_exact(xs, ys, cap=cap, return_witness=True)
         lo = max(0.0, value - eps)

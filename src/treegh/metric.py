@@ -68,7 +68,10 @@ class FiniteMetricSpace:
         return self.dist.shape[0]
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError("label %r not in space" % (label,)) from None
 
     def diameter(self) -> float:
         if self.n == 0:

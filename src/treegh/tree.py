@@ -338,6 +338,12 @@ class MetricTree:
     def eccentricity(self, v: str) -> float:
         return float(self.row(v).max())
 
+    def eccentricities(self) -> np.ndarray:
+        """Distance from each vertex to its farthest vertex, in vertex order:
+        the row maxima of the fill, the same floats as
+        ``as_space().eccentricities()`` whether or not ``dist`` has been read."""
+        return self._filled()[0].max(axis=1)
+
     def diameter(self) -> float:
         """Largest distance, from two single-source rows: the vertex farthest
         from any vertex ends a diameter of a tree."""

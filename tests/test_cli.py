@@ -324,6 +324,32 @@ def test_lab_config_overrides_are_validated(capsys, config_path, flag):
     assert "error: %s must be" % flag[0][2:] in err
 
 
+def test_lab_embed_names_a_missing_label(capsys, config_path):
+    code, out, err = _run(
+        capsys, ["lab", "embed", "--config", config_path, "--u", "nosuch", "--k", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert "error: label 'nosuch' not in space" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lab", "scan-continuity", "--config", "{cfg}", "--k", "1"],
+        ["gh", "trees", "{tree}", "{tree}"],
+        ["lab", "path", "--x", "{tree}", "--s-grid", "0,0.5"],
+    ],
+)
+def test_an_infinite_eps_is_rejected(capsys, tmp_path, config_path, argv):
+    # before, these printed Infinity or NaN certificates
+    tree = tmp_path / "t.json"
+    save_tree(tree_from_edges([("a", "b", 1.0)]), str(tree))
+    argv = [arg.format(cfg=config_path, tree=tree) for arg in argv]
+    code, out, err = _run(capsys, ["--eps", "inf"] + argv)
+    assert (code, out) == (2, "")
+    assert "error: eps must be positive and finite, got inf" in err
+
+
 def test_lab_scan_continuity_keeps_the_config_tol(capsys, tmp_path, small_config):
     # A document's tol stands unless --tol is given, and the margin carries it.
     doc = small_config.to_document()

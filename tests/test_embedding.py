@@ -74,6 +74,34 @@ def test_scalar_fields_sigma_ratio(small_config):
     assert f.sigma[0] * f.sigma[1] == pytest.approx(1.0)
 
 
+def reference_scalar_fields(cfg, u):
+    """The fields as an array formula over the marked distances."""
+    row = cfg.h_space.dist[cfg.h_space.index(u)]
+    dv = np.array([row[cfg.h_space.index(v)] for v in cfg.marked])
+    sigma = []
+    for i in range(len(cfg.marked)):
+        other = float(np.min(np.delete(dv, i)))
+        own = float(dv[i])
+        if other == 0.0:
+            sigma.append(0.0)
+        elif own == 0.0:
+            sigma.append(math.inf)
+        else:
+            sigma.append(other / own)
+    phi = float(dv.min()) / (2.0 * cfg.h_space.diameter())
+    return tuple(sigma), phi, 32.0 * phi
+
+
+def test_scalar_fields_equal_the_array_formula(small_config, asymmetric_config):
+    for cfg in (small_config, asymmetric_config):
+        for u in cfg.h_space.labels:
+            f = scalar_fields(cfg, u)
+            sigma, phi, xi = reference_scalar_fields(cfg, u)
+            assert [x.hex() for x in f.sigma] == [x.hex() for x in sigma]
+            assert (f.phi.hex(), f.xi.hex()) == (phi.hex(), xi.hex())
+            assert all(type(x) is float for x in (*f.sigma, f.phi, f.xi))
+
+
 # -- configuration validation -------------------------------------------------
 
 
@@ -126,6 +154,17 @@ def test_config_rejects_a_negative_or_nonfinite_tol(small_config, tol):
     with pytest.raises(EmbedConfigError, match="tol must be finite and nonnegative"):
         dataclasses.replace(small_config, tol=tol)
     assert dataclasses.replace(small_config, tol=0.0).tol == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.125, math.inf, math.nan])
+def test_config_rejects_a_nonpositive_or_nonfinite_eps(small_config, eps):
+    # an infinite eps widens every continuity margin to NaN
+    doc = small_config.to_document()
+    doc["eps"] = eps
+    with pytest.raises(EmbedConfigError, match="eps must be positive and finite, got %s" % eps):
+        EmbedConfig.from_document(doc)
+    with pytest.raises(EmbedConfigError, match="eps must be positive"):
+        dataclasses.replace(small_config, eps=eps)
 
 
 def test_config_document_roundtrip(small_config):
@@ -279,6 +318,51 @@ def test_injectivity_scan_equals_per_cell_reference(
                 min_sep = min(min_sep, tau(fps[i], fps[j]))
         assert rep.min_separation.hex() == min_sep.hex()
         assert rep.k_star == 1
+
+
+def _colliding_config(cfg, m):
+    """cfg at m fibers with X_1 replaced by the parameter star of cell
+    (g1_1, 1), so that cell's fingerprint is also an endpoint's."""
+    cfg = dataclasses.replace(cfg, m=m)
+    a = rho_embed(cfg.coords["g1_1"], 1, m, 3)
+    star = star_tree(StarParams(a=a, scale=scalar_fields(cfg, "g1_1").xi))
+    return dataclasses.replace(
+        cfg, trees=(star, cfg.trees[1]), basepoints=("center", cfg.basepoints[1])
+    )
+
+
+def reference_k_star(cfg, rep):
+    """The first fiber none of whose cells matches an endpoint star in
+    scale and coefficients within tol, fingerprint by fingerprint."""
+    endpoints = []
+    for t in cfg.trees:
+        try:
+            endpoints.append(star_fingerprint(t, tol=cfg.tol))
+        except FingerprintError:
+            pass
+    for k in range(1, cfg.m + 1):
+        if not any(
+            len(r.fingerprint.a_hat) == len(fp.a_hat)
+            and abs(r.fingerprint.xi_hat - fp.xi_hat) <= cfg.tol
+            and tau(r.fingerprint.a_hat, fp.a_hat) <= cfg.tol
+            for r in rep.rows
+            if r.k == k
+            for fp in endpoints
+        ):
+            return k
+    return 0
+
+
+def test_injectivity_scan_skips_a_fiber_that_meets_an_endpoint(small_config):
+    cfg = _colliding_config(small_config, m=2)
+    rep = injectivity_scan(cfg, _all_cells(cfg))
+    assert rep.k_star == 2 == reference_k_star(cfg, rep)
+    for cfg in (small_config, _colliding_config(small_config, m=3)):
+        rep = injectivity_scan(cfg, _all_cells(cfg))
+        assert rep.k_star == reference_k_star(cfg, rep)
+    cfg = _colliding_config(small_config, m=1)
+    with pytest.raises(ScanError, match="every fiber collides"):
+        injectivity_scan(cfg, _all_cells(cfg))
 
 
 def test_injectivity_scan_names_the_first_collision_in_grid_order(small_config):
@@ -860,6 +944,14 @@ def test_replacement_path_on_a_comb():
     assert [step.s for step in steps] == [0.0, 0.25, 0.5]
     for step in steps[1:]:
         assert step.hi <= step.bound + 2.0 * eps + 1e-9
+
+
+@pytest.mark.parametrize("eps", [0.0, math.inf, math.nan])
+def test_replacement_path_rejects_a_nonpositive_or_nonfinite_eps(eps):
+    # an infinite eps gives every step hi = inf
+    x = tree_from_edges([("a", "b", 1.0)])
+    with pytest.raises(ValueError, match="eps must be positive and finite, got %s" % eps):
+        replacement_path(x, [0.0, 0.5], eps=eps)
 
 
 def test_replacement_path_rejects_unsorted_grid():

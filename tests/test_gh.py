@@ -137,6 +137,22 @@ def test_lower_bound_cases():
     assert gh_lower_bound(one, two_point(1.0)) == 0.5
 
 
+def reference_lower_bound(x, y):
+    """The diameter and eccentricity bound as written for spaces only:
+    diameters from ``diameter()``, the largest matrix entry."""
+    ex, ey = x.eccentricities(), y.eccentricities()
+    gaps = np.abs(ex[:, None] - ey[None, :])
+    ecc_hausdorff = max(float(gaps.min(axis=1).max()), float(gaps.min(axis=0).max()))
+    return 0.5 * max(abs(x.diameter() - y.diameter()), ecc_hausdorff)
+
+
+def test_lower_bound_on_spaces_equals_the_reference():
+    rng = np.random.default_rng(303)
+    for _ in range(300):
+        x, y = random_space(rng, 1, 8), random_space(rng, 1, 8)
+        assert gh_lower_bound(x, y).hex() == reference_lower_bound(x, y).hex()
+
+
 def test_two_point_closed_form():
     assert gh_exact(two_point(1.0), two_point(2.0)) == 0.5
     assert gh_exact(two_point(0.3), two_point(0.3)) == 0.0
@@ -637,9 +653,82 @@ def test_interval_orders_and_contains_distance():
 
 
 def test_interval_rejects_bad_eps():
+    # an infinite eps would certify [0, inf]; a NaN one, nothing
     t = tree_from_edges([("a", "b", 1.0)])
-    with pytest.raises(ValueError):
-        gh_tree_interval(t, t, eps=0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive and finite, got %s" % eps):
+            gh_tree_interval(t, t, eps=eps)
+
+
+def as_space_interval(t1, t2, eps, cap=treegh.gh.DEFAULT_CAP):
+    """The interval computed on dense copies of both samples, as it was
+    before the GH layer took trees: the reference for gh_tree_interval.
+    Returns ``(lo, hi, method, witness)``."""
+    xs = subdivide(t1, eps).as_space()
+    ys = subdivide(t2, eps).as_space()
+    if max(xs.n, ys.n) <= cap:
+        value, witness = gh_exact(xs, ys, cap=cap, return_witness=True)
+        return max(0.0, value - eps), value + eps, "exact", witness
+    lo = max(0.0, reference_lower_bound(xs, ys) - eps)
+    witness = greedy_tree_correspondence(xs, ys)
+    return lo, 0.5 * unblocked_distortion(xs, ys, witness) + eps, "bounds", witness
+
+
+def in_band_comb_pairs(rng, count):
+    """Comb parameters ``(s, t)`` a band's fraction apart, as gh-solve draws them."""
+    pairs = [(0.5, 0.375)]
+    for _ in range(count):
+        band = int(rng.integers(0, 3))
+        s = float(rng.uniform(2.0 ** -(band + 1), 2.0 ** -band))
+        delta = float(rng.uniform(0.05, 0.95)) * 2.0 ** -(band + 2)
+        pairs.append((s, s + delta if s + delta <= 1.0 else s - delta))
+    return pairs
+
+
+def test_interval_on_trees_equals_the_as_space_path():
+    # lo and hi as float hex, the method and the witness's bytes, on random
+    # tree pairs in both modes and on in-band comb pairs
+    rng = np.random.default_rng(1515)
+    pairs = []
+    for _ in range(1000):
+        t1, t2 = random_tree(rng, 2, 9), random_tree(rng, 2, 9)
+        pairs.append((t1, t2, float(rng.choice([1.0, 0.5, 0.25]))))
+    for s, t in in_band_comb_pairs(rng, 15):
+        pairs.append((comb_tree(CombParams(s=s)), comb_tree(CombParams(s=t)), 2.0 ** -6))
+    methods = []
+    for t1, t2, eps in pairs:
+        iv = gh_tree_interval(t1, t2, eps)
+        lo, hi, method, witness = as_space_interval(t1, t2, eps)
+        assert (iv.lo.hex(), iv.hi.hex(), iv.method) == (lo.hex(), hi.hex(), method)
+        assert (iv.hi_witness.code, iv.hi_witness.packed) == (witness.code, witness.packed)
+        methods.append(method)
+    assert methods.count("exact") >= 300 and methods.count("bounds") >= 300
+
+
+def test_interval_copies_no_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("as_space copies the distance matrix")
+
+    monkeypatch.setattr(MetricTree, "as_space", refuse)
+    small = gh_tree_interval(
+        tree_from_edges([("a", "b", 1.0)]), tree_from_edges([("x", "y", 2.0)]), eps=0.5
+    )
+    assert small.method == "exact"
+    combs = gh_tree_interval(comb_tree(CombParams(s=0.5)), comb_tree(CombParams(s=0.375)), 2.0 ** -4)
+    assert combs.method == "bounds"
+
+
+def test_lower_bound_and_rank_alignment_read_trees_as_their_spaces(small_config):
+    rng = np.random.default_rng(29)
+    trees = [random_tree(rng, 1, 40) for _ in range(30)]
+    trees += [subdivide(comb_tree(CombParams(s=0.5)), 2.0 ** -4)]
+    trees += [subdivide(treegh.embedding.build_F(small_config, "g0_1", 1), 2.0 ** -4)]
+    for x, y in zip(trees, trees[1:] + trees[:1]):
+        sx, sy = x.as_space(), y.as_space()
+        assert gh_lower_bound(x, y).hex() == gh_lower_bound(sx, sy).hex()
+        tree_corr = greedy_tree_correspondence(x, y)
+        space_corr = greedy_tree_correspondence(sx, sy)
+        assert (tree_corr.code, tree_corr.packed) == (space_corr.code, space_corr.packed)
 
 
 def test_id_correspondence_beats_rank_alignment_on_reversed_comb():

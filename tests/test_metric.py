@@ -69,6 +69,13 @@ def test_diameter_and_eccentricities():
     assert list(x.eccentricities()) == [3.0, 2.0, 3.0]
 
 
+def test_index_names_a_missing_label():
+    x = FiniteMetricSpace.from_matrix(euclidean([[0], [1]]), labels=["a", "b"])
+    assert x.index("b") == 1
+    with pytest.raises(ValueError, match="label 'nosuch' not in space"):
+        x.index("nosuch")
+
+
 def test_restrict_keeps_submatrix():
     x = FiniteMetricSpace.from_matrix(euclidean([[0], [1], [3]]), labels=("a", "b", "c"))
     sub = restrict(x, [0, 2])

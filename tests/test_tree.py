@@ -371,6 +371,20 @@ def test_fill_holds_one_matrix(small_config):
     assert peak <= 1.25 * t.n * t.n * 8, (peak, t.n)
 
 
+def test_eccentricities_equal_the_spaces_before_and_after_dist(small_config):
+    # The fill's row maxima: the same floats while its columns are still in
+    # preorder and once dist has put them in vertex order.
+    for t in list(_differential_trees(small_config)) + [_large_cell(small_config)]:
+        assert t._dist is None
+        before = t.eccentricities()
+        assert t._filled()[1] is not None
+        want = t.as_space().eccentricities()
+        assert t._filled()[1] is None
+        after = t.eccentricities()
+        assert before.dtype == want.dtype == after.dtype
+        assert before.tobytes() == want.tobytes() == after.tobytes()
+
+
 def test_diameter_takes_two_rows(small_config):
     for t in _differential_trees(small_config):
         want = _reference_all_pairs(t).max()
