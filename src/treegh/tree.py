@@ -6,15 +6,17 @@ each edge (known endpoints, no self-loop, positive finite length) and then
 proves the edge list is a tree by counting: one depth-first walk from vertex
 0 must reach all n vertices over exactly n - 1 edges.  Only when that fails
 is the graph searched again, to name a cycle or the components.
-:func:`subdivide` only puts vertices on the edges of a valid tree, so it
-checks only its new ids and pieces, and skips the proof.  The same
-walk, as a preorder with parents and edge lengths, fills the full matrix of
-path distances when it is first needed (then cached; its columns stay in
-preorder until ``dist`` is read) and finds geodesics;
-operations that need one source's distances or only edge lengths (balls,
-degree-<=2 components, edge replacement) never build the matrix.  Points of
-the underlying continuum exist only once an operation materialises them --
-subdivision, chunk boundaries and ball cuts all insert explicit vertices.
+Operations that keep a tree a tree skip the proof: subdivision, chunk
+boundaries and ball cuts put vertices on the edges of a valid tree through
+one builder that checks only the new ids and pieces, and a closed ball keeps
+a connected set of vertices.  The same walk, as a preorder with parents and
+edge lengths, fills the full matrix of path distances when it is first
+needed (then cached; its columns stay in preorder until ``dist`` is read;
+refused above 2**14 vertices) and finds geodesics; operations that need one
+source's distances or only edge lengths (balls, degree-<=2 components, edge
+replacement) never build the matrix.  Points of the underlying continuum
+exist only once an operation materialises them -- subdivision, chunk
+boundaries and ball cuts all insert explicit vertices.
 
 Operations that insert vertices record them in ``metadata["inserted"]`` as
 ``new_id -> (u, v, offset)``, meaning the new vertex sits on the former
@@ -58,6 +60,9 @@ _PERMUTE_BLOCK_CELLS = 1 << 16
 # Most vertices `subdivide` inserts: a finer eps fails at once instead of
 # allocating without bound.
 _MAX_SUBDIVIDE_VERTICES = 1 << 20
+# Most vertices a distance matrix is filled for (2 GiB): a larger tree fails
+# at once instead of exhausting memory.
+_MAX_FILL_VERTICES = 1 << 14
 
 
 class TreeStructureError(ValueError):
@@ -130,19 +135,23 @@ class MetricTree:
         cls,
         vertices: List[str],
         edges: List[Tuple[str, str, float]],
-        adj: List[List[Tuple[int, float]]],
         labels: Dict[str, str],
         metadata: dict,
     ) -> "MetricTree":
         """A tree from parts already known to form one, such as a valid tree
-        with vertices inserted on its edges: string ids, float lengths and
-        the adjacency lists in edge order, as the constructor would build
-        them.  Nothing is checked and no walk is made."""
+        with vertices inserted on its edges or the connected subset of a
+        ball: string ids and Python float lengths.  The index and the
+        adjacency lists are linked in edge order, as the constructor links
+        them; nothing is checked and no walk is made."""
         t = cls.__new__(cls)
         t.vertices, t.edges = tuple(vertices), tuple(edges)
         t.labels, t.metadata = labels, metadata
-        t._index = {v: i for i, v in enumerate(t.vertices)}
-        t._adj = adj
+        t._index = index = {v: i for i, v in enumerate(t.vertices)}
+        t._adj = adj = [[] for _ in t.vertices]
+        for a, b, w in t.edges:
+            ia, ib = index[a], index[b]
+            adj[ia].append((ib, w))
+            adj[ib].append((ia, w))
         t._dist = t._cols = t._total_length = None
         return t
 
@@ -209,6 +218,12 @@ class MetricTree:
         # matrix is returned with the preorder position of each vertex, and
         # `dist` permutes the columns to vertex order on its first read.
         n = len(self.vertices)
+        if n > _MAX_FILL_VERTICES:
+            raise ValueError(
+                "the distance matrix of a tree of %d vertices would take %d "
+                "bytes; at most %d vertices are filled"
+                % (n, 8 * (n * n + n), _MAX_FILL_VERTICES)
+            )
         # One allocation, made before the walk's lists, holds the matrix and
         # the preorder positions that live as long as it: a small long-lived
         # array allocated after a matrix can split the heap hole that a
@@ -511,6 +526,7 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
     """
     if not max_len > 0:
         raise ValueError("max_len must be positive")
+    max_len = float(max_len)
     comps = deg2_components(tree)
 
     # Component closures cover every edge touching a degree-<=2 vertex; an
@@ -533,7 +549,7 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
     # either an existing vertex or (edge position) to be inserted.
     pending: List[Tuple[str, str, float, str]] = []  # (u, v, offset, new_id)
     plans: List[List[str]] = []  # per segment: symbolic vertex paths
-    counter = 0
+    base = _next_free(tree, "chop:")
     for path in closures:
         if len(path) < 2:
             continue
@@ -545,8 +561,7 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
             pos = 0.0
             while edge_len - pos > remaining + _EPS_VERTEX:
                 off = pos + remaining
-                new_id = "chop:%d" % counter
-                counter += 1
+                new_id = "chop:%d" % (base + len(pending))
                 pending.append((u, v, off, new_id))
                 seg_paths[-1].append(new_id)
                 seg_paths.append([new_id])
@@ -561,10 +576,7 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
                 remaining = max_len
         plans.extend(p for p in seg_paths if len(p) >= 2)
 
-    if pending:
-        host = _insert_points(tree, pending, generator="chop")
-    else:
-        host = tree
+    host = _split_edges(tree, *_runs(tree, pending), "chop") if pending else tree
 
     segments = []
     for p in plans:
@@ -572,52 +584,83 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
     return Deg2Decomposition(tree=host, segments=tuple(segments))
 
 
-def _insert_points(
-    tree: MetricTree,
-    points: Sequence[Tuple[str, str, float, str]],
-    generator: str,
-    extra_metadata: Optional[dict] = None,
-) -> MetricTree:
-    """Rebuild a tree with new vertices on edges.
+def _next_free(tree: MetricTree, prefix: str) -> int:
+    """The least k past every id ``<prefix><k>`` of the tree: the ids
+    ``<prefix><k>``, ``<prefix><k+1>``, ... are free."""
+    base = 0
+    for v in tree.vertices:
+        if v.startswith(prefix):
+            try:
+                base = max(base, int(v[len(prefix):]) + 1)
+            except ValueError:
+                pass
+    return base
 
-    ``points`` holds ``(u, v, offset, new_id)`` with offset measured from
-    ``u`` along the edge (u, v); multiple insertions per edge are allowed.
-    """
-    per_edge: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
-    edge_key = {}
-    for a, b, w in tree.edges:
-        edge_key[(a, b)] = (a, b, w)
-        edge_key[(b, a)] = (a, b, w)
+
+def _runs(
+    tree: MetricTree, points: Sequence[Tuple[str, str, float, str]]
+) -> Tuple[List[int], List[float], List[str]]:
+    """The per-edge runs that :func:`_split_edges` takes, from records
+    ``(u, v, offset, new_id)`` with offset measured from ``u`` along the
+    edge (u, v): how many new vertices each edge gets, and their offsets
+    from the edge's first end, ascending, and ids, in edge order."""
+    at = {}
+    for e, (a, b, _) in enumerate(tree.edges):
+        at[a, b] = at[b, a] = e
+    placed = []
     for u, v, off, new_id in points:
-        if (u, v) not in edge_key:
-            raise TreeStructureError("no edge (%s, %s) to insert into" % (u, v))
-        a, b, w = edge_key[(u, v)]
-        off_a = off if (u, v) == (a, b) else w - off
-        per_edge.setdefault((a, b), []).append((off_a, new_id))
+        e = at[u, v]
+        a, _, w = tree.edges[e]
+        placed.append((e, off if u == a else w - off, new_id))
+    placed.sort()  # by edge, then by offset
+    cuts = [0] * len(tree.edges)
+    for e, _, _ in placed:
+        cuts[e] += 1
+    return cuts, [off for _, off, _ in placed], [new_id for _, _, new_id in placed]
 
-    new_edges: List[Tuple[str, str, float]] = []
-    order: List[str] = list(tree.vertices)
+
+def _split_edges(
+    tree: MetricTree,
+    cuts: Sequence[int],
+    offsets: Sequence[float],
+    ids: Sequence[str],
+    generator: str,
+    doing: str = "inserting vertices on edge ({a}, {b}) of length {w!r}",
+    **extra,
+) -> MetricTree:
+    """``tree`` with new vertices on its edges: the one builder of
+    subdivision, chunk-boundary and ball-cut vertices.
+
+    Edge e of ``tree.edges`` gets the next ``cuts[e]`` of ``offsets``
+    (Python floats, from the edge's first end) and of ``ids``.  The new
+    vertices follow the old ones in that order and are recorded in
+    ``metadata["inserted"]``, after ``generator`` and before ``extra``.
+    A tree with vertices on its edges is a tree, so only what can go wrong
+    is checked: a piece that is not positive (offsets out of order or off
+    their edge), reported as ``doing`` formatted with the edge, and a new
+    id the tree already has.
+    """
+    edges: List[Tuple[str, str, float]] = []
     inserted: Dict[str, Tuple[str, str, float]] = {}
-    for a, b, w in tree.edges:
-        if (a, b) not in per_edge:
-            new_edges.append((a, b, w))
+    s = 0
+    for (a, b, w), c in zip(tree.edges, cuts):
+        if not c:
+            edges.append((a, b, w))
             continue
-        cuts = sorted(per_edge[(a, b)])
-        prev_id, prev_off = a, 0.0
-        for off, new_id in cuts:
-            if not (0.0 < off < w):
-                raise TreeStructureError(
-                    "insertion offset %r outside edge (%s, %s) of length %r"
-                    % (off, a, b, w)
-                )
-            new_edges.append((prev_id, new_id, off - prev_off))
-            order.append(new_id)
-            inserted[new_id] = (a, b, off)
-            prev_id, prev_off = new_id, off
-        new_edges.append((prev_id, b, w - prev_off))
-    meta = {"generator": generator, "inserted": inserted}
-    meta.update(extra_metadata or {})
-    return MetricTree(order, new_edges, labels=dict(tree.labels), metadata=meta)
+        run, offs = ids[s:s + c], offsets[s:s + c]
+        s += c
+        pieces = [offs[0], *[y - x for x, y in zip(offs, offs[1:])], w - offs[-1]]
+        if not all(p > 0 for p in pieces):
+            raise TreeStructureError(
+                doing.format(a=a, b=b, w=w) + " leaves a piece that is not positive"
+            )
+        edges.extend(zip([a, *run], [*run, b], pieces))
+        inserted.update(zip(run, zip([a] * c, [b] * c, offs)))
+    taken = tree._index.keys() & ids
+    if taken:
+        raise TreeStructureError("duplicate vertex ids: %s" % sorted(taken)[:3])
+    meta = {"generator": generator, "inserted": inserted, **extra}
+    return MetricTree._unchecked([*tree.vertices, *ids], edges, dict(tree.labels), meta)
 
 
 # -- balls --------------------------------------------------------------------
@@ -626,11 +669,12 @@ def _insert_points(
 def _sphere_crossings(tree: MetricTree, d: np.ndarray, r: float):
     """Edges crossing the sphere of radius r about the source of row d, with offsets."""
     crossings = []
+    row, index = d.tolist(), tree._index
     for a, b, w in tree.edges:
-        da, db = d[tree.index(a)], d[tree.index(b)]
+        da, db = row[index[a]], row[index[b]]
         lo_id, lo, hi = (a, da, db) if da <= db else (b, db, da)
         if lo <= r < hi:
-            off = r - lo
+            off = float(r - lo)
             if off > _EPS_VERTEX and (hi - r) > _EPS_VERTEX:
                 crossings.append((lo_id, a if lo_id == b else b, off))
     return crossings
@@ -652,19 +696,11 @@ def _refine(tree: MetricTree, origin: str, r: float, d: np.ndarray) -> MetricTre
     crossings = _sphere_crossings(tree, d, r)
     if not crossings:
         return tree
-    base = 0
-    for v in tree.vertices:
-        if v.startswith("cut:"):
-            try:
-                base = max(base, int(v[4:]) + 1)
-            except ValueError:
-                pass
+    base = _next_free(tree, "cut:")
     points = [
         (u, v, off, "cut:%d" % (base + k)) for k, (u, v, off) in enumerate(crossings)
     ]
-    return _insert_points(
-        tree, points, generator="refine", extra_metadata={"origin": origin, "radius": r}
-    )
+    return _split_edges(tree, *_runs(tree, points), "refine", origin=origin, radius=r)
 
 
 def closed_ball_subtree(tree: MetricTree, origin: str, r: float) -> MetricTree:
@@ -698,7 +734,8 @@ def closed_ball_subtree(tree: MetricTree, origin: str, r: float) -> MetricTree:
         "inserted": inserted,
     }
     labels = {k: v for k, v in tree.labels.items() if k in keep_set}
-    return MetricTree(keep, edges, labels=labels, metadata=meta)
+    # A ball of a tree is connected, so its vertices and edges form a tree.
+    return MetricTree._unchecked(keep, edges, labels, meta)
 
 
 # -- gluing -------------------------------------------------------------------
@@ -916,61 +953,9 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     if added == 0:
         return tree
     cuts = pieces.astype(np.intp) - 1
-    off = _offsets(lengths, cuts)
-    # Per inserted vertex, the pieces to its left and right neighbours,
-    # which are the next vertices along the edge or its ends.
-    ends = np.cumsum(cuts)
-    split = cuts > 0
-    first, last = (ends - cuts)[split], ends[split] - 1
-    left, right = np.empty_like(off), np.empty_like(off)
-    left[1:] = right[:-1] = off[1:] - off[:-1]
-    left[first] = off[first]
-    right[last] = lengths[split] - off[last]
-    # The two things a tree with vertices on its edges can get wrong, which
-    # the constructor's checks would catch: a piece that is not positive
-    # (w * j overflowing), and a new id the tree already has.
-    bad = np.flatnonzero(~((left > 0) & (right > 0)))
-    if len(bad):
-        a, b, w = tree.edges[int(np.searchsorted(ends, bad[0], side="right"))]
-        raise TreeStructureError(
-            "subdividing edge (%s, %s) of length %r at eps=%r leaves a piece "
-            "that is not positive" % (a, b, w, eps)
-        )
-    n = tree.n
-    index = tree._index
-    ids = ["sub:%d" % c for c in range(len(off))]
-    taken = index.keys() & ids
-    if taken:
-        raise TreeStructureError("duplicate vertex ids: %s" % sorted(taken)[:3])
-    prev = np.arange(n - 1, n - 1 + len(off))
-    succ = prev + 2
-    adj = [list(nbrs) for nbrs in tree._adj]
-    edges: List[Tuple[str, str, float]] = []
-    a_ids: List[str] = []
-    b_ids: List[str] = []
-    left_l, right_l = left.tolist(), right.tolist()
-    for (a, b, w), c, e in zip(tree.edges, cuts.tolist(), ends.tolist()):
-        if c == 0:
-            edges.append((a, b, w))
-            continue
-        s = e - c
-        ia, ib = index[a], index[b]
-        prev[s], succ[e - 1] = ia, ib
-        run = ids[s:e]
-        edges.extend(zip([a, *run], [*run, b], [*left_l[s:e], right_l[e - 1]]))
-        a_ids += [a] * c
-        b_ids += [b] * c
-        # The split edge keeps its place in each end's adjacency list, so
-        # the lists stay in edge order, as the constructor builds them.
-        for end, other, entry in (
-            (ia, ib, (n + s, left_l[s])), (ib, ia, (n + e - 1, right_l[e - 1]))
-        ):
-            nbrs = adj[end]
-            nbrs[nbrs.index((other, w))] = entry
-    adj.extend(
-        [(p, lw), (q, rw)]
-        for p, lw, q, rw in zip(prev.tolist(), left_l, succ.tolist(), right_l)
+    offsets = _offsets(lengths, cuts).tolist()
+    return _split_edges(
+        tree, cuts.tolist(), offsets, ["sub:%d" % c for c in range(len(offsets))],
+        "subdivide", "subdividing edge ({a}, {b}) of length {w!r} at eps=%r" % (eps,),
+        eps=eps,
     )
-    inserted = dict(zip(ids, zip(a_ids, b_ids, off.tolist())))
-    meta = {"generator": "subdivide", "inserted": inserted, "eps": eps}
-    return MetricTree._unchecked([*tree.vertices, *ids], edges, adj, dict(tree.labels), meta)

@@ -350,6 +350,18 @@ def test_an_infinite_eps_is_rejected(capsys, tmp_path, config_path, argv):
     assert "error: eps must be positive and finite, got inf" in err
 
 
+def test_gh_trees_refuses_a_fill_too_large(capsys, tmp_path):
+    # each eps-sample has 2**15 + 1 vertices; its 8.6-GB fill is refused
+    tree = tmp_path / "t.json"
+    save_tree(tree_from_edges([("a", "b", 1.0)]), str(tree))
+    code, out, err = _run(capsys, ["--eps", repr(2.0 ** -15), "gh", "trees", str(tree), str(tree)])
+    assert (code, out) == (2, "")
+    assert (
+        "error: the distance matrix of a tree of 32769 vertices would take "
+        "8590721040 bytes; at most 16384 vertices are filled"
+    ) in err
+
+
 def test_lab_scan_continuity_keeps_the_config_tol(capsys, tmp_path, small_config):
     # A document's tol stands unless --tol is given, and the margin carries it.
     doc = small_config.to_document()

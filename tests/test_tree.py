@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -22,13 +23,16 @@ from treegh import (
     four_point_defect,
     geodesic,
     injectivity_scan,
+    refine_at_radius,
     replace_edges,
     subdivide,
     tree_from_edges,
     wedge_sum,
 )
+from treegh import tree as tree_module
+from treegh.embedding import _PartGeometry, scalar_fields
 from treegh.families import CombParams
-from treegh.tree import _insert_points
+from treegh.io import tree_from_document, tree_to_document
 from conftest import random_tree
 
 
@@ -543,6 +547,28 @@ def test_decompose_respects_max_len():
         assert dec.tree.distance(s.a, s.b) == pytest.approx(s.length)
 
 
+def test_chop_ids_are_fresh(small_config):
+    # chunk-boundary ids start past the chop:k ids the tree already has
+    t = tree_from_edges([("a", "b", 2.5)])
+    once = decompose_deg2(t, 1.0).tree
+    assert list(once.metadata["inserted"]) == ["chop:0", "chop:1"]
+    twice = decompose_deg2(once, 0.3)
+    assert list(twice.tree.metadata["inserted"])[:2] == ["chop:2", "chop:3"]
+    assert twice.tree.n == once.n + 8
+    named = tree_from_edges([("chop:0", "b", 2.5)])
+    assert sorted(decompose_deg2(named, 1.0).tree.metadata["inserted"]) == ["chop:1", "chop:2"]
+    cfg = dataclasses.replace(
+        small_config, trees=(named, small_config.trees[1]), basepoints=("chop:0", "x")
+    )
+    # the same tree with an id that sorts after "b" as well
+    plain = dataclasses.replace(
+        cfg, trees=(tree_from_edges([("z", "b", 2.5)]), cfg.trees[1]), basepoints=("z", "x")
+    )
+    got, want = build_F(cfg, "g1_1", 1), build_F(plain, "g1_1", 1)
+    assert got.n == want.n
+    assert sorted(w for *_, w in got.edges) == sorted(w for *_, w in want.edges)
+
+
 # -- balls --------------------------------------------------------------------
 
 
@@ -702,6 +728,56 @@ def test_subdivide_noop_returns_same_tree():
     assert subdivide(t, 2.0) is t
 
 
+# The checked way to put vertices on edges: a rebuild through the
+# constructor and its tree proof.  The trusted builder must match it.
+def _insert_points(
+    tree: MetricTree,
+    points: Sequence[Tuple[str, str, float, str]],
+    generator: str,
+    extra_metadata: Optional[dict] = None,
+) -> MetricTree:
+    """Rebuild a tree with new vertices on edges.
+
+    ``points`` holds ``(u, v, offset, new_id)`` with offset measured from
+    ``u`` along the edge (u, v); multiple insertions per edge are allowed.
+    """
+    per_edge: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
+    edge_key = {}
+    for a, b, w in tree.edges:
+        edge_key[(a, b)] = (a, b, w)
+        edge_key[(b, a)] = (a, b, w)
+    for u, v, off, new_id in points:
+        if (u, v) not in edge_key:
+            raise TreeStructureError("no edge (%s, %s) to insert into" % (u, v))
+        a, b, w = edge_key[(u, v)]
+        off_a = off if (u, v) == (a, b) else w - off
+        per_edge.setdefault((a, b), []).append((off_a, new_id))
+
+    new_edges: List[Tuple[str, str, float]] = []
+    order: List[str] = list(tree.vertices)
+    inserted: Dict[str, Tuple[str, str, float]] = {}
+    for a, b, w in tree.edges:
+        if (a, b) not in per_edge:
+            new_edges.append((a, b, w))
+            continue
+        cuts = sorted(per_edge[(a, b)])
+        prev_id, prev_off = a, 0.0
+        for off, new_id in cuts:
+            if not (0.0 < off < w):
+                raise TreeStructureError(
+                    "insertion offset %r outside edge (%s, %s) of length %r"
+                    % (off, a, b, w)
+                )
+            new_edges.append((prev_id, new_id, off - prev_off))
+            order.append(new_id)
+            inserted[new_id] = (a, b, off)
+            prev_id, prev_off = new_id, off
+        new_edges.append((prev_id, b, w - prev_off))
+    meta = {"generator": generator, "inserted": inserted}
+    meta.update(extra_metadata or {})
+    return MetricTree(order, new_edges, labels=dict(tree.labels), metadata=meta)
+
+
 def reference_subdivide(tree, eps):
     # The point-list path that subdivide replaced: one insertion record per
     # vertex, then a rebuild through _insert_points and the tree proof.
@@ -750,6 +826,100 @@ def test_subdivide_equals_the_insert_points_reference():
             fn(again, 0.1)
         with pytest.raises(TreeStructureError, match="not positive|outside edge"):
             fn(tree_from_edges([("a", "b", 1.7e308), ("b", "c", 1.0)]), 1.7e308 / 3)
+
+
+def checked(fn, *args):
+    """fn(*args) with vertices put on edges by the reference _insert_points
+    and every trusted tree built through MetricTree(...) instead."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "_runs", lambda tree, points: (points,))
+        mp.setattr(
+            tree_module, "_split_edges",
+            lambda tree, points, generator, **extra: _insert_points(tree, points, generator, extra),
+        )
+        mp.setattr(MetricTree, "_unchecked", classmethod(lambda cls, *parts: cls(*parts)))
+        return fn(*args)
+
+
+def assert_same_tree(got, want):
+    def hexed(t):
+        inserted = t.metadata.get("inserted", {})
+        return (
+            [(a, b, float.hex(w)) for a, b, w in t.edges],
+            [(k, a, b, float.hex(off)) for k, (a, b, off) in inserted.items()],
+        )
+
+    assert got.vertices == want.vertices and got.labels == want.labels
+    assert hexed(got) == hexed(want)
+    assert list(got.metadata) == list(want.metadata) and got.metadata == want.metadata
+    assert got._adj == want._adj
+    assert got.dist.tobytes() == want.dist.tobytes()
+    assert all(type(w) is float for _, _, w in got.edges)
+    assert all(type(off) is float for *_, off in got.metadata.get("inserted", {}).values())
+    # the full proof accepts the trusted tree and gives it back unchanged
+    back = tree_from_document(tree_to_document(got))
+    assert (back.vertices, back.edges, back._adj) == (got.vertices, got.edges, got._adj)
+    assert tree_to_document(back) == tree_to_document(got)
+
+
+def test_vertex_inserting_operations_equal_the_checked_reference():
+    rng = np.random.default_rng(16)
+    built = 0
+    for trial in range(300):
+        t = random_tree(rng, 1, 30, scale=float(rng.choice([0.3, 1.0, 3.0])))
+        origin = t.vertices[int(rng.integers(t.n))]
+        row = t.row(origin)
+        # radii inside edges, on a vertex (a numpy float), at zero and past
+        # the eccentricity
+        for r in (float(rng.uniform(0.0, row.max() + 0.1)), rng.choice(row), 0.0):
+            for fn in (refine_at_radius, closed_ball_subtree):
+                got, want = fn(t, origin, r), checked(fn, t, origin, r)
+                assert (got is t) == (want is t), (trial, fn, r)
+                assert_same_tree(got, want)
+                built += got is not t
+        for max_len in (1.0, float(rng.uniform(0.05, 0.5))):
+            got, want = decompose_deg2(t, max_len), checked(decompose_deg2, t, max_len)
+            assert_same_tree(got.tree, want.tree)
+            assert got.segments == want.segments
+            built += got.tree is not t
+    assert built > 1000
+
+
+def test_assembly_equals_the_checked_reference(inject_scan_grids):
+    # The benchmark's cells: each endpoint part (chunked, comb-replaced and
+    # ball-cut), and each assembled tree and the operations on it.
+    for cfg, cells in inject_scan_grids:
+        for u in sorted({u for u, _ in cells}):
+            f = scalar_fields(cfg, u)
+            for i, (x, bp) in enumerate(zip(cfg.trees, cfg.basepoints)):
+                args = (x, bp, f.phi, cfg.depth_cap, f.sigma[i])
+                got, want = _PartGeometry(*args), checked(_PartGeometry, *args)
+                assert_same_tree(got.host, want.host)
+                assert got.segments == want.segments
+                assert_same_tree(got.tree, want.tree)
+                assert got.coords == want.coords
+        for u, k in cells:
+            tree = build_F(cfg, u, k)
+            assert_same_tree(tree, checked(build_F, cfg, u, k))
+            r = tree.eccentricity("p") / 2
+            for fn in (refine_at_radius, closed_ball_subtree):
+                assert_same_tree(fn(tree, "p", r), checked(fn, tree, "p", r))
+            got, want = decompose_deg2(tree, 0.25), checked(decompose_deg2, tree, 0.25)
+            assert_same_tree(got.tree, want.tree)
+            assert got.segments == want.segments
+
+
+def test_fill_refuses_huge_trees():
+    big = subdivide(tree_from_edges([("a", "b", 1.0)]), 2.0 ** -15)
+    assert big.n == 32769
+    # refused before anything is allocated, for every reader of the fill
+    for read in (lambda: big.dist, big.eccentricities):
+        with pytest.raises(
+            ValueError,
+            match=r"tree of 32769 vertices would take 8590721040 bytes; at most 16384 vertices",
+        ):
+            read()
+    assert big.row("a")[1] == 1.0  # one source's row needs no fill
 
 
 def test_subdivide_fails_fast_on_huge_samples():
