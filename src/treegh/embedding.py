@@ -31,8 +31,10 @@ import numpy as np
 
 from .metric import FiniteMetricSpace
 from .tree import (
+    Deg2Component,
     MetricTree,
     ReplacementEntry,
+    _components,
     _wedge,
     closed_ball_subtree,
     decompose_deg2,
@@ -154,9 +156,18 @@ class EmbedConfig:
                 "marked points, trees and basepoints must align "
                 "(%d, %d, %d)" % (len(self.marked), len(self.trees), len(self.basepoints))
             )
-        for t, bp in zip(self.trees, self.basepoints):
+        for i, (t, bp) in enumerate(zip(self.trees, self.basepoints)):
             if not t.has_vertex(bp):
                 raise EmbedConfigError("basepoint %r missing from its tree" % bp)
+            # The comb replacement keeps only the ends of the unit segments
+            # among the degree-2 vertices.
+            if t.degree(bp) == 2 and not any(
+                bp in (seg.a, seg.b) for seg in decompose_deg2(t, 1.0).segments
+            ):
+                raise EmbedConfigError(
+                    "basepoint %r of tree %d has degree 2 inside a unit segment, "
+                    "which the comb replacement removes" % (bp, i)
+                )
         if self.m < 1:
             raise EmbedConfigError("m must be at least 1")
         if self.branches < 3:
@@ -263,12 +274,19 @@ def scalar_fields(cfg: EmbedConfig, u: str) -> ScalarFields:
 # -- assembly -----------------------------------------------------------------
 
 
+_COMB_ALPHA, _COMB_BETA = "spine:0.0", "spine:1.0"  # a comb's ends, glued to a segment's
+
+
 class _PartGeometry:
-    """One endpoint tree, comb-replaced and ball-cut, with comb coordinates.
+    """One endpoint tree, comb-replaced and ball-cut.
 
     ``coords`` maps each vertex of the cut tree to the comb coordinates it
     carries: a dict segment-index -> (x, h) in the unit comb (corner
-    vertices belong to every incident segment).
+    vertices belong to every incident segment).  ``reach`` is the
+    basepoint's eccentricity in the comb-replaced tree.  Both are built on
+    first read, since only the continuity matcher and its analytic bound
+    read them.  :meth:`wedge_components` gives the degree-<=2 components the
+    part has inside a wedge, computed once.
     """
 
     def __init__(
@@ -294,7 +312,7 @@ class _PartGeometry:
             comb = comb_tree(CombParams(s=s, scale=scale, depth_cap=depth_cap))
             plan.append(
                 ReplacementEntry(
-                    a=seg.a, b=seg.b, tree=comb, alpha="spine:0.0", beta="spine:1.0"
+                    a=seg.a, b=seg.b, tree=comb, alpha=_COMB_ALPHA, beta=_COMB_BETA
                 )
             )
             combs.append(comb)
@@ -303,31 +321,54 @@ class _PartGeometry:
         self.truncation = max(
             (c.metadata["truncation_error"] for c in combs), default=0.0
         )
-        self.reach = self.replaced.eccentricity(basepoint)
-        self._corner_rows: Dict[str, np.ndarray] = {}
-
-        cc: Dict[str, Dict[int, Tuple[float, float]]] = {}
-        for l, (entry, comb) in enumerate(zip(plan, combs)):
-            prefix = "R%d." % l
-            for cid, (x, h) in comb.metadata["points"].items():
-                if cid == entry.alpha:
-                    rid = entry.a
-                elif cid == entry.beta:
-                    rid = entry.b
-                else:
-                    rid = prefix + cid
-                cc.setdefault(rid, {})[l] = (float(x), float(h))
-
         self.tree = closed_ball_subtree(self.replaced, basepoint, radius)
-        if self.tree is not self.replaced:
-            edge_len = {(a, b): w for a, b, w in self.replaced.edges}
-            for cid, (a, b, off) in self.tree.metadata.get("inserted", {}).items():
-                cc[cid] = _interpolate_on_shared_segment(
-                    cc.get(a, {}), cc.get(b, {}), off / edge_len[(a, b)]
-                )
-        self.coords: Dict[str, Dict[int, Tuple[float, float]]] = {
-            v: cc.get(v, {}) for v in self.tree.vertices
-        }
+        self._comb_points = [(e.a, e.b, c.metadata["points"]) for e, c in zip(plan, combs)]
+        self._coords: Optional[Dict[str, Dict[int, Tuple[float, float]]]] = None
+        self._reach: Optional[float] = None
+        self._corner_rows: Dict[str, np.ndarray] = {}
+        self._wedge_components: Dict[int, List[Deg2Component]] = {}
+
+    @property
+    def reach(self) -> float:
+        if self._reach is None:
+            self._reach = self.replaced.eccentricity(self.basepoint)
+        return self._reach
+
+    @property
+    def coords(self) -> Dict[str, Dict[int, Tuple[float, float]]]:
+        if self._coords is None:
+            cc: Dict[str, Dict[int, Tuple[float, float]]] = {}
+            for l, (a, b, points) in enumerate(self._comb_points):
+                prefix = "R%d." % l
+                for cid, (x, h) in points.items():
+                    if cid == _COMB_ALPHA:
+                        rid = a
+                    elif cid == _COMB_BETA:
+                        rid = b
+                    else:
+                        rid = prefix + cid
+                    cc.setdefault(rid, {})[l] = (float(x), float(h))
+            if self.tree is not self.replaced:
+                edge_len = {(a, b): w for a, b, w in self.replaced.edges}
+                for cid, (a, b, off) in self.tree.metadata.get("inserted", {}).items():
+                    cc[cid] = _interpolate_on_shared_segment(
+                        cc.get(a, {}), cc.get(b, {}), off / edge_len[(a, b)]
+                    )
+            self._coords = {v: cc.get(v, {}) for v in self.tree.vertices}
+        return self._coords
+
+    def wedge_components(self, i: int) -> List[Deg2Component]:
+        """The degree-<=2 components of the cut tree as part i of a wedge
+        whose wedge vertex has degree >= 3: under the wedge's ids (``P<i>.``
+        + id, and ``p`` for the basepoint), with the basepoint a branch
+        vertex.  Computed on the first call for each i, and cached."""
+        comps = self._wedge_components.get(i)
+        if comps is None:
+            t, prefix = self.tree, "P%d." % i
+            names = ["p" if v == self.basepoint else prefix + v for v in t.vertices]
+            comps = _components(t._adj, names, t.index(self.basepoint))
+            self._wedge_components[i] = comps
+        return comps
 
     def corner_row(self, v: str) -> np.ndarray:
         """Distances from segment corner v in the comb-replaced tree, cached."""
@@ -409,13 +450,58 @@ class _Atlas:
         return self._coords
 
 
-def _assemble(
+_StarLists = Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]
+
+
+@dataclass
+class _Cell:
+    """What the tree of a grid cell (u, k) is assembled from: the fields at
+    u, the endpoint parts, the star coefficients ``rho`` and the star's
+    vertex, edge and point lists (:func:`_assembly_star_parts`).  At a
+    marked point only the fields are set."""
+
+    fields: ScalarFields
+    parts: List[_PartGeometry]
+    rho: Optional[Tuple[float, ...]] = None
+    star: Optional[_StarLists] = None
+
+    def wedge(self) -> MetricTree:
+        """The parts and the star wedged at their basepoints, validated as a
+        whole; the star enters as bare lists."""
+        s_vertices, s_edges, _ = self.star
+        return _wedge(
+            [(g.tree.vertices, g.tree.edges, g.tree.labels, g.basepoint) for g in self.parts]
+            + [(s_vertices, s_edges, {}, _STAR_TIP)]
+        )
+
+    def components(self) -> Optional[List[Deg2Component]]:
+        """``deg2_components(self.wedge())`` without the wedge, in part order
+        rather than sorted: each part's cached components and the star's.
+        None when the wedge vertex would have degree <= 2, so that a
+        component runs through it from one part into another."""
+        s_vertices, s_edges, _ = self.star
+        degree = sum(len(g.tree._adj[g.tree.index(g.basepoint)]) for g in self.parts)
+        degree += sum(_STAR_TIP in (a, b) for a, b, _ in s_edges)
+        if degree <= 2:
+            return None
+        index = {v: n for n, v in enumerate(s_vertices)}
+        adj: List[List[Tuple[int, float]]] = [[] for _ in s_vertices]
+        for a, b, w in s_edges:
+            adj[index[a]].append((index[b], float(w)))
+            adj[index[b]].append((index[a], float(w)))
+        prefix = "P%d." % len(self.parts)
+        names = ["p" if v == _STAR_TIP else prefix + v for v in s_vertices]
+        comps = [c for i, g in enumerate(self.parts) for c in g.wedge_components(i)]
+        return comps + _components(adj, names, index[_STAR_TIP])
+
+
+def _cell(
     cfg: EmbedConfig,
     u: str,
     k: int,
-    memo: Optional[Dict[_PartKey, _PartGeometry]] = None,
-) -> _Atlas:
-    # memo holds the parts of cells assembled before, by their inputs; the
+    memo: Dict[_PartKey, _PartGeometry],
+) -> _Cell:
+    # memo holds the parts of cells prepared before, by their inputs; the
     # cell adds its own there, for any later cell whose parts have the same
     # inputs: the other fibers of u, and labels with equal phi and sigma_i.
     if not (1 <= k <= cfg.m):
@@ -423,10 +509,7 @@ def _assemble(
     cfg.h_space.index(u)
     f = scalar_fields(cfg, u)
     if u in cfg.marked:
-        i = cfg.marked.index(u)
-        return _Atlas(tree=cfg.trees[i], parts=[], wedge=None, fields=f, rho=None)
-    if memo is None:
-        memo = {}
+        return _Cell(fields=f, parts=[])
     parts = []
     for i in range(len(cfg.marked)):
         key = (i, f.phi, f.sigma[i])
@@ -436,14 +519,22 @@ def _assemble(
             )
         parts.append(memo[key])
     a = rho_embed(cfg.coords[u], k, cfg.m, cfg.branches)
-    # The star goes into the wedge as bare lists; the wedge validates it.
-    s_vertices, s_edges, s_points = _assembly_star_parts(
-        StarParams(a=a, scale=f.xi, eps=cfg.eps)
-    )
-    w = _wedge(
-        [(g.tree.vertices, g.tree.edges, g.tree.labels, g.basepoint) for g in parts]
-        + [(s_vertices, s_edges, {}, _STAR_TIP)]
-    )
+    star = _assembly_star_parts(StarParams(a=a, scale=f.xi, eps=cfg.eps))
+    return _Cell(fields=f, parts=parts, rho=a, star=star)
+
+
+def _assemble(
+    cfg: EmbedConfig,
+    u: str,
+    k: int,
+    memo: Optional[Dict[_PartKey, _PartGeometry]] = None,
+) -> _Atlas:
+    cell = _cell(cfg, u, k, {} if memo is None else memo)
+    f = cell.fields
+    if cell.star is None:
+        i = cfg.marked.index(u)
+        return _Atlas(tree=cfg.trees[i], parts=[], wedge=None, fields=f, rho=None)
+    w = cell.wedge()
     w.metadata.update(
         {
             "generator": "embed",
@@ -452,12 +543,12 @@ def _assemble(
             "phi": f.phi,
             "xi": f.xi,
             "sigma": list(f.sigma),
-            "a": list(a),
-            "truncation_error": max(g.truncation for g in parts),
+            "a": list(cell.rho),
+            "truncation_error": max(g.truncation for g in cell.parts),
         }
     )
     return _Atlas(
-        tree=w, parts=parts, wedge="p", fields=f, rho=a, star_points=s_points
+        tree=w, parts=cell.parts, wedge="p", fields=f, rho=cell.rho, star_points=cell.star[2]
     )
 
 
@@ -507,7 +598,12 @@ def star_fingerprint(t: MetricTree, tol: float = 1e-9) -> Fingerprint:
         FingerprintError: no certified star (margin <= tol, ambiguous tie,
             or the two leading components do not meet in a single vertex).
     """
-    comps = deg2_components(t)
+    return _read_star(deg2_components(t), tol)
+
+
+def _read_star(comps: Sequence[Deg2Component], tol: float) -> Fingerprint:
+    """:func:`star_fingerprint` of the tree whose degree-<=2 components are
+    ``comps``, in any order."""
     ranked = sorted(comps, key=lambda c: (-c.closure_diameter, c.closure_path))
     if len(ranked) < 2 or ranked[1].closure_diameter <= tol:
         raise FingerprintError("no certified star: fewer than two leading components")
@@ -609,8 +705,13 @@ def injectivity_scan(
     the fiber, so each distinct part is built once per call and shared by
     every cell with those inputs: all fibers of a label, and labels with
     equal fields, such as mirror images across a symmetry of the marks.
-    Only the star and the wedge are built per cell.  Every row equals what
-    :func:`build_F` and :func:`star_fingerprint` give for that cell alone.
+    No wedge is built: when the wedge vertex has degree >= 3, every
+    degree-<=2 component of the cell's tree lies inside one part or the
+    star, so each part's components, computed once under the wedge's ids,
+    are merged with the star's, and only the star is walked per cell.
+    Otherwise, as with a single-vertex endpoint tree, the cell's tree is
+    assembled and walked whole.  Every row equals what :func:`build_F` and
+    :func:`star_fingerprint` give for that cell alone.
     The separations are read in one array pass over the coefficients, and
     a collision names the first colliding pair in grid order; the endpoint
     collisions that fix k* take one pass per endpoint tree.  The report
@@ -629,9 +730,13 @@ def injectivity_scan(
     values: List[List[float]] = []
     memo: Dict[_PartKey, _PartGeometry] = {}
     for lab, k in grid:
-        atlas = _assemble(cfg, lab, k, memo)
-        fp = star_fingerprint(atlas.tree, tol=cfg.tol)
-        expected = atlas.rho
+        cell = _cell(cfg, lab, k, memo)
+        comps = cell.components()
+        if comps is None:
+            fp = star_fingerprint(cell.wedge(), tol=cfg.tol)
+        else:
+            fp = _read_star(comps, cfg.tol)
+        expected = cell.rho
         if len(fp.a_hat) != len(expected):
             raise ScanError(
                 "cell (%s, %d): recovered %d coefficients, expected %d"

@@ -443,14 +443,31 @@ def deg2_components(tree: MetricTree) -> List[Deg2Component]:
     canonical orientation (lexicographically smaller closure endpoint
     first) and sorted by their closure paths.
     """
-    adj, names = tree._adj, tree.vertices
+    return _components(tree._adj, tree.vertices)
+
+
+def _components(
+    adj: Sequence[Sequence[Tuple[int, float]]], names: Sequence[str], branch: int = -1
+) -> List[Deg2Component]:
+    """:func:`deg2_components` of the tree with adjacency lists ``adj`` and
+    vertex ids ``names``, with vertex ``branch`` (an index, or -1 for none)
+    counted as a branch vertex whatever its degree.
+
+    Wedged with other trees at a vertex that has degree >= 3 in the wedge,
+    a tree keeps, inside the wedge, the components it has alone with that
+    vertex made a branch vertex, under the wedge's ids: no walk passes the
+    wedge vertex, and :func:`_wedge` keeps every other vertex's edges in
+    their order.
+    """
     # A neighbour of a component vertex is in the component iff it is low,
     # so each component is the path of low vertices between its two ends.
     low = [len(nbrs) <= 2 for nbrs in adj]
+    if branch >= 0:
+        low[branch] = False
     seen = [False] * len(adj)
     out: List[Deg2Component] = []
     for v, nbrs in enumerate(adj):
-        if len(nbrs) > 2 or seen[v]:
+        if not low[v] or seen[v]:
             continue
         if len(nbrs) == 2 and low[nbrs[0][0]] and low[nbrs[1][0]]:
             continue  # inside a path: only an end starts a walk
@@ -523,6 +540,10 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
     taking length exactly ``max_len`` until the remainder.  Boundaries that
     fall in the middle of an edge are materialised as new ``chop:k``
     vertices in the returned host tree.
+
+    Raises:
+        ValueError: max_len is not positive, or the closures would take
+            more than 2**20 chunk boundaries (counted before any is placed).
     """
     if not max_len > 0:
         raise ValueError("max_len must be positive")
@@ -538,12 +559,25 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
         for i in range(len(path) - 1):
             covered.add(frozenset((path[i], path[i + 1])))
     bare = sorted(
-        tuple(sorted((a, b))) for a, b, _ in tree.edges
+        (tuple(sorted((a, b))), w) for a, b, w in tree.edges
         if frozenset((a, b)) not in covered
     )
     closures: List[Tuple[str, ...]] = [c.closure_path for c in comps] + [
-        tuple(pair) for pair in bare
+        pair for pair, _ in bare
     ]
+    # A closure of length L takes fewer than L / max_len boundaries: as many
+    # as subdivide's pieces at max_len, less one.  They are counted only
+    # when the total length allows more than the limit, and too many fail
+    # here, before the walk below, which past 2**53 max_len would no longer
+    # advance.
+    spans = [c.closure_diameter for c in comps] + [w for _, w in bare]
+    if sum(spans) > _MAX_SUBDIVIDE_VERTICES * max_len:
+        boundaries = float((_pieces(np.array(spans), max_len) - 1).sum())
+        if boundaries > _MAX_SUBDIVIDE_VERTICES:
+            raise ValueError(
+                "chopping at max_len=%r would place %.0f chunk boundaries, more than %d"
+                % (max_len, boundaries, _MAX_SUBDIVIDE_VERTICES)
+            )
 
     # Walk each closure path, planning chunk boundaries.  A boundary is
     # either an existing vertex or (edge position) to be inserted.

@@ -324,6 +324,18 @@ def test_lab_config_overrides_are_validated(capsys, config_path, flag):
     assert "error: %s must be" % flag[0][2:] in err
 
 
+def test_lab_refuses_a_basepoint_the_comb_replacement_removes(capsys, tmp_path, small_config):
+    doc = small_config.to_document()
+    doc["basepoints"] = ["a", "y"]  # x-y-z with lengths 0.6 and 0.9
+    path = _write(tmp_path / "cfg.json", json.dumps(doc))
+    code, out, err = _run(capsys, ["lab", "scan-injectivity", "--config", path])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: basepoint 'y' of tree 1 has degree 2 inside a unit segment, "
+        "which the comb replacement removes\n"
+    )
+
+
 def test_lab_embed_names_a_missing_label(capsys, config_path):
     code, out, err = _run(
         capsys, ["lab", "embed", "--config", config_path, "--u", "nosuch", "--k", "1"]

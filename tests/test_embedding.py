@@ -13,12 +13,16 @@ import treegh.gh
 from treegh import (
     EmbedConfig,
     EmbedConfigError,
+    FiniteMetricSpace,
     FingerprintError,
     MetricTree,
     ScanError,
     StarParams,
     build_F,
     continuity_scan,
+    cube_interval,
+    decompose_deg2,
+    deg2_components,
     four_point_defect,
     gh_tree_interval,
     injectivity_scan,
@@ -36,6 +40,7 @@ from treegh import (
 from treegh.cli import _grid_adjacency
 from treegh.families import CombParams, _tooth_heights, comb_tree
 from treegh.gh import Correspondence
+from conftest import random_tree
 
 
 # -- grids and fields ---------------------------------------------------------
@@ -165,6 +170,23 @@ def test_config_rejects_a_nonpositive_or_nonfinite_eps(small_config, eps):
         EmbedConfig.from_document(doc)
     with pytest.raises(EmbedConfigError, match="eps must be positive"):
         dataclasses.replace(small_config, eps=eps)
+
+
+def test_config_refuses_a_basepoint_the_comb_replacement_removes(small_config):
+    # With lengths 0.6 and 0.9 the first unit segment of x-y-z ends inside
+    # y-z, so y is interior to it and replace_edges removes it; with 1.0
+    # and 0.5 it ends at y, which stays.
+    cut = tree_from_edges([("x", "y", 0.6), ("y", "z", 0.9)])
+    with pytest.raises(
+        EmbedConfigError,
+        match="basepoint 'y' of tree 1 has degree 2 inside a unit segment",
+    ):
+        dataclasses.replace(small_config, trees=(small_config.trees[0], cut), basepoints=("a", "y"))
+    kept = tree_from_edges([("x", "y", 1.0), ("y", "z", 0.5)])
+    cfg = dataclasses.replace(small_config, trees=(small_config.trees[0], kept), basepoints=("a", "y"))
+    assert build_F(cfg, "g1_1", 1).n == 34
+    rep = injectivity_scan(cfg, _all_cells(cfg))
+    assert len(rep.rows) == 14 and rep.k_star == 1
 
 
 def test_config_document_roundtrip(small_config):
@@ -426,11 +448,211 @@ def test_scans_build_each_distinct_part_once(inject_scan_grids, asymmetric_confi
     assert len(_part_inputs(asymmetric_config, asym_cells)) == 14
 
 
+def _component_fields(comps):
+    return [
+        (c.vertices, c.delimiters, c.closure_path, c.closure_diameter.hex())
+        for c in sorted(comps, key=lambda c: c.closure_path)
+    ]
+
+
+def _fingerprint_outcome(read):
+    """A fingerprint's floats as hex, or its FingerprintError's message."""
+    try:
+        fp = read()
+    except FingerprintError as exc:
+        return "error: %s" % exc
+    return _hex_fingerprint(fp, 0.0)
+
+
+def compare_composed_cells(cfg, cells):
+    """Check each cell's composed components, with the parts shared through
+    one memo as the scan shares them, against those of its assembled tree,
+    field for field, and its fingerprint or FingerprintError against
+    star_fingerprint's.  Returns the composed outcomes and the number of
+    cells whose wedge vertex has degree <= 2, which compose nothing."""
+    memo = {}
+    outcomes, fallbacks = [], 0
+    for lab, k in cells:
+        cell = treegh.embedding._cell(cfg, lab, k, memo)
+        tree = build_F(cfg, lab, k)
+        comps = cell.components()
+        if comps is None:
+            assert tree.degree("p") <= 2
+            fallbacks += 1
+            continue
+        assert tree.degree("p") >= 3
+        assert _component_fields(comps) == _component_fields(deg2_components(tree))
+        got = _fingerprint_outcome(lambda: treegh.embedding._read_star(comps, cfg.tol))
+        assert got == _fingerprint_outcome(lambda: star_fingerprint(tree, tol=cfg.tol))
+        outcomes.append(got)
+    return outcomes, fallbacks
+
+
+def reference_scan(cfg, cells):
+    """injectivity_scan cell by cell from build_F and star_fingerprint:
+    (rows as hex, min_separation as hex, k_star), or the type of the error
+    the scan must raise and the first cell's message where one says it."""
+    rows, fps = [], []
+    for lab, k in cells:
+        try:
+            fp = star_fingerprint(build_F(cfg, lab, k), tol=cfg.tol)
+        except FingerprintError as exc:
+            return FingerprintError, str(exc)
+        want = rho_embed(cfg.coords[lab], k, cfg.m, cfg.branches)
+        if len(fp.a_hat) != len(want) or tau(fp.a_hat, want) > 1e-6 or any(
+            not (lo - cfg.tol <= a <= hi + cfg.tol)
+            for a, (lo, hi) in zip(fp.a_hat, map(cube_interval, range(1, len(want) + 1)))
+        ):
+            return ScanError, "cell (%s, %d)" % (lab, k)
+        rows.append(_hex_fingerprint(fp, tau(fp.a_hat, want)))
+        fps.append(fp)
+    seps = [tau(a.a_hat, b.a_hat) for i, a in enumerate(fps) for b in fps[i + 1:]]
+    if min(seps, default=math.inf) <= 1e-12:
+        return ScanError, "fingerprint collision"
+    rep = SimpleNamespace(rows=[SimpleNamespace(fingerprint=fp, k=k) for fp, (_, k) in zip(fps, cells)])
+    k_star = reference_k_star(cfg, rep)
+    if k_star == 0:
+        return ScanError, "every fiber collides"
+    return rows, min(seps, default=math.inf).hex(), k_star
+
+
+def scan_outcome(cfg, cells):
+    try:
+        rep = injectivity_scan(cfg, cells)
+    except (FingerprintError, ScanError) as exc:
+        return type(exc), str(exc)
+    rows = [_hex_fingerprint(r.fingerprint, r.recovery_error) for r in rep.rows]
+    return rows, rep.min_separation.hex(), rep.k_star
+
+
+def _same_scan(got, want):
+    if len(want) == 2:  # an error: its type, and a message the scan's starts with
+        assert got[0] is want[0] and got[1].startswith(want[1]), (got, want)
+    else:
+        assert got == want
+
+
+def test_composed_components_equal_the_assembled_trees(
+    small_config, asymmetric_config, inject_scan_grids
+):
+    # The bench grids' stars outrank every part component, so equal rows
+    # alone would not catch a wrong part component: compare the lists.
+    grids = [(cfg, _all_cells(cfg)) for cfg in (small_config, asymmetric_config)]
+    for cfg, cells in grids + inject_scan_grids:
+        outcomes, fallbacks = compare_composed_cells(cfg, cells)
+        assert fallbacks == 0 and len(outcomes) == len(cells)
+        assert not any(isinstance(o, str) for o in outcomes)
+
+
+def _random_config(rng):
+    """Two or three seeded endpoint trees, about half of them single
+    vertices, with any basepoint the config accepts.  Comb teeth sit at the
+    segment ends, so a wedge vertex has degree <= 2 only where single
+    vertices leave it few edges."""
+    h, coords = unit_grid(3)
+    count = int(rng.integers(2, 4))
+    marked = tuple(rng.choice(h.labels, size=count, replace=False).tolist())
+    trees, basepoints = [], []
+    for _ in marked:
+        t = random_tree(rng, 1, int(rng.choice([1, 7])), scale=float(rng.choice([0.5, 1.5])))
+        trees.append(t)
+        basepoints.append(str(rng.choice(t.vertices)))
+    for i, (t, bp) in enumerate(zip(trees, basepoints)):
+        if t.degree(bp) == 2:  # keep it where the comb replacement does
+            ends = {e for seg in decompose_deg2(t, 1.0).segments for e in (seg.a, seg.b)}
+            if bp not in ends:
+                basepoints[i] = next(v for v in t.vertices if t.degree(v) != 2)
+    return EmbedConfig(
+        h_space=h, coords=coords, marked=marked, trees=tuple(trees),
+        basepoints=tuple(basepoints), m=int(rng.integers(1, 3)),
+        branches=int(rng.integers(3, 5)), eps=2.0 ** -4, depth_cap=int(rng.integers(0, 4)),
+    )
+
+
+def test_composed_fingerprints_on_seeded_endpoint_trees():
+    rng = np.random.default_rng(1717)
+    fallbacks = composed = 0
+    for _ in range(40):
+        cfg = _random_config(rng)
+        cells = _all_cells(cfg)
+        outcomes, fell_back = compare_composed_cells(cfg, cells)
+        fallbacks += fell_back
+        composed += len(outcomes)
+        _same_scan(scan_outcome(cfg, cells), reference_scan(cfg, cells))
+    # A degree-2 basepoint kept at a segment end.
+    path = tree_from_edges([("x", "y", 1.0), ("y", "z", 0.5)])
+    cfg = _random_config(np.random.default_rng(17))
+    cfg = dataclasses.replace(cfg, trees=(path,) + cfg.trees[1:], basepoints=("y",) + cfg.basepoints[1:])
+    compare_composed_cells(cfg, _all_cells(cfg))
+    _same_scan(scan_outcome(cfg, _all_cells(cfg)), reference_scan(cfg, _all_cells(cfg)))
+    assert fallbacks >= 20 and composed >= 200, (fallbacks, composed)
+
+
+def test_composition_needs_a_wedge_vertex_of_degree_three():
+    # Comb teeth at segment ends give every cut part's basepoint degree >= 2
+    # unless the part is a single vertex, so build the boundary by hand: a
+    # plain comb (s = 0) leaves a leaf basepoint with one edge.
+    path = tree_from_edges([("a", "b", 0.7), ("b", "c", 0.6)])
+    part = treegh.embedding._PartGeometry(path, "a", 0.0, 8, math.inf)
+    lone = treegh.embedding._PartGeometry(MetricTree(("v",), ()), "v", 0.0, 8, math.inf)
+    star = treegh.embedding._assembly_star_parts(StarParams(a=(0.3, 0.08), scale=2.0, eps=0.25))
+    for parts, degree in (([part, lone], 2), ([lone, part, part], 3), ([part, part], 3)):
+        cell = treegh.embedding._Cell(fields=None, parts=parts, rho=(0.3, 0.08), star=star)
+        tree = cell.wedge()
+        assert tree.degree("p") == degree
+        comps = cell.components()
+        if degree == 2:
+            assert comps is None
+            assert any("p" in c.vertices for c in deg2_components(tree))
+        else:
+            assert _component_fields(comps) == _component_fields(deg2_components(tree))
+
+
+def _near_mark_config(depth_cap, tol):
+    """Cells a thousandth of the grid from a mark have a tiny star and a
+    tiny ball about the other mark's basepoint; with few comb generations
+    the parts' components can then outrank the star."""
+    points = {
+        "v1": (0.0, 0.0), "v2": (1.0, 1.0), "n1": (0.001, 0.0), "n2": (0.0, 0.01),
+        "m": (0.5, 0.5), "f": (0.9, 0.2), "g": (0.2, 0.05),
+    }
+    labels = tuple(points)
+    pts = np.array([points[lab] for lab in labels])
+    h = FiniteMetricSpace(labels, np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)))
+    two_hubs = tree_from_edges([
+        ("c1", "d1", 1.0), ("c1", "e1", 0.3), ("c1", "c2", 0.2), ("c2", "d2", 0.9), ("c2", "e2", 0.3),
+    ])
+    path = tree_from_edges([("x", "y", 0.6), ("y", "z", 0.9)])
+    return EmbedConfig(
+        h_space=h, coords=points, marked=("v1", "v2"), trees=(two_hubs, path),
+        basepoints=("e1", "x"), m=1, eps=2.0 ** -4, tol=tol, depth_cap=depth_cap,
+    )
+
+
+def test_composed_fingerprints_raise_the_same_errors():
+    seen = set()
+    for depth_cap in (0, 2):
+        for tol in (1e-9, 0.05, 0.2):
+            cfg = _near_mark_config(depth_cap, tol)
+            cells = _all_cells(cfg)
+            outcomes, fallbacks = compare_composed_cells(cfg, cells)
+            assert fallbacks == 0
+            seen.update(o.split(": ")[2].split(" ")[0] for o in outcomes if isinstance(o, str))
+            _same_scan(scan_outcome(cfg, cells), reference_scan(cfg, cells))
+    # Each message star_fingerprint can reach: the fourth, a centre with
+    # fewer than two legs, cannot follow two leading components that meet.
+    assert seen == {"fewer", "margin", "leading"}, seen
+
+
 def test_injectivity_scan_builds_no_atlas_coordinates(small_config, monkeypatch):
     def refuse(atlas):
         raise AssertionError("built the atlas coordinates")
 
     monkeypatch.setattr(treegh.embedding._Atlas, "coords", property(refuse))
+    # Nor the parts' comb coordinates and reach, which only the continuity
+    # matcher and its analytic bound read.
+    for name in ("coords", "reach"):
+        monkeypatch.setattr(treegh.embedding._PartGeometry, name, property(refuse))
     cells = [(lab, k) for k in (1, 2) for lab in ("g0_1", "g1_1", "g2_1")]
     assert len(injectivity_scan(small_config, cells).rows) == 6
 

@@ -503,6 +503,31 @@ def test_deg2_components_match_string_reference(small_config, inject_scan_grids)
         assert deg2_components(t) == _reference_deg2_components(t)
 
 
+def test_components_with_a_branch_vertex_equal_the_wedge_parts():
+    # Glued to two tripod legs at b, a tree's part of the wedge has the
+    # components of the tree alone with b made a branch vertex, under the
+    # wedge's ids; the walk sees only b's degree change.
+    rng = np.random.default_rng(20261020)
+    tripod = star3()
+    checked = 0
+    for _ in range(60):
+        t = random_tree(rng, n_lo=1, n_hi=30)
+        for b in t.vertices:
+            w = wedge_sum([(t, b), (tripod, "x"), (tripod, "z")])
+            names = ["p" if v == b else "P0." + v for v in t.vertices]
+            got = tree_module._components(t._adj, names, t.index(b))
+            mine = [
+                c for c in deg2_components(w)
+                if all(v == "p" or v.startswith("P0.") for v in c.closure_path)
+            ]
+            assert got == mine
+            checked += len(got)
+    assert checked > 1000
+    # Without a branch vertex, the components of the tree itself.
+    t = random_tree(rng, n_lo=5, n_hi=30)
+    assert tree_module._components(t._adj, t.vertices) == deg2_components(t)
+
+
 def test_path_is_one_component():
     comps = deg2_components(path_tree())
     assert len(comps) == 1
@@ -545,6 +570,21 @@ def test_decompose_respects_max_len():
     # chunk boundaries are real vertices of the refined host tree
     for s in dec.segments:
         assert dec.tree.distance(s.a, s.b) == pytest.approx(s.length)
+
+
+def test_decompose_refuses_too_many_chunk_boundaries():
+    # Counted before any is placed: from an offset of 2**53 max_len on,
+    # placing the next boundary would not advance along the edge.
+    with pytest.raises(
+        ValueError,
+        match=r"^chopping at max_len=1\.0 would place 1152921504606846976 chunk "
+        r"boundaries, more than 1048576$",
+    ):
+        decompose_deg2(tree_from_edges([("a", "b", 2.0 ** 60)]), 1.0)
+    two = tree_from_edges([("a", "b", 2.0 ** 19 + 1.5), ("b", "c", 2.0 ** 19 + 1.5), ("b", "d", 1.0)])
+    with pytest.raises(ValueError, match="would place 1048578 chunk boundaries"):
+        decompose_deg2(two, 1.0)
+    assert decompose_deg2(tree_from_edges([("a", "b", 1024.0)]), 1.0).tree.n == 1025
 
 
 def test_chop_ids_are_fresh(small_config):
