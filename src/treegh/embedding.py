@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .metric import FiniteMetricSpace
 from .tree import (
     Deg2Component,
+    Deg2Decomposition,
     MetricTree,
     ReplacementEntry,
     _components,
@@ -277,68 +278,94 @@ def scalar_fields(cfg: EmbedConfig, u: str) -> ScalarFields:
 _COMB_ALPHA, _COMB_BETA = "spine:0.0", "spine:1.0"  # a comb's ends, glued to a segment's
 
 
-class _PartGeometry:
-    """One endpoint tree, comb-replaced and ball-cut.
+class _Combed:
+    """An endpoint tree chopped into unit segments (``host``, ``segments``),
+    each segment replaced by a comb of parameter ``s`` scaled to its length
+    (``tree``): the stage of an endpoint part that (i, phi) fixes.
 
-    ``coords`` maps each vertex of the cut tree to the comb coordinates it
-    carries: a dict segment-index -> (x, h) in the unit comb (corner
-    vertices belong to every incident segment).  ``reach`` is the
-    basepoint's eccentricity in the comb-replaced tree.  Both are built on
-    first read, since only the continuity matcher and its analytic bound
-    read them.  :meth:`wedge_components` gives the degree-<=2 components the
-    part has inside a wedge, computed once.
+    ``comb`` builds the comb of given :class:`CombParams`.  ``reach`` is
+    the basepoint's eccentricity in ``tree`` and :meth:`corner_row` a
+    segment corner's distances there; both are built on first read, since
+    only the continuity matcher and its analytic bound read them, and are
+    shared by every ball cut of the stage.
     """
 
     def __init__(
         self,
-        base: MetricTree,
+        dec: Deg2Decomposition,
         basepoint: str,
         s: float,
         depth_cap: int,
-        radius: float,
+        comb: Callable[[CombParams], MetricTree],
     ):
         self.basepoint = basepoint
         self.s = s
         self.depth_cap = depth_cap
-        self.radius = radius
-        dec = decompose_deg2(base, 1.0)
         self.host = dec.tree
         self.segments = dec.segments
-        self.seg_scale: List[float] = []
-        plan: List[ReplacementEntry] = []
-        combs: List[MetricTree] = []
-        for seg in dec.segments:
-            scale = min(seg.length, 1.0)
-            comb = comb_tree(CombParams(s=s, scale=scale, depth_cap=depth_cap))
-            plan.append(
-                ReplacementEntry(
-                    a=seg.a, b=seg.b, tree=comb, alpha=_COMB_ALPHA, beta=_COMB_BETA
-                )
-            )
-            combs.append(comb)
-            self.seg_scale.append(scale)
-        self.replaced = replace_edges(self.host, plan) if plan else self.host
+        self.seg_scale = [min(seg.length, 1.0) for seg in dec.segments]
+        combs = [comb(CombParams(s=s, scale=scale, depth_cap=depth_cap)) for scale in self.seg_scale]
+        plan = [
+            ReplacementEntry(a=seg.a, b=seg.b, tree=c, alpha=_COMB_ALPHA, beta=_COMB_BETA)
+            for seg, c in zip(dec.segments, combs)
+        ]
+        self.tree = replace_edges(self.host, plan) if plan else self.host
         self.truncation = max(
             (c.metadata["truncation_error"] for c in combs), default=0.0
         )
-        self.tree = closed_ball_subtree(self.replaced, basepoint, radius)
-        self._comb_points = [(e.a, e.b, c.metadata["points"]) for e, c in zip(plan, combs)]
-        self._coords: Optional[Dict[str, Dict[int, Tuple[float, float]]]] = None
+        self.comb_points = [(e.a, e.b, c.metadata["points"]) for e, c in zip(plan, combs)]
         self._reach: Optional[float] = None
         self._corner_rows: Dict[str, np.ndarray] = {}
-        self._wedge_components: Dict[int, List[Deg2Component]] = {}
 
     @property
     def reach(self) -> float:
         if self._reach is None:
-            self._reach = self.replaced.eccentricity(self.basepoint)
+            self._reach = self.tree.eccentricity(self.basepoint)
         return self._reach
+
+    def corner_row(self, v: str) -> np.ndarray:
+        """Distances from segment corner v in the comb-replaced tree, cached."""
+        row = self._corner_rows.get(v)
+        if row is None:
+            row = self._corner_rows[v] = self.tree.row(v)
+        return row
+
+
+class _PartGeometry:
+    """One endpoint tree, comb-replaced and ball-cut: ``tree`` is the ball
+    of radius ``radius`` about the basepoint in the comb-replaced tree of
+    the stage ``combed``, whose chop, combs and reach the part shares.
+
+    ``coords`` maps each vertex of the cut tree to the comb coordinates it
+    carries: a dict segment-index -> (x, h) in the unit comb (corner
+    vertices belong to every incident segment).  It is built on first
+    read, since only the continuity matcher reads it.
+    :meth:`wedge_components` gives the degree-<=2 components the part has
+    inside a wedge, computed once.
+    """
+
+    def __init__(self, combed: _Combed, radius: float):
+        self.combed = combed
+        self.basepoint, self.s, self.depth_cap = combed.basepoint, combed.s, combed.depth_cap
+        self.host, self.segments, self.seg_scale = combed.host, combed.segments, combed.seg_scale
+        self.replaced, self.truncation = combed.tree, combed.truncation
+        self.radius = radius
+        self.tree = closed_ball_subtree(self.replaced, self.basepoint, radius)
+        self._coords: Optional[Dict[str, Dict[int, Tuple[float, float]]]] = None
+        self._wedge_components: Dict[int, List[Deg2Component]] = {}
+
+    @property
+    def reach(self) -> float:
+        return self.combed.reach
+
+    def corner_row(self, v: str) -> np.ndarray:
+        return self.combed.corner_row(v)
 
     @property
     def coords(self) -> Dict[str, Dict[int, Tuple[float, float]]]:
         if self._coords is None:
             cc: Dict[str, Dict[int, Tuple[float, float]]] = {}
-            for l, (a, b, points) in enumerate(self._comb_points):
+            for l, (a, b, points) in enumerate(self.combed.comb_points):
                 prefix = "R%d." % l
                 for cid, (x, h) in points.items():
                     if cid == _COMB_ALPHA:
@@ -370,12 +397,52 @@ class _PartGeometry:
             self._wedge_components[i] = comps
         return comps
 
-    def corner_row(self, v: str) -> np.ndarray:
-        """Distances from segment corner v in the comb-replaced tree, cached."""
-        row = self._corner_rows.get(v)
-        if row is None:
-            row = self._corner_rows[v] = self.replaced.row(v)
-        return row
+
+# The inputs of an endpoint part: the endpoint tree's index i, the tooth size
+# phi(u) and the ball radius sigma_i(u).  The config fixes the rest.
+_PartKey = Tuple[int, float, float]
+
+
+def _memoised(store: dict, key, build: Callable[[], object]):
+    """``store[key]``, built by ``build()`` and stored on first request."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+    return value
+
+
+class _Stages:
+    """The stages of endpoint parts that one call builds, each keyed by its
+    own inputs, for the given endpoint trees, basepoints and ``depth_cap``.
+
+    The chop of X_i into unit segments depends on i only, a comb on its
+    :class:`CombParams` only, the comb-replaced tree (:class:`_Combed`) on
+    (i, phi) and the ball cut (:class:`_PartGeometry`) on (i, phi,
+    sigma_i), so each is built once, however many parts share it.  A call
+    makes one and drops it when it returns; nothing outlives the call.
+    """
+
+    def __init__(self, trees: Sequence[MetricTree], basepoints: Sequence[str], depth_cap: int):
+        self.trees, self.basepoints, self.depth_cap = trees, basepoints, depth_cap
+        self._chops: Dict[int, Deg2Decomposition] = {}
+        self._combs: Dict[CombParams, MetricTree] = {}
+        self._combed: Dict[Tuple[int, float], _Combed] = {}
+        self._parts: Dict[_PartKey, _PartGeometry] = {}
+
+    def part(self, i: int, phi: float, sigma: float) -> _PartGeometry:
+        return _memoised(
+            self._parts, (i, phi, sigma), lambda: _PartGeometry(self.combed(i, phi), sigma)
+        )
+
+    def combed(self, i: int, phi: float) -> _Combed:
+        def build() -> _Combed:
+            chop = _memoised(self._chops, i, lambda: decompose_deg2(self.trees[i], 1.0))
+            return _Combed(chop, self.basepoints[i], phi, self.depth_cap, self.comb)
+
+        return _memoised(self._combed, (i, phi), build)
+
+    def comb(self, params: CombParams) -> MetricTree:
+        return _memoised(self._combs, params, lambda: comb_tree(params))
 
 
 def _interpolate_on_shared_segment(
@@ -396,10 +463,6 @@ def _interpolate_on_shared_segment(
 
 
 _STAR_TIP = "branch:0:1.0"  # the star's basepoint: the tip of its unit branch
-
-# The inputs of an endpoint part: the endpoint tree's index i, the tooth size
-# phi(u) and the ball radius sigma_i(u).  The config fixes the rest.
-_PartKey = Tuple[int, float, float]
 
 
 class _Atlas:
@@ -479,57 +542,86 @@ class _Cell:
         rather than sorted: each part's cached components and the star's.
         None when the wedge vertex would have degree <= 2, so that a
         component runs through it from one part into another."""
-        s_vertices, s_edges, _ = self.star
+        s_edges = self.star[1]
         degree = sum(len(g.tree._adj[g.tree.index(g.basepoint)]) for g in self.parts)
         degree += sum(_STAR_TIP in (a, b) for a, b, _ in s_edges)
         if degree <= 2:
             return None
-        index = {v: n for n, v in enumerate(s_vertices)}
-        adj: List[List[Tuple[int, float]]] = [[] for _ in s_vertices]
-        for a, b, w in s_edges:
-            adj[index[a]].append((index[b], float(w)))
-            adj[index[b]].append((index[a], float(w)))
-        prefix = "P%d." % len(self.parts)
-        names = ["p" if v == _STAR_TIP else prefix + v for v in s_vertices]
         comps = [c for i, g in enumerate(self.parts) for c in g.wedge_components(i)]
-        return comps + _components(adj, names, index[_STAR_TIP])
+        return comps + _star_components(s_edges, "P%d." % len(self.parts))
 
 
-def _cell(
-    cfg: EmbedConfig,
-    u: str,
-    k: int,
-    memo: Dict[_PartKey, _PartGeometry],
-) -> _Cell:
-    # memo holds the parts of cells prepared before, by their inputs; the
-    # cell adds its own there, for any later cell whose parts have the same
-    # inputs: the other fibers of u, and labels with equal phi and sigma_i.
+def _star_components(
+    edges: Sequence[Tuple[str, str, float]], prefix: str
+) -> List[Deg2Component]:
+    """The degree-<=2 components of a star wedged at its tip ``_STAR_TIP``
+    as the part with id prefix ``prefix``: what :func:`_components` gives
+    for its adjacency, with the tip ``p`` and a branch vertex, read from
+    the edge list with no adjacency built.
+
+    ``edges`` lists each branch as a path out from the center, which has
+    degree >= 3: a run of edges ``(u, v, w)``, the first from the center,
+    each later one from the ``v`` before.  The interior of a branch has
+    degree 2, and its tip is a leaf or the wedge vertex.  So a branch is
+    one component whose closure runs from the center to the tip, with the
+    center and the wedge vertex as delimiters; a branch that is one edge to
+    the wedge vertex joins two branch vertices and has none.  As in
+    :func:`_components`, the closure runs from its smaller id, its length
+    sums the edges in that order, and the list is sorted by closure path.
+    """
+    out: List[Deg2Component] = []
+    if not edges:
+        return out
+    center = edges[0][0]
+    hub = prefix + center
+    wedged = tuple(sorted((hub, "p")))
+    path: List[str] = []
+    lengths: List[float] = []
+    for n, (_, v, w) in enumerate(edges):
+        path.append("p" if v == _STAR_TIP else prefix + v)
+        lengths.append(float(w))
+        if n + 1 < len(edges) and edges[n + 1][0] != center:
+            continue  # the branch goes on
+        wedge = path[-1] == "p"
+        if not (wedge and len(path) == 1):
+            closure = [hub] + path
+            if closure[-1] < hub:
+                closure.reverse()
+                lengths.reverse()
+            out.append(Deg2Component(
+                vertices=tuple(closure[1:-1] if wedge else [u for u in closure if u != hub]),
+                delimiters=wedged if wedge else (hub,),
+                closure_path=tuple(closure),
+                closure_diameter=float(sum(lengths)),
+            ))
+        path, lengths = [], []
+    out.sort(key=lambda c: c.closure_path)
+    return out
+
+
+def _cell(cfg: EmbedConfig, u: str, k: int, stages: _Stages) -> _Cell:
+    # stages holds what the cells prepared before have built, each stage by
+    # its own inputs; the cell adds its own there, for any later cell that
+    # shares them: the other fibers of u, labels with equal phi and sigma_i,
+    # and parts with equal phi or equal comb scales.
     if not (1 <= k <= cfg.m):
         raise ValueError("fiber index k=%r outside 1..%d" % (k, cfg.m))
     cfg.h_space.index(u)
     f = scalar_fields(cfg, u)
     if u in cfg.marked:
         return _Cell(fields=f, parts=[])
-    parts = []
-    for i in range(len(cfg.marked)):
-        key = (i, f.phi, f.sigma[i])
-        if key not in memo:
-            memo[key] = _PartGeometry(
-                cfg.trees[i], cfg.basepoints[i], f.phi, cfg.depth_cap, f.sigma[i]
-            )
-        parts.append(memo[key])
+    parts = [stages.part(i, f.phi, f.sigma[i]) for i in range(len(cfg.marked))]
     a = rho_embed(cfg.coords[u], k, cfg.m, cfg.branches)
     star = _assembly_star_parts(StarParams(a=a, scale=f.xi, eps=cfg.eps))
     return _Cell(fields=f, parts=parts, rho=a, star=star)
 
 
-def _assemble(
-    cfg: EmbedConfig,
-    u: str,
-    k: int,
-    memo: Optional[Dict[_PartKey, _PartGeometry]] = None,
-) -> _Atlas:
-    cell = _cell(cfg, u, k, {} if memo is None else memo)
+def _stages(cfg: EmbedConfig) -> _Stages:
+    return _Stages(cfg.trees, cfg.basepoints, cfg.depth_cap)
+
+
+def _assemble(cfg: EmbedConfig, u: str, k: int, stages: Optional[_Stages] = None) -> _Atlas:
+    cell = _cell(cfg, u, k, _stages(cfg) if stages is None else stages)
     f = cell.fields
     if cell.star is None:
         i = cfg.marked.index(u)
@@ -702,13 +794,16 @@ def injectivity_scan(
 
     An endpoint part, X_i comb-replaced and ball-cut, depends on the cell
     only through its inputs (i, phi(u), sigma_i(u)), not on the label or
-    the fiber, so each distinct part is built once per call and shared by
-    every cell with those inputs: all fibers of a label, and labels with
-    equal fields, such as mirror images across a symmetry of the marks.
+    the fiber, and each stage of it on fewer: the chop of X_i into unit
+    segments on i, a comb on its parameters, the comb-replaced tree on
+    (i, phi).  So each stage is built once per call for its own inputs
+    (:class:`_Stages`) and shared by every part that needs it: all fibers
+    of a label, labels with equal fields, such as mirror images across a
+    symmetry of the marks, and the ball cuts of one phi.
     No wedge is built: when the wedge vertex has degree >= 3, every
     degree-<=2 component of the cell's tree lies inside one part or the
     star, so each part's components, computed once under the wedge's ids,
-    are merged with the star's, and only the star is walked per cell.
+    are merged with the star's, which are read off its branch lists.
     Otherwise, as with a single-vertex endpoint tree, the cell's tree is
     assembled and walked whole.  Every row equals what :func:`build_F` and
     :func:`star_fingerprint` give for that cell alone.
@@ -728,9 +823,9 @@ def injectivity_scan(
                 "grid cell %r is a marked point; the scan domain excludes them" % lab
             )
     values: List[List[float]] = []
-    memo: Dict[_PartKey, _PartGeometry] = {}
+    stages = _stages(cfg)
     for lab, k in grid:
-        cell = _cell(cfg, lab, k, memo)
+        cell = _cell(cfg, lab, k, stages)
         comps = cell.components()
         if comps is None:
             fp = star_fingerprint(cell.wedge(), tol=cfg.tol)
@@ -1080,12 +1175,15 @@ def continuity_scan(
     Each tree is subdivided once at ``eps``; ``hi`` is half the distortion
     of the composite correspondence, which pairs every sample vertex with
     its nearest atlas partner in the other tree, plus ``eps``.  As in
-    :func:`injectivity_scan`, the cells share each distinct endpoint part,
-    built once per call from its inputs (i, phi(u), sigma_i(u)).  Each
-    cell's sample and its matching index are built once, in one pass over
-    the atlas's edges, and reused by all of the cell's pairs, then freed,
-    with the sample's distance matrix, after the cell's last pair, so only
-    cells with pairs still to come hold a sample.
+    :func:`injectivity_scan`, the cells share the stages of their endpoint
+    parts, each built once per call from its own inputs, and the parts
+    themselves from (i, phi(u), sigma_i(u)); the basepoint's reach and the
+    segment corners' rows belong to the comb-replaced stage, so every part
+    of one (i, phi) shares them.  Each cell's sample and its matching index
+    are built once, in one pass over the atlas's edges, and reused by all
+    of the cell's pairs, then freed, with the sample's distance matrix,
+    after the cell's last pair, so only cells with pairs still to come hold
+    a sample.
 
     Args:
         cfg: embedding configuration.
@@ -1120,9 +1218,9 @@ def continuity_scan(
                 "adjacency pair (%r, %r): adjacent cells must share the fiber "
                 "index, got %d and %d" % (ia, ib, grid[ia][1], grid[ib][1])
             )
-    memo: Dict[_PartKey, _PartGeometry] = {}
-    atlases: List[Optional[_Atlas]] = [_assemble(cfg, lab, k, memo) for lab, k in grid]
-    del memo  # each part is then freed with the last atlas that holds it
+    stages = _stages(cfg)
+    atlases: List[Optional[_Atlas]] = [_assemble(cfg, lab, k, stages) for lab, k in grid]
+    del stages  # each part is then freed with the last atlas that holds it
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
     samples: Dict[int, _CandidateIndex] = {}
 
@@ -1205,8 +1303,9 @@ def replacement_path(
     steps: List[PathStep] = []
     prev_sub: Optional[_CandidateIndex] = None
     prev_s = 0.0
+    stages = _Stages((x,), (basepoint,), depth_cap)  # one chop for every s
     for s in svals:
-        geom = _PartGeometry(x, basepoint, s, depth_cap, math.inf)
+        geom = stages.part(0, s, math.inf)
         atlas = _Atlas(
             tree=geom.tree,
             coords={v: {0: geom.coords[v]} for v in geom.tree.vertices},

@@ -126,6 +126,10 @@ def comb_tree(params: CombParams) -> MetricTree:
     generation) the result is the plain two-vertex segment.  Generations
     beyond ``depth_cap`` are dropped; the resulting omission is at most
     ``scale * s`` and is recorded as ``metadata["truncation_error"]``.
+    A spine with teeth is a tree by construction, so it is not proved one;
+    only when a tiny ``scale`` rounds an edge length to zero does the tree
+    go through the checked constructor, which raises
+    :class:`~treegh.tree.TreeStructureError` naming that edge.
     """
     s, M, cap = params.s, params.scale, params.depth_cap
     heights = _tooth_heights(s, cap)
@@ -142,14 +146,14 @@ def comb_tree(params: CombParams) -> MetricTree:
         vertices.append(vid)
         points[vid] = (x, 0.0)
     for i in range(len(xs) - 1):
-        edges.append((spine_ids[xs[i]], spine_ids[xs[i + 1]], M * (xs[i + 1] - xs[i])))
+        edges.append((spine_ids[xs[i]], spine_ids[xs[i + 1]], float(M * (xs[i + 1] - xs[i]))))
     for x in xs:
         h = heights.get(x, 0.0)
         if h > 0.0:
             tid = "tooth:%r:%r" % (x, h)
             vertices.append(tid)
             points[tid] = (x, h)
-            edges.append((spine_ids[x], tid, M * h))
+            edges.append((spine_ids[x], tid, float(M * h)))
 
     truncation = M * s if (s > 0.0 and s < 2.0 ** (-(cap + 1))) else 0.0
     meta = {
@@ -160,6 +164,10 @@ def comb_tree(params: CombParams) -> MetricTree:
         "truncation_error": truncation,
         "points": points,
     }
+    if all(w > 0.0 for _, _, w in edges):
+        # A spine path with one tooth per spine vertex, distinct ids: a tree.
+        return MetricTree._unchecked(vertices, edges, {}, meta)
+    # A tiny scale can round a length to zero; the constructor names it.
     return MetricTree(vertices, edges, metadata=meta)
 
 

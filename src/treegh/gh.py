@@ -419,7 +419,7 @@ def greedy_tree_correspondence(x: Space, y: Space) -> Correspondence:
     nx, ny = len(order_x), len(order_y)
     to_y = order_y[np.round(np.arange(nx) * (ny - 1) / max(1, nx - 1)).astype(int)]
     to_x = order_x[np.round(np.arange(ny) * (nx - 1) / max(1, ny - 1)).astype(int)]
-    return Correspondence.from_pairs(zip(np.r_[order_x, to_x], np.r_[to_y, order_y]))
+    return Correspondence.from_pairs(np.column_stack([np.r_[order_x, to_x], np.r_[to_y, order_y]]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,13 +8,14 @@ proves the edge list is a tree by counting: one depth-first walk from vertex
 is the graph searched again, to name a cycle or the components.
 Operations that keep a tree a tree skip the proof: subdivision, chunk
 boundaries and ball cuts put vertices on the edges of a valid tree through
-one builder that checks only the new ids and pieces, and a closed ball keeps
-a connected set of vertices.  The same walk, as a preorder with parents and
-edge lengths, fills the full matrix of path distances when it is first
-needed (then cached; its columns stay in preorder until ``dist`` is read;
-refused above 2**14 vertices) and finds geodesics; operations that need one
-source's distances or only edge lengths (balls, degree-<=2 components, edge
-replacement) never build the matrix.  Points of the underlying continuum
+one builder that checks only the new ids and pieces, a closed ball keeps a
+connected set of vertices, and edge replacement glues trees across plain
+paths that its entry checks have vetted.  The same walk, as a preorder with
+parents and edge lengths, fills the full matrix of path distances when it
+is first needed (then cached; its columns stay in preorder until ``dist``
+is read; refused above 2**14 vertices) and finds geodesics; operations that
+need one source's distances or only edge lengths (balls, degree-<=2
+components, edge replacement) never build the matrix.  Points of the underlying continuum
 exist only once an operation materialises them -- subdivision, chunk
 boundaries and ball cuts all insert explicit vertices.
 
@@ -509,7 +510,7 @@ def _components(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeSegment:
     """A geodesic segment [a, b] of a tree, with its vertex path and length."""
 
@@ -579,43 +580,99 @@ def decompose_deg2(tree: MetricTree, max_len: float = 1.0) -> Deg2Decomposition:
                 % (max_len, boundaries, _MAX_SUBDIVIDE_VERTICES)
             )
 
-    # Walk each closure path, planning chunk boundaries.  A boundary is
-    # either an existing vertex or (edge position) to be inserted.
-    pending: List[Tuple[str, str, float, str]] = []  # (u, v, offset, new_id)
-    plans: List[List[str]] = []  # per segment: symbolic vertex paths
+    # Walk each closure path, placing chunk boundaries on its edges.  Each
+    # closure covers its own edges, so an edge is walked once, from u.
+    at = {}
+    for e, (a, b, _) in enumerate(tree.edges):
+        at[a, b] = at[b, a] = e
     base = _next_free(tree, "chop:")
+    cuts = [0] * len(tree.edges)
+    runs: Dict[int, Tuple[List[float], List[str]]] = {}  # offsets from a, ids
+    walks = []  # per closure: its first vertex and, per edge, the step taken
+    placed = 0
     for path in closures:
         if len(path) < 2:
             continue
-        seg_paths: List[List[str]] = [[path[0]]]
+        steps = []
         remaining = max_len
         for i in range(len(path) - 1):
             u, v = path[i], path[i + 1]
-            edge_len = tree._edge_length(u, v)
-            pos = 0.0
-            while edge_len - pos > remaining + _EPS_VERTEX:
-                off = pos + remaining
-                new_id = "chop:%d" % (base + len(pending))
-                pending.append((u, v, off, new_id))
-                seg_paths[-1].append(new_id)
-                seg_paths.append([new_id])
-                pos = off
+            e = at[u, v]
+            a, _, w = tree.edges[e]
+            offs = _chunk_offsets(w, remaining, max_len)
+            ids: List[str] = []
+            if offs is None:
+                remaining -= w  # the whole edge fits in the current chunk
+            else:
+                ids = ["chop:%d" % k for k in range(base + placed, base + placed + len(offs))]
+                placed += len(ids)
+                cuts[e] = len(ids)
+                # the rest of the edge, past its last boundary, starts a chunk
+                remaining = max_len - (w - float(offs[-1]))
+                if u == a:
+                    runs[e] = offs.tolist(), ids
+                else:
+                    runs[e] = (w - offs[::-1]).tolist(), ids[::-1]
+            closes = remaining <= _EPS_VERTEX and i < len(path) - 2
+            if closes:
                 remaining = max_len
-            # rest of this edge fits in the current chunk
-            consumed = edge_len - pos
-            remaining -= consumed
-            seg_paths[-1].append(v)
-            if remaining <= _EPS_VERTEX and i < len(path) - 2:
-                seg_paths.append([v])
-                remaining = max_len
-        plans.extend(p for p in seg_paths if len(p) >= 2)
+            steps.append((e, u == a, ids, v, closes))
+        walks.append((path[0], steps))
 
-    host = _split_edges(tree, *_runs(tree, pending), "chop") if pending else tree
+    if not placed:
+        host = tree
+    else:
+        order = sorted(runs)
+        offsets = [off for e in order for off in runs[e][0]]
+        host = _split_edges(tree, cuts, offsets, [x for e in order for x in runs[e][1]], "chop")
+    # Edge e of the tree is host edges first[e] .. first[e] + cuts[e]; a
+    # segment's length sums their pieces along its path, as a walk of the
+    # host would.
+    lengths = [w for _, _, w in host.edges]
+    first = (np.arange(len(cuts)) + np.cumsum(cuts) - cuts).tolist()
+    segments: List[TreeSegment] = []
 
-    segments = []
-    for p in plans:
-        segments.append(TreeSegment(a=p[0], b=p[-1], length=host._path_length(p), path=tuple(p)))
+    def close(path: List[str], pieces: List[float]) -> None:
+        segments.append(TreeSegment(path[0], path[-1], float(sum(pieces)), tuple(path)))
+
+    for start, steps in walks:
+        path, pieces = [start], []
+        for e, forward, ids, v, closes in steps:
+            run = lengths[first[e]:first[e] + len(ids) + 1]
+            if not forward:
+                run.reverse()
+            if ids:
+                path.append(ids[0])
+                pieces.append(run[0])
+                close(path, pieces)
+                segments.extend(map(TreeSegment, ids, ids[1:], run[1:-1], zip(ids, ids[1:])))
+                path, pieces = [ids[-1]], []
+            path.append(v)
+            pieces.append(run[-1])
+            if closes:
+                close(path, pieces)
+                path, pieces = [v], []
+        close(path, pieces)
     return Deg2Decomposition(tree=host, segments=tuple(segments))
+
+
+def _chunk_offsets(w: float, remaining: float, max_len: float) -> Optional[np.ndarray]:
+    """Where the greedy chunking puts boundaries on an edge of length w
+    entered with ``remaining`` left in the current chunk: offsets from the
+    entry end, or None for none.  A boundary goes at pos + remaining while
+    ``w - pos > remaining + 1e-12``; the first at ``remaining``, each later
+    one ``max_len`` past the one before, summed in sequence as
+    ``np.add.accumulate`` sums."""
+    if not w > remaining + _EPS_VERTEX:  # w - 0.0 is w
+        return None
+    # n candidates reach w up to the sums' rounding, which stays far below
+    # max_len for the at most 2**20 boundaries decompose_deg2 allows, so
+    # the last one is never followed by another boundary.
+    n = int((w - remaining) / max_len) + 2
+    offs = np.add.accumulate(np.r_[remaining, np.full(n - 1, max_len)])
+    # the boundary after offs[j] is placed while w - offs[j] > max_len + 1e-12
+    more = w - offs > max_len + _EPS_VERTEX
+    return offs[:1 + int(np.argmin(more))]
 
 
 def _next_free(tree: MetricTree, prefix: str) -> int:
@@ -852,7 +909,15 @@ def replace_edges(
     Returns:
         The tree with each geodesic interior replaced; replacement vertex
         ids are prefixed ``R<k>.`` except the marks, which take the host
-        endpoint ids.
+        endpoint ids.  The checks on the entries show that the result is a
+        tree, so it is not proved one again; only a replacement id that a
+        kept host vertex already has is refused, as the constructor would
+        refuse it.
+
+    Raises:
+        ReplacementError: an entry fails its checks.
+        TreeStructureError: ``duplicate vertex ids`` when a ``R<k>.`` id is
+            a kept host id.
     """
     paths: List[List[str]] = []
     endpoint_ids = set()
@@ -906,6 +971,7 @@ def replace_edges(
         removed_vertices.update(p[1:-1])
 
     vertices = [v for v in tree.vertices if v not in removed_vertices]
+    kept = len(vertices)
     edges = [
         (a, b, w)
         for a, b, w in tree.edges
@@ -931,8 +997,15 @@ def replace_edges(
         meta_entries.append(
             {"a": e.a, "b": e.b, "alpha": e.alpha, "beta": e.beta, "prefix": prefix}
         )
+    # Each replaced geodesic is a plain path whose interior leaves the host,
+    # and the geodesics share no edge, so gluing a tree across each one's
+    # ends keeps a tree.  Only a new id that a kept host vertex has can go
+    # wrong; the ids of different entries differ in their R<k>. prefixes.
+    taken = set(vertices[:kept]).intersection(vertices[kept:])
+    if taken:
+        raise TreeStructureError("duplicate vertex ids: %s" % sorted(taken)[:3])
     meta = {"generator": "replace", "entries": meta_entries}
-    return MetricTree(vertices, edges, labels=labels, metadata=meta)
+    return MetricTree._unchecked(vertices, edges, labels, meta)
 
 
 def _pieces(lengths: np.ndarray, eps: float) -> np.ndarray:

@@ -419,30 +419,59 @@ def _part_inputs(cfg, cells):
     return {(i, f.phi, f.sigma[i]) for f in fields for i in range(len(cfg.marked))}
 
 
+def _stage_inputs(cfg, cells):
+    """The distinct inputs of each stage of the cells' endpoint parts: the
+    endpoint trees chopped, the comb parameters, the (i, phi) comb-replaced
+    and the (i, phi, sigma_i) cut to a ball."""
+    parts = _part_inputs(cfg, cells)
+    combed = {(i, phi) for i, phi, _ in parts}
+    scales = {
+        i: {min(seg.length, 1.0) for seg in decompose_deg2(t, 1.0).segments}
+        for i, t in enumerate(cfg.trees)
+    }
+    combs = {(phi, scale) for i, phi in combed for scale in scales[i]}
+    return {"chop": len(cfg.trees), "comb": len(combs), "replace": len(combed), "ball": len(parts)}
+
+
 def test_scans_build_each_distinct_part_once(inject_scan_grids, asymmetric_config, monkeypatch):
     # On the two-corner grid each off-diagonal label has a mirror label with
     # the same phi and sigma: 7 labels make 4 distinct field values, and 2
     # endpoint trees 8 parts.  No symmetry of the grid fixes the asymmetric
-    # marks, so there each label's parts are its own: 14.
-    built = []
+    # marks, so there each label's parts are its own: 14.  Each stage of a
+    # part is built once for its own inputs: each endpoint tree is chopped
+    # once, a comb is built once per parameters, and the comb-replaced tree
+    # once per (i, phi), of which both grids have 3 phi values.
+    built = {"chop": [], "comb": [], "replace": [], "ball": []}
 
-    class Counted(treegh.embedding._PartGeometry):
-        def __init__(self, base, basepoint, s, depth_cap, radius):
-            built.append((basepoint, s, radius))
-            super().__init__(base, basepoint, s, depth_cap, radius)
+    def count(stage, fn, key):
+        def counted(*args):
+            built[stage].append(key(*args))
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(treegh.embedding, "_PartGeometry", Counted)
+    embedding = treegh.embedding
+    for stage, name, key in (
+        ("chop", "decompose_deg2", lambda t, max_len: (id(t), max_len)),
+        ("comb", "comb_tree", lambda params: params),
+        ("replace", "replace_edges", lambda host, plan: (id(host), plan[0].tree.metadata["s"])),
+        ("ball", "closed_ball_subtree", lambda t, origin, r: (id(t), origin, r)),
+    ):
+        monkeypatch.setattr(embedding, name, count(stage, getattr(embedding, name), key))
     cfg, cells = inject_scan_grids[0]  # 7 labels x 3 fibers, 2 endpoint trees
     asym_cells = _all_cells(asymmetric_config)
     fiber = [(lab, k) for lab, k in cells if k == 2]
-    for scan, want in (
-        (lambda: injectivity_scan(cfg, cells), 8),
-        (lambda: injectivity_scan(asymmetric_config, asym_cells), 14),
-        (lambda: continuity_scan(cfg, fiber, _grid_adjacency(cfg, fiber)), 8),
+    asym = asymmetric_config
+    for scan, config, scanned, want in (
+        (lambda: injectivity_scan(cfg, cells), cfg, cells, (2, 6, 6, 8)),
+        (lambda: injectivity_scan(asym, asym_cells), asym, asym_cells, (2, 6, 6, 14)),
+        (lambda: continuity_scan(cfg, fiber, _grid_adjacency(cfg, fiber)), cfg, fiber, (2, 6, 6, 8)),
     ):
-        built.clear()
+        for calls in built.values():
+            calls.clear()
         scan()
-        assert len(built) == len(set(built)) == want
+        inputs = _stage_inputs(config, scanned)
+        for stage, n in zip(built, want):
+            assert len(built[stage]) == len(set(built[stage])) == inputs[stage] == n, stage
     assert len(cells) == 21 and len(fiber) == 7
     assert len(_part_inputs(cfg, cells)) == len(_part_inputs(cfg, fiber)) == 8
     assert len(_part_inputs(asymmetric_config, asym_cells)) == 14
@@ -466,14 +495,14 @@ def _fingerprint_outcome(read):
 
 def compare_composed_cells(cfg, cells):
     """Check each cell's composed components, with the parts shared through
-    one memo as the scan shares them, against those of its assembled tree,
-    field for field, and its fingerprint or FingerprintError against
-    star_fingerprint's.  Returns the composed outcomes and the number of
+    one set of stages as the scan shares them, against those of its
+    assembled tree, field for field, and its fingerprint or
+    FingerprintError against star_fingerprint's.  Returns the composed outcomes and the number of
     cells whose wedge vertex has degree <= 2, which compose nothing."""
-    memo = {}
+    stages = treegh.embedding._stages(cfg)
     outcomes, fallbacks = [], 0
     for lab, k in cells:
-        cell = treegh.embedding._cell(cfg, lab, k, memo)
+        cell = treegh.embedding._cell(cfg, lab, k, stages)
         tree = build_F(cfg, lab, k)
         comps = cell.components()
         if comps is None:
@@ -593,8 +622,8 @@ def test_composition_needs_a_wedge_vertex_of_degree_three():
     # unless the part is a single vertex, so build the boundary by hand: a
     # plain comb (s = 0) leaves a leaf basepoint with one edge.
     path = tree_from_edges([("a", "b", 0.7), ("b", "c", 0.6)])
-    part = treegh.embedding._PartGeometry(path, "a", 0.0, 8, math.inf)
-    lone = treegh.embedding._PartGeometry(MetricTree(("v",), ()), "v", 0.0, 8, math.inf)
+    stages = treegh.embedding._Stages((path, MetricTree(("v",), ())), ("a", "v"), 8)
+    part, lone = stages.part(0, 0.0, math.inf), stages.part(1, 0.0, math.inf)
     star = treegh.embedding._assembly_star_parts(StarParams(a=(0.3, 0.08), scale=2.0, eps=0.25))
     for parts, degree in (([part, lone], 2), ([lone, part, part], 3), ([part, part], 3)):
         cell = treegh.embedding._Cell(fields=None, parts=parts, rho=(0.3, 0.08), star=star)
@@ -649,10 +678,11 @@ def test_injectivity_scan_builds_no_atlas_coordinates(small_config, monkeypatch)
         raise AssertionError("built the atlas coordinates")
 
     monkeypatch.setattr(treegh.embedding._Atlas, "coords", property(refuse))
-    # Nor the parts' comb coordinates and reach, which only the continuity
-    # matcher and its analytic bound read.
+    # Nor the parts' comb coordinates and their stages' reach, which only
+    # the continuity matcher and its analytic bound read.
     for name in ("coords", "reach"):
         monkeypatch.setattr(treegh.embedding._PartGeometry, name, property(refuse))
+    monkeypatch.setattr(treegh.embedding._Combed, "reach", property(refuse))
     cells = [(lab, k) for k in (1, 2) for lab in ("g0_1", "g1_1", "g2_1")]
     assert len(injectivity_scan(small_config, cells).rows) == 6
 
@@ -881,13 +911,13 @@ def test_sample_index_equals_the_per_vertex_reference(small_config):
     ] + [(bench, bench.eps, 1)]
     atlases = []
     for cfg, eps, k in cases:
-        memo = {}
+        stages = treegh.embedding._stages(cfg)
         for lab in cfg.h_space.labels:
             if lab not in cfg.marked:
-                atlases.append((treegh.embedding._assemble(cfg, lab, k, memo), eps))
+                atlases.append((treegh.embedding._assemble(cfg, lab, k, stages), eps))
     x = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8), ("b", "d", 0.6)])
     for s in (0.0, 0.3):
-        geom = treegh.embedding._PartGeometry(x, "b", s, 8, math.inf)
+        geom = treegh.embedding._Stages((x,), ("b",), 8).part(0, s, math.inf)
         atlases.append((treegh.embedding._Atlas(
             tree=geom.tree, coords={v: {0: geom.coords[v]} for v in geom.tree.vertices},
             parts=[geom], wedge=None,
@@ -1080,6 +1110,50 @@ def test_scans_match_the_eps_sampled_star(small_config, monkeypatch, eps_exp):
             assert abs(a.fingerprint.xi_hat - b.fingerprint.xi_hat) <= 1e-14
             assert tau(a.fingerprint.a_hat, b.fingerprint.a_hat) <= 1e-14
             assert a.recovery_error <= b.recovery_error
+
+
+def walked_star_components(vertices, edges, prefix):
+    """The star's components as the cells walked them before the branch
+    reader: an index, adjacency lists and the generic walk, with the tip of
+    branch 0 the wedge vertex p and a branch vertex."""
+    index = {v: n for n, v in enumerate(vertices)}
+    adj = [[] for _ in vertices]
+    for a, b, w in edges:
+        adj[index[a]].append((index[b], float(w)))
+        adj[index[b]].append((index[a], float(w)))
+    names = ["p" if v == "branch:0:1.0" else prefix + v for v in vertices]
+    return treegh.tree._components(adj, names, index["branch:0:1.0"])
+
+
+def _renamed_center(parts, name):
+    vertices, edges, points = parts
+    rename = {"center": name}
+    return (
+        [rename.get(v, v) for v in vertices],
+        [(rename.get(a, a), rename.get(b, b), w) for a, b, w in edges],
+        points,
+    )
+
+
+def test_star_reader_equals_the_adjacency_walk():
+    # The assembly layout and the eps-sampled one, whose unit branch may be
+    # a single edge to the wedge vertex; a center id that sorts after the
+    # branch ids, as "center" does, or before them and before "p".
+    rng = np.random.default_rng(1819)
+    compared = 0
+    for trial in range(200):
+        a = tuple(float(rng.uniform(4.0 ** -i, 2 * 4.0 ** -i)) for i in range(1, int(rng.integers(3, 6)) + 1))
+        params = StarParams(a=a, scale=float(rng.choice([1e-3, 0.05, 0.7, 3.0, 16.0])), eps=2.0 ** -int(rng.integers(2, 8)))
+        prefix = "P%d." % int(rng.integers(1, 4))
+        for layout in (treegh.embedding._assembly_star_parts, sampled_star_parts):
+            for center in ("center", "A", "~"):
+                vertices, edges, _ = _renamed_center(layout(params), center)
+                got = treegh.embedding._star_components(edges, prefix)
+                want = walked_star_components(vertices, edges, prefix)
+                assert got == want, (trial, layout, center)
+                assert [c.closure_diameter.hex() for c in got] == [c.closure_diameter.hex() for c in want]
+                compared += len(got)
+    assert compared > 4000
 
 
 def _refuse_assembly(monkeypatch):

@@ -622,6 +622,34 @@ def test_greedy_correspondence_is_identity_on_copies():
     assert distortion(x, x, corr) == 0.0
 
 
+def zipped_greedy_correspondence(x, y):
+    """greedy_tree_correspondence as it packed its pairs before: a zip of
+    numpy scalars, one pair at a time."""
+    order_x = np.argsort(x.eccentricities(), kind="stable")
+    order_y = np.argsort(y.eccentricities(), kind="stable")
+    nx, ny = len(order_x), len(order_y)
+    to_y = order_y[np.round(np.arange(nx) * (ny - 1) / max(1, nx - 1)).astype(int)]
+    to_x = order_x[np.round(np.arange(ny) * (nx - 1) / max(1, ny - 1)).astype(int)]
+    return Correspondence.from_pairs(zip(np.r_[order_x, to_x], np.r_[to_y, order_y]))
+
+
+def test_greedy_correspondence_equals_the_zipped_pairs():
+    # The comb samples that the intervals of the gh-solve benchmark align
+    # (the quick-start pair and in-band pairs), seeded random trees, and
+    # spaces, one of a single point.
+    rng = np.random.default_rng(1820)
+    pairs = []
+    for s, t in [(0.5, 0.375)] + [(float(s), float(s) * 1.1) for s in rng.uniform(0.13, 0.9, 8)]:
+        x, y = (subdivide(comb_tree(CombParams(s=v)), 2.0 ** -6) for v in (s, t))
+        pairs.append((x, y))
+    pairs += [(random_tree(rng, 1, 30), random_tree(rng, 1, 30)) for _ in range(40)]
+    pairs += [(random_space(rng, 1, 6), random_space(rng, 1, 6)) for _ in range(20)]
+    pairs.append((random_space(rng, 1, 1), random_space(rng, 3, 3)))
+    for x, y in pairs:
+        got, want = greedy_tree_correspondence(x, y), zipped_greedy_correspondence(x, y)
+        assert (got.packed, got.code) == (want.packed, want.code)
+
+
 # -- tree intervals -----------------------------------------------------------
 
 

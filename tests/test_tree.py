@@ -30,7 +30,7 @@ from treegh import (
     wedge_sum,
 )
 from treegh import tree as tree_module
-from treegh.embedding import _PartGeometry, scalar_fields
+from treegh.embedding import _Stages, scalar_fields
 from treegh.families import CombParams
 from treegh.io import tree_from_document, tree_to_document
 from conftest import random_tree
@@ -871,12 +871,14 @@ def test_subdivide_equals_the_insert_points_reference():
 def checked(fn, *args):
     """fn(*args) with vertices put on edges by the reference _insert_points
     and every trusted tree built through MetricTree(...) instead."""
+    def split(tree, cuts, offsets, ids, generator, doing=None, **extra):
+        # the per-edge runs back to one record per vertex, offsets from a
+        edges = [edge for edge, c in zip(tree.edges, cuts) for _ in range(c)]
+        points = [(a, b, off, new_id) for (a, b, _), off, new_id in zip(edges, offsets, ids)]
+        return _insert_points(tree, points, generator, extra)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree_module, "_runs", lambda tree, points: (points,))
-        mp.setattr(
-            tree_module, "_split_edges",
-            lambda tree, points, generator, **extra: _insert_points(tree, points, generator, extra),
-        )
+        mp.setattr(tree_module, "_split_edges", split)
         mp.setattr(MetricTree, "_unchecked", classmethod(lambda cls, *parts: cls(*parts)))
         return fn(*args)
 
@@ -932,8 +934,10 @@ def test_assembly_equals_the_checked_reference(inject_scan_grids):
         for u in sorted({u for u, _ in cells}):
             f = scalar_fields(cfg, u)
             for i, (x, bp) in enumerate(zip(cfg.trees, cfg.basepoints)):
-                args = (x, bp, f.phi, cfg.depth_cap, f.sigma[i])
-                got, want = _PartGeometry(*args), checked(_PartGeometry, *args)
+                def part(x=x, bp=bp, phi=f.phi, radius=f.sigma[i]):
+                    return _Stages((x,), (bp,), cfg.depth_cap).part(0, phi, radius)
+
+                got, want = part(), checked(part)
                 assert_same_tree(got.host, want.host)
                 assert got.segments == want.segments
                 assert_same_tree(got.tree, want.tree)
@@ -973,3 +977,146 @@ def test_subdivide_fails_fast_on_huge_samples():
     with pytest.raises(ValueError, match="would insert 1048578 vertices, more than 1048576"):
         subdivide(two, 1.0 / (2 ** 19 + 2))
     assert subdivide(unit, 2.0 ** -9).n == 2 ** 9 + 1
+
+
+# The greedy chunking walk that decompose_deg2 replaced: one boundary at a
+# time, pos + remaining in a Python loop, each segment's length summed over
+# the host's edges.  It is the bit-for-bit reference of the batched walk.
+def reference_decompose_deg2(tree, max_len=1.0):
+    max_len = float(max_len)
+    comps = deg2_components(tree)
+    covered = set()
+    for comp in comps:
+        path = comp.closure_path
+        for i in range(len(path) - 1):
+            covered.add(frozenset((path[i], path[i + 1])))
+    bare = sorted(
+        (tuple(sorted((a, b))), w) for a, b, w in tree.edges
+        if frozenset((a, b)) not in covered
+    )
+    closures = [c.closure_path for c in comps] + [pair for pair, _ in bare]
+    pending, plans = [], []
+    base = tree_module._next_free(tree, "chop:")
+    for path in closures:
+        if len(path) < 2:
+            continue
+        seg_paths = [[path[0]]]
+        remaining = max_len
+        for i in range(len(path) - 1):
+            u, v = path[i], path[i + 1]
+            edge_len = tree._edge_length(u, v)
+            pos = 0.0
+            while edge_len - pos > remaining + 1e-12:
+                off = pos + remaining
+                new_id = "chop:%d" % (base + len(pending))
+                pending.append((u, v, off, new_id))
+                seg_paths[-1].append(new_id)
+                seg_paths.append([new_id])
+                pos = off
+                remaining = max_len
+            remaining -= edge_len - pos
+            seg_paths[-1].append(v)
+            if remaining <= 1e-12 and i < len(path) - 2:
+                seg_paths.append([v])
+                remaining = max_len
+        plans.extend(p for p in seg_paths if len(p) >= 2)
+    host = tree
+    if pending:
+        host = tree_module._split_edges(tree, *tree_module._runs(tree, pending), "chop")
+    segments = tuple(
+        tree_module.TreeSegment(a=p[0], b=p[-1], length=host._path_length(p), path=tuple(p))
+        for p in plans
+    )
+    return tree_module.Deg2Decomposition(tree=host, segments=segments)
+
+
+def _hexed_decomposition(dec):
+    t = dec.tree
+    return (
+        t.vertices,
+        [(a, b, w.hex()) for a, b, w in t.edges],
+        [(k, a, b, off.hex()) for k, (a, b, off) in t.metadata.get("inserted", {}).items()],
+        list(t.metadata), t.labels, t._adj,
+        [(s.a, s.b, s.length.hex(), s.path) for s in dec.segments],
+    )
+
+
+def test_decompose_equals_the_one_boundary_walk():
+    rng = np.random.default_rng(18)
+    placed = 0
+    for trial in range(300):
+        t = random_tree(rng, 1, 25, scale=float(rng.choice([0.3, 1.0, 3.0, 7.0])))
+        for max_len in (1.0, float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 2.0))):
+            got, want = decompose_deg2(t, max_len), reference_decompose_deg2(t, max_len)
+            assert (got.tree is t) == (want.tree is t), (trial, max_len)
+            assert _hexed_decomposition(got) == _hexed_decomposition(want), (trial, max_len)
+            placed += got.tree.n - t.n
+    assert placed > 10 ** 4
+    # 2**18 boundaries on two long edges, walked from either end, and a
+    # chunk that ends exactly on a vertex
+    big = tree_from_edges([("a", "b", 2.0 ** 17 + 0.5), ("c", "b", 2.0 ** 17 + 0.5), ("b", "d", 1.0)])
+    got, want = decompose_deg2(big, 1.0), reference_decompose_deg2(big, 1.0)
+    assert got.tree.n == big.n + 2 ** 18
+    assert _hexed_decomposition(got) == _hexed_decomposition(want)
+
+
+# -- trusted builders of combs and replacements --------------------------------
+
+
+def test_trusted_combs_equal_the_checked_constructor():
+    for s in (0.0, 0.1, 0.3, 0.375, 0.5, 0.77, 1.0):
+        for scale in (1.0, 0.75, 0.3, 1e-300):
+            for cap in (0, 2, 8):
+                params = CombParams(s=s, scale=scale, depth_cap=cap)
+                assert_same_tree(comb_tree(params), checked(comb_tree, params))
+    # A scale so tiny that a length rounds to zero is refused as before, by
+    # the constructor and with its message.
+    params = CombParams(s=0.5, scale=5e-324)
+    message = r"^edge \(spine:0\.0, spine:0\.5\) must have positive finite length, got 0\.0$"
+    for build in (comb_tree, lambda p: checked(comb_tree, p)):
+        with pytest.raises(TreeStructureError, match=message):
+            build(params)
+
+
+def _comb_plan(rng, dec):
+    """Each segment, or a random half of them, replaced by a comb of
+    random parameter scaled to its length."""
+    segments = [seg for seg in dec.segments if rng.random() < 0.5] or list(dec.segments)
+    return [
+        ReplacementEntry(
+            a=seg.a, b=seg.b, alpha="spine:0.0", beta="spine:1.0",
+            tree=comb_tree(CombParams(s=float(rng.choice([0.0, 0.2, 0.5, 0.9])), scale=seg.length)),
+        )
+        for seg in segments
+    ]
+
+
+def test_trusted_replacements_equal_the_checked_constructor():
+    rng = np.random.default_rng(1818)
+    replaced = 0
+    for trial in range(150):
+        t = random_tree(rng, 2, 20, scale=float(rng.choice([0.3, 1.0, 2.0])))
+        dec = decompose_deg2(t, float(rng.choice([1.0, 0.4])))
+        plan = _comb_plan(rng, dec)
+        assert_same_tree(replace_edges(dec.tree, plan), checked(replace_edges, dec.tree, plan))
+        replaced += len(plan)
+    # a patch that branches, between two host vertices of a longer path
+    host = tree_from_edges([("a", "m", 0.7), ("m", "b", 1.0), ("b", "t", 0.4)])
+    entry = ReplacementEntry(a="a", b="b", tree=star3(), alpha="x", beta="y")
+    assert_same_tree(replace_edges(host, [entry]), checked(replace_edges, host, [entry]))
+    assert replaced > 500
+
+
+def test_replacement_ids_that_a_kept_host_vertex_has_are_refused():
+    comb = comb_tree(CombParams(s=0.5))
+    entry = ReplacementEntry(a="a", b="b", tree=comb, alpha="spine:0.0", beta="spine:1.0")
+    # kept: the collision is refused as the constructor refused it
+    host = tree_from_edges([("a", "b", 1.0), ("b", "R0.spine:0.5", 0.3)])
+    for build in (replace_edges, lambda *args: checked(replace_edges, *args)):
+        with pytest.raises(TreeStructureError, match=r"^duplicate vertex ids: \['R0\.spine:0\.5'\]$"):
+            build(host, [entry])
+    # removed with the replaced interior: no collision
+    host = tree_from_edges([("a", "R0.spine:0.5", 0.5), ("R0.spine:0.5", "b", 0.5), ("b", "c", 0.3)])
+    got = replace_edges(host, [entry])
+    assert_same_tree(got, checked(replace_edges, host, [entry]))
+    assert got.vertices.count("R0.spine:0.5") == 1
