@@ -13,12 +13,14 @@ bare tree; ``injectivity_scan`` checks pairwise distinctness of the
 fingerprints, and ``continuity_scan`` certifies Gromov-Hausdorff upper
 bounds between neighbouring cells against an analytic modulus.
 
-Internally an assembled cell is an atlas: the tree, its parts and the comb
-or star coordinates of every vertex.  The coordinates are built lazily, on
-first read, as a tree's distance matrix is; only the continuity matcher's
-index reads them, so fingerprinting never pays for them.  An eps-sample of
-an atlas has no coordinates per vertex: its index takes the inserted
-vertices' coordinates as arrays, one interpolation per subdivided edge.
+Internally a grid cell is a :class:`_Cell`: the fields, the endpoint
+parts, the star coefficients and the star's lists, from which it builds
+its tree, that tree's degree-<=2 components, or the comb or star
+coordinates of every vertex, each on request.  Only the continuity
+matcher reads the coordinates, so fingerprinting never pays for them.  The
+matcher's index (:class:`_CandidateIndex`) takes a tree, its coordinates
+and its parts, and keeps no coordinates per vertex: it groups them as
+arrays and interpolates the eps-sample's inserted vertices per edge.
 """
 
 from __future__ import annotations
@@ -334,7 +336,9 @@ class _Combed:
 class _PartGeometry:
     """One endpoint tree, comb-replaced and ball-cut: ``tree`` is the ball
     of radius ``radius`` about the basepoint in the comb-replaced tree of
-    the stage ``combed``, whose chop, combs and reach the part shares.
+    the stage ``combed``.  The part shares that stage and reads everything
+    else from it: the basepoint, the comb parameters, the chop, the
+    replaced tree, its truncation, reach and corner rows.
 
     ``coords`` maps each vertex of the cut tree to the comb coordinates it
     carries: a dict segment-index -> (x, h) in the unit comb (corner
@@ -346,20 +350,10 @@ class _PartGeometry:
 
     def __init__(self, combed: _Combed, radius: float):
         self.combed = combed
-        self.basepoint, self.s, self.depth_cap = combed.basepoint, combed.s, combed.depth_cap
-        self.host, self.segments, self.seg_scale = combed.host, combed.segments, combed.seg_scale
-        self.replaced, self.truncation = combed.tree, combed.truncation
         self.radius = radius
-        self.tree = closed_ball_subtree(self.replaced, self.basepoint, radius)
+        self.tree = closed_ball_subtree(combed.tree, combed.basepoint, radius)
         self._coords: Optional[Dict[str, Dict[int, Tuple[float, float]]]] = None
         self._wedge_components: Dict[int, List[Deg2Component]] = {}
-
-    @property
-    def reach(self) -> float:
-        return self.combed.reach
-
-    def corner_row(self, v: str) -> np.ndarray:
-        return self.combed.corner_row(v)
 
     @property
     def coords(self) -> Dict[str, Dict[int, Tuple[float, float]]]:
@@ -375,8 +369,9 @@ class _PartGeometry:
                     else:
                         rid = prefix + cid
                     cc.setdefault(rid, {})[l] = (float(x), float(h))
-            if self.tree is not self.replaced:
-                edge_len = {(a, b): w for a, b, w in self.replaced.edges}
+            replaced = self.combed.tree
+            if self.tree is not replaced:
+                edge_len = {(a, b): w for a, b, w in replaced.edges}
                 for cid, (a, b, off) in self.tree.metadata.get("inserted", {}).items():
                     cc[cid] = _interpolate_on_shared_segment(
                         cc.get(a, {}), cc.get(b, {}), off / edge_len[(a, b)]
@@ -391,9 +386,9 @@ class _PartGeometry:
         vertex.  Computed on the first call for each i, and cached."""
         comps = self._wedge_components.get(i)
         if comps is None:
-            t, prefix = self.tree, "P%d." % i
-            names = ["p" if v == self.basepoint else prefix + v for v in t.vertices]
-            comps = _components(t._adj, names, t.index(self.basepoint))
+            t, prefix, bp = self.tree, "P%d." % i, self.combed.basepoint
+            names = ["p" if v == bp else prefix + v for v in t.vertices]
+            comps = _components(t._adj, names, t.index(bp))
             self._wedge_components[i] = comps
         return comps
 
@@ -465,63 +460,20 @@ def _interpolate_on_shared_segment(
 _STAR_TIP = "branch:0:1.0"  # the star's basepoint: the tip of its unit branch
 
 
-class _Atlas:
-    """An assembled tree together with coordinates for every vertex.
-
-    ``coords[vid]`` maps a part key (part index, or "star") to that part's
-    coordinate record; only the wedge vertex carries several keys.  Unless
-    given, they are built from the parts and the star's ``(branch,
-    parameter)`` points on first read, since only the continuity matcher's
-    :class:`_CandidateIndex` reads them.  The atlas of an eps-sample holds
-    no coordinates: its index interpolates them per edge.
-    """
-
-    def __init__(
-        self,
-        tree: MetricTree,
-        parts: List[_PartGeometry],
-        wedge: Optional[str],
-        fields: Optional[ScalarFields] = None,
-        rho: Optional[Tuple[float, ...]] = None,
-        coords: Optional[Dict[str, dict]] = None,
-        star_points: Optional[Dict[str, Tuple[int, float]]] = None,
-    ):
-        self.tree = tree
-        self.parts = parts
-        self.wedge = wedge
-        self.fields = fields
-        self.rho = rho
-        self.star_points = star_points
-        self._coords = coords
-
-    @property
-    def coords(self) -> Dict[str, dict]:
-        if self._coords is None:
-            # The renaming of wedge_sum: part i's vertices become "P<i>."
-            # + vid, the star is the last part, and basepoints the wedge.
-            coords: Dict[str, dict] = {}
-            for i, g in enumerate(self.parts):
-                prefix = "P%d." % i
-                for v in g.tree.vertices:
-                    wid = self.wedge if v == g.basepoint else prefix + v
-                    coords.setdefault(wid, {})[i] = g.coords[v]
-            spref = "P%d." % len(self.parts)
-            for v, point in self.star_points.items():
-                wid = self.wedge if v == _STAR_TIP else spref + v
-                coords.setdefault(wid, {})["star"] = point
-            self._coords = coords
-        return self._coords
-
-
 _StarLists = Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]
 
 
 @dataclass
 class _Cell:
-    """What the tree of a grid cell (u, k) is assembled from: the fields at
-    u, the endpoint parts, the star coefficients ``rho`` and the star's
+    """A grid cell (u, k), as what its tree is assembled from: the fields
+    at u, the endpoint parts, the star coefficients ``rho`` and the star's
     vertex, edge and point lists (:func:`_assembly_star_parts`).  At a
-    marked point only the fields are set."""
+    marked point only the fields are set.
+
+    Nothing is assembled up front: :meth:`wedge` builds the tree,
+    :meth:`components` its degree-<=2 components and :meth:`coords` its
+    vertices' coordinates, each on every call, for the caller to keep.
+    """
 
     fields: ScalarFields
     parts: List[_PartGeometry]
@@ -533,9 +485,30 @@ class _Cell:
         whole; the star enters as bare lists."""
         s_vertices, s_edges, _ = self.star
         return _wedge(
-            [(g.tree.vertices, g.tree.edges, g.tree.labels, g.basepoint) for g in self.parts]
+            [(g.tree.vertices, g.tree.edges, g.tree.labels, g.combed.basepoint) for g in self.parts]
             + [(s_vertices, s_edges, {}, _STAR_TIP)]
         )
+
+    def coords(self) -> Dict[str, dict]:
+        """The comb or star coordinates of every vertex of :meth:`wedge`:
+        ``coords[vid]`` maps a part key (part index, or "star") to that
+        part's coordinate record, and only the wedge vertex ``p`` carries
+        several keys.  Built from the parts' coordinates and the star's
+        ``(branch, parameter)`` points on each call, since only the
+        continuity matcher's :class:`_CandidateIndex` reads them."""
+        # The renaming of wedge_sum: part i's vertices become "P<i>." + vid,
+        # the star is the last part, and basepoints the wedge.
+        coords: Dict[str, dict] = {}
+        for i, g in enumerate(self.parts):
+            prefix, bp = "P%d." % i, g.combed.basepoint
+            for v in g.tree.vertices:
+                wid = "p" if v == bp else prefix + v
+                coords.setdefault(wid, {})[i] = g.coords[v]
+        spref = "P%d." % len(self.parts)
+        for v, point in self.star[2].items():
+            wid = "p" if v == _STAR_TIP else spref + v
+            coords.setdefault(wid, {})["star"] = point
+        return coords
 
     def components(self) -> Optional[List[Deg2Component]]:
         """``deg2_components(self.wedge())`` without the wedge, in part order
@@ -543,7 +516,7 @@ class _Cell:
         None when the wedge vertex would have degree <= 2, so that a
         component runs through it from one part into another."""
         s_edges = self.star[1]
-        degree = sum(len(g.tree._adj[g.tree.index(g.basepoint)]) for g in self.parts)
+        degree = sum(len(g.tree._adj[g.tree.index(g.combed.basepoint)]) for g in self.parts)
         degree += sum(_STAR_TIP in (a, b) for a, b, _ in s_edges)
         if degree <= 2:
             return None
@@ -620,30 +593,6 @@ def _stages(cfg: EmbedConfig) -> _Stages:
     return _Stages(cfg.trees, cfg.basepoints, cfg.depth_cap)
 
 
-def _assemble(cfg: EmbedConfig, u: str, k: int, stages: Optional[_Stages] = None) -> _Atlas:
-    cell = _cell(cfg, u, k, _stages(cfg) if stages is None else stages)
-    f = cell.fields
-    if cell.star is None:
-        i = cfg.marked.index(u)
-        return _Atlas(tree=cfg.trees[i], parts=[], wedge=None, fields=f, rho=None)
-    w = cell.wedge()
-    w.metadata.update(
-        {
-            "generator": "embed",
-            "u": u,
-            "k": k,
-            "phi": f.phi,
-            "xi": f.xi,
-            "sigma": list(f.sigma),
-            "a": list(cell.rho),
-            "truncation_error": max(g.truncation for g in cell.parts),
-        }
-    )
-    return _Atlas(
-        tree=w, parts=cell.parts, wedge="p", fields=f, rho=cell.rho, star_points=cell.star[2]
-    )
-
-
 def build_F(cfg: EmbedConfig, u: str, k: int) -> MetricTree:
     """Assemble the tree of grid cell (u, k).
 
@@ -663,7 +612,23 @@ def build_F(cfg: EmbedConfig, u: str, k: int) -> MetricTree:
     Returns:
         A validated :class:`MetricTree`.
     """
-    return _assemble(cfg, u, k).tree
+    cell = _cell(cfg, u, k, _stages(cfg))
+    if cell.star is None:
+        return cfg.trees[cfg.marked.index(u)]
+    w, f = cell.wedge(), cell.fields
+    w.metadata.update(
+        {
+            "generator": "embed",
+            "u": u,
+            "k": k,
+            "phi": f.phi,
+            "xi": f.xi,
+            "sigma": list(f.sigma),
+            "a": list(cell.rho),
+            "truncation_error": max(g.combed.truncation for g in cell.parts),
+        }
+    )
+    return w
 
 
 # -- fingerprints -------------------------------------------------------------
@@ -781,6 +746,14 @@ class InjectivityReport:
         )
 
 
+def _refuse_marked_cells(cfg: EmbedConfig, grid: Sequence[Tuple[str, int]]) -> None:
+    for lab, _ in grid:
+        if lab in cfg.marked:
+            raise EmbedConfigError(
+                "grid cell %r is a marked point; the scan domain excludes them" % lab
+            )
+
+
 def injectivity_scan(
     cfg: EmbedConfig, grid: Sequence[Tuple[str, int]]
 ) -> InjectivityReport:
@@ -817,11 +790,7 @@ def injectivity_scan(
         ScanError: recovery failure, a fingerprint collision, or no
             collision-free fiber.
     """
-    for lab, k in grid:
-        if lab in cfg.marked:
-            raise EmbedConfigError(
-                "grid cell %r is a marked point; the scan domain excludes them" % lab
-            )
+    _refuse_marked_cells(cfg, grid)
     values: List[List[float]] = []
     stages = _stages(cfg)
     for lab, k in grid:
@@ -907,12 +876,12 @@ def _comb_modulus_bound(s: float, t: float) -> float:
     return 3.0 * abs(s - t)
 
 
-def _analytic_bound(a: _Atlas, b: _Atlas) -> float:
+def _analytic_bound(a: _Cell, b: _Cell) -> float:
     """Sum of the comb, ball and star moduli between two assembled cells."""
     comb = _comb_modulus_bound(a.fields.phi, b.fields.phi)
     ball = 0.0
     for ga, gb in zip(a.parts, b.parts):
-        reach = max(ga.reach, gb.reach)
+        reach = max(ga.combed.reach, gb.combed.reach)
         ball = max(ball, abs(min(ga.radius, reach) - min(gb.radius, reach)))
     xa, xb = a.fields.xi, b.fields.xi
     star = 2.0 * max(xa, xb) * tau(a.rho, b.rho) + 2.0 * abs(xa - xb)
@@ -920,28 +889,38 @@ def _analytic_bound(a: _Atlas, b: _Atlas) -> float:
 
 
 class _CandidateIndex:
-    """An atlas, or its subdivision at ``eps``, with its vertices grouped
-    for matching: per (part, segment) the comb coordinates ``(xs, hs)`` and
-    per star branch the positions ``ss``, each with the vertices' tree
-    indices ``idx`` in vertex order.  ``sorted_star`` holds each branch
-    sorted by position (stably, so ``idx`` rises within equal positions).
-    ``fallback`` is the wedge's index, or 0 without a wedge.
+    """The subdivision at ``eps`` of a tree whose vertices carry the
+    coordinates ``coords`` (as :meth:`_Cell.coords` gives them), with its
+    vertices grouped for matching: per (part, segment) the comb coordinates
+    ``(xs, hs)`` and per star branch the positions ``ss``, each with the
+    vertices' sample indices ``idx`` in vertex order.  ``sorted_star``
+    holds each branch sorted by position (stably, so ``idx`` rises within
+    equal positions).  It keeps the sample ``tree``, the ``parts`` and
+    whether the tree is a wedge at ``p``; ``fallback`` is the wedge's
+    index, or 0 without a wedge.
 
-    The atlas's own vertices are grouped from their coordinates.  The
+    The tree's own vertices are grouped from their coordinates.  The
     vertices that :func:`~treegh.tree.subdivide` inserts on an edge come
     as one run per edge, interpolated from the edge's two ends at the
     offsets subdivide uses: along the star branch, or on the lowest comb
-    segment both ends carry (no coordinates when they share none).  A
-    sample's ``atlas`` is the subdivided tree with the atlas's parts and
-    wedge; it carries no coordinates of its own.
+    segment both ends carry (no coordinates when they share none).  No
+    coordinates are kept per vertex.
     """
 
-    def __init__(self, atlas: _Atlas, eps: Optional[float] = None):
-        self.fallback = atlas.tree.index(atlas.wedge) if atlas.wedge is not None else 0
-        coords = atlas.coords
+    def __init__(
+        self,
+        tree: MetricTree,
+        coords: Dict[str, dict],
+        parts: List[_PartGeometry],
+        wedge: bool,
+        eps: float,
+    ):
+        self.parts = parts
+        self.wedge = wedge
+        self.fallback = tree.index("p") if wedge else 0
         seg: Dict[Tuple[int, int], List[Tuple[float, float, int]]] = {}
         star: Dict[int, List[Tuple[float, int]]] = {}
-        for n, vid in enumerate(atlas.tree.vertices):
+        for n, vid in enumerate(tree.vertices):
             for key, val in coords[vid].items():
                 if key == "star":
                     br, sv = val
@@ -961,13 +940,13 @@ class _CandidateIndex:
             br: [(np.array([s for s, _ in rows]), np.array([n for _, n in rows], dtype=np.intp))]
             for br, rows in star.items()
         }
-        tree = atlas.tree if eps is None else subdivide(atlas.tree, eps)
-        if tree is not atlas.tree:
-            lengths = np.array([w for _, _, w in atlas.tree.edges])
+        self.tree = subdivide(tree, eps)
+        if self.tree is not tree:
+            lengths = np.array([w for _, _, w in tree.edges])
             cuts = _pieces(lengths, eps).astype(np.intp) - 1
             t = _offsets(lengths, cuts) / np.repeat(lengths, cuts)
-            rows = np.arange(atlas.tree.n, tree.n, dtype=np.intp)
-            for (a, b, _), c, e in zip(atlas.tree.edges, cuts.tolist(), np.cumsum(cuts).tolist()):
+            rows = np.arange(tree.n, self.tree.n, dtype=np.intp)
+            for (a, b, _), c, e in zip(tree.edges, cuts.tolist(), np.cumsum(cuts).tolist()):
                 if c == 0:
                     continue
                 ca, cb = coords[a], coords[b]
@@ -979,11 +958,6 @@ class _CandidateIndex:
                 else:
                     for l, (x, h) in _interpolate_on_shared_segment(ca[key], cb[key], frac).items():
                         seg_runs[(key, l)].append((x, h, run))
-            atlas = _Atlas(
-                tree=tree, parts=atlas.parts, wedge=atlas.wedge,
-                fields=atlas.fields, rho=atlas.rho,
-            )
-        self.atlas = atlas
         self.seg = {key: _joined(runs) for key, runs in seg_runs.items()}
         self.star = {br: _joined(runs) for br, runs in star_runs.items()}
         self.sorted_star: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -991,11 +965,10 @@ class _CandidateIndex:
             order = np.argsort(ss, kind="stable")
             self.sorted_star[br] = ss[order], idx[order]
         self.heights = {
-            i: _tooth_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)
+            i: _tooth_heights(g.combed.s, g.combed.depth_cap) for i, g in enumerate(parts)
         }
         self.part_segments = {
-            i: sorted(l for (pi, l) in self.seg if pi == i)
-            for i in range(len(atlas.parts))
+            i: sorted(l for (pi, l) in self.seg if pi == i) for i in range(len(parts))
         }
 
 
@@ -1050,10 +1023,9 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
     branch is matched by sorted search (:func:`_nearest_on_branch`); each
     segment group is one broadcast cost matrix.
     """
-    a, b = src.atlas, dst.atlas
-    names = b.tree.vertices
-    cost = np.full(a.tree.n, math.inf)
-    partner = np.full(a.tree.n, -1, dtype=np.intp)
+    names = dst.tree.vertices
+    cost = np.full(src.tree.n, math.inf)
+    partner = np.full(src.tree.n, -1, dtype=np.intp)
 
     def offer(rows: np.ndarray, c: np.ndarray, cand: np.ndarray) -> None:
         held = cost[rows]
@@ -1074,7 +1046,7 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
             c, cand = zip(*routed)
             offer(rows, np.array(c), np.array(cand, dtype=np.intp))
             continue
-        scale = b.parts[part].seg_scale[l]
+        scale = dst.parts[part].combed.seg_scale[l]
         heights = dst.heights[part]
         target_h = np.minimum(h, [heights.get(xv, 0.0) for xv in x.tolist()])[:, None]
         xs, hs, idx = dst.seg[(part, l)]
@@ -1084,7 +1056,7 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
         j = np.argmin(c, axis=1)
         offer(rows, c[np.arange(len(j)), j], idx[j])
     partner[partner < 0] = dst.fallback
-    if a.wedge is not None:
+    if src.wedge:
         partner[src.fallback] = dst.fallback
     return partner
 
@@ -1095,8 +1067,7 @@ def _routed_nearest(
     """Least ``(cost, vid)`` vertex of a part, as (cost, tree index), when
     the home segment has no vertices left (the ball cut it away entirely):
     route through the segment corners."""
-    atlas = dst.atlas
-    geo = atlas.parts[part]
+    geo = dst.parts[part].combed
     seg = geo.segments[l]
     scale = geo.seg_scale[l]
     toa = scale * (h + x)
@@ -1109,7 +1080,7 @@ def _routed_nearest(
         s2 = geo.seg_scale[l2]
         ca = s2 * (hs + xs)
         cb = s2 * (hs + 1.0 - xs)
-        ia2, ib2 = geo.replaced.index(seg2.a), geo.replaced.index(seg2.b)
+        ia2, ib2 = geo.tree.index(seg2.a), geo.tree.index(seg2.b)
         daa, dab = float(from_a[ia2]), float(from_a[ib2])
         dba, dbb = float(from_b[ia2]), float(from_b[ib2])
         cost = np.minimum(
@@ -1117,22 +1088,17 @@ def _routed_nearest(
             np.minimum(tob + dba + ca, tob + dbb + cb),
         )
         j = int(np.argmin(cost))
-        cand = (float(cost[j]), atlas.tree.vertices[idx[j]])
+        cand = (float(cost[j]), dst.tree.vertices[idx[j]])
         if best is None or cand < best:
             best = cand
     if best is None:
         return (math.inf, dst.fallback)
-    return best[0], atlas.tree.index(best[1])
-
-
-def _sample(atlas: _Atlas, eps: float) -> _CandidateIndex:
-    """The atlas subdivided at ``eps``, indexed for matching."""
-    return _CandidateIndex(atlas, eps)
+    return best[0], dst.tree.index(best[1])
 
 
 def _composite_correspondence(ia: _CandidateIndex, ib: _CandidateIndex) -> Correspondence:
-    """Each vertex of either subdivided atlas paired with its nearest partner
-    in the other, indexed in the atlas trees' vertex order."""
+    """Each vertex of either sample paired with its nearest partner in the
+    other, indexed in the sample trees' vertex order."""
     to_b, to_a = _matches(ia, ib), _matches(ib, ia)
     pairs = np.concatenate([
         np.column_stack([np.arange(len(to_b)), to_b]),
@@ -1174,16 +1140,17 @@ def continuity_scan(
     (comb + ball + star terms); ``hi <= bound + 2 eps + tol`` must hold.
     Each tree is subdivided once at ``eps``; ``hi`` is half the distortion
     of the composite correspondence, which pairs every sample vertex with
-    its nearest atlas partner in the other tree, plus ``eps``.  As in
+    its nearest partner in the other tree's sample, plus ``eps``.  As in
     :func:`injectivity_scan`, the cells share the stages of their endpoint
     parts, each built once per call from its own inputs, and the parts
     themselves from (i, phi(u), sigma_i(u)); the basepoint's reach and the
     segment corners' rows belong to the comb-replaced stage, so every part
-    of one (i, phi) shares them.  Each cell's sample and its matching index
-    are built once, in one pass over the atlas's edges, and reused by all
-    of the cell's pairs, then freed, with the sample's distance matrix,
-    after the cell's last pair, so only cells with pairs still to come hold
-    a sample.
+    of one (i, phi) shares them.  Every cell's tree is assembled up front,
+    in grid order.  Each cell's sample and its matching index are built
+    once, in one pass over the tree's edges from the cell's coordinates,
+    and reused by all of the cell's pairs, then freed, with the sample's
+    distance matrix and the cell, after the cell's last pair, so only
+    cells with pairs still to come hold a sample.
 
     Args:
         cfg: embedding configuration.
@@ -1201,11 +1168,7 @@ def continuity_scan(
             assembled.
         ScanError: a bound violation, when ``strict``.
     """
-    for lab, k in grid:
-        if lab in cfg.marked:
-            raise EmbedConfigError(
-                "grid cell %r is a marked point; the scan domain excludes them" % lab
-            )
+    _refuse_marked_cells(cfg, grid)
     for ia, ib in adjacency:
         for i in (ia, ib):
             if not 0 <= i < len(grid):
@@ -1219,8 +1182,11 @@ def continuity_scan(
                 "index, got %d and %d" % (ia, ib, grid[ia][1], grid[ib][1])
             )
     stages = _stages(cfg)
-    atlases: List[Optional[_Atlas]] = [_assemble(cfg, lab, k, stages) for lab, k in grid]
-    del stages  # each part is then freed with the last atlas that holds it
+    cells: List[Optional[Tuple[_Cell, MetricTree]]] = []
+    for lab, k in grid:
+        cell = _cell(cfg, lab, k, stages)
+        cells.append((cell, cell.wedge()))
+    del stages  # each part is then freed with the last cell that holds it
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
     samples: Dict[int, _CandidateIndex] = {}
 
@@ -1230,15 +1196,16 @@ def continuity_scan(
         lb = grid[ib][0]
         for i in (ia, ib):
             if i not in samples:
-                samples[i] = _sample(atlases[i], cfg.eps)
+                cell, tree = cells[i]
+                samples[i] = _CandidateIndex(tree, cell.coords(), cell.parts, True, cfg.eps)
         sa, sb = samples[ia], samples[ib]
         corr = _composite_correspondence(sa, sb)
-        hi = gh_upper_bound(sa.atlas.tree, sb.atlas.tree, corr) + cfg.eps
-        bound = _analytic_bound(atlases[ia], atlases[ib])
+        hi = gh_upper_bound(sa.tree, sb.tree, corr) + cfg.eps
+        bound = _analytic_bound(cells[ia][0], cells[ib][0])
         for i in (ia, ib):
             if last_use[i] == pos:
                 samples.pop(i, None)
-                atlases[i] = None
+                cells[i] = None
         margin = bound + 2.0 * cfg.eps + cfg.tol - hi
         rows.append(
             ContinuityRow(
@@ -1306,18 +1273,13 @@ def replacement_path(
     stages = _Stages((x,), (basepoint,), depth_cap)  # one chop for every s
     for s in svals:
         geom = stages.part(0, s, math.inf)
-        atlas = _Atlas(
-            tree=geom.tree,
-            coords={v: {0: geom.coords[v]} for v in geom.tree.vertices},
-            parts=[geom],
-            wedge=None,
-        )
+        coords = {v: {0: c} for v, c in geom.coords.items()}
         hi = bound = None
-        cur_sub = _sample(atlas, eps)
+        cur_sub = _CandidateIndex(geom.tree, coords, [geom], False, eps)
         if prev_sub is not None:
             corr = _composite_correspondence(prev_sub, cur_sub)
-            hi = gh_upper_bound(prev_sub.atlas.tree, cur_sub.atlas.tree, corr) + eps
+            hi = gh_upper_bound(prev_sub.tree, cur_sub.tree, corr) + eps
             bound = _comb_modulus_bound(prev_s, s)
-        steps.append(PathStep(s=s, tree=atlas.tree, hi=hi, bound=bound))
+        steps.append(PathStep(s=s, tree=geom.tree, hi=hi, bound=bound))
         prev_sub, prev_s = cur_sub, s
     return steps

@@ -688,28 +688,6 @@ def _next_free(tree: MetricTree, prefix: str) -> int:
     return base
 
 
-def _runs(
-    tree: MetricTree, points: Sequence[Tuple[str, str, float, str]]
-) -> Tuple[List[int], List[float], List[str]]:
-    """The per-edge runs that :func:`_split_edges` takes, from records
-    ``(u, v, offset, new_id)`` with offset measured from ``u`` along the
-    edge (u, v): how many new vertices each edge gets, and their offsets
-    from the edge's first end, ascending, and ids, in edge order."""
-    at = {}
-    for e, (a, b, _) in enumerate(tree.edges):
-        at[a, b] = at[b, a] = e
-    placed = []
-    for u, v, off, new_id in points:
-        e = at[u, v]
-        a, _, w = tree.edges[e]
-        placed.append((e, off if u == a else w - off, new_id))
-    placed.sort()  # by edge, then by offset
-    cuts = [0] * len(tree.edges)
-    for e, _, _ in placed:
-        cuts[e] += 1
-    return cuts, [off for _, off, _ in placed], [new_id for _, _, new_id in placed]
-
-
 def _split_edges(
     tree: MetricTree,
     cuts: Sequence[int],
@@ -757,18 +735,27 @@ def _split_edges(
 # -- balls --------------------------------------------------------------------
 
 
-def _sphere_crossings(tree: MetricTree, d: np.ndarray, r: float):
-    """Edges crossing the sphere of radius r about the source of row d, with offsets."""
-    crossings = []
+def _sphere_crossings(
+    tree: MetricTree, d: np.ndarray, r: float
+) -> Tuple[List[int], List[float]]:
+    """Where the sphere of radius r about the source of row d crosses the
+    edges, as the per-edge runs :func:`_split_edges` takes: how many
+    crossings each edge has, and their offsets from the edge's first end,
+    in edge order.  An edge is crossed at most once, between its nearer
+    end and its farther one."""
+    cuts, offsets = [], []
     row, index = d.tolist(), tree._index
     for a, b, w in tree.edges:
         da, db = row[index[a]], row[index[b]]
         lo_id, lo, hi = (a, da, db) if da <= db else (b, db, da)
+        crossed = 0
         if lo <= r < hi:
             off = float(r - lo)
             if off > _EPS_VERTEX and (hi - r) > _EPS_VERTEX:
-                crossings.append((lo_id, a if lo_id == b else b, off))
-    return crossings
+                offsets.append(off if lo_id == a else w - off)
+                crossed = 1
+        cuts.append(crossed)
+    return cuts, offsets
 
 
 def refine_at_radius(tree: MetricTree, origin: str, r: float) -> MetricTree:
@@ -776,22 +763,23 @@ def refine_at_radius(tree: MetricTree, origin: str, r: float) -> MetricTree:
 
     The tree itself is unchanged geometrically; if no edge crosses the
     sphere the input tree is returned as-is.
+
+    Raises:
+        ValueError: r is negative or NaN.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative, got %r" % (r,))
     return _refine(tree, origin, r, tree.row(origin))
 
 
 def _refine(tree: MetricTree, origin: str, r: float, d: np.ndarray) -> MetricTree:
     # refine_at_radius, given the row d of distances from origin
-    crossings = _sphere_crossings(tree, d, r)
-    if not crossings:
+    cuts, offsets = _sphere_crossings(tree, d, r)
+    if not offsets:
         return tree
     base = _next_free(tree, "cut:")
-    points = [
-        (u, v, off, "cut:%d" % (base + k)) for k, (u, v, off) in enumerate(crossings)
-    ]
-    return _split_edges(tree, *_runs(tree, points), "refine", origin=origin, radius=r)
+    ids = ["cut:%d" % (base + k) for k in range(len(offsets))]
+    return _split_edges(tree, cuts, offsets, ids, "refine", origin=origin, radius=r)
 
 
 def closed_ball_subtree(tree: MetricTree, origin: str, r: float) -> MetricTree:
@@ -800,9 +788,12 @@ def closed_ball_subtree(tree: MetricTree, origin: str, r: float) -> MetricTree:
     Boundary points in the middle of an edge become new ``cut:k`` vertices.
     ``r = 0`` gives the single-vertex tree at origin; ``r`` at least the
     eccentricity of origin (or infinite) returns the input tree itself.
+
+    Raises:
+        ValueError: r is negative or NaN.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative, got %r" % (r,))
     d = tree.row(origin)
     if math.isinf(r) or r >= float(d.max()):
         return tree

@@ -674,14 +674,14 @@ def test_composed_fingerprints_raise_the_same_errors():
 
 
 def test_injectivity_scan_builds_no_atlas_coordinates(small_config, monkeypatch):
-    def refuse(atlas):
-        raise AssertionError("built the atlas coordinates")
+    def refuse(obj):
+        raise AssertionError("built what only the continuity matcher reads")
 
-    monkeypatch.setattr(treegh.embedding._Atlas, "coords", property(refuse))
-    # Nor the parts' comb coordinates and their stages' reach, which only
-    # the continuity matcher and its analytic bound read.
-    for name in ("coords", "reach"):
-        monkeypatch.setattr(treegh.embedding._PartGeometry, name, property(refuse))
+    # Neither the cells' coordinates, nor the parts' comb coordinates, nor
+    # their stages' reach, which only the continuity matcher and its
+    # analytic bound read.
+    monkeypatch.setattr(treegh.embedding._Cell, "coords", refuse)
+    monkeypatch.setattr(treegh.embedding._PartGeometry, "coords", property(refuse))
     monkeypatch.setattr(treegh.embedding._Combed, "reach", property(refuse))
     cells = [(lab, k) for k in (1, 2) for lab in ("g0_1", "g1_1", "g2_1")]
     assert len(injectivity_scan(small_config, cells).rows) == 6
@@ -735,7 +735,30 @@ def test_scans_take_hi_from_the_composite_correspondence_only(small_config, monk
 
 
 # The per-vertex matcher the batched one replaced, kept as its reference.
-# `reached` counts the star and routed branches it took.
+# `reached` counts the star and routed branches it took.  It reads a
+# CoordTree: a tree with the coordinates of every vertex, as
+# _Cell.coords gives them, its parts and whether it is a wedge at "p".
+
+
+@dataclasses.dataclass
+class CoordTree:
+    tree: MetricTree
+    coords: dict
+    parts: list
+    wedge: bool
+
+
+def cell_coord_tree(cell):
+    return CoordTree(cell.wedge(), cell.coords(), cell.parts, True)
+
+
+def part_coord_tree(part):
+    """One endpoint part with no wedge, as replacement_path indexes it."""
+    return CoordTree(part.tree, {v: {0: c} for v, c in part.coords.items()}, [part], False)
+
+
+def sample_index(atlas, eps):
+    return treegh.embedding._CandidateIndex(atlas.tree, atlas.coords, atlas.parts, atlas.wedge, eps)
 
 
 class ReferenceIndex:
@@ -758,15 +781,17 @@ class ReferenceIndex:
             br: (np.array([r[0] for r in rows]), [r[1] for r in rows])
             for br, rows in star.items()
         }
-        self.heights = {i: _tooth_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)}
+        self.heights = {
+            i: _tooth_heights(g.combed.s, g.combed.depth_cap) for i, g in enumerate(atlas.parts)
+        }
         self.part_segments = {
             i: sorted(l for (pi, l) in self.seg if pi == i) for i in range(len(atlas.parts))
         }
 
 
 def reference_partner(vid, src, dst, index, reached):
-    if src.wedge is not None and vid == src.wedge:
-        return dst.wedge
+    if src.wedge and vid == "p":
+        return "p"
     entry = src.coords[vid]
     key = next(iter(entry))
     if key == "star":
@@ -777,7 +802,7 @@ def reference_partner(vid, src, dst, index, reached):
     best = None
     for l in sorted(entry[key]):
         x, h = entry[key][l]
-        scale = dst.parts[key].seg_scale[l]
+        scale = dst.parts[key].combed.seg_scale[l]
         target_h = min(h, index.heights[key].get(x, 0.0))
         if (key, l) in index.seg:
             xs, hs, vids = index.seg[(key, l)]
@@ -792,12 +817,12 @@ def reference_partner(vid, src, dst, index, reached):
         if best is None or cand < best:
             best = cand
     if best is None:
-        return dst.wedge if dst.wedge is not None else dst.tree.vertices[0]
+        return "p" if dst.wedge else dst.tree.vertices[0]
     return best[1]
 
 
 def reference_routed(part, l, x, h, dst, index):
-    geo = dst.parts[part]
+    geo = dst.parts[part].combed
     seg, scale = geo.segments[l], geo.seg_scale[l]
     toa, tob = scale * (h + x), scale * (h + 1.0 - x)
     from_a, from_b = geo.corner_row(seg.a), geo.corner_row(seg.b)
@@ -806,7 +831,7 @@ def reference_routed(part, l, x, h, dst, index):
         xs, hs, vids = index.seg[(part, l2)]
         seg2, s2 = geo.segments[l2], geo.seg_scale[l2]
         ca, cb = s2 * (hs + xs), s2 * (hs + 1.0 - xs)
-        ia2, ib2 = geo.replaced.index(seg2.a), geo.replaced.index(seg2.b)
+        ia2, ib2 = geo.tree.index(seg2.a), geo.tree.index(seg2.b)
         daa, dab = float(from_a[ia2]), float(from_a[ib2])
         dba, dbb = float(from_b[ia2]), float(from_b[ib2])
         cost = np.minimum(
@@ -818,7 +843,7 @@ def reference_routed(part, l, x, h, dst, index):
         if best is None or cand < best:
             best = cand
     if best is None:
-        return (math.inf, dst.wedge if dst.wedge is not None else dst.tree.vertices[0])
+        return (math.inf, "p" if dst.wedge else dst.tree.vertices[0])
     return best
 
 
@@ -857,15 +882,12 @@ def reference_subdivide_atlas(atlas, eps):
             coords[sid] = {
                 key: treegh.embedding._interpolate_on_shared_segment(ca[key], cb[key], t)
             }
-    return treegh.embedding._Atlas(
-        tree=s, coords=coords, parts=atlas.parts, wedge=atlas.wedge,
-        fields=atlas.fields, rho=atlas.rho,
-    )
+    return CoordTree(s, coords, atlas.parts, atlas.wedge)
 
 
 class ReferenceCandidateIndex:
     def __init__(self, atlas):
-        self.fallback = atlas.tree.index(atlas.wedge) if atlas.wedge is not None else 0
+        self.fallback = atlas.tree.index("p") if atlas.wedge else 0
         seg, star = {}, {}
         for n, vid in enumerate(atlas.tree.vertices):
             for key, val in atlas.coords[vid].items():
@@ -884,7 +906,9 @@ class ReferenceCandidateIndex:
             br: (np.array([r[0] for r in rows]), np.array([r[1] for r in rows], dtype=np.intp))
             for br, rows in star.items()
         }
-        self.heights = {i: _tooth_heights(g.s, g.depth_cap) for i, g in enumerate(atlas.parts)}
+        self.heights = {
+            i: _tooth_heights(g.combed.s, g.combed.depth_cap) for i, g in enumerate(atlas.parts)
+        }
         self.part_segments = {
             i: sorted(l for (pi, l) in self.seg if pi == i) for i in range(len(atlas.parts))
         }
@@ -914,22 +938,20 @@ def test_sample_index_equals_the_per_vertex_reference(small_config):
         stages = treegh.embedding._stages(cfg)
         for lab in cfg.h_space.labels:
             if lab not in cfg.marked:
-                atlases.append((treegh.embedding._assemble(cfg, lab, k, stages), eps))
+                cell = treegh.embedding._cell(cfg, lab, k, stages)
+                atlases.append((cell_coord_tree(cell), eps))
     x = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8), ("b", "d", 0.6)])
     for s in (0.0, 0.3):
         geom = treegh.embedding._Stages((x,), ("b",), 8).part(0, s, math.inf)
-        atlases.append((treegh.embedding._Atlas(
-            tree=geom.tree, coords={v: {0: geom.coords[v]} for v in geom.tree.vertices},
-            parts=[geom], wedge=None,
-        ), 2.0 ** -4))
+        atlases.append((part_coord_tree(geom), 2.0 ** -4))
     inserted = 0
     for atlas, eps in atlases:
-        got = treegh.embedding._sample(atlas, eps)
+        got = sample_index(atlas, eps)
         ref_atlas = reference_subdivide_atlas(atlas, eps)
         want = ReferenceCandidateIndex(ref_atlas)
-        tree = got.atlas.tree
+        tree = got.tree
         assert (tree.vertices, tree.edges) == (ref_atlas.tree.vertices, ref_atlas.tree.edges)
-        assert (got.atlas.parts, got.atlas.wedge) == (atlas.parts, atlas.wedge)
+        assert (got.parts, got.wedge) == (atlas.parts, atlas.wedge)
         assert got.fallback == want.fallback
         assert list(got.seg) == list(want.seg) and list(got.star) == list(want.star)
         for key in want.seg:
@@ -975,14 +997,15 @@ def test_batched_matcher_equals_the_per_vertex_reference(small_config, monkeypat
     reached = {"star": 0, "routed": 0}
     checked = []
     batched = treegh.embedding._composite_correspondence
-    sample = treegh.embedding._sample
+    index_of = treegh.embedding._CandidateIndex
     # Samples carry no coordinates; the reference reads them from the
-    # per-vertex sampler, run on the atlas each sample came from.
+    # per-vertex sampler, run on the tree and coordinates each sample
+    # index was built from.
     coords_of = weakref.WeakKeyDictionary()
 
-    def tracked(atlas, eps):
-        index = sample(atlas, eps)
-        coords_of[index] = reference_subdivide_atlas(atlas, eps)
+    def tracked(tree, coords, parts, wedge, eps):
+        index = index_of(tree, coords, parts, wedge, eps)
+        coords_of[index] = reference_subdivide_atlas(CoordTree(tree, coords, parts, wedge), eps)
         return index
 
     def compare(ia, ib):
@@ -992,7 +1015,7 @@ def test_batched_matcher_equals_the_per_vertex_reference(small_config, monkeypat
         checked.append(len(corr))
         return corr
 
-    monkeypatch.setattr(treegh.embedding, "_sample", tracked)
+    monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
     monkeypatch.setattr(treegh.embedding, "_composite_correspondence", compare)
     cells = [lab for lab in small_config.h_space.labels if lab not in small_config.marked]
     adjacency = [(i, j) for i in range(len(cells)) for j in range(i, len(cells))]
@@ -1014,23 +1037,25 @@ def test_batched_matcher_equals_the_per_vertex_reference(small_config, monkeypat
 def test_matcher_tie_and_empty_coordinate_rules():
     # "v" lies on segments 0 and 1 and is equally near "b" on the first and
     # "a" on the second: the smaller vid wins, whatever the vertex order.
-    # "w" carries no comb coordinates and goes to the wedge "a"; so does the
-    # wedge "u", although "b" sits at its coordinates.
-    part = SimpleNamespace(s=0.0, depth_cap=1, seg_scale=[1.0, 1.0])
-    src = treegh.embedding._Atlas(
-        tree=tree_from_edges([("v", "w", 1.0), ("w", "u", 1.0)]),
-        coords={"v": {0: {0: (0.5, 0.0), 1: (0.5, 0.0)}}, "w": {0: {}}, "u": {0: {0: (0.5, 0.25)}}},
-        parts=[part], wedge="u",
+    # "w" carries no comb coordinates and goes to the wedge "p", which is
+    # not vertex 0; so does the wedge "p", although "b" sits at its
+    # coordinates.
+    part = SimpleNamespace(combed=SimpleNamespace(s=0.0, depth_cap=1, seg_scale=[1.0, 1.0]))
+    src = CoordTree(
+        tree=tree_from_edges([("v", "w", 1.0), ("w", "p", 1.0)]),
+        coords={"v": {0: {0: (0.5, 0.0), 1: (0.5, 0.0)}}, "w": {0: {}}, "p": {0: {0: (0.5, 0.25)}}},
+        parts=[part], wedge=True,
     )
-    dst = treegh.embedding._Atlas(
-        tree=tree_from_edges([("b", "a", 1.0), ("a", "c", 1.0)]),
-        coords={"b": {0: {0: (0.5, 0.25)}}, "a": {0: {1: (0.5, 0.25)}}, "c": {0: {}}},
-        parts=[part], wedge="a",
+    dst = CoordTree(
+        tree=tree_from_edges([("b", "a", 1.0), ("a", "p", 1.0)]),
+        coords={"b": {0: {0: (0.5, 0.25)}}, "a": {0: {1: (0.5, 0.25)}}, "p": {0: {}}},
+        parts=[part], wedge=True,
     )
-    want = [dst.tree.index(reference_partner(v, src, dst, ReferenceIndex(dst), {})) for v in "vwu"]
-    assert want == [dst.tree.index("a")] * 3
-    index = treegh.embedding._CandidateIndex
-    assert treegh.embedding._matches(index(src), index(dst)).tolist() == want
+    want = [dst.tree.index(reference_partner(v, src, dst, ReferenceIndex(dst), {})) for v in "vwp"]
+    assert want == [dst.tree.index(v) for v in "app"] and dst.tree.index("p") != 0
+    # eps 1.0 leaves both trees unsubdivided
+    got = treegh.embedding._matches(sample_index(src, 1.0), sample_index(dst, 1.0))
+    assert got.tolist() == want
 
 
 def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, monkeypatch):
@@ -1038,14 +1063,20 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     adjacency = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)]
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
     samples = []  # (cell, weak reference to its subdivided tree), in build order
-    sample = treegh.embedding._sample
+    wedges = []  # weak references to the cells' trees, in grid order
+    wedge, index_of = treegh.embedding._Cell.wedge, treegh.embedding._CandidateIndex
     upper = treegh.embedding.gh_upper_bound
     seen = []
 
-    def tracked(atlas, eps):
-        index = sample(atlas, eps)
-        cell = grid.index((atlas.tree.metadata["u"], atlas.tree.metadata["k"]))
-        samples.append((cell, weakref.ref(index.atlas.tree)))
+    def built(cell):
+        tree = wedge(cell)
+        wedges.append(weakref.ref(tree))
+        return tree
+
+    def tracked(tree, *args):
+        index = index_of(tree, *args)
+        cell = next(n for n, ref in enumerate(wedges) if ref() is tree)
+        samples.append((cell, weakref.ref(index.tree)))
         return index
 
     def bound(x, y, corr):
@@ -1056,10 +1087,12 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
         assert alive == {cell for cell, _ in samples if last_use[cell] >= pos}
         return upper(x, y, corr)
 
-    monkeypatch.setattr(treegh.embedding, "_sample", tracked)
+    monkeypatch.setattr(treegh.embedding._Cell, "wedge", built)
+    monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
     monkeypatch.setattr(treegh.embedding, "gh_upper_bound", bound)
     freed = continuity_scan(small_config, grid, adjacency)
     monkeypatch.undo()
+    assert len(wedges) == len(grid)  # each cell assembled once
     assert [cell for cell, _ in samples] == [0, 1, 2, 3]  # each cell sampled once
     assert seen == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
     assert freed == continuity_scan(small_config, grid, adjacency)
@@ -1160,7 +1193,7 @@ def _refuse_assembly(monkeypatch):
     def refuse(*args):
         raise AssertionError("assembled a cell before checking the adjacency")
 
-    monkeypatch.setattr(treegh.embedding, "_assemble", refuse)
+    monkeypatch.setattr(treegh.embedding, "_cell", refuse)
 
 
 def test_continuity_scan_rejects_mixed_fibers(small_config, monkeypatch):

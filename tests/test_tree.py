@@ -628,6 +628,17 @@ def test_ball_degenerate_radii():
     assert closed_ball_subtree(t, "b", 10.0) is t
 
 
+def test_ball_and_refine_refuse_a_nan_or_negative_radius():
+    # A NaN radius kept no vertex: a tree the constructor would refuse.
+    t = path_tree()
+    for fn in (closed_ball_subtree, refine_at_radius):
+        for r, shown in ((math.nan, "nan"), (-0.5, "-0.5")):
+            with pytest.raises(ValueError, match="radius must be nonnegative, got %s" % shown):
+                fn(t, "a", r)
+        assert fn(t, "a", math.inf) is t  # an infinite radius keeps its meaning
+    assert refine_at_radius(t, "a", 1.5).n == 4
+
+
 def test_ball_radius_monotone_hausdorff():
     rng = np.random.default_rng(11)
     t = random_tree(rng, n_lo=5, n_hi=9, scale=2.0)
@@ -938,8 +949,8 @@ def test_assembly_equals_the_checked_reference(inject_scan_grids):
                     return _Stages((x,), (bp,), cfg.depth_cap).part(0, phi, radius)
 
                 got, want = part(), checked(part)
-                assert_same_tree(got.host, want.host)
-                assert got.segments == want.segments
+                assert_same_tree(got.combed.host, want.combed.host)
+                assert got.combed.segments == want.combed.segments
                 assert_same_tree(got.tree, want.tree)
                 assert got.coords == want.coords
         for u, k in cells:
@@ -1022,7 +1033,7 @@ def reference_decompose_deg2(tree, max_len=1.0):
         plans.extend(p for p in seg_paths if len(p) >= 2)
     host = tree
     if pending:
-        host = tree_module._split_edges(tree, *tree_module._runs(tree, pending), "chop")
+        host = _insert_points(tree, pending, "chop")
     segments = tuple(
         tree_module.TreeSegment(a=p[0], b=p[-1], length=host._path_length(p), path=tuple(p))
         for p in plans
