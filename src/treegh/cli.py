@@ -14,6 +14,8 @@ import math
 import sys
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .metric import MetricValidationError
 from .tree import (
     ReplacementEntry,
@@ -122,21 +124,14 @@ def _config_cells(cfg: EmbedConfig, k: int) -> List[Tuple[str, int]]:
 
 
 def _grid_adjacency(cfg: EmbedConfig, cells: List[Tuple[str, int]]) -> List[Tuple[int, int]]:
-    """Index pairs of cells at the minimal positive spacing of the grid."""
-    labs = [lab for lab, _ in cells]
-    spacing = math.inf
-    for i in range(len(labs)):
-        for j in range(i + 1, len(labs)):
-            d = cfg.h_space.dist[cfg.h_space.index(labs[i]), cfg.h_space.index(labs[j])]
-            if d > 0:
-                spacing = min(spacing, d)
-    pairs = []
-    for i in range(len(labs)):
-        for j in range(i + 1, len(labs)):
-            d = cfg.h_space.dist[cfg.h_space.index(labs[i]), cfg.h_space.index(labs[j])]
-            if 0 < d <= spacing * (1 + 1e-9):
-                pairs.append((i, j))
-    return pairs
+    """Index pairs (i, j), i < j in loop order, of cells at the minimal
+    positive spacing of the grid."""
+    at = [cfg.h_space.index(lab) for lab, _ in cells]
+    first, second = np.triu_indices(len(at), 1)
+    d = cfg.h_space.dist[np.ix_(at, at)][first, second]
+    spacing = d[d > 0].min(initial=math.inf)
+    near = (0 < d) & (d <= spacing * (1 + 1e-9))
+    return list(zip(first[near].tolist(), second[near].tolist()))
 
 
 # -- tree ---------------------------------------------------------------------

@@ -583,9 +583,10 @@ def _cell(cfg: EmbedConfig, u: str, k: int, stages: _Stages) -> _Cell:
     f = scalar_fields(cfg, u)
     if u in cfg.marked:
         return _Cell(fields=f, parts=[])
-    parts = [stages.part(i, f.phi, f.sigma[i]) for i in range(len(cfg.marked))]
+    # The star first: an eps too fine for it fails before any part is built.
     a = rho_embed(cfg.coords[u], k, cfg.m, cfg.branches)
     star = _assembly_star_parts(StarParams(a=a, scale=f.xi, eps=cfg.eps))
+    parts = [stages.part(i, f.phi, f.sigma[i]) for i in range(len(cfg.marked))]
     return _Cell(fields=f, parts=parts, rho=a, star=star)
 
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .tree import MetricTree
+from .tree import _MAX_SUBDIVIDE_VERTICES, MetricTree
 
 __all__ = [
     "CombParams",
@@ -90,14 +90,30 @@ class CombParams:
 
 
 def _active_generations(s: float, cap: int) -> List[int]:
-    if s <= 0.0:
-        return []
-    return [n for n in range(cap + 1) if s < 2.0 ** (-n)]
+    # s < 2^-n holds for n = 0, 1, ... up to some n and for none after, so
+    # the walk stops there, however large the cap.
+    n = 0
+    while s > 0.0 and n <= cap and s < 2.0 ** (-n):
+        n += 1
+    return list(range(n))
 
 
 def comb_attachments(s: float, cap: int) -> Dict[int, List[float]]:
-    """Spine positions of teeth per active generation (dyadic points)."""
+    """Spine positions of teeth per active generation (dyadic points).
+
+    Raises:
+        ValueError: the comb would have more than 2**20 vertices (checked
+            before anything is built).
+    """
     gens = _active_generations(s, cap)
+    # 3 + 2 + 4 + ... + 2^g teeth for generations 0..g, and as many spine
+    # vertices under them.
+    vertices = 2 * (2 ** len(gens) + 1) if gens else 2
+    if vertices > _MAX_SUBDIVIDE_VERTICES:
+        raise ValueError(
+            "a comb of s=%r and depth_cap=%d would have %d vertices, more than %d"
+            % (s, cap, vertices, _MAX_SUBDIVIDE_VERTICES)
+        )
     out: Dict[int, List[float]] = {}
     for n in gens:
         if n == 0:
@@ -186,8 +202,8 @@ class StarParams:
             raise ValueError("need at least one branch coefficient")
         if any(not (x > 0) or not math.isfinite(x) for x in self.a):
             raise ValueError("branch coefficients must be positive and finite")
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
+        if not (self.scale >= 0 and math.isfinite(self.scale)):
+            raise ValueError("scale must be nonnegative and finite, got %r" % (self.scale,))
         if not self.eps > 0:
             raise ValueError("eps must be positive")
 
@@ -232,24 +248,33 @@ def star_tree(params: StarParams) -> MetricTree:
     length ``scale * a_i``, sampled at resolution ``eps`` (ids carry the
     normalised branch parameter).  ``scale = 0`` collapses to the single
     center vertex.
+
+    Raises:
+        ValueError: the star would have more than 2**20 vertices (checked
+            before anything is built).
     """
     K = params.scale
+    lengths = [K * params.coefficient(i) for i in range(len(params.a) + 1)] if K > 0 else []
+    with np.errstate(over="ignore"):
+        counts = np.maximum(1.0, np.ceil(np.array(lengths) / params.eps - 1e-12))
+    if 1.0 + counts.sum() > _MAX_SUBDIVIDE_VERTICES:
+        raise ValueError(
+            "a star sampled at eps=%r would have %.0f vertices, more than %d"
+            % (params.eps, 1.0 + counts.sum(), _MAX_SUBDIVIDE_VERTICES)
+        )
     vertices: List[str] = ["center"]
     edges: List[Tuple[str, str, float]] = []
     points: Dict[str, Tuple[int, float]] = {"center": (0, 0.0)}
-    if K > 0:
-        for i in range(len(params.a) + 1):
-            length = K * params.coefficient(i)
-            pieces = max(1, int(math.ceil(length / params.eps - 1e-12)))
-            prev_id, prev_pos = "center", 0.0
-            for j in range(1, pieces + 1):
-                sv = j / pieces
-                pos = length * j / pieces
-                vid = "branch:%d:%r" % (i, sv)
-                vertices.append(vid)
-                points[vid] = (i, sv)
-                edges.append((prev_id, vid, pos - prev_pos))
-                prev_id, prev_pos = vid, pos
+    for i, (length, pieces) in enumerate(zip(lengths, counts.astype(int).tolist())):
+        prev_id, prev_pos = "center", 0.0
+        for j in range(1, pieces + 1):
+            sv = j / pieces
+            pos = length * j / pieces
+            vid = "branch:%d:%r" % (i, sv)
+            vertices.append(vid)
+            points[vid] = (i, sv)
+            edges.append((prev_id, vid, pos - prev_pos))
+            prev_id, prev_pos = vid, pos
     meta = {
         "generator": "star",
         "a": list(params.a),
@@ -273,21 +298,35 @@ def _assembly_star_parts(
     back.  It keeps a branch whose two ends both have degree >= 3 a
     degree-<=2 component.  The tip edge ``L - L (p - 1) / p`` is exact
     (Sterbenz), so each branch's two edges sum to ``L`` exactly.
+
+    Raises:
+        ValueError: eps is so fine against a branch that ``L / eps``
+            overflows, or that the last sample rounds onto the tip or the
+            center (checked before anything is built).
     """
     K = params.scale
+    samples = []  # per branch: its length, its last sample's position and parameter
+    for i in range(len(params.a) + 1 if K > 0 else 0):
+        length = K * params.coefficient(i)
+        ratio = length / params.eps
+        if ratio < math.inf:
+            pieces = max(2, int(math.ceil(ratio - 1e-12)))
+            inner, sv = length * (pieces - 1) / pieces, (pieces - 1) / pieces
+            if sv < 1.0 and 0.0 < inner < length:
+                samples.append((length, inner, sv))
+                continue
+        raise ValueError(
+            "eps=%r is too fine for star branch %d of length %r: its last sample "
+            "does not fall strictly inside the branch" % (params.eps, i, length)
+        )
     vertices: List[str] = ["center"]
     edges: List[Tuple[str, str, float]] = []
     points: Dict[str, Tuple[int, float]] = {"center": (0, 0.0)}
-    if K > 0:
-        for i in range(len(params.a) + 1):
-            length = K * params.coefficient(i)
-            pieces = max(2, int(math.ceil(length / params.eps - 1e-12)))
-            inner = length * (pieces - 1) / pieces
-            sv = (pieces - 1) / pieces
-            mid, tip = "branch:%d:%r" % (i, sv), "branch:%d:1.0" % i
-            vertices += [mid, tip]
-            points[mid], points[tip] = (i, sv), (i, 1.0)
-            edges += [("center", mid, inner), (mid, tip, length - inner)]
+    for i, (length, inner, sv) in enumerate(samples):
+        mid, tip = "branch:%d:%r" % (i, sv), "branch:%d:1.0" % i
+        vertices += [mid, tip]
+        points[mid], points[tip] = (i, sv), (i, 1.0)
+        edges += [("center", mid, inner), (mid, tip, length - inner)]
     return vertices, edges, points
 
 

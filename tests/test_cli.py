@@ -1,12 +1,15 @@
 import json
+import math
 import pathlib
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import treegh.cli
 import treegh.metric
-from treegh import parse_tree, save_tree, space_from_csv, tree_from_edges
-from treegh.cli import main
+from treegh import FiniteMetricSpace, parse_tree, save_tree, space_from_csv, tree_from_edges, unit_grid
+from treegh.cli import _grid_adjacency, main
 
 ONE_POINT = ",a\na,0\n"
 TWO_POINT = ",b,c\nb,0,1\nc,1,0\n"
@@ -334,6 +337,67 @@ def test_lab_refuses_a_basepoint_the_comb_replacement_removes(capsys, tmp_path, 
         "error: basepoint 'y' of tree 1 has degree 2 inside a unit segment, "
         "which the comb replacement removes\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tree", "star", "--a", "0.5", "--k", "inf"], "scale must be nonnegative and finite, got inf"),
+    (["tree", "star", "--a", "0.5", "--k", "nan"], "scale must be nonnegative and finite, got nan"),
+    (["tree", "comb", "--s", "1e-30", "--depth", "40"], "would have 4398046511106 vertices"),
+    (["tree", "star", "--a", "0.5", "--k", "1", "--eps", "1e-12"], "would have 1500000000001 vertices"),
+    (["--eps", "1e-17", "lab", "embed", "--config", "{cfg}", "--u", "g1_1", "--k", "1"],
+     "eps=1e-17 is too fine for star branch 0"),
+    (["--eps", "1e-17", "lab", "scan-injectivity", "--config", "{cfg}"],
+     "eps=1e-17 is too fine for star branch 0"),
+    (["--eps", "5e-324", "lab", "scan-injectivity", "--config", "{cfg}"],
+     "eps=5e-324 is too fine for star branch 0"),
+])
+def test_parameters_that_crashed_or_hung_exit_2(capsys, config_path, argv, message):
+    # before: an OverflowError traceback, a NaN scale in the document, runs
+    # past 10 s building 2^42 or 1.5e12 vertices, and lab embed refusing
+    # (duplicate vertex ids) the cells that scan-injectivity certified
+    code, out, err = _run(capsys, [arg.format(cfg=config_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def reference_grid_adjacency(cfg, cells):
+    """The pair loops that _grid_adjacency replaced."""
+    labs = [lab for lab, _ in cells]
+    spacing = math.inf
+    for i in range(len(labs)):
+        for j in range(i + 1, len(labs)):
+            d = cfg.h_space.dist[cfg.h_space.index(labs[i]), cfg.h_space.index(labs[j])]
+            if d > 0:
+                spacing = min(spacing, d)
+    pairs = []
+    for i in range(len(labs)):
+        for j in range(i + 1, len(labs)):
+            d = cfg.h_space.dist[cfg.h_space.index(labs[i]), cfg.h_space.index(labs[j])]
+            if 0 < d <= spacing * (1 + 1e-9):
+                pairs.append((i, j))
+    return pairs
+
+
+def test_grid_adjacency_equals_the_pair_loops():
+    rng = np.random.default_rng(20)
+    compared = 0
+    for side in (3, 10):
+        h, _ = unit_grid(side)
+        # a grid whose spacing is off by a few ulps from pair to pair, and
+        # one with a repeated point (distance 0) and no pair at all
+        jitter = h.dist * (1 + rng.integers(-3, 4, h.dist.shape) * 2.0 ** -52)
+        jitter = np.triu(jitter, 1) + np.triu(jitter, 1).T
+        for space in (h, FiniteMetricSpace(h.labels, jitter)):
+            cfg = SimpleNamespace(h_space=space)
+            for labels in (h.labels, h.labels[1:-1], tuple(rng.permutation(h.labels))):
+                cells = [(lab, 1) for lab in labels]
+                got = _grid_adjacency(cfg, cells)
+                assert got == reference_grid_adjacency(cfg, cells)
+                assert all(type(i) is int and type(j) is int for i, j in got)
+                compared += len(got)
+        cells = [(h.labels[0], 1), (h.labels[0], 2)]
+        assert _grid_adjacency(SimpleNamespace(h_space=h), cells) == []
+    assert compared > 1000
 
 
 def test_lab_embed_names_a_missing_label(capsys, config_path):

@@ -673,6 +673,47 @@ def test_composed_fingerprints_raise_the_same_errors():
     assert seen == {"fewer", "margin", "leading"}, seen
 
 
+@pytest.mark.parametrize("eps", [1e-17, 5e-324])
+def test_an_eps_too_fine_for_the_star_is_refused_alike(small_config, monkeypatch, eps):
+    # At 1e-17 a branch's last sample rounded onto its tip: build_F refused
+    # the duplicate id and the injectivity scan certified the cell.  At
+    # 5e-324 the branch length over eps overflowed.  Every entry point now
+    # raises one ValueError, before any endpoint part is built.
+    def refuse(*args):
+        raise AssertionError("built an endpoint part")
+
+    monkeypatch.setattr(treegh.embedding._Stages, "part", refuse)
+    cfg = dataclasses.replace(small_config, eps=eps)
+    cells = [("g1_1", 1), ("g0_1", 1)]
+    messages = []
+    for run in (
+        lambda: build_F(cfg, "g1_1", 1),
+        lambda: injectivity_scan(cfg, cells),
+        lambda: continuity_scan(cfg, cells, [(0, 1)]),
+    ):
+        with pytest.raises(ValueError, match=r"eps=%r is too fine for star branch 0 " % eps) as err:
+            run()
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+
+
+def test_a_huge_depth_cap_fails_fast_in_the_scans(small_config):
+    # The comb generations are walked up to the last active one, not to the
+    # cap: away from the marks a cap of 10^12 changes nothing.
+    cells = [(lab, 1) for lab in ("g0_1", "g1_1", "g1_0")]
+    huge = dataclasses.replace(small_config, depth_cap=10 ** 12)
+    assert injectivity_scan(huge, cells).rows == injectivity_scan(small_config, cells).rows
+    # A cell 1e-7 from a mark has phi ~ 3.5e-8, and its combs keep 25
+    # generations: 2^26 + 2 vertices, refused before they are built.
+    points = {"v1": (0.0, 0.0), "v2": (1.0, 1.0), "n": (1e-7, 0.0)}
+    pts = np.array(list(points.values()))
+    h = FiniteMetricSpace(tuple(points), np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)))
+    cfg = dataclasses.replace(huge, h_space=h, coords=points, marked=("v1", "v2"))
+    for run in (lambda: injectivity_scan(cfg, [("n", 1)]), lambda: build_F(cfg, "n", 1)):
+        with pytest.raises(ValueError, match="depth_cap=1000000000000 would have 67108866 vertices"):
+            run()
+
+
 def test_injectivity_scan_builds_no_atlas_coordinates(small_config, monkeypatch):
     def refuse(obj):
         raise AssertionError("built what only the continuity matcher reads")

@@ -143,6 +143,66 @@ def test_star_zero_scale_collapses():
     assert star_tree(StarParams(a=(0.25,), scale=0.0)).n == 1
 
 
+@pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0])
+def test_star_refuses_a_negative_or_nonfinite_scale(scale):
+    # an infinite scale overflowed in star_tree; a NaN one gave a one-vertex
+    # star whose document held "scale": NaN
+    with pytest.raises(ValueError, match="scale must be nonnegative and finite, got %r" % scale):
+        StarParams(a=(0.5,), scale=scale)
+
+
+def test_huge_combs_and_stars_fail_fast():
+    # 2 (2^41 + 1) comb vertices and 1.5e12 star vertices, refused before
+    # any list is built; a cap far past the last active generation costs
+    # nothing.
+    with pytest.raises(ValueError, match=r"s=1e-30 and depth_cap=40 would have 4398046511106 vertices, more than 1048576"):
+        comb_tree(CombParams(s=1e-30, depth_cap=40))
+    with pytest.raises(ValueError, match=r"depth_cap=1000000000000 would have \d+ vertices"):
+        comb_attachments(1e-30, 10 ** 12)
+    assert len(comb_attachments(0.3, 10 ** 12)) == 2
+    with pytest.raises(ValueError, match=r"eps=1e-12 would have 1500000000001 vertices, more than 1048576"):
+        star_tree(StarParams(a=(0.5,), scale=1.0, eps=1e-12))
+    with pytest.raises(ValueError, match="would have inf vertices"):
+        star_tree(StarParams(a=(0.5,), scale=1.0, eps=5e-324))
+    # on either side of the bound: generations 0..18 and 0..17, whose
+    # 2^18 + 1 teeth and as many spine vertices make 524290 vertices
+    with pytest.raises(ValueError, match="would have 1048578 vertices"):
+        comb_tree(CombParams(s=2.0 ** -19, depth_cap=18))
+    teeth = comb_attachments(2.0 ** -18, 17)
+    assert sum(len(xs) for xs in teeth.values()) == 2 ** 18 + 1
+    assert comb_tree(CombParams(s=2.0 ** -7, depth_cap=6)).n == 2 * (2 ** 7 + 1)
+
+
+def reference_star_tree(params):
+    """star_tree's vertex and edge lists as they were built before the
+    vertex count came first."""
+    K = params.scale
+    vertices, edges = ["center"], []
+    if K > 0:
+        for i in range(len(params.a) + 1):
+            length = K * params.coefficient(i)
+            pieces = max(1, int(math.ceil(length / params.eps - 1e-12)))
+            prev_id, prev_pos = "center", 0.0
+            for j in range(1, pieces + 1):
+                vid = "branch:%d:%r" % (i, j / pieces)
+                pos = length * j / pieces
+                vertices.append(vid)
+                edges.append((prev_id, vid, pos - prev_pos))
+                prev_id, prev_pos = vid, pos
+    return vertices, [(a, b, w.hex()) for a, b, w in edges]
+
+
+def test_star_tree_equals_the_per_branch_build():
+    rng = np.random.default_rng(2020)
+    for _ in range(200):
+        a = tuple(float(x) for x in rng.uniform(0.01, 2.0, int(rng.integers(1, 5))))
+        scale = float(rng.choice([0.0, 1e-3, 0.7, 3.0]))
+        eps = float(rng.choice([0.01, 0.125, 0.3, 10.0, math.inf]))
+        params = StarParams(a=a, scale=scale, eps=eps)
+        t = star_tree(params)
+        assert (list(t.vertices), [(u, v, w.hex()) for u, v, w in t.edges]) == reference_star_tree(params)
+
+
 def test_tau_is_sup_difference():
     assert tau((0.3, 0.1), (0.25, 0.12)) == pytest.approx(0.05)
     assert tau((0.5,), (0.5,)) == 0.0
