@@ -916,8 +916,7 @@ class _CandidateIndex:
         wedge: bool,
         eps: float,
     ):
-        self.parts = parts
-        self.wedge = wedge
+        self.parts, self.wedge = parts, wedge
         self.fallback = tree.index("p") if wedge else 0
         seg: Dict[Tuple[int, int], List[Tuple[float, float, int]]] = {}
         star: Dict[int, List[Tuple[float, int]]] = {}

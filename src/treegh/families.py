@@ -309,7 +309,7 @@ def _assembly_star_parts(
     for i in range(len(params.a) + 1 if K > 0 else 0):
         length = K * params.coefficient(i)
         ratio = length / params.eps
-        if ratio < math.inf:
+        if math.isfinite(ratio):
             pieces = max(2, int(math.ceil(ratio - 1e-12)))
             inner, sv = length * (pieces - 1) / pieces, (pieces - 1) / pieces
             if sv < 1.0 and 0.0 < inner < length:

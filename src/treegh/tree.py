@@ -748,13 +748,11 @@ def _sphere_crossings(
     for a, b, w in tree.edges:
         da, db = row[index[a]], row[index[b]]
         lo_id, lo, hi = (a, da, db) if da <= db else (b, db, da)
-        crossed = 0
-        if lo <= r < hi:
-            off = float(r - lo)
-            if off > _EPS_VERTEX and (hi - r) > _EPS_VERTEX:
-                offsets.append(off if lo_id == a else w - off)
-                crossed = 1
-        cuts.append(crossed)
+        off = float(r - lo)
+        crossed = lo <= r < hi and off > _EPS_VERTEX and (hi - r) > _EPS_VERTEX
+        if crossed:
+            offsets.append(off if lo_id == a else w - off)
+        cuts.append(int(crossed))
     return cuts, offsets
 
 

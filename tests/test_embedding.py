@@ -1092,11 +1092,14 @@ def test_matcher_tie_and_empty_coordinate_rules():
         coords={"b": {0: {0: (0.5, 0.25)}}, "a": {0: {1: (0.5, 0.25)}}, "p": {0: {}}},
         parts=[part], wedge=True,
     )
-    want = [dst.tree.index(reference_partner(v, src, dst, ReferenceIndex(dst), {})) for v in "vwp"]
-    assert want == [dst.tree.index(v) for v in "app"] and dst.tree.index("p") != 0
-    # eps 1.0 leaves both trees unsubdivided
-    got = treegh.embedding._matches(sample_index(src, 1.0), sample_index(dst, 1.0))
-    assert got.tolist() == want
+    # Without wedges, "w" goes to vertex 0, "b", and "p" to "b" as well.
+    for wedge, partners in ((True, "app"), (False, "abb")):
+        src.wedge = dst.wedge = wedge
+        want = [dst.tree.index(reference_partner(v, src, dst, ReferenceIndex(dst), {})) for v in "vwp"]
+        assert want == [dst.tree.index(v) for v in partners] and dst.tree.index("p") != 0
+        # eps 1.0 leaves both trees unsubdivided
+        got = treegh.embedding._matches(sample_index(src, 1.0), sample_index(dst, 1.0))
+        assert got.tolist() == want
 
 
 def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, monkeypatch):

@@ -17,7 +17,7 @@ from treegh import (
     star_tree,
     tau,
 )
-from treegh.families import comb_attachments
+from treegh.families import _assembly_star_parts, comb_attachments
 
 
 # -- cutoff functions ---------------------------------------------------------
@@ -173,6 +173,15 @@ def test_huge_combs_and_stars_fail_fast():
     assert comb_tree(CombParams(s=2.0 ** -7, depth_cap=6)).n == 2 * (2 ** 7 + 1)
 
 
+@pytest.mark.parametrize("scale, eps", [(8.0, 1e-17), (3.0, 9.007035828690595e-17), (1.0, 5e-324)])
+def test_assembly_star_refuses_an_eps_too_fine(scale, eps):
+    # The unit branch's last sample rounds onto its tip (8.0 at 1e-17), or
+    # only its parameter does, which gives it the tip's id (3.0), or the
+    # branch length over eps overflows (5e-324).
+    with pytest.raises(ValueError, match="eps=%r is too fine for star branch 0 of length %r" % (eps, scale)):
+        _assembly_star_parts(StarParams(a=(0.5,), scale=scale, eps=eps))
+
+
 def reference_star_tree(params):
     """star_tree's vertex and edge lists as they were built before the
     vertex count came first."""
@@ -198,9 +207,11 @@ def test_star_tree_equals_the_per_branch_build():
         a = tuple(float(x) for x in rng.uniform(0.01, 2.0, int(rng.integers(1, 5))))
         scale = float(rng.choice([0.0, 1e-3, 0.7, 3.0]))
         eps = float(rng.choice([0.01, 0.125, 0.3, 10.0, math.inf]))
-        params = StarParams(a=a, scale=scale, eps=eps)
-        t = star_tree(params)
-        assert (list(t.vertices), [(u, v, w.hex()) for u, v, w in t.edges]) == reference_star_tree(params)
+        for params in (StarParams(a=a, scale=scale, eps=eps), StarParams(a=(0.27,), scale=1.0, eps=0.03)):
+            # 0.27 / 0.03 is 9 and an ulp, which the 1e-12 slack rounds down
+            t = star_tree(params)
+            got = (list(t.vertices), [(u, v, w.hex()) for u, v, w in t.edges])
+            assert got == reference_star_tree(params)
 
 
 def test_tau_is_sup_difference():

@@ -614,11 +614,13 @@ def test_chop_ids_are_fresh(small_config):
 
 def test_ball_cuts_edges_at_radius():
     t = path_tree()
-    ball = closed_ball_subtree(t, "a", 1.5)
-    assert ball.has_vertex("a") and ball.has_vertex("b")
-    assert not ball.has_vertex("c")
-    ecc = max(ball.distance("a", v) for v in ball.vertices)
-    assert ecc == pytest.approx(1.5)
+    # about "c", the crossed edge (a, b) runs from its farther end
+    for origin, kept, cut_from in (("a", "b", "c"), ("c", "b", "a")):
+        ball = closed_ball_subtree(t, origin, 1.25)
+        assert ball.has_vertex(origin) and ball.has_vertex(kept)
+        assert not ball.has_vertex(cut_from)
+        ecc = max(ball.distance(origin, v) for v in ball.vertices)
+        assert ecc == pytest.approx(1.25)
 
 
 def test_ball_degenerate_radii():
