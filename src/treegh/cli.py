@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .metric import MetricValidationError
+from .metric import DEFAULT_TOL, MetricValidationError, validate_metric
 from .tree import (
     ReplacementEntry,
     ReplacementError,
@@ -75,7 +75,8 @@ def _f(v: Optional[float]) -> Optional[float]:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # A NaN or infinite figure is an error (exit 2), never a JSON token.
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv(header: List[str], rows: List[List[object]]) -> str:
@@ -195,16 +196,38 @@ def _cmd_tree_subdivide(args) -> Tuple[str, int]:
 # -- gh -----------------------------------------------------------------------
 
 
+def _cap(args) -> int:
+    if args.cap < 1:
+        raise ValueError("--cap must be at least 1, got %d" % args.cap)
+    return args.cap
+
+
+def _tol(args) -> float:
+    return args.tol if args.tol is not None else DEFAULT_TOL
+
+
 def _cmd_gh_exact(args) -> Tuple[str, int]:
-    x = load_space(args.a)
-    y = load_space(args.b)
-    value = gh_exact(x, y, cap=args.cap)
+    cap = _cap(args)
+    x = load_space(args.a, _tol(args))
+    y = load_space(args.b, _tol(args))
+    if max(x.n, y.n) <= cap:
+        # the search trusts the triangle inequality; within the cap its
+        # O(n^3) check is cheap
+        for path, space in ((args.a, x), (args.b, y)):
+            report = validate_metric(space, _tol(args))
+            if not report.ok:
+                raise MetricValidationError(
+                    "%s is not a metric space: %s violated by %.6g at points %s"
+                    % (path, report.category, report.worst_violation,
+                       ", ".join(space.labels[i] for i in report.witness))
+                )
+    value = gh_exact(x, y, cap=cap)
     return format_sig(value) + "\n", 0
 
 
 def _cmd_gh_bounds(args) -> Tuple[str, int]:
-    x = load_space(args.a)
-    y = load_space(args.b)
+    x = load_space(args.a, _tol(args))
+    y = load_space(args.b, _tol(args))
     lo = gh_lower_bound(x, y)
     hi = gh_upper_bound(x, y, greedy_tree_correspondence(x, y))
     if args.format == "csv":
@@ -216,7 +239,7 @@ def _cmd_gh_trees(args) -> Tuple[str, int]:
     t1 = load_tree(args.a)
     t2 = load_tree(args.b)
     eps = args.eps if args.eps is not None else 2.0 ** -6
-    interval = gh_tree_interval(t1, t2, eps, cap=args.cap)
+    interval = gh_tree_interval(t1, t2, eps, cap=_cap(args))
     widen = float(t1.metadata.get("truncation_error", 0.0) or 0.0) + float(
         t2.metadata.get("truncation_error", 0.0) or 0.0
     )
@@ -337,7 +360,7 @@ def _add_common(p: _Parser, leaf: bool = True):
     sup = argparse.SUPPRESS
     p.add_argument(
         "--tol", type=float, default=sup if leaf else None,
-        help="validation tolerance",
+        help="validation tolerance: finite and >= 0, or exit 2",
     )
     p.add_argument(
         "--eps", type=float, default=sup if leaf else None,
@@ -358,32 +381,41 @@ def _build_parser() -> _Parser:
     tree = sub.add_parser("tree", help="build and validate metric trees")
     tsub = tree.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    p = tsub.add_parser("validate", help="validate a tree document")
+    p = tsub.add_parser("validate", help="validate a tree document", description=(
+        "Prove a tree document a tree: every edge joins two known ids with a "
+        "positive finite length, and the edges connect every node with no cycle."))
     p.add_argument("file")
     _add_common(p)
     p.set_defaults(func=_cmd_tree_validate)
 
-    p = tsub.add_parser("comb", help="comb tree of parameter s")
+    p = tsub.add_parser("comb", help="comb tree of parameter s", description=(
+        "Checks --s in [0, 1], --scale in (0, 1] and --depth >= 0; a comb of more "
+        "than 2**20 vertices is refused before it is built."))
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--depth", type=int, default=8)
     _add_common(p)
     p.set_defaults(func=_cmd_tree_comb)
 
-    p = tsub.add_parser("star", help="star tree with branch coefficients")
+    p = tsub.add_parser("star", help="star tree with branch coefficients", description=(
+        "Checks positive finite coefficients --a, a finite --k >= 0 and --eps > 0 "
+        "(default 0.125); a star of more than 2**20 vertices is refused."))
     p.add_argument("--a", required=True, help="comma-separated coefficients")
     p.add_argument("--k", type=float, required=True, help="scale factor")
     p.add_argument("--branches", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_tree_star)
 
-    p = tsub.add_parser("wedge", help="wedge trees at basepoints")
+    p = tsub.add_parser("wedge", help="wedge trees at basepoints", description=(
+        "Checks one basepoint per tree (--at), each a vertex of its tree."))
     p.add_argument("files", nargs="+")
     p.add_argument("--at", required=True, help="comma-separated basepoints")
     _add_common(p)
     p.set_defaults(func=_cmd_tree_wedge)
 
-    p = tsub.add_parser("replace", help="replace one edge by a marked tree")
+    p = tsub.add_parser("replace", help="replace one edge by a marked tree", description=(
+        "Checks that the host geodesic --edge is a plain degree-2 path and that the "
+        "replacement spans it within --tol (finite, >= 0; default 1e-9)."))
     p.add_argument("file")
     p.add_argument("--edge", required=True, help="a,b endpoints")
     p.add_argument("--with", required=True, help="replacement tree document")
@@ -392,7 +424,8 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=_cmd_tree_replace)
 
-    p = tsub.add_parser("subdivide", help="refine all edges below --eps")
+    p = tsub.add_parser("subdivide", help="refine all edges below --eps", description=(
+        "Checks --eps > 0 (required); more than 2**20 new vertices are refused."))
     p.add_argument("file")
     _add_common(p)
     p.set_defaults(func=_cmd_tree_subdivide)
@@ -400,20 +433,27 @@ def _build_parser() -> _Parser:
     gh = sub.add_parser("gh", help="Gromov-Hausdorff distances and bounds")
     gsub = gh.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    p = gsub.add_parser("exact", help="exact distance between small spaces")
+    p = gsub.add_parser("exact", help="exact distance between small spaces", description=(
+        "Inputs are CSV matrices or tree documents.  A CSV matrix must be finite, "
+        "nonnegative, zero on the diagonal and symmetric within --tol; --cap must "
+        "be >= 1, and within it each space must pass validate_metric (positivity "
+        "and the triangle inequality) within --tol."))
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--cap", type=int, default=8)
     _add_common(p)
     p.set_defaults(func=_cmd_gh_exact)
 
-    p = gsub.add_parser("bounds", help="certified lower/upper bounds")
+    p = gsub.add_parser("bounds", help="certified lower/upper bounds", description=(
+        "Inputs are CSV matrices or tree documents.  A CSV matrix must be finite, "
+        "nonnegative, zero on the diagonal and symmetric within --tol."))
     p.add_argument("a")
     p.add_argument("b")
     _add_common(p)
     p.set_defaults(func=_cmd_gh_bounds)
 
-    p = gsub.add_parser("trees", help="two-sided interval between trees")
+    p = gsub.add_parser("trees", help="two-sided interval between trees", description=(
+        "Checks --eps positive and finite (default 2**-6) and --cap >= 1."))
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--cap", type=int, default=8)
@@ -423,25 +463,36 @@ def _build_parser() -> _Parser:
     lab = sub.add_parser("lab", help="parametric family scans")
     lsub = lab.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    p = lsub.add_parser("embed", help="assemble the tree of one grid cell")
+    p = lsub.add_parser("embed", help="assemble the tree of one grid cell", description=(
+        "The config document is checked as EmbedConfig checks it: integer m >= 1, "
+        "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
+        "--eps and --tol replace its values and are checked alike."))
     p.add_argument("--config", required=True)
     p.add_argument("--u", required=True, help="grid label")
     p.add_argument("--k", type=int, required=True, help="fiber index")
     _add_common(p)
     p.set_defaults(func=_cmd_lab_embed)
 
-    p = lsub.add_parser("scan-continuity", help="GH bounds between adjacent cells")
+    p = lsub.add_parser("scan-continuity", help="GH bounds between adjacent cells", description=(
+        "The config document is checked as EmbedConfig checks it: integer m >= 1, "
+        "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
+        "--eps and --tol replace its values and are checked alike."))
     p.add_argument("--config", required=True)
     p.add_argument("--k", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_lab_scan_continuity)
 
-    p = lsub.add_parser("scan-injectivity", help="fingerprint distinctness scan")
+    p = lsub.add_parser("scan-injectivity", help="fingerprint distinctness scan", description=(
+        "The config document is checked as EmbedConfig checks it: integer m >= 1, "
+        "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
+        "--eps and --tol replace its values and are checked alike."))
     p.add_argument("--config", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_lab_scan_injectivity)
 
-    p = lsub.add_parser("path", help="comb replacement path of a tree")
+    p = lsub.add_parser("path", help="comb replacement path of a tree", description=(
+        "Checks --s-grid sorted within [0, 1], --eps positive and finite and "
+        "--depth >= 0."))
     p.add_argument("--x", required=True, help="input tree document")
     p.add_argument("--s-grid", required=True, dest="s_grid")
     p.add_argument("--depth", type=int, default=8)
@@ -461,6 +512,10 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         print("usage error: missing subcommand (see --help)", file=sys.stderr)
         return 1
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        # every tolerance check reads `abs(...) > tol`, which NaN or inf passes
+        print("error: tol must be finite and nonnegative, got %r" % args.tol, file=sys.stderr)
+        return 2
     try:
         text, code = args.func(args)
     except _UsageError as exc:

@@ -58,7 +58,15 @@ from .families import (
     rho_embed,
     tau,
 )
-from .gh import Correspondence, gh_upper_bound
+from .gh import (
+    Correspondence,
+    _Plan,
+    _Rows,
+    _plan,
+    _planned_maximum,
+    _walked,
+    gh_upper_bound,
+)
 from .io import tree_from_document, tree_to_document
 
 __all__ = [
@@ -118,7 +126,11 @@ class EmbedConfig:
             subdivided at eps; the assembly reads it only to put each star
             branch's one interior vertex at its last eps-sample.
         tol: validation tolerance.
-        depth_cap: comb generation cap.
+        depth_cap: comb generation cap (a nonnegative integer).
+
+    ``m``, ``branches`` and ``depth_cap`` must be integers; a float with no
+    fractional part is taken as its integer, any other value is refused
+    with an :class:`EmbedConfigError` naming the field.
     """
 
     h_space: FiniteMetricSpace
@@ -171,10 +183,15 @@ class EmbedConfig:
                     "basepoint %r of tree %d has degree 2 inside a unit segment, "
                     "which the comb replacement removes" % (bp, i)
                 )
+        self.m = _whole(self.m, "m")
+        self.branches = _whole(self.branches, "branches")
+        self.depth_cap = _whole(self.depth_cap, "depth_cap")
         if self.m < 1:
             raise EmbedConfigError("m must be at least 1")
         if self.branches < 3:
             raise EmbedConfigError("need at least 3 star branches")
+        if self.depth_cap < 0:
+            raise EmbedConfigError("depth_cap must be nonnegative, got %d" % self.depth_cap)
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise EmbedConfigError("eps must be positive and finite, got %r" % self.eps)
         if not (self.tol >= 0 and math.isfinite(self.tol)):
@@ -204,11 +221,11 @@ class EmbedConfig:
                 marked=tuple(str(v) for v in doc["marked"]),
                 trees=trees,
                 basepoints=tuple(str(b) for b in doc["basepoints"]),
-                m=int(doc.get("m", 3)),
-                branches=int(doc.get("branches", 3)),
+                m=_whole(doc.get("m", 3), "m"),
+                branches=_whole(doc.get("branches", 3), "branches"),
                 eps=float(doc.get("eps", 2.0 ** -6)),
                 tol=float(doc.get("tol", 1e-9)),
-                depth_cap=int(doc.get("depth_cap", 8)),
+                depth_cap=_whole(doc.get("depth_cap", 8), "depth_cap"),
             )
         except (KeyError, TypeError, IndexError) as exc:
             raise EmbedConfigError("malformed embed config: %s" % exc) from exc
@@ -231,6 +248,16 @@ class EmbedConfig:
             "tol": self.tol,
             "depth_cap": self.depth_cap,
         }
+
+
+def _whole(value, name: str) -> int:
+    """An integer field of the config: an int, or a float with no
+    fractional part; anything else (2.7, inf, a bool, a string) is refused,
+    naming the field, rather than truncated."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    if not number or isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise EmbedConfigError("%s must be an integer, got %r" % (name, value))
+    return int(value)
 
 
 def unit_grid(side: int) -> Tuple[FiniteMetricSpace, Dict[str, Tuple[float, float]]]:
@@ -1148,9 +1175,16 @@ def continuity_scan(
     of one (i, phi) shares them.  Every cell's tree is assembled up front,
     in grid order.  Each cell's sample and its matching index are built
     once, in one pass over the tree's edges from the cell's coordinates,
-    and reused by all of the cell's pairs, then freed, with the sample's
-    distance matrix and the cell, after the cell's last pair, so only
-    cells with pairs still to come hold a sample.
+    and reused by all of the cell's pairs.
+
+    No sample's distance matrix is filled.  Every pair is planned first,
+    in order: its correspondence and the rows its distortion may read
+    (:func:`treegh.gh._plan`, from depths alone); a cell's index and the
+    cell go after its last pair there.  Then each cell's sample is walked
+    once, at its first pair, for the union of the rows its pairs planned
+    (:meth:`~treegh.tree.MetricTree._rows`, the fill's own floats), and
+    those rows are freed after its last pair.  ``hi`` is bit for bit what
+    the full distortion product gives.
 
     Args:
         cfg: embedding configuration.
@@ -1189,23 +1223,37 @@ def continuity_scan(
     del stages  # each part is then freed with the last cell that holds it
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
     samples: Dict[int, _CandidateIndex] = {}
-
-    rows: List[ContinuityRow] = []
+    trees: Dict[int, MetricTree] = {}  # each cell's sample, once planned
+    need: Dict[int, List[np.ndarray]] = {}  # the vertices whose rows it reads
+    planned: List[Tuple[_Plan, float]] = []
     for pos, (ia, ib) in enumerate(adjacency):
-        la, ka = grid[ia]
-        lb = grid[ib][0]
         for i in (ia, ib):
             if i not in samples:
                 cell, tree = cells[i]
                 samples[i] = _CandidateIndex(tree, cell.coords(), cell.parts, True, cfg.eps)
         sa, sb = samples[ia], samples[ib]
-        corr = _composite_correspondence(sa, sb)
-        hi = gh_upper_bound(sa.tree, sb.tree, corr) + cfg.eps
-        bound = _analytic_bound(cells[ia][0], cells[ib][0])
+        plan = _plan(sa.tree, sb.tree, _composite_correspondence(sa, sb))
+        need.setdefault(ia, []).append(plan.x_rows)
+        need.setdefault(ib, []).append(plan.y_rows)
+        planned.append((plan, _analytic_bound(cells[ia][0], cells[ib][0])))
+        for i in (ia, ib):
+            if last_use[i] == pos and i in samples:
+                trees[i] = samples.pop(i).tree
+                cells[i] = None
+
+    rows: List[ContinuityRow] = []
+    walked: Dict[int, _Rows] = {}
+    for pos, ((ia, ib), (plan, bound)) in enumerate(zip(adjacency, planned)):
+        la, ka = grid[ia]
+        lb = grid[ib][0]
+        for i in (ia, ib):
+            if i not in walked:
+                walked[i] = _walked(trees[i], np.unique(np.concatenate(need.pop(i))))
+        hi = 0.5 * _planned_maximum(plan, walked[ia], walked[ib]) + cfg.eps
         for i in (ia, ib):
             if last_use[i] == pos:
-                samples.pop(i, None)
-                cells[i] = None
+                walked.pop(i, None)
+                trees.pop(i, None)
         margin = bound + 2.0 * cfg.eps + cfg.tol - hi
         rows.append(
             ContinuityRow(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,8 +43,8 @@ DEFAULT_CAP = 8
 # than 2**13 or 2**20; metric._BLOCK_CELLS (4M) would hold all of |C|^2 in
 # one block and gain nothing.
 _DISTORTION_BLOCK_CELLS = 1 << 16
-# Between trees, distortion computes every this-many-th row of the product
-# exactly and bounds the others from those rows.
+# Between trees, distortion bounds every row of the product from every
+# this-many-th row.
 _REPRESENTATIVE_STRIDE = 32
 
 
@@ -117,59 +117,30 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     of the correspondence: the largest entry of the ``|C| x |C|`` mismatch
     product, whose row ``c`` runs over every ``c'``.  Rows are computed in
     blocks holding about ``_DISTORTION_BLOCK_CELLS`` (2**16) entries, so the
-    memory added beyond the two matrices is O(block), not O(|C|^2).  Both
+    memory added beyond the rows read is O(block), not O(|C|^2).  Both
     triangles are read because a tree matrix need not be bit-symmetric.
     Raises if the relation fails to cover both spaces.
 
     A :class:`FiniteMetricSpace` need not satisfy the triangle inequality,
     so two spaces (or a space and a tree) walk the whole product.  Between
-    two :class:`MetricTree` objects, whose distances do, most rows are
-    skipped.  The rows of every ``_REPRESENTATIVE_STRIDE``-th pair
-    ``r = (a_r, b_r)`` are computed exactly, and every other row ``c`` is
-    bounded by the smallest ``rowmax(r) + d_X(a, a_r) + d_Y(b, b_r) + slack``
-    (the triangle inequality on both sides).  The slack,
-    ``4 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)`` with ``L`` the total
-    edge length, covers rounding: each entry of a tree's fill is at most
-    2(n - 1) roundings of values at most ``L`` away from the exact
-    distance, the bound rests on three such entries per tree, and the
-    subtraction and the bound's own sums round once each.  Rows are then
-    computed in order of decreasing bound until no remaining bound exceeds
-    the running maximum; a NaN bound keeps its row.  Every entry computed
-    is the float the full product holds, so the value is bit for bit the
-    full product's maximum.  Tree matrices are read through
-    :meth:`MetricTree._filled`, with columns in fill order, so
-    ``distortion`` never permutes them.
+    two :class:`MetricTree` objects the rows that can hold the maximum are
+    planned first (:func:`_plan`), their sources' rows are taken from the
+    tree's cached fill or else walked for them alone
+    (:meth:`MetricTree._rows`, the fill's own floats), and only planned rows
+    are read (:func:`_planned_maximum`).  Every entry read is the float the
+    full product holds, so the value is bit for bit the full product's
+    maximum.
     """
-    if not corr.covers(x.n, y.n):
-        raise ValueError("correspondence does not cover both spaces")
-    I, J = corr.rows.T.astype(np.intp)
-    # Both matrices are filled before any other array is made (see
-    # MetricTree._all_pairs), then the points are mapped to their columns.
-    (dx, px), (dy, py) = _filled(x), _filled(y)
-    cx = I if px is None else px[I]
-    cy = J if py is None else py[J]
-
-    def row_maxima(rows):
-        return _row_maxima(dx, I, cx, dy, J, cy, rows)
-
     if not (isinstance(x, MetricTree) and isinstance(y, MetricTree)):
-        return float(row_maxima(np.arange(len(I))).max(initial=0.0))
-    reps = np.arange(0, len(I), _REPRESENTATIVE_STRIDE)
-    rep_max = row_maxima(reps)
-    worst = rep_max.max()
-    slack = 4.0 * 2.0 ** -52 * (
-        (x.n + 1) * x.total_edge_length() + (y.n + 1) * y.total_edge_length()
-    )
-    bound = _row_bounds(dx, I[reps], cx, dy, J[reps], cy, rep_max) + slack
-    bound[np.isnan(bound)] = np.inf
-    bound[reps] = -np.inf
-    order = np.argsort(-bound, kind="stable")
-    step = _block_rows(len(I))
-    for start in range(0, len(order), step):
-        if not bound[order[start]] > worst:
-            break
-        worst = np.maximum(worst, row_maxima(order[start : start + step]).max())
-    return float(worst)
+        if not corr.covers(x.n, y.n):
+            raise ValueError("correspondence does not cover both spaces")
+        I, J = corr.rows.T.astype(np.intp)
+        (dx, px), (dy, py) = _filled(x), _filled(y)
+        cx = I if px is None else px[I]
+        cy = J if py is None else py[J]
+        return float(_row_maxima(dx, I, cx, dy, J, cy, np.arange(len(I))).max(initial=0.0))
+    plan = _plan(x, y, corr)
+    return _planned_maximum(plan, _tree_rows(x, plan.x_rows), _tree_rows(y, plan.y_rows))
 
 
 def _filled(space: Space) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -180,40 +151,150 @@ def _filled(space: Space) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return space.dist, None
 
 
+class _Plan(NamedTuple):
+    """What :func:`_plan` proves about the mismatch product between two
+    trees: a bound on each row's largest entry and a lower bound on the
+    largest entry, and the vertices whose rows the rows above it read."""
+
+    I: np.ndarray  # the pairs' points, as in Correspondence.rows
+    J: np.ndarray
+    bound: np.ndarray  # at least the largest entry of each row (inf if unknown)
+    low: float  # at most the largest entry
+    x_rows: np.ndarray  # the sorted sources in x of the rows with bound > low
+    y_rows: np.ndarray
+
+
+# The rows a tree distortion reads: the matrix they are in, the row of each
+# vertex in it (None: the vertex's own index) and the column of each vertex.
+_Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+
+def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
+    """Bounds on the rows of the mismatch product between two trees, from
+    depths alone: no row of either tree is walked or filled.
+
+    Every ``_REPRESENTATIVE_STRIDE``-th pair ``r = (a_r, b_r)`` is a
+    representative.  With ``A``, ``B`` the distances of
+    :meth:`MetricTree._depth_rows` from its points, its row's largest entry
+    is about ``near(r) = max_c |A(a_r, a) - B(b_r, b)|``, and every row
+    ``c = (a, b)`` is bounded by the least ``near(r) + A(a_r, a) +
+    B(b_r, b) + slack`` (the triangle inequality on both sides), while
+    ``low = max_r near(r) - slack`` is at most the largest entry.  A sum
+    that overflows to NaN proves nothing, so it bounds no row (a row no
+    finite sum bounds keeps bound inf) and raises no ``low``, and a ``low``
+    that is not finite becomes -inf.
+
+    The slack is ``6 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)``, with L the
+    total edge length; per tree it is ``12 (n + 1)`` units of ``2**-53 L``.
+    Each fill entry is within ``e = 2(n - 1)`` units of the exact distance
+    (at most 2(n - 1) roundings of values at most L), and each depth-row
+    entry within ``h = 4n`` (see :meth:`MetricTree._depth_rows`).  The
+    exact triangle inequality bounds a row of fill entries by the exact
+    representative row plus two exact distances, plus ``e`` per tree; each
+    of those three terms is its depth-row value within ``h``, and the
+    representative's maximum is ``near(r)`` within one more rounding of a
+    difference.  Summing two terms and adding ``near`` and the slack round
+    three times, values at most 2(L_X + L_Y).  That is ``2h + e + 6 = 10n +
+    4`` units per tree, below ``12(n + 1)``.  Likewise ``near(r)`` exceeds
+    its representative's true row maximum by at most ``h + e + 1 = 6n - 1``
+    units, and subtracting the slack rounds once more, so ``low`` never
+    exceeds the largest entry.
+    """
+    if not corr.covers(x.n, y.n):
+        raise ValueError("correspondence does not cover both spaces")
+    I, J = corr.rows.T.astype(np.intp)
+    cx, cy = x._preorder().pos[I], y._preorder().pos[J]
+    reps = np.arange(0, len(I), _REPRESENTATIVE_STRIDE)
+    bound = np.full(len(I), np.inf)
+    low = -math.inf
+    step = _block_rows(max(len(I), x.n, y.n))
+    for start in range(0, len(reps), step):
+        r = reps[start : start + step]
+        a = x._depth_rows(I[r])[:, cx]
+        b = y._depth_rows(J[r])[:, cy]
+        near = np.abs(a - b).max(axis=1)
+        low = max(low, float(near.max()))  # a NaN block proves nothing
+        a += b
+        a += near[:, None]
+        np.fmin(bound, a.min(axis=0), out=bound)
+    slack = 6.0 * 2.0 ** -52 * (
+        (x.n + 1) * x.total_edge_length() + (y.n + 1) * y.total_edge_length()
+    )
+    bound += slack
+    low -= slack
+    if not math.isfinite(low):
+        low = -math.inf
+    keep = bound > low
+    return _Plan(I, J, bound, low, np.unique(I[keep]), np.unique(J[keep]))
+
+
+def _tree_rows(tree: MetricTree, vertices: np.ndarray) -> _Rows:
+    """The rows of ``vertices``: the cached fill when the tree has one,
+    else those rows alone, walked (a vertex not asked for has no row)."""
+    if tree._dist is not None:
+        d, cols = tree._filled()
+        return d, None, cols
+    return _walked(tree, vertices)
+
+
+def _walked(tree: MetricTree, vertices: np.ndarray) -> _Rows:
+    """The walked rows of ``vertices``; any other vertex's row index is one
+    past the last row, so reading it raises IndexError."""
+    slot = np.full(tree.n, len(vertices), dtype=np.intp)
+    slot[vertices] = np.arange(len(vertices))
+    return tree._rows(vertices), slot, tree._preorder().pos
+
+
+def _planned_maximum(plan: _Plan, xs: _Rows, ys: _Rows) -> float:
+    """The largest entry of the mismatch product, reading only rows whose
+    bound exceeds ``plan.low``.
+
+    Rows are read in order of decreasing bound, a block at a time, each
+    block cut to the rows whose bound exceeds both ``low`` and the largest
+    entry read so far; the loop ends at the first empty block.  Every row
+    left unread is then bounded by ``max(low, best)``, every row read is at
+    most ``best``, and the largest entry is at least both, so it is
+    ``max(low, best)``: an entry of the product, bit for bit.  A NaN entry
+    (distances that overflowed) ends the loop and is the value, as it is
+    the full product's maximum.
+    """
+    (dx, rx, cx), (dy, ry, cy) = xs, ys
+    I, J, bound, low = plan.I, plan.J, plan.bound, plan.low
+    rx = I if rx is None else rx[I]
+    ry = J if ry is None else ry[J]
+    cx = I if cx is None else cx[I]
+    cy = J if cy is None else cy[J]
+    order = np.argsort(-bound, kind="stable")
+    best = -math.inf
+    step = _block_rows(len(I))
+    for start in range(0, len(order), step):
+        rows = order[start : start + step]
+        rows = rows[bound[rows] > np.maximum(low, best)]
+        if not len(rows):
+            break
+        best = np.maximum(best, _row_maxima(dx, rx, cx, dy, ry, cy, rows).max())
+    return float(np.maximum(low, best))
+
+
 def _block_rows(m: int) -> int:
     """Rows of an ``m``-column block of about ``_DISTORTION_BLOCK_CELLS`` entries."""
     return max(1, _DISTORTION_BLOCK_CELLS // max(1, m))
 
 
-def _row_maxima(dx, I, cx, dy, J, cy, rows: np.ndarray) -> np.ndarray:
+def _row_maxima(dx, rx, cx, dy, ry, cy, rows: np.ndarray) -> np.ndarray:
     """Largest entry of each given row of the mismatch product.
 
-    Row ``c`` holds ``|dx[I[c], cx] - dy[J[c], cy]|``, where ``cx``/``cy``
-    are the matrix columns of the correspondence's points.
+    Row ``c`` holds ``|dx[rx[c], cx] - dy[ry[c], cy]|``, where ``rx``/``ry``
+    are the matrix rows and ``cx``/``cy`` the matrix columns of the
+    correspondence's points.
     """
     out = np.empty(len(rows))
     step = _block_rows(len(cx))
     for start in range(0, len(rows), step):
         blk = rows[start : start + step]
-        block = dx[I[blk]][:, cx]
-        block -= dy[J[blk]][:, cy]
+        block = dx[rx[blk]][:, cx]
+        block -= dy[ry[blk]][:, cy]
         np.abs(block, out=block).max(axis=1, out=out[start : start + step])
-    return out
-
-
-def _row_bounds(dx, I_r, cx, dy, J_r, cy, rep_max: np.ndarray) -> np.ndarray:
-    """Bound on each row ``c`` of the mismatch product from the
-    representative rows ``r``: the smallest ``rep_max[r] + dx[I_r[r], cx[c]]
-    + dy[J_r[r], cy[c]]``, over blocks of about ``_DISTORTION_BLOCK_CELLS``
-    pairs ``(r, c)``."""
-    out = np.empty(len(cx))
-    step = _block_rows(len(I_r))
-    for start in range(0, len(cx), step):
-        cols = slice(start, start + step)
-        block = dx[np.ix_(I_r, cx[cols])]
-        block += rep_max[:, None]
-        block += dy[np.ix_(J_r, cy[cols])]
-        block.min(axis=0, out=out[cols])
     return out
 
 
@@ -445,8 +526,9 @@ def gh_tree_interval(
     Within the cap the sampled distance is computed exactly; otherwise the
     interval combines the certified lower bound with the upper bound from
     the rank-aligned correspondence.  The two samples go to the solver and
-    the bounds as trees, so between them :func:`distortion` takes its
-    row-bound path and no distance matrix is copied.
+    the bounds as trees, so no distance matrix is copied: the lower bound
+    fills each sample's matrix for its eccentricities, and
+    :func:`distortion` reads its planned rows from those fills.
 
     Args:
         t1, t2: metric trees.

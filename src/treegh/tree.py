@@ -11,11 +11,13 @@ boundaries and ball cuts put vertices on the edges of a valid tree through
 one builder that checks only the new ids and pieces, a closed ball keeps a
 connected set of vertices, and edge replacement glues trees across plain
 paths that its entry checks have vetted.  The same walk, as a preorder with
-parents and edge lengths, fills the full matrix of path distances when it
-is first needed (then cached; its columns stay in preorder until ``dist``
-is read; refused above 2**14 vertices) and finds geodesics; operations that
-need one source's distances or only edge lengths (balls, degree-<=2
-components, edge replacement) never build the matrix.  Points of the underlying continuum
+parents, edge lengths and depths (cached), fills the full matrix of path
+distances when it is first needed (then cached; its columns stay in
+preorder until ``dist`` is read; refused above 2**14 vertices), walks the
+same rows for a chosen set of sources without the matrix, bit for bit, and
+finds geodesics; operations that need one source's distances or only edge
+lengths (balls, degree-<=2 components, edge replacement) never build the
+matrix.  Points of the underlying continuum
 exist only once an operation materialises them -- subdivision, chunk
 boundaries and ball cuts all insert explicit vertices.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +66,19 @@ _MAX_SUBDIVIDE_VERTICES = 1 << 20
 # Most vertices a distance matrix is filled for (2 GiB): a larger tree fails
 # at once instead of exhausting memory.
 _MAX_FILL_VERTICES = 1 << 14
+# Positions per block of the range minima that `_depth_rows` reads.
+_DEPTH_BLOCK = 64
+
+
+class _Preorder(NamedTuple):
+    """The DFS preorder from vertex 0 (see :meth:`MetricTree._walk`)."""
+
+    order: List[int]  # vertex at each position
+    pos: np.ndarray  # position of each vertex
+    parent: List[int]  # position of each position's parent, -1 at the root
+    weight: List[float]  # length of the edge to the parent, 0.0 at the root
+    end: List[int]  # one past the last position of each subtree
+    depth: np.ndarray  # distance from vertex 0 by position, as the fill sums it
 
 
 class TreeStructureError(ValueError):
@@ -83,7 +98,9 @@ class MetricTree:
         dist: matrix of path distances (float64, read-only), filled with
             its columns in DFS preorder when first needed, permuted to
             vertex order on the first read of ``dist`` and cached;
-            :meth:`row` gives one source's distances in O(n) without it.
+            :meth:`row` gives one source's distances in O(n) without it,
+            and :meth:`_rows` the fill's rows of chosen sources, walked
+            with O(log n) working rows (as tree distortions read them).
         labels: optional display labels per vertex id.
         metadata: free-form provenance (generators fill this in).
     """
@@ -130,6 +147,7 @@ class MetricTree:
         self._dist: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
         self._total_length: Optional[float] = None
+        self._pre: Optional[_Preorder] = None
 
     @classmethod
     def _unchecked(
@@ -153,7 +171,7 @@ class MetricTree:
             ia, ib = index[a], index[b]
             adj[ia].append((ib, w))
             adj[ib].append((ia, w))
-        t._dist = t._cols = t._total_length = None
+        t._dist = t._cols = t._total_length = t._pre = None
         return t
 
     # -- construction helpers -------------------------------------------------
@@ -209,13 +227,41 @@ class MetricTree:
         reps = sorted(self.vertices[r] for r in range(n) if parent[r] < 0)
         return "tree is disconnected (components containing %s)" % ", ".join(reps[:4])
 
+    def _preorder(self) -> "_Preorder":
+        """The DFS preorder from vertex 0 that the fill, the row walk and
+        the row plans of :func:`treegh.gh.distortion` share; built on first
+        call and cached."""
+        if self._pre is None:
+            walk = list(self._walk(0))
+            n = len(walk)
+            order = [v for v, _, _ in walk]
+            pos = [0] * n
+            for i, v in enumerate(order):
+                pos[v] = i
+            parent = [-1] + [pos[p] for _, p, _ in walk[1:]]
+            weight = [w for _, _, w in walk]
+            size = [1] * n
+            for i in range(n - 1, 0, -1):
+                size[parent[i]] += size[i]
+            # Distances from vertex 0 summed along the walk: the fill's first
+            # row, so every other row the fill or the walk makes is one
+            # update of it.
+            depth = [0.0] * n
+            for i in range(1, n):
+                depth[i] = depth[parent[i]] + weight[i]
+            self._pre = _Preorder(
+                order, np.array(pos, dtype=np.intp), parent, weight,
+                [i + k for i, k in enumerate(size)], np.array(depth),
+            )
+        return self._pre
+
     def _all_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         # In the DFS preorder from vertex 0 the subtree of the vertex at
-        # position i is the range [i, i + size).  Moving the source from a
-        # parent p to its child v across an edge of length w adds w to the
-        # distance of every vertex outside v's subtree and subtracts w inside
-        # it, so each row is one vectorized update of its parent's row.  Rows
-        # are stored at their vertex's index with columns in preorder; the
+        # position i is the range [i, end).  Moving the source from a parent
+        # p to its child v across an edge of length w adds w to the distance
+        # of every vertex outside v's subtree and subtracts w inside it, so
+        # each row is one vectorized update of its parent's row.  Rows are
+        # stored at their vertex's index with columns in preorder; the
         # matrix is returned with the preorder position of each vertex, and
         # `dist` permutes the columns to vertex order on its first read.
         n = len(self.vertices)
@@ -225,7 +271,8 @@ class MetricTree:
                 "bytes; at most %d vertices are filled"
                 % (n, 8 * (n * n + n), _MAX_FILL_VERTICES)
             )
-        # One allocation, made before the walk's lists, holds the matrix and
+        pre = self._preorder()
+        # One allocation, made after the walk's lists, holds the matrix and
         # the preorder positions that live as long as it: a small long-lived
         # array allocated after a matrix can split the heap hole that a
         # later fill needs, and peak memory over repeated scans then crept
@@ -233,26 +280,159 @@ class MetricTree:
         buf = np.empty(n * n + n)
         d = buf[: n * n].reshape(n, n)
         cols = buf[n * n :].view(np.int64)
-        walk = list(self._walk(0))
-        pos = [0] * n  # preorder position of each vertex
-        for i, (v, _, _) in enumerate(walk):
-            pos[v] = i
-        size = [1] * n  # subtree size, by preorder position
-        for i in range(n - 1, 0, -1):
-            size[pos[walk[i][1]]] += size[i]
-        root = d[0]
-        root[0] = 0.0
+        order, parent, weight, end = pre.order, pre.parent, pre.weight, pre.end
+        d[0] = pre.depth
         for i in range(1, n):
-            _, p, w = walk[i]
-            root[i] = root[pos[p]] + w
-        for i in range(1, n):
-            v, p, w = walk[i]
-            prow, row, end = d[p], d[v], i + size[i]
+            prow, row, w = d[order[parent[i]]], d[order[i]], weight[i]
             np.add(prow, w, out=row)
-            np.subtract(prow[i:end], w, out=row[i:end])
-        cols[:] = pos
+            np.subtract(prow[i:end[i]], w, out=row[i:end[i]])
+        cols[:] = pre.pos
         d[np.arange(n), cols] = 0.0
         return d, cols
+
+    def _rows(self, vertices: np.ndarray) -> np.ndarray:
+        """The fill's rows of the distinct ``vertices``, bit for bit, with no
+        fill: row k holds the distances from ``vertices[k]`` with columns in
+        preorder, as ``_all_pairs()[0][vertices[k]]`` holds them.
+
+        The walk makes the fill's float operations: each row is its
+        parent's row plus w, less w on the row's own subtree, and the
+        diagonal is zeroed only in the rows written out, after every row
+        that reads them.  It visits only the vertices that are asked for or
+        have a descendant that is, and at each vertex the child with the
+        most asked-for vertices below it comes last.  A row is held until
+        its last child has read it, then goes back to a pool of buffers.  A
+        held row that is not written out belongs to an ancestor left through
+        another child, which has at most half the ancestor's asked-for
+        vertices below it, so the walk holds at most log2(k) + 2 buffers
+        besides the k rows it writes out.
+        """
+        pre = self._preorder()
+        n = self.n
+        keep = pre.pos[np.asarray(vertices, dtype=np.intp)]
+        out = np.empty((len(keep), n))
+        slot = np.full(n, -1, dtype=np.intp)
+        slot[keep] = np.arange(len(keep))
+        up = np.array(pre.parent, dtype=np.intp)
+        end = np.array(pre.end, dtype=np.intp)
+        asked = np.zeros(n + 1, dtype=np.intp)
+        asked[keep + 1] = 1
+        asked = np.cumsum(asked)  # asked-for positions before each position
+        wanted = asked[end] - asked[:n]  # asked-for positions in each subtree
+        needed = wanted > 0
+        seen = np.r_[0, np.cumsum(needed)]  # needed positions before each
+        size = seen[end] - seen[:n]  # needed positions in each subtree
+        child = np.flatnonzero(needed[1:]) + 1
+        parent = up[child]
+        # The first child with the most wanted below it goes last.  From the
+        # preorder of the needed positions, each later sibling's subtree
+        # moves ahead by the last child's subtree, and that subtree moves
+        # behind all of them.
+        by_parent = np.lexsort((child, -wanted[child], parent))
+        first = np.ones(len(child), dtype=bool)
+        first[1:] = parent[by_parent[1:]] != parent[by_parent[:-1]]
+        heavy = child[by_parent[first]]
+        last = np.zeros(n, dtype=bool)
+        last[heavy] = True
+        heavy_of = np.zeros(n, dtype=np.intp)
+        heavy_of[up[heavy]] = heavy
+        ahead = child[child > heavy_of[parent]]
+        step = size[heavy_of[up[ahead]]]
+        behind = seen[end[up[heavy]]] - seen[end[heavy]]
+        moves = np.bincount(
+            np.concatenate([ahead, end[ahead], heavy, end[heavy]]),
+            np.concatenate([-step, step, behind, -behind]).astype(float),
+            minlength=n + 1,
+        )
+        rank = seen[:n] + np.cumsum(moves[:n]).astype(np.intp)
+        visits = np.empty(len(child) + 1, dtype=np.intp)
+        visits[rank[needed]] = np.flatnonzero(needed)
+        visits = visits[1:]  # the root comes first
+        pp = up[visits]
+        recycle = last[visits] & (slot[pp] < 0) & (pp > 0)  # the root's row is pre.depth
+        held: List[Optional[np.ndarray]] = [None] * n
+        if len(keep):
+            held[0] = pre.depth
+            if slot[0] >= 0:
+                held[0] = out[slot[0]]
+                held[0][:] = pre.depth
+        pool: List[np.ndarray] = []
+        lengths = pre.weight
+        for c, p, e, s, reread, done, back in zip(
+            visits.tolist(), pp.tolist(), end[visits].tolist(), slot[visits].tolist(),
+            (size[visits] > 1).tolist(), last[visits].tolist(), recycle.tolist(),
+        ):
+            prow, w = held[p], lengths[c]
+            row = out[s] if s >= 0 else pool.pop() if pool else np.empty(n)
+            np.add(prow, w, out=row)
+            np.subtract(prow[c:e], w, out=row[c:e])
+            if reread:
+                held[c] = row
+            if done:
+                held[p] = None
+                if back:
+                    pool.append(prow)
+        out[np.arange(len(keep)), keep] = 0.0
+        return out
+
+    def _depth_rows(self, vertices: np.ndarray) -> np.ndarray:
+        """Distances from the given vertices to every vertex, columns in
+        preorder, as ``depth[u] + depth[v] - 2 depth[lca]`` with the depths
+        of :meth:`_preorder`: no walk, and not the fill's floats.
+
+        A depth is its parent's plus a positive length, rounded, so depths
+        never fall along a root path.  For positions ``a < b`` the depth of
+        the lowest common ancestor is then the least parent depth over the
+        positions ``(a, b]``: they lie inside the ancestor's subtree, below
+        it, and include its child toward the later vertex.  That minimum is
+        read from blocks of ``_DEPTH_BLOCK`` positions: the running minima
+        from each end of a block, and the minima over runs of whole blocks.
+
+        Error: each depth is at most n - 1 roundings of values at most the
+        total length L away from the exact depth, and the sum and the
+        difference add two roundings of values at most 2L (the doubling is
+        exact), so an entry is within (4(n - 1) + 4) 2**-53 L of the exact
+        distance.
+        """
+        pre = self._preorder()
+        depth, n, B = pre.depth, self.n, _DEPTH_BLOCK
+        src = pre.pos[np.asarray(vertices, dtype=np.intp)]
+        rows = np.arange(len(src))
+        nb = -(-n // B)
+        up = np.full(nb * B, np.inf)  # each position's parent depth
+        up[1:n] = depth[np.array(pre.parent[1:], dtype=np.intp)]
+        blocks = up.reshape(nb, B)
+        head = np.minimum.accumulate(blocks, axis=1)  # blocks[k, :t + 1]
+        tail = np.full_like(blocks, np.inf)  # blocks[k, t + 1:]
+        tail[:, :-1] = np.minimum.accumulate(blocks[:, :0:-1], axis=1)[:, ::-1]
+        k = np.arange(nb)
+        # whole[i, j]: the least block minimum over blocks i..j, inf if i > j
+        whole = np.minimum.accumulate(np.where(k >= k[:, None], blocks.min(axis=1), np.inf), axis=1)
+        ka, ta = np.divmod(src, B)
+        later = k > ka[:, None]
+        # Past the source's block: the tail of the source's block, the
+        # whole blocks between, the head of the target's.  Before it: the
+        # tail of the target's block, the whole blocks between, the head of
+        # the source's.
+        between = np.where(
+            later,
+            np.minimum(whole[np.minimum(ka + 1, nb - 1)[:, None], k - 1], tail[ka, ta][:, None]),
+            np.minimum(whole[np.minimum(k + 1, nb - 1), (ka - 1)[:, None]], head[ka, ta][:, None]),
+        )
+        lca = np.minimum(between[:, :, None], np.where(later[:, :, None], head, tail))
+        # Inside the source's own block: the running minima from the source.
+        t = np.arange(B)
+        own = np.where(t > ta[:, None], blocks[ka], np.inf)
+        np.minimum.accumulate(own, axis=1, out=own)
+        back = np.where(t < ta[:, None], blocks[ka[:, None], np.minimum(t + 1, B - 1)], np.inf)
+        back = np.minimum.accumulate(back[:, ::-1], axis=1)[:, ::-1]
+        lca[rows, ka] = np.minimum(own, back)
+        lca = lca.reshape(len(src), nb * B)
+        lca[rows, src] = depth[src]
+        lca *= -2.0
+        lca[:, :n] += depth
+        lca[:, :n] += depth[src][:, None]
+        return lca[:, :n]
 
     # -- queries --------------------------------------------------------------
 

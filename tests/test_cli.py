@@ -234,6 +234,72 @@ def test_tree_replace_tolerance_defaults_to_1e9(capsys, tmp_path):
     assert _run(capsys, ["--tol", "1e-6"] + argv)[0] == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["replace", "validate"])
+def test_a_nan_infinite_or_negative_tol_exits_2(capsys, tmp_path, tol, command):
+    # before: with --tol nan or inf, the span check `abs(...) > tol` passed
+    # a replacement spanning 1.25 on a host geodesic of length 0.5
+    host, patch = str(tmp_path / "host.json"), str(tmp_path / "patch.json")
+    save_tree(tree_from_edges([("u", "v", 0.5)]), host)
+    save_tree(tree_from_edges([("s", "t", 1.25)]), patch)
+    argv = {
+        "replace": ["tree", "replace", host, "--edge", "u,v", "--with", patch,
+                    "--alpha", "s", "--beta", "t"],
+        "validate": ["tree", "validate", host],
+    }[command]
+    for args in (["--tol", tol] + argv, argv + ["--tol", tol]):
+        code, out, err = _run(capsys, args)
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be finite and nonnegative, got %r\n" % float(tol)
+
+
+@pytest.mark.parametrize("command", ["exact", "trees"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_a_cap_below_one_exits_2(capsys, tmp_path, command, cap):
+    # before: gh trees --cap -1 ran in bounds mode
+    doc = str(tmp_path / "t.json")
+    save_tree(tree_from_edges([("a", "b", 1.0)]), doc)
+    code, out, err = _run(capsys, ["gh", command, doc, doc, "--cap", cap])
+    assert (code, out) == (2, "")
+    assert err == "error: --cap must be at least 1, got %s\n" % cap
+
+
+@pytest.mark.parametrize("text, message", [
+    (",a,b\na,0,nan\nb,nan,0\n", "entry (a, b) = nan is not finite"),
+    (",a,b\na,0,inf\nb,inf,0\n", "entry (a, b) = inf is not finite"),
+    (",a,b\na,0,-1\nb,-1,0\n", "entry (a, b) = -1.0 is negative"),
+    (",a,b\na,0.5,1\nb,1,0\n", "entry (a, a) = 0.5 is on the diagonal but not zero"),
+    (",a,b\na,0,1\nb,1.5,0\n", "entry (a, b) = 1.0 differs from its transpose by more than tol=1e-09"),
+])
+@pytest.mark.parametrize("command", ["exact", "bounds"])
+def test_gh_refuses_a_matrix_that_is_not_a_metric(capsys, tmp_path, text, message, command):
+    # before: gh bounds printed "hi": NaN for the first matrix
+    bad = _write(tmp_path / "bad.csv", text)
+    good = _write(tmp_path / "good.csv", TWO_POINT)
+    code, out, err = _run(capsys, ["gh", command, bad, good])
+    assert (code, out) == (2, "")
+    assert err == "error: %s: %s\n" % (bad, message)
+
+
+def test_gh_exact_refuses_a_triangle_violation_within_its_cap(capsys, tmp_path):
+    # d(a, c) = 5 > d(a, b) + d(b, c) = 2: before, gh exact printed 1.5
+    bad = _write(tmp_path / "bad.csv", ",a,b,c\na,0,1,5\nb,1,0,1\nc,5,1,0\n")
+    good = _write(tmp_path / "good.csv", TWO_POINT)
+    code, out, err = _run(capsys, ["gh", "exact", bad, good, "--cap", "16"])
+    assert (code, out) == (2, "")
+    assert err == "error: %s is not a metric space: triangle violated by 3 at points a, c, b\n" % bad
+    # past its cap the solver refuses first, as before
+    code, out, err = _run(capsys, ["gh", "exact", bad, good, "--cap", "2"])
+    assert (code, out) == (2, "") and "exact search capped at 2 points" in err
+
+
+def test_reports_never_print_nan_or_infinity(monkeypatch):
+    assert treegh.cli._dump({"hi": 1.5}) == '{\n  "hi": 1.5\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            treegh.cli._dump({"hi": bad})
+
+
 def test_tree_subdivide_requires_eps(capsys, tmp_path):
     doc = tmp_path / "t.json"
     save_tree(tree_from_edges([("a", "b", 1.0)]), str(doc))
@@ -325,6 +391,18 @@ def test_lab_config_overrides_are_validated(capsys, config_path, flag):
     assert code == 2
     assert out == ""
     assert "error: %s must be" % flag[0][2:] in err
+
+
+@pytest.mark.parametrize("command", [["embed", "--u", "g0_1", "--k", "1"], ["scan-injectivity"]])
+def test_lab_refuses_a_negative_depth_cap_at_load(capsys, tmp_path, small_config, command):
+    # before: lab embed printed a tree, and scan-injectivity failed at its
+    # first cell with the bare CombParams message
+    doc = small_config.to_document()
+    doc["depth_cap"] = -1
+    path = _write(tmp_path / "cfg.json", json.dumps(doc))
+    code, out, err = _run(capsys, ["lab", command[0], "--config", path] + command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: depth_cap must be nonnegative, got -1\n"
 
 
 def test_lab_refuses_a_basepoint_the_comb_replacement_removes(capsys, tmp_path, small_config):

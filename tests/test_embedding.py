@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -159,6 +160,35 @@ def test_config_rejects_a_negative_or_nonfinite_tol(small_config, tol):
     with pytest.raises(EmbedConfigError, match="tol must be finite and nonnegative"):
         dataclasses.replace(small_config, tol=tol)
     assert dataclasses.replace(small_config, tol=0.0).tol == 0.0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("depth_cap", -1, "depth_cap must be nonnegative, got -1"),
+    ("depth_cap", 2.7, "depth_cap must be an integer, got 2.7"),
+    ("depth_cap", math.nan, "depth_cap must be an integer, got nan"),
+    ("m", 2.7, "m must be an integer, got 2.7"),
+    ("m", math.inf, "m must be an integer, got inf"),
+    ("branches", 3.5, "branches must be an integer, got 3.5"),
+    ("branches", True, "branches must be an integer, got True"),
+    ("m", "3", "m must be an integer, got '3'"),
+])
+def test_config_refuses_integer_fields_that_are_not_integers(small_config, field, value, message):
+    # before: from_document truncated 2.7 to 2, and depth_cap -1 passed
+    # until the first comb was built
+    doc = small_config.to_document()
+    doc[field] = value
+    with pytest.raises(EmbedConfigError, match=re.escape(message)):
+        EmbedConfig.from_document(doc)
+    with pytest.raises(EmbedConfigError, match=re.escape(message)):
+        dataclasses.replace(small_config, **{field: value})
+
+
+def test_config_takes_a_whole_float_as_its_integer(small_config):
+    doc = small_config.to_document()
+    doc.update(m=3.0, branches=4.0, depth_cap=0.0)
+    cfg = EmbedConfig.from_document(doc)
+    assert (cfg.m, cfg.branches, cfg.depth_cap) == (3, 4, 0)
+    assert all(type(v) is int for v in (cfg.m, cfg.branches, cfg.depth_cap))
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.125, math.inf, math.nan])
@@ -1106,11 +1136,13 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 1), ("g2_1", 1)]
     adjacency = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)]
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
-    samples = []  # (cell, weak reference to its subdivided tree), in build order
+    samples = []  # (cell, weak references to its index and its sample tree)
     wedges = []  # weak references to the cells' trees, in grid order
     wedge, index_of = treegh.embedding._Cell.wedge, treegh.embedding._CandidateIndex
-    upper = treegh.embedding.gh_upper_bound
-    seen = []
+    plan, walked, maximum = (
+        treegh.embedding._plan, treegh.embedding._walked, treegh.embedding._planned_maximum
+    )
+    planned, read, walks = [], [], []
 
     def built(cell):
         tree = wedge(cell)
@@ -1120,26 +1152,54 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     def tracked(tree, *args):
         index = index_of(tree, *args)
         cell = next(n for n, ref in enumerate(wedges) if ref() is tree)
-        samples.append((cell, weakref.ref(index.tree)))
+        samples.append((cell, weakref.ref(index), weakref.ref(index.tree)))
         return index
 
-    def bound(x, y, corr):
-        pos = len(seen)
+    def alive(which, pos):
         gc.collect()
-        alive = {cell for cell, ref in samples if ref() is not None}
-        seen.append(alive)
-        assert alive == {cell for cell, _ in samples if last_use[cell] >= pos}
-        return upper(x, y, corr)
+        got = {cell for cell, *refs in samples if refs[which]() is not None}
+        assert got == {cell for cell, *_ in samples if last_use[cell] >= pos}
+        return got
+
+    def planning(x, y, corr):
+        planned.append(alive(0, len(planned)))  # indexes go after their last pair
+        return plan(x, y, corr)
+
+    def walking(tree, rows):
+        walks.append(next(cell for cell, _, ref in samples if ref() is tree))
+        return walked(tree, rows)
+
+    def reading(*args):
+        read.append(alive(1, len(read)))  # sample trees and their rows likewise
+        return maximum(*args)
 
     monkeypatch.setattr(treegh.embedding._Cell, "wedge", built)
     monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
-    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", bound)
+    monkeypatch.setattr(treegh.embedding, "_plan", planning)
+    monkeypatch.setattr(treegh.embedding, "_walked", walking)
+    monkeypatch.setattr(treegh.embedding, "_planned_maximum", reading)
     freed = continuity_scan(small_config, grid, adjacency)
     monkeypatch.undo()
     assert len(wedges) == len(grid)  # each cell assembled once
-    assert [cell for cell, _ in samples] == [0, 1, 2, 3]  # each cell sampled once
-    assert seen == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
+    assert [cell for cell, *_ in samples] == [0, 1, 2, 3]  # each cell sampled once
+    assert walks == [0, 1, 2, 3]  # and walked once, at its first pair
+    assert planned == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
+    assert read == [{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 2, 3}, {2, 3}, {3}]
     assert freed == continuity_scan(small_config, grid, adjacency)
+
+
+def test_continuity_scan_and_replacement_path_fill_no_matrix(small_config, monkeypatch):
+    def refuse(self):
+        raise AssertionError("filled the %d x %d distance matrix" % (self.n, self.n))
+
+    cells = [(lab, 1) for lab in small_config.h_space.labels if lab not in small_config.marked]
+    adjacency = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
+    x = tree_from_edges([("a", "b", 1.0), ("b", "c", 0.8), ("b", "d", 0.6)])
+    want = continuity_scan(small_config, cells, adjacency), replacement_path(x, [0.0, 0.25, 0.5])
+    monkeypatch.setattr(MetricTree, "_all_pairs", refuse)
+    got = continuity_scan(small_config, cells, adjacency), replacement_path(x, [0.0, 0.25, 0.5])
+    assert got[0] == want[0]
+    assert [(s.s, s.hi, s.bound) for s in got[1]] == [(s.s, s.hi, s.bound) for s in want[1]]
 
 
 def sampled_star_parts(params):

@@ -481,17 +481,23 @@ def test_distortion_memory_stays_far_below_the_full_product():
 
 def _certified_distortions(monkeypatch, run):
     """Run ``run()`` and return the ``(x, y, corr)`` of every upper bound
-    that continuity_scan and replacement_path certify during it."""
+    that continuity_scan plans and replacement_path certifies during it."""
     seen = []
-    real = treegh.embedding.gh_upper_bound
+    real_plan, real_bound = treegh.embedding._plan, treegh.embedding.gh_upper_bound
 
-    def record(x, y, corr):
+    def plan(x, y, corr):
         seen.append((x, y, corr))
-        return real(x, y, corr)
+        return real_plan(x, y, corr)
 
-    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", record)
+    def bound(x, y, corr):
+        seen.append((x, y, corr))
+        return real_bound(x, y, corr)
+
+    monkeypatch.setattr(treegh.embedding, "_plan", plan)
+    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", bound)
     run()
-    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", real)
+    monkeypatch.setattr(treegh.embedding, "_plan", real_plan)
+    monkeypatch.setattr(treegh.embedding, "gh_upper_bound", real_bound)
     return seen
 
 
@@ -541,13 +547,87 @@ def test_pruned_tree_distortion_equals_the_unblocked_formula(small_config, monke
             monkeypatch.setattr(treegh.gh, "_DISTORTION_BLOCK_CELLS", cells)
             yield distortion(x, y, corr)
 
-    # first over the fills as they stand, columns in preorder, then again
-    # once the reference has permuted every matrix to vertex order
-    before = [list(values(*case)) for case in cases]
-    assert all(t._cols is not None for x, y, _ in cases for t in (x, y) if t.n > 1)
-    for (x, y, corr), got in zip(cases, before):
+    # first from walked rows, with no fill made; then from the fills with
+    # their columns in preorder; then once the reference has permuted every
+    # matrix to vertex order
+    walked = [list(values(*case)) for case in cases]
+    assert all(t._dist is None for x, y, _ in cases for t in (x, y))
+    for x, y, _ in cases:
+        x._filled(), y._filled()
+    filled = [list(values(*case)) for case in cases]
+    for (x, y, corr), got, read in zip(cases, walked, filled):
         want = unblocked_distortion(x, y, corr)
-        assert got == list(values(x, y, corr)) == [want] * 3
+        assert got == read == list(values(x, y, corr)) == [want] * 3
+
+
+def _plan_cases(small_config, monkeypatch):
+    rng = np.random.default_rng(2121)
+    cases = []
+    for lo, hi, eps in ((2, 8, 0.1), (5, 12, 0.05), (1, 3, 0.5)) * 4:
+        x = subdivide(random_tree(rng, lo, hi), eps)
+        y = subdivide(random_tree(rng, lo, hi), eps)
+        cases.append((x, y, random_covering(rng, x.n, y.n, int(rng.integers(0, 2 * max(x.n, y.n))))))
+    cells = [(lab, 2) for lab in small_config.h_space.labels if lab not in small_config.marked]
+    cases += _certified_distortions(
+        monkeypatch, lambda: continuity_scan(small_config, cells, [(0, 1), (1, 2), (2, 3)], strict=False)
+    )
+    return cases
+
+
+@pytest.mark.parametrize("stride", [1, 32])
+def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeypatch, stride):
+    # Stride 1 makes every row a representative, so `low` sits within the
+    # slack of the largest entry: the slack is what keeps it below.
+    cases = _plan_cases(small_config, monkeypatch)
+    monkeypatch.setattr(treegh.gh, "_REPRESENTATIVE_STRIDE", stride)
+    for x, y, corr in cases:
+        plan = treegh.gh._plan(x, y, corr)
+        I, J = corr.rows.T.astype(np.intp)
+        rows = np.abs(x.dist[np.ix_(I, I)] - y.dist[np.ix_(J, J)]).max(axis=1)
+        assert plan.low <= rows.max() and np.all(plan.bound >= rows)
+        keep = plan.bound > plan.low
+        assert plan.x_rows.tolist() == sorted(set(I[keep].tolist()))
+        assert plan.y_rows.tolist() == sorted(set(J[keep].tolist()))
+        assert distortion(x, y, corr) == rows.max() == unblocked_distortion(x, y, corr)
+        fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]  # walked rows
+        assert distortion(*fresh, corr) == rows.max()
+
+
+def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
+    # The walked rows hold only planned sources; reading any other raises.
+    cases = _plan_cases(small_config, monkeypatch)
+    plans = []
+    real_plan = treegh.gh._plan
+
+    def plan(x, y, corr):
+        plans.append(real_plan(x, y, corr))
+        return plans[-1]
+
+    monkeypatch.setattr(treegh.gh, "_plan", plan)
+    read = []
+    real = treegh.gh._row_maxima
+
+    def count(dx, rx, cx, dy, ry, cy, rows):
+        read.extend(rows.tolist())
+        return real(dx, rx, cx, dy, ry, cy, rows)
+
+    monkeypatch.setattr(treegh.gh, "_row_maxima", count)
+    skipped = 0
+    for x, y, corr in cases:
+        fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]
+        read.clear()
+        distortion(*fresh, corr)
+        assert all(t._dist is None for t in fresh)
+        p = plans[-1]
+        assert set(read) <= set(np.flatnonzero(p.bound > p.low).tolist())
+        x_rows, slot, pos = treegh.gh._walked(fresh[0], p.x_rows)
+        unplanned = np.setdiff1d(np.arange(x.n), p.x_rows)
+        skipped += len(unplanned) > 0
+        if len(unplanned):
+            with pytest.raises(IndexError):
+                x_rows[slot[unplanned]]
+        assert np.array_equal(x_rows[slot[p.x_rows]], fresh[0]._filled()[0][p.x_rows])
+    assert skipped >= len(cases) // 2
 
 
 def test_unique_maximum_in_a_skipped_row_is_found(monkeypatch):
@@ -557,11 +637,15 @@ def test_unique_maximum_in_a_skipped_row_is_found(monkeypatch):
     full = np.abs(x.dist[np.ix_(I, I)] - y.dist[np.ix_(I, I)])
     rows = np.flatnonzero((full == full.max()).any(axis=1))
     assert rows.tolist() == [37, 70] and all(r % stride for r in rows)
-    assert distortion(x, y, corr) == full.max() == unblocked_distortion(x, y, corr)
-    # a NaN bound proves nothing about its row, so the row is still read
-    real = treegh.gh._row_bounds
-    monkeypatch.setattr(treegh.gh, "_row_bounds", lambda *args: np.nan * real(*args))
-    assert distortion(x, y, corr) == full.max()
+    fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]  # no fill: walked rows
+    assert distortion(x, y, corr) == distortion(*fresh, corr) == full.max()
+    assert full.max() == unblocked_distortion(x, y, corr)
+    # a sum that overflows to NaN proves nothing about its row, so every
+    # row is still planned and read
+    real = MetricTree._depth_rows
+    monkeypatch.setattr(MetricTree, "_depth_rows", lambda t, v: np.nan * real(t, v))
+    fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]
+    assert distortion(x, y, corr) == distortion(*fresh, corr) == full.max()
 
 
 def test_pruned_distortion_reads_few_rows(small_config, monkeypatch):

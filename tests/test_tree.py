@@ -337,6 +337,85 @@ def test_fill_is_bitwise_the_preorder_copy_fill(small_config):
         assert np.array_equal(t.dist, _reference_fill(t))
 
 
+# The continuity-scan benchmark's seed-1 grid (its seeded edge lengths; fiber 1).
+BENCH_SEED1_TREES = (
+    tree_from_edges([("a", "b", 0.7793660573329088)]),
+    tree_from_edges([("x", "y", 0.7223527950177351), ("y", "z", 0.7179996517568769)]),
+)
+
+
+def _walk_trees(small_config):
+    """Seeded random trees, the seed-1 continuity samples, a star, a long
+    path, a single vertex and vertices whose children have equal sizes."""
+    yield from _differential_trees(small_config)
+    cfg = dataclasses.replace(small_config, trees=BENCH_SEED1_TREES, m=3, eps=2.0 ** -6)
+    for lab in cfg.h_space.labels:
+        if lab not in cfg.marked:
+            yield subdivide(build_F(cfg, lab, 1), cfg.eps)
+    rng = np.random.default_rng(4242)
+    yield tree_from_edges([("c", "l%d" % i, float(rng.uniform(0.1, 1.0))) for i in range(40)])
+    yield tree_from_edges(
+        [("q%d" % i, "q%d" % (i + 1), float(rng.uniform(0.1, 1.0))) for i in range(1500)]
+    )
+    yield MetricTree(("v",), ())
+    # a complete ternary tree of depth 4 and a spider of four equal legs
+    yield tree_from_edges(
+        [("t%d" % ((i - 1) // 3), "t%d" % i, float(rng.uniform(0.1, 1.0))) for i in range(1, 121)]
+    )
+    yield tree_from_edges(
+        [("h" if j == 0 else "g%d.%d" % (leg, j - 1), "g%d.%d" % (leg, j), 0.1 * (j + 1))
+         for leg in range(4) for j in range(6)]
+    )
+
+
+def test_walked_rows_equal_the_fill_bit_for_bit(small_config):
+    rng = np.random.default_rng(2127)
+    for t in _walk_trees(small_config):
+        fill = t._all_pairs()[0]
+        subsets = [np.arange(t.n), np.array([], dtype=np.intp), np.array([t.n - 1])]
+        subsets += [np.flatnonzero(rng.random(t.n) < p) for p in (0.03, 0.2, 0.6)]
+        for rows in subsets:
+            rows = rng.permutation(rows)
+            got = t._rows(rows)
+            assert got.shape == (len(rows), t.n)
+            assert np.array_equal(got.view(np.int64), fill[rows].view(np.int64)), t
+        assert t._dist is None  # the walk fills no matrix
+
+
+def test_the_walk_holds_few_working_rows():
+    # A caterpillar: a spine with a leg on each spine vertex.  Asked for
+    # every leg's row, a walk that went down the spine before the legs
+    # would hold a row per spine vertex; this one holds a few.
+    m = 600
+    edges = [("s%d" % i, "s%d" % (i + 1), 0.3) for i in range(m - 1)]
+    edges += [("s%d" % i, "l%d" % i, 0.2 + (i % 5) / 10) for i in range(m)]
+    t = tree_from_edges(edges)
+    legs = np.array([t.index("l%d" % i) for i in range(m)])
+    t._preorder()
+    tracemalloc.start()
+    try:
+        t._rows(legs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = t.n * 8
+    assert peak - m * row < 150 * row, peak  # index arrays and a few rows
+
+
+def test_depth_rows_are_within_their_proven_error(small_config, monkeypatch):
+    rng = np.random.default_rng(515)
+    for block in (1, 3, 64):
+        monkeypatch.setattr(tree_module, "_DEPTH_BLOCK", block)
+        for t in _walk_trees(small_config):
+            rows = rng.integers(0, t.n, size=int(rng.integers(1, 12)))
+            got = t._depth_rows(rows)
+            fill = t._all_pairs()[0][rows]
+            err = np.abs(got - fill).max()
+            # depth rows within 4n units of 2**-53 L, fill entries 2(n - 1)
+            assert err <= 6 * t.n * 2.0 ** -53 * t.total_edge_length(), (t, err)
+            assert np.all(got[np.arange(len(rows)), t._preorder().pos[rows]] == 0.0)
+
+
 def test_unpermuted_fill_reads_like_dist(small_config):
     rng = np.random.default_rng(17)
 
