@@ -170,12 +170,14 @@ _Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
 
 def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
-    """Bounds on the rows of the mismatch product between two trees, from
-    depths alone: no row of either tree is walked or filled.
+    """Bounds on the rows of the mismatch product between two trees that
+    walk and fill no row: a tree without a cached fill is read through its
+    depths.
 
     Every ``_REPRESENTATIVE_STRIDE``-th pair ``r = (a_r, b_r)`` is a
-    representative.  With ``A``, ``B`` the distances of
-    :meth:`MetricTree._depth_rows` from its points, its row's largest entry
+    representative.  With ``A``, ``B`` the distances from its points, read
+    from a tree's cached fill when it has one and else from
+    :meth:`MetricTree._depth_rows`, its row's largest entry
     is about ``near(r) = max_c |A(a_r, a) - B(b_r, b)|``, and every row
     ``c = (a, b)`` is bounded by the least ``near(r) + A(a_r, a) +
     B(b_r, b) + slack`` (the triangle inequality on both sides), while
@@ -187,8 +189,9 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     The slack is ``6 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)``, with L the
     total edge length; per tree it is ``12 (n + 1)`` units of ``2**-53 L``.
     Each fill entry is within ``e = 2(n - 1)`` units of the exact distance
-    (at most 2(n - 1) roundings of values at most L), and each depth-row
-    entry within ``h = 4n`` (see :meth:`MetricTree._depth_rows`).  The
+    (at most 2(n - 1) roundings of values at most L), and each entry read
+    within ``h = 4n``: a depth-row entry (see
+    :meth:`MetricTree._depth_rows`) or a fill entry (``e < h``).  The
     exact triangle inequality bounds a row of fill entries by the exact
     representative row plus two exact distances, plus ``e`` per tree; each
     of those three terms is its depth-row value within ``h``, and the
@@ -203,15 +206,15 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
     I, J = corr.rows.T.astype(np.intp)
-    cx, cy = x._preorder().pos[I], y._preorder().pos[J]
+    from_x, from_y = _sketch(x, I), _sketch(y, J)
     reps = np.arange(0, len(I), _REPRESENTATIVE_STRIDE)
     bound = np.full(len(I), np.inf)
     low = -math.inf
     step = _block_rows(max(len(I), x.n, y.n))
     for start in range(0, len(reps), step):
         r = reps[start : start + step]
-        a = x._depth_rows(I[r])[:, cx]
-        b = y._depth_rows(J[r])[:, cy]
+        a = from_x(I[r])
+        b = from_y(J[r])
         near = np.abs(a - b).max(axis=1)
         low = max(low, float(near.max()))  # a NaN block proves nothing
         a += b
@@ -226,6 +229,18 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
         low = -math.inf
     keep = bound > low
     return _Plan(I, J, bound, low, np.unique(I[keep]), np.unique(J[keep]))
+
+
+def _sketch(tree: MetricTree, points: np.ndarray):
+    """How :func:`_plan` reads the distances from chosen vertices to
+    ``points``: from the tree's cached fill when it has one, else from
+    depth rows, which need no walk."""
+    if tree._dist is not None:
+        d, cols = tree._filled()
+        at = points if cols is None else cols[points]
+        return lambda src: d[src][:, at]
+    at = tree._preorder().pos[points]
+    return lambda src: tree._depth_rows(src)[:, at]
 
 
 def _tree_rows(tree: MetricTree, vertices: np.ndarray) -> _Rows:

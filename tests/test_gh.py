@@ -581,16 +581,18 @@ def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeyp
     cases = _plan_cases(small_config, monkeypatch)
     monkeypatch.setattr(treegh.gh, "_REPRESENTATIVE_STRIDE", stride)
     for x, y, corr in cases:
-        plan = treegh.gh._plan(x, y, corr)
         I, J = corr.rows.T.astype(np.intp)
         rows = np.abs(x.dist[np.ix_(I, I)] - y.dist[np.ix_(J, J)]).max(axis=1)
-        assert plan.low <= rows.max() and np.all(plan.bound >= rows)
-        keep = plan.bound > plan.low
-        assert plan.x_rows.tolist() == sorted(set(I[keep].tolist()))
-        assert plan.y_rows.tolist() == sorted(set(J[keep].tolist()))
+        fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]  # no fill
+        # planned from depth rows, then from the fills' own rows
+        for plan in (treegh.gh._plan(*fresh, corr), treegh.gh._plan(x, y, corr)):
+            assert plan.low <= rows.max() and np.all(plan.bound >= rows)
+            keep = plan.bound > plan.low
+            assert plan.x_rows.tolist() == sorted(set(I[keep].tolist()))
+            assert plan.y_rows.tolist() == sorted(set(J[keep].tolist()))
+        assert all(t._dist is None for t in fresh)
         assert distortion(x, y, corr) == rows.max() == unblocked_distortion(x, y, corr)
-        fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]  # walked rows
-        assert distortion(*fresh, corr) == rows.max()
+        assert distortion(*fresh, corr) == rows.max()  # walked rows
 
 
 def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
