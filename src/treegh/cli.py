@@ -54,6 +54,12 @@ from .embedding import (
 )
 
 _RECOVERY_TOL = 1e-6
+# What the lab commands' --help says of their config document.
+_CONFIG_CHECKS = (
+    "The config document is checked as EmbedConfig checks it: integer m >= 1, "
+    "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
+    "--eps and --tol replace its values and are checked alike."
+)
 
 
 class _UsageError(Exception):
@@ -463,29 +469,26 @@ def _build_parser() -> _Parser:
     lab = sub.add_parser("lab", help="parametric family scans")
     lsub = lab.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    p = lsub.add_parser("embed", help="assemble the tree of one grid cell", description=(
-        "The config document is checked as EmbedConfig checks it: integer m >= 1, "
-        "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
-        "--eps and --tol replace its values and are checked alike."))
+    p = lsub.add_parser(
+        "embed", help="assemble the tree of one grid cell", description=_CONFIG_CHECKS
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--u", required=True, help="grid label")
     p.add_argument("--k", type=int, required=True, help="fiber index")
     _add_common(p)
     p.set_defaults(func=_cmd_lab_embed)
 
-    p = lsub.add_parser("scan-continuity", help="GH bounds between adjacent cells", description=(
-        "The config document is checked as EmbedConfig checks it: integer m >= 1, "
-        "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
-        "--eps and --tol replace its values and are checked alike."))
+    p = lsub.add_parser(
+        "scan-continuity", help="GH bounds between adjacent cells", description=_CONFIG_CHECKS
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--k", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_lab_scan_continuity)
 
-    p = lsub.add_parser("scan-injectivity", help="fingerprint distinctness scan", description=(
-        "The config document is checked as EmbedConfig checks it: integer m >= 1, "
-        "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
-        "--eps and --tol replace its values and are checked alike."))
+    p = lsub.add_parser(
+        "scan-injectivity", help="fingerprint distinctness scan", description=_CONFIG_CHECKS
+    )
     p.add_argument("--config", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_lab_scan_injectivity)
