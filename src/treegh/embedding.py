@@ -254,10 +254,11 @@ def _whole(value, name: str) -> int:
     """An integer field of the config: an int, or a float with no
     fractional part; anything else (2.7, inf, a bool, a string) is refused,
     naming the field, rather than truncated."""
-    number = isinstance(value, (int, float, np.integer, np.floating))
-    if not number or isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
-        raise EmbedConfigError("%s must be an integer, got %r" % (name, value))
-    return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)  # of any size: float() overflows past 1e308
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise EmbedConfigError("%s must be an integer, got %r" % (name, value))
 
 
 def unit_grid(side: int) -> Tuple[FiniteMetricSpace, Dict[str, Tuple[float, float]]]:
@@ -485,6 +486,9 @@ def _interpolate_on_shared_segment(
 
 
 _STAR_TIP = "branch:0:1.0"  # the star's basepoint: the tip of its unit branch
+# Entries per block of a segment's cost matrix in `_matches`, so matching
+# memory stays linear in the sample sizes.
+_MATCH_BLOCK_CELLS = 1 << 18
 
 
 _StarLists = Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]
@@ -1048,7 +1052,8 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
     (:func:`_routed_nearest`).  The wedge goes to the wedge, and a vertex
     without coordinates to the wedge or, lacking one, to vertex 0.  A star
     branch is matched by sorted search (:func:`_nearest_on_branch`); each
-    segment group is one broadcast cost matrix.
+    segment group is a broadcast cost matrix, made a block of
+    ``_MATCH_BLOCK_CELLS`` entries at a time.
     """
     names = dst.tree.vertices
     cost = np.full(src.tree.n, math.inf)
@@ -1077,11 +1082,12 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
         heights = dst.heights[part]
         target_h = np.minimum(h, [heights.get(xv, 0.0) for xv in x.tolist()])[:, None]
         xs, hs, idx = dst.seg[(part, l)]
-        c = scale * np.where(
-            xs == x[:, None], np.abs(hs - target_h), target_h + np.abs(xs - x[:, None]) + hs
-        )
-        j = np.argmin(c, axis=1)
-        offer(rows, c[np.arange(len(j)), j], idx[j])
+        step = max(1, _MATCH_BLOCK_CELLS // max(1, len(xs)))
+        for lo in range(0, len(x), step):
+            xb, tb = x[lo : lo + step, None], target_h[lo : lo + step]
+            c = scale * np.where(xs == xb, np.abs(hs - tb), tb + np.abs(xs - xb) + hs)
+            j = np.argmin(c, axis=1)
+            offer(rows[lo : lo + step], c[np.arange(len(j)), j], idx[j])
     partner[partner < 0] = dst.fallback
     if src.wedge:
         partner[src.fallback] = dst.fallback
@@ -1179,12 +1185,14 @@ def continuity_scan(
 
     No sample's distance matrix is filled.  Every pair is planned first,
     in order: its correspondence and the rows its distortion may read
-    (:func:`treegh.gh._plan`, from depths alone); a cell's index and the
-    cell go after its last pair there.  Then each cell's sample is walked
-    once, at its first pair, for the union of the rows its pairs planned
-    (:meth:`~treegh.tree.MetricTree._rows`, the fill's own floats), and
-    those rows are freed after its last pair.  ``hi`` is bit for bit what
-    the full distortion product gives.
+    (:func:`treegh.gh._plan`, from depths alone).  At its last pair there a
+    cell's sample is walked once for the union of the rows its pairs
+    planned (:meth:`~treegh.tree.MetricTree._rows`, the fill's own
+    floats), and the sample, its index and the cell go.  A
+    cell whose planned rows would take more than the fill's 2 GiB is
+    refused at the pair that makes them so, before any row is walked.  Then
+    each pair reads its cells' rows, which go after its last pair.  ``hi``
+    is bit for bit what the full distortion product gives.
 
     Args:
         cfg: embedding configuration.
@@ -1198,8 +1206,8 @@ def continuity_scan(
     Raises:
         EmbedConfigError: a grid cell sits on a marked point.
         ValueError: an adjacency pair holds an index outside ``grid`` or
-            joins cells of different fibers; raised before any cell is
-            assembled.
+            joins cells of different fibers, raised before any cell is
+            assembled; or a cell's planned rows exceed the memory budget.
         ScanError: a bound violation, when ``strict``.
     """
     _refuse_marked_cells(cfg, grid)
@@ -1223,37 +1231,35 @@ def continuity_scan(
     del stages  # each part is then freed with the last cell that holds it
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
     samples: Dict[int, _CandidateIndex] = {}
-    trees: Dict[int, MetricTree] = {}  # each cell's sample, once planned
-    need: Dict[int, List[np.ndarray]] = {}  # the vertices whose rows it reads
+    need: Dict[int, np.ndarray] = {}  # the sorted vertices whose rows a cell reads
+    walked: Dict[int, _Rows] = {}
     planned: List[Tuple[_Plan, float]] = []
     for pos, (ia, ib) in enumerate(adjacency):
         for i in (ia, ib):
             if i not in samples:
                 cell, tree = cells[i]
                 samples[i] = _CandidateIndex(tree, cell.coords(), cell.parts, True, cfg.eps)
+                del cell, tree
         sa, sb = samples[ia], samples[ib]
         plan = _plan(sa.tree, sb.tree, _composite_correspondence(sa, sb))
-        need.setdefault(ia, []).append(plan.x_rows)
-        need.setdefault(ib, []).append(plan.y_rows)
+        del sa, sb  # so each sample goes with its walk
+        for i, vertices in ((ia, plan.x_rows), (ib, plan.y_rows)):
+            need[i] = np.union1d(need[i], vertices) if i in need else vertices
+            samples[i].tree._refuse_rows(len(need[i]))  # before any row is walked
         planned.append((plan, _analytic_bound(cells[ia][0], cells[ib][0])))
         for i in (ia, ib):
             if last_use[i] == pos and i in samples:
-                trees[i] = samples.pop(i).tree
+                walked[i] = _walked(samples.pop(i).tree, need.pop(i))
                 cells[i] = None
 
     rows: List[ContinuityRow] = []
-    walked: Dict[int, _Rows] = {}
     for pos, ((ia, ib), (plan, bound)) in enumerate(zip(adjacency, planned)):
         la, ka = grid[ia]
         lb = grid[ib][0]
-        for i in (ia, ib):
-            if i not in walked:
-                walked[i] = _walked(trees[i], np.unique(np.concatenate(need.pop(i))))
         hi = 0.5 * _planned_maximum(plan, walked[ia], walked[ib]) + cfg.eps
         for i in (ia, ib):
             if last_use[i] == pos:
                 walked.pop(i, None)
-                trees.pop(i, None)
         margin = bound + 2.0 * cfg.eps + cfg.tol - hi
         rows.append(
             ContinuityRow(

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .metric import FiniteMetricSpace, MetricValidationError
+from .metric import FiniteMetricSpace, MetricValidationError, _entry_violation
 from .tree import MetricTree, TreeStructureError
 
 __all__ = [
@@ -195,9 +195,10 @@ def load_space(path, tol: float = 1e-9) -> FiniteMetricSpace:
     """Load a finite metric space from a JSON tree or a CSV matrix.
 
     A CSV matrix is refused (:class:`MetricValidationError`, naming the
-    first bad entry) unless every entry is finite and nonnegative, the
-    diagonal is zero and the matrix is symmetric within ``tol``: an O(n^2)
-    check, made here where a command reads the file rather than in
+    worst entry) if an entry is not finite, or if the entrywise axioms of
+    :func:`~treegh.metric._entry_violation` (symmetry, a zero diagonal,
+    nonnegative entries) fail by more than ``tol``: an O(n^2) check, made
+    here where a command reads the file rather than in
     :class:`FiniteMetricSpace`.  The triangle inequality is left to
     :func:`~treegh.metric.validate_metric`.
     """
@@ -205,16 +206,16 @@ def load_space(path, tol: float = 1e-9) -> FiniteMetricSpace:
         return load_tree(path).as_space()
     with open(path, "r", encoding="utf-8") as fh:
         space = space_from_csv(fh.read())
-    d = space.dist
-
-    def refuse(bad: np.ndarray, what: str) -> None:
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise MetricValidationError("%s: entry (%s, %s) = %r %s" % (
-                path, space.labels[i], space.labels[j], float(d[i, j]), what))
-
-    refuse(~np.isfinite(d), "is not finite")
-    refuse(d < 0, "is negative")
-    refuse(np.diag(np.diag(d) != 0), "is on the diagonal but not zero")
-    refuse(np.abs(d - d.T) > tol, "differs from its transpose by more than tol=%r" % tol)
+    worst, witness, category = _entry_violation(space.dist)
+    if category == "finite" or worst > tol:
+        i, j = witness
+        what = {
+            "finite": "is not finite",
+            "symmetry": "differs from its transpose by more than tol=%r",
+            "identity": "is on the diagonal but not within tol=%r of zero",
+            "nonnegativity": "is negative beyond tol=%r",
+        }[category]
+        raise MetricValidationError("%s: entry (%s, %s) = %r %s" % (
+            path, space.labels[i], space.labels[j], float(space.dist[i, j]),
+            what if category == "finite" else what % tol))
     return space

@@ -108,6 +108,39 @@ class ValidationReport:
     category: str
 
 
+def _entry_violation(d: np.ndarray) -> Tuple[float, Tuple[int, ...], str]:
+    """The largest violation of the entrywise axioms in a square matrix,
+    with the entry it is at and its category: an entry that is not finite
+    (inf; looked for first), the gap to the transposed entry
+    (``"symmetry"``), a diagonal entry's size (``"identity"``) or a
+    negative entry's (``"nonnegativity"``); ``(0.0, (), "ok")`` if there
+    is none.
+
+    These are the O(n^2) checks of :func:`validate_metric`, which adds
+    positivity and the triangle inequality; a command reading a matrix
+    from a file runs them alone.
+    """
+    if not d.size:
+        return 0.0, (), "ok"
+    bad = ~np.isfinite(d)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        return float("inf"), (int(i), int(j)), "finite"
+    worst, witness, category = 0.0, (), "ok"
+    sym = np.abs(d - d.T)
+    i, j = np.unravel_index(np.argmax(sym), sym.shape)
+    if sym[i, j] > worst:
+        worst, witness, category = float(sym[i, j]), (int(i), int(j)), "symmetry"
+    diag = np.abs(np.diag(d))
+    i = int(np.argmax(diag))
+    if diag[i] > worst:
+        worst, witness, category = float(diag[i]), (i, i), "identity"
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    if -d[i, j] > worst:
+        worst, witness, category = float(-d[i, j]), (int(i), int(j)), "nonnegativity"
+    return worst, witness, category
+
+
 def validate_metric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the metric axioms on a finite distance matrix.
 
@@ -117,31 +150,17 @@ def validate_metric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Valid
 
     Returns:
         A :class:`ValidationReport` carrying the largest violation found
-        across symmetry, identity (zero diagonal), positivity of
-        off-diagonal entries, and the triangle inequality.
+        across the entrywise axioms (:func:`_entry_violation`), positivity
+        of off-diagonal entries, and the triangle inequality.
     """
     d = space.dist
     n = space.n
-    worst = 0.0
-    witness: Tuple[int, ...] = ()
-    category = "ok"
-
     if n == 0:
         return ValidationReport(True, 0.0, (), "ok")
 
-    if not np.all(np.isfinite(d)):
-        i, j = np.argwhere(~np.isfinite(d))[0]
-        return ValidationReport(False, float("inf"), (int(i), int(j)), "finite")
-
-    sym = np.abs(d - d.T)
-    i, j = np.unravel_index(np.argmax(sym), sym.shape)
-    if sym[i, j] > worst:
-        worst, witness, category = float(sym[i, j]), (int(i), int(j)), "symmetry"
-
-    diag = np.abs(np.diag(d))
-    i = int(np.argmax(diag))
-    if diag[i] > worst:
-        worst, witness, category = float(diag[i]), (i, i), "identity"
+    worst, witness, category = _entry_violation(d)
+    if category == "finite":
+        return ValidationReport(False, worst, witness, category)
 
     # Off-diagonal entries below 2*tol count as positivity violations of
     # size (2*tol - d); this makes an exactly-zero distance between distinct

@@ -66,6 +66,8 @@ _MAX_SUBDIVIDE_VERTICES = 1 << 20
 # Most vertices a distance matrix is filled for (2 GiB): a larger tree fails
 # at once instead of exhausting memory.
 _MAX_FILL_VERTICES = 1 << 14
+# Most bytes of distance rows walked in one tree, the fill's budget.
+_MAX_ROW_BYTES = 1 << 31
 # Positions per block of the range minima that `_depth_rows` reads.
 _DEPTH_BLOCK = 64
 
@@ -101,6 +103,8 @@ class MetricTree:
             :meth:`row` gives one source's distances in O(n) without it,
             and :meth:`_rows` the fill's rows of chosen sources, walked
             with O(log n) working rows (as tree distortions read them).
+            A fill of more than 2**14 vertices, or walked rows of more
+            than 2 GiB, is refused before it is allocated.
         labels: optional display labels per vertex id.
         metadata: free-form provenance (generators fill this in).
     """
@@ -148,6 +152,7 @@ class MetricTree:
         self._cols: Optional[np.ndarray] = None
         self._total_length: Optional[float] = None
         self._pre: Optional[_Preorder] = None
+        self._minima: Optional[Tuple[np.ndarray, ...]] = None
 
     @classmethod
     def _unchecked(
@@ -171,7 +176,7 @@ class MetricTree:
             ia, ib = index[a], index[b]
             adj[ia].append((ib, w))
             adj[ib].append((ia, w))
-        t._dist = t._cols = t._total_length = t._pre = None
+        t._dist = t._cols = t._total_length = t._pre = t._minima = None
         return t
 
     # -- construction helpers -------------------------------------------------
@@ -305,8 +310,10 @@ class MetricTree:
         held row that is not written out belongs to an ancestor left through
         another child, which has at most half the ancestor's asked-for
         vertices below it, so the walk holds at most log2(k) + 2 buffers
-        besides the k rows it writes out.
+        besides the k rows it writes out.  More rows than
+        ``_MAX_ROW_BYTES`` hold are refused before any is allocated.
         """
+        self._refuse_rows(len(vertices))
         pre = self._preorder()
         n = self.n
         keep = pre.pos[np.asarray(vertices, dtype=np.intp)]
@@ -375,6 +382,34 @@ class MetricTree:
         out[np.arange(len(keep)), keep] = 0.0
         return out
 
+    def _refuse_rows(self, k: int) -> None:
+        """Raise ValueError if ``k`` distance rows of this tree would take
+        more than ``_MAX_ROW_BYTES``: a too-fine sample fails at once, as
+        its fill would, instead of exhausting memory."""
+        size = 8 * k * self.n
+        if size > _MAX_ROW_BYTES:
+            raise ValueError(
+                "%d distance rows of a tree of %d vertices would take %d bytes; "
+                "at most %d bytes of rows are walked" % (k, self.n, size, _MAX_ROW_BYTES)
+            )
+
+    def _depth_minima(self) -> Tuple[np.ndarray, ...]:
+        """The tables :meth:`_depth_rows` reads, built on first call and
+        cached: each position's parent depth in blocks of ``_DEPTH_BLOCK``
+        positions (inf past the last), the running minima of every block
+        from its head and from its tail, and each block's minimum."""
+        if self._minima is None:
+            pre, n, B = self._preorder(), self.n, _DEPTH_BLOCK
+            nb = -(-n // B)
+            up = np.full(nb * B, np.inf)
+            up[1:n] = pre.depth[np.array(pre.parent[1:], dtype=np.intp)]
+            blocks = up.reshape(nb, B)
+            head = np.minimum.accumulate(blocks, axis=1)  # blocks[k, :t + 1]
+            tail = np.full_like(blocks, np.inf)  # blocks[k, t + 1:]
+            tail[:, :-1] = np.minimum.accumulate(blocks[:, :0:-1], axis=1)[:, ::-1]
+            self._minima = blocks, head, tail, blocks.min(axis=1)
+        return self._minima
+
     def _depth_rows(self, vertices: np.ndarray) -> np.ndarray:
         """Distances from the given vertices to every vertex, columns in
         preorder, as ``depth[u] + depth[v] - 2 depth[lca]`` with the depths
@@ -385,8 +420,10 @@ class MetricTree:
         the lowest common ancestor is then the least parent depth over the
         positions ``(a, b]``: they lie inside the ancestor's subtree, below
         it, and include its child toward the later vertex.  That minimum is
-        read from blocks of ``_DEPTH_BLOCK`` positions: the running minima
-        from each end of a block, and the minima over runs of whole blocks.
+        read from the blocks of :meth:`_depth_minima`: the running minima
+        from each end of a block, and, per source, the running minima of
+        the block minima outward from the source's block, so a call costs
+        O(n) per source.
 
         Error: each depth is at most n - 1 roundings of values at most the
         total length L away from the exact depth, and the sum and the
@@ -395,29 +432,29 @@ class MetricTree:
         distance.
         """
         pre = self._preorder()
-        depth, n, B = pre.depth, self.n, _DEPTH_BLOCK
+        blocks, head, tail, least = self._depth_minima()
+        depth, n, (nb, B) = pre.depth, self.n, blocks.shape
         src = pre.pos[np.asarray(vertices, dtype=np.intp)]
         rows = np.arange(len(src))
-        nb = -(-n // B)
-        up = np.full(nb * B, np.inf)  # each position's parent depth
-        up[1:n] = depth[np.array(pre.parent[1:], dtype=np.intp)]
-        blocks = up.reshape(nb, B)
-        head = np.minimum.accumulate(blocks, axis=1)  # blocks[k, :t + 1]
-        tail = np.full_like(blocks, np.inf)  # blocks[k, t + 1:]
-        tail[:, :-1] = np.minimum.accumulate(blocks[:, :0:-1], axis=1)[:, ::-1]
-        k = np.arange(nb)
-        # whole[i, j]: the least block minimum over blocks i..j, inf if i > j
-        whole = np.minimum.accumulate(np.where(k >= k[:, None], blocks.min(axis=1), np.inf), axis=1)
         ka, ta = np.divmod(src, B)
+        k = np.arange(nb)
         later = k > ka[:, None]
+        # after[s, k]: the least block minimum strictly between the source's
+        # block and a later block k; before[s, k] likewise for an earlier one.
+        after = np.full((len(src), nb), np.inf)
+        after[:, 1:] = np.where(later[:, :-1], least[:-1], np.inf)
+        np.minimum.accumulate(after, axis=1, out=after)
+        before = np.full((len(src), nb), np.inf)
+        before[:, :-1] = np.where(k[1:] < ka[:, None], least[1:], np.inf)
+        before = np.minimum.accumulate(before[:, ::-1], axis=1)[:, ::-1]
         # Past the source's block: the tail of the source's block, the
         # whole blocks between, the head of the target's.  Before it: the
         # tail of the target's block, the whole blocks between, the head of
         # the source's.
         between = np.where(
             later,
-            np.minimum(whole[np.minimum(ka + 1, nb - 1)[:, None], k - 1], tail[ka, ta][:, None]),
-            np.minimum(whole[np.minimum(k + 1, nb - 1), (ka - 1)[:, None]], head[ka, ta][:, None]),
+            np.minimum(after, tail[ka, ta][:, None]),
+            np.minimum(before, head[ka, ta][:, None]),
         )
         lca = np.minimum(between[:, :, None], np.where(later[:, :, None], head, tail))
         # Inside the source's own block: the running minima from the source.

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,18 @@ import pytest
 
 import treegh.cli
 import treegh.metric
-from treegh import FiniteMetricSpace, parse_tree, save_tree, space_from_csv, tree_from_edges, unit_grid
+import treegh.tree
+from treegh import (
+    FiniteMetricSpace,
+    MetricValidationError,
+    load_space,
+    parse_tree,
+    save_tree,
+    space_from_csv,
+    tree_from_edges,
+    unit_grid,
+    validate_metric,
+)
 from treegh.cli import _grid_adjacency, main
 
 ONE_POINT = ",a\na,0\n"
@@ -267,8 +279,8 @@ def test_a_cap_below_one_exits_2(capsys, tmp_path, command, cap):
 @pytest.mark.parametrize("text, message", [
     (",a,b\na,0,nan\nb,nan,0\n", "entry (a, b) = nan is not finite"),
     (",a,b\na,0,inf\nb,inf,0\n", "entry (a, b) = inf is not finite"),
-    (",a,b\na,0,-1\nb,-1,0\n", "entry (a, b) = -1.0 is negative"),
-    (",a,b\na,0.5,1\nb,1,0\n", "entry (a, a) = 0.5 is on the diagonal but not zero"),
+    (",a,b\na,0,-1\nb,-1,0\n", "entry (a, b) = -1.0 is negative beyond tol=1e-09"),
+    (",a,b\na,0.5,1\nb,1,0\n", "entry (a, a) = 0.5 is on the diagonal but not within tol=1e-09 of zero"),
     (",a,b\na,0,1\nb,1.5,0\n", "entry (a, b) = 1.0 differs from its transpose by more than tol=1e-09"),
 ])
 @pytest.mark.parametrize("command", ["exact", "bounds"])
@@ -279,6 +291,24 @@ def test_gh_refuses_a_matrix_that_is_not_a_metric(capsys, tmp_path, text, messag
     code, out, err = _run(capsys, ["gh", command, bad, good])
     assert (code, out) == (2, "")
     assert err == "error: %s: %s\n" % (bad, message)
+
+
+def test_load_space_and_validate_metric_share_the_entry_rule(tmp_path):
+    # a diagonal or an asymmetry within tol passes both checks, beyond it both
+    for text, ok in (
+        (",a,b\na,1e-12,1\nb,1,0\n", True),
+        (",a,b\na,0,1\nb,1.000000000001,0\n", True),
+        (",a,b\na,1e-6,1\nb,1,0\n", False),
+        (",a,b\na,0,1\nb,1.000001,0\n", False),
+    ):
+        path = _write(tmp_path / "m.csv", text)
+        space = space_from_csv(text)
+        assert validate_metric(space).ok is ok
+        if ok:
+            assert load_space(path).n == 2
+        else:
+            with pytest.raises(MetricValidationError):
+                load_space(path)
 
 
 def test_gh_exact_refuses_a_triangle_violation_within_its_cap(capsys, tmp_path):
@@ -515,6 +545,33 @@ def test_gh_trees_refuses_a_fill_too_large(capsys, tmp_path):
         "error: the distance matrix of a tree of 32769 vertices would take "
         "8590721040 bytes; at most 16384 vertices are filled"
     ) in err
+
+
+def test_lab_scan_continuity_refuses_a_too_fine_eps(capsys, config_path):
+    # each sample would take some 12 million vertices: refused before any is built
+    argv = ["--eps", repr(2.0 ** -20), "lab", "scan-continuity", "--config", config_path, "--k", "1"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: subdividing at eps=9.5367431640625e-07 would insert ")
+
+
+def test_lab_scan_continuity_refuses_rows_beyond_the_budget(capsys, config_path, monkeypatch):
+    # the same walk as a fill: past its budget the scan exits 2 while
+    # planning, before any row is walked
+    def refuse(self, vertices):
+        raise AssertionError("walked %d rows" % len(vertices))
+
+    argv = ["--eps", "0.125", "lab", "scan-continuity", "--config", config_path, "--k", "1"]
+    monkeypatch.setattr(treegh.tree, "_MAX_ROW_BYTES", 8 * 40 * 40)
+    monkeypatch.setattr(treegh.tree.MetricTree, "_rows", refuse)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: \d+ distance rows of a tree of \d+ vertices would take \d+ bytes; "
+        r"at most 12800 bytes of rows are walked\n", err
+    ), err
+    monkeypatch.undo()
+    assert _run(capsys, argv)[0] == 0
 
 
 def test_lab_scan_continuity_keeps_the_config_tol(capsys, tmp_path, small_config):

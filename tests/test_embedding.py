@@ -191,6 +191,14 @@ def test_config_takes_a_whole_float_as_its_integer(small_config):
     assert all(type(v) is int for v in (cfg.m, cfg.branches, cfg.depth_cap))
 
 
+def test_config_takes_an_integer_of_any_size(small_config):
+    # before: float(10**400) raised OverflowError, a traceback at the CLI
+    doc = small_config.to_document()
+    doc["depth_cap"] = 10 ** 400  # as json parses it
+    assert EmbedConfig.from_document(doc).depth_cap == 10 ** 400
+    assert dataclasses.replace(small_config, m=np.int64(5)).m == 5
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.125, math.inf, math.nan])
 def test_config_rejects_a_nonpositive_or_nonfinite_eps(small_config, eps):
     # an infinite eps widens every continuity margin to NaN
@@ -1105,6 +1113,26 @@ def test_batched_matcher_equals_the_per_vertex_reference(small_config, monkeypat
     assert reached["star"] > 0 and reached["routed"] > 0
 
 
+def test_matcher_partners_do_not_depend_on_its_cost_blocks(small_config, monkeypatch):
+    # a segment's cost matrix made a few rows at a time, as at fine eps
+    indexes = []
+    index_of = treegh.embedding._CandidateIndex
+
+    def tracked(*args):
+        indexes.append(index_of(*args))
+        return indexes[-1]
+
+    monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
+    cells = [(lab, 2) for lab in small_config.h_space.labels if lab not in small_config.marked]
+    continuity_scan(small_config, cells[:3], [(0, 1), (1, 2)])
+    pairs = [(a, b) for a in indexes for b in indexes]
+    want = [treegh.embedding._matches(a, b) for a, b in pairs]
+    assert max(len(x) for _, (x, _, _) in indexes[0].seg.items()) > 7
+    monkeypatch.setattr(treegh.embedding, "_MATCH_BLOCK_CELLS", 7)
+    for (a, b), partners in zip(pairs, want):
+        assert treegh.embedding._matches(a, b).tolist() == partners.tolist()
+
+
 def test_matcher_tie_and_empty_coordinate_rules():
     # "v" lies on segments 0 and 1 and is equally near "b" on the first and
     # "a" on the second: the smaller vid wins, whatever the vertex order.
@@ -1155,22 +1183,26 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
         samples.append((cell, weakref.ref(index), weakref.ref(index.tree)))
         return index
 
-    def alive(which, pos):
-        gc.collect()
-        got = {cell for cell, *refs in samples if refs[which]() is not None}
-        assert got == {cell for cell, *_ in samples if last_use[cell] >= pos}
-        return got
-
     def planning(x, y, corr):
-        planned.append(alive(0, len(planned)))  # indexes go after their last pair
+        gc.collect()  # indexes and sample trees go after their last pair
+        alive = {cell for cell, index, _ in samples if index() is not None}
+        assert alive == {cell for cell, *_ in samples if last_use[cell] >= len(planned)}
+        assert alive == {cell for cell, _, tree in samples if tree() is not None}
+        planned.append(alive)
         return plan(x, y, corr)
 
-    def walking(tree, rows):
-        walks.append(next(cell for cell, _, ref in samples if ref() is tree))
-        return walked(tree, rows)
+    def walking(tree, vertices):
+        cell = next(cell for cell, _, ref in samples if ref() is tree)
+        rows = walked(tree, vertices)
+        walks.append((cell, weakref.ref(rows[0])))
+        return rows
 
     def reading(*args):
-        read.append(alive(1, len(read)))  # sample trees and their rows likewise
+        gc.collect()  # every sample tree is gone, each cell's rows after its last pair
+        assert all(tree() is None for *_, tree in samples)
+        rows = {cell for cell, ref in walks if ref() is not None}
+        assert rows == {cell for cell, _ in walks if last_use[cell] >= len(read)}
+        read.append(rows)
         return maximum(*args)
 
     monkeypatch.setattr(treegh.embedding._Cell, "wedge", built)
@@ -1182,7 +1214,7 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     monkeypatch.undo()
     assert len(wedges) == len(grid)  # each cell assembled once
     assert [cell for cell, *_ in samples] == [0, 1, 2, 3]  # each cell sampled once
-    assert walks == [0, 1, 2, 3]  # and walked once, at its first pair
+    assert [cell for cell, _ in walks] == [1, 0, 2, 3]  # and walked once, at its last pair
     assert planned == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
     assert read == [{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 2, 3}, {2, 3}, {3}]
     assert freed == continuity_scan(small_config, grid, adjacency)

@@ -402,6 +402,34 @@ def test_the_walk_holds_few_working_rows():
     assert peak - m * row < 150 * row, peak  # index arrays and a few rows
 
 
+def test_rows_beyond_the_budget_are_refused(monkeypatch):
+    t = tree_from_edges([("a", "b", 1.0), ("b", "c", 1.0), ("b", "d", 1.0)])
+    monkeypatch.setattr(tree_module, "_MAX_ROW_BYTES", 8 * 4 * 2)
+    assert t._rows(np.array([0, 2])).shape == (2, 4)
+    with pytest.raises(ValueError, match="^3 distance rows of a tree of 4 vertices would "
+                       "take 96 bytes; at most 64 bytes of rows are walked$"):
+        t._rows(np.array([0, 1, 2]))
+
+
+def test_depth_rows_build_their_block_minima_once():
+    # the minima over runs of whole blocks are read per source, so a call
+    # holds O(n) per source where a table of them held (n / 64)**2 entries
+    rng = np.random.default_rng(3)
+    n = 1 << 16
+    parent = np.maximum(0, np.arange(1, n) - rng.integers(1, 4, size=n - 1))
+    t = tree_from_edges([("v%d" % (i + 1), "v%d" % p, 1.0) for i, p in enumerate(parent)])
+    t._depth_rows(np.array([0]))
+    minima = t._depth_minima()
+    tracemalloc.start()
+    try:
+        t._depth_rows(np.array([n // 3]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t._depth_minima() is minima
+    assert peak < 8 * n * 8, peak
+
+
 def test_depth_rows_are_within_their_proven_error(small_config, monkeypatch):
     rng = np.random.default_rng(515)
     for block in (1, 3, 64):
