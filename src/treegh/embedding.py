@@ -1188,11 +1188,11 @@ def continuity_scan(
     (:func:`treegh.gh._plan`, from depths alone).  At its last pair there a
     cell's sample is walked once for the union of the rows its pairs
     planned (:meth:`~treegh.tree.MetricTree._rows`, the fill's own
-    floats), and the sample, its index and the cell go.  A
-    cell whose planned rows would take more than the fill's 2 GiB is
-    refused at the pair that makes them so, before any row is walked.  Then
-    each pair reads its cells' rows, which go after its last pair.  ``hi``
-    is bit for bit what the full distortion product gives.
+    floats), and the sample, its index and the cell go.  A cell whose
+    planned rows would take more than the fill's 2 GiB is refused at the
+    pair that makes them so, before any row is walked.  Then each pair
+    reads its cells' rows, which go after its last pair.  ``hi`` is bit
+    for bit what the full distortion product gives.
 
     Args:
         cfg: embedding configuration.
