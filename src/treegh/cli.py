@@ -12,11 +12,11 @@ import dataclasses
 import json
 import math
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .metric import DEFAULT_TOL, MetricValidationError, validate_metric
+from .metric import DEFAULT_TOL, MetricValidationError, _check_tol, validate_metric
 from .tree import (
     ReplacementEntry,
     ReplacementError,
@@ -54,10 +54,12 @@ from .embedding import (
 )
 
 _RECOVERY_TOL = 1e-6
+# The most cells scan-injectivity lists, counted before any is.
+_MAX_SCAN_CELLS = 1 << 20
 # What the lab commands' --help says of their config document.
 _CONFIG_CHECKS = (
     "The config document is checked as EmbedConfig checks it: integer m >= 1, "
-    "branches >= 3 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
+    "branches from 3 to 537 and depth_cap >= 0, positive finite eps, finite tol >= 0; "
     "--eps and --tol replace its values and are checked alike."
 )
 
@@ -303,6 +305,12 @@ def _cmd_lab_scan_continuity(args) -> Tuple[str, int]:
 
 def _cmd_lab_scan_injectivity(args) -> Tuple[str, int]:
     cfg = _load_config(args)
+    labels = sum(lab not in cfg.marked for lab in cfg.h_space.labels)
+    if cfg.m * labels > _MAX_SCAN_CELLS:
+        raise ValueError(
+            "scan-injectivity would scan %d cells (m=%d fibers of %d unmarked labels), "
+            "more than %d" % (cfg.m * labels, cfg.m, labels, _MAX_SCAN_CELLS)
+        )
     cells = []
     for k in range(1, cfg.m + 1):
         cells.extend(_config_cells(cfg, k))
@@ -379,134 +387,203 @@ def _add_common(p: _Parser, leaf: bool = True):
     )
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="treegh", description=__doc__)
-    _add_common(parser, leaf=False)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    tree = sub.add_parser("tree", help="build and validate metric trees")
-    tsub = tree.add_subparsers(dest="subcommand", parser_class=_Parser)
-
-    p = tsub.add_parser("validate", help="validate a tree document", description=(
-        "Prove a tree document a tree: every edge joins two known ids with a "
-        "positive finite length, and the edges connect every node with no cycle."))
+def _file_argument(p: _Parser):
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_validate)
 
-    p = tsub.add_parser("comb", help="comb tree of parameter s", description=(
-        "Checks --s in [0, 1], --scale in (0, 1] and --depth >= 0; a comb of more "
-        "than 2**20 vertices is refused before it is built."))
+
+def _pair_arguments(p: _Parser):
+    p.add_argument("a")
+    p.add_argument("b")
+
+
+def _comb_arguments(p: _Parser):
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--depth", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_comb)
 
-    p = tsub.add_parser("star", help="star tree with branch coefficients", description=(
-        "Checks positive finite coefficients --a, a finite --k >= 0 and --eps > 0 "
-        "(default 0.125); a star of more than 2**20 vertices is refused."))
+
+def _star_arguments(p: _Parser):
     p.add_argument("--a", required=True, help="comma-separated coefficients")
     p.add_argument("--k", type=float, required=True, help="scale factor")
     p.add_argument("--branches", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_star)
 
-    p = tsub.add_parser("wedge", help="wedge trees at basepoints", description=(
-        "Checks one basepoint per tree (--at), each a vertex of its tree."))
+
+def _wedge_arguments(p: _Parser):
     p.add_argument("files", nargs="+")
     p.add_argument("--at", required=True, help="comma-separated basepoints")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_wedge)
 
-    p = tsub.add_parser("replace", help="replace one edge by a marked tree", description=(
-        "Checks that the host geodesic --edge is a plain degree-2 path and that the "
-        "replacement spans it within --tol (finite, >= 0; default 1e-9)."))
+
+def _replace_arguments(p: _Parser):
     p.add_argument("file")
     p.add_argument("--edge", required=True, help="a,b endpoints")
     p.add_argument("--with", required=True, help="replacement tree document")
     p.add_argument("--alpha", required=True, help="marked vertex matched to a")
     p.add_argument("--beta", required=True, help="marked vertex matched to b")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_replace)
 
-    p = tsub.add_parser("subdivide", help="refine all edges below --eps", description=(
-        "Checks --eps > 0 (required); more than 2**20 new vertices are refused."))
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tree_subdivide)
 
-    gh = sub.add_parser("gh", help="Gromov-Hausdorff distances and bounds")
-    gsub = gh.add_subparsers(dest="subcommand", parser_class=_Parser)
-
-    p = gsub.add_parser("exact", help="exact distance between small spaces", description=(
-        "Inputs are CSV matrices or tree documents.  A CSV matrix must be finite, "
-        "nonnegative, zero on the diagonal and symmetric within --tol; --cap must "
-        "be >= 1, and within it each space must pass validate_metric (positivity "
-        "and the triangle inequality) within --tol."))
-    p.add_argument("a")
-    p.add_argument("b")
+def _capped_pair_arguments(p: _Parser):
+    _pair_arguments(p)
     p.add_argument("--cap", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gh_exact)
 
-    p = gsub.add_parser("bounds", help="certified lower/upper bounds", description=(
-        "Inputs are CSV matrices or tree documents.  A CSV matrix must be finite, "
-        "nonnegative, zero on the diagonal and symmetric within --tol."))
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gh_bounds)
 
-    p = gsub.add_parser("trees", help="two-sided interval between trees", description=(
-        "Checks --eps positive and finite (default 2**-6) and --cap >= 1."))
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--cap", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gh_trees)
-
-    lab = sub.add_parser("lab", help="parametric family scans")
-    lsub = lab.add_subparsers(dest="subcommand", parser_class=_Parser)
-
-    p = lsub.add_parser(
-        "embed", help="assemble the tree of one grid cell", description=_CONFIG_CHECKS
-    )
+def _config_argument(p: _Parser):
     p.add_argument("--config", required=True)
+
+
+def _embed_arguments(p: _Parser):
+    _config_argument(p)
     p.add_argument("--u", required=True, help="grid label")
     p.add_argument("--k", type=int, required=True, help="fiber index")
-    _add_common(p)
-    p.set_defaults(func=_cmd_lab_embed)
 
-    p = lsub.add_parser(
-        "scan-continuity", help="GH bounds between adjacent cells", description=_CONFIG_CHECKS
-    )
-    p.add_argument("--config", required=True)
+
+def _scan_continuity_arguments(p: _Parser):
+    _config_argument(p)
     p.add_argument("--k", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lab_scan_continuity)
 
-    p = lsub.add_parser(
-        "scan-injectivity", help="fingerprint distinctness scan", description=_CONFIG_CHECKS
-    )
-    p.add_argument("--config", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lab_scan_injectivity)
 
-    p = lsub.add_parser("path", help="comb replacement path of a tree", description=(
-        "Checks --s-grid sorted within [0, 1], --eps positive and finite and "
-        "--depth >= 0."))
+def _path_arguments(p: _Parser):
     p.add_argument("--x", required=True, help="input tree document")
     p.add_argument("--s-grid", required=True, dest="s_grid")
     p.add_argument("--depth", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lab_path)
 
+
+class _Command(NamedTuple):
+    """One subcommand: its help line, its ``--help`` description, the
+    function that adds its own arguments (the common flags follow them) and
+    its handler."""
+
+    help: str
+    description: str
+    arguments: Callable[[_Parser], None]
+    run: Callable[[argparse.Namespace], Tuple[str, int]]
+
+
+_GROUPS = {
+    "tree": "build and validate metric trees",
+    "gh": "Gromov-Hausdorff distances and bounds",
+    "lab": "parametric family scans",
+}
+
+# Every (command, subcommand) in help order; the parser is built from here.
+_COMMANDS = {
+    ("tree", "validate"): _Command(
+        "validate a tree document",
+        "Prove a tree document a tree: every edge joins two known ids with a "
+        "positive finite length, and the edges connect every node with no cycle.",
+        _file_argument, _cmd_tree_validate),
+    ("tree", "comb"): _Command(
+        "comb tree of parameter s",
+        "Checks --s in [0, 1], --scale in (0, 1] and --depth >= 0; a comb of more "
+        "than 2**20 vertices is refused before it is built.",
+        _comb_arguments, _cmd_tree_comb),
+    ("tree", "star"): _Command(
+        "star tree with branch coefficients",
+        "Checks positive finite coefficients --a, a finite --k >= 0 and a finite "
+        "--eps > 0 (default 0.125); a star of more than 2**20 vertices is refused.",
+        _star_arguments, _cmd_tree_star),
+    ("tree", "wedge"): _Command(
+        "wedge trees at basepoints",
+        "Checks one basepoint per tree (--at), each a vertex of its tree.",
+        _wedge_arguments, _cmd_tree_wedge),
+    ("tree", "replace"): _Command(
+        "replace one edge by a marked tree",
+        "Checks that the host geodesic --edge is a plain degree-2 path and that the "
+        "replacement spans it within --tol (finite, >= 0; default 1e-9).",
+        _replace_arguments, _cmd_tree_replace),
+    ("tree", "subdivide"): _Command(
+        "refine all edges below --eps",
+        "Checks --eps > 0 (required); more than 2**20 new vertices are refused.",
+        _file_argument, _cmd_tree_subdivide),
+    ("gh", "exact"): _Command(
+        "exact distance between small spaces",
+        "Inputs are CSV matrices or tree documents.  A CSV matrix must be finite, "
+        "nonnegative, zero on the diagonal and symmetric within --tol; --cap must "
+        "be >= 1, and within it each space must pass validate_metric (positivity "
+        "and the triangle inequality) within --tol.",
+        _capped_pair_arguments, _cmd_gh_exact),
+    ("gh", "bounds"): _Command(
+        "certified lower/upper bounds",
+        "Inputs are CSV matrices or tree documents.  A CSV matrix must be finite, "
+        "nonnegative, zero on the diagonal and symmetric within --tol.",
+        _pair_arguments, _cmd_gh_bounds),
+    ("gh", "trees"): _Command(
+        "two-sided interval between trees",
+        "Checks --eps positive and finite (default 2**-6) and --cap >= 1.",
+        _capped_pair_arguments, _cmd_gh_trees),
+    ("lab", "embed"): _Command(
+        "assemble the tree of one grid cell", _CONFIG_CHECKS,
+        _embed_arguments, _cmd_lab_embed),
+    ("lab", "scan-continuity"): _Command(
+        "GH bounds between adjacent cells", _CONFIG_CHECKS,
+        _scan_continuity_arguments, _cmd_lab_scan_continuity),
+    ("lab", "scan-injectivity"): _Command(
+        "fingerprint distinctness scan",
+        _CONFIG_CHECKS + "  A scan of more than 2**20 cells (m times the unmarked "
+        "labels) is refused before any cell is built.",
+        _config_argument, _cmd_lab_scan_injectivity),
+    ("lab", "path"): _Command(
+        "comb replacement path of a tree",
+        "Checks --s-grid sorted within [0, 1], --eps positive and finite and "
+        "--depth >= 0.",
+        _path_arguments, _cmd_lab_path),
+}
+
+# The top-level options, each taking one value.
+_GLOBAL_OPTIONS = ("--tol", "--eps", "--out", "--format")
+
+
+def _branch(argv: List[str]) -> Optional[Tuple[str, str]]:
+    """The ``(command, subcommand)`` that argv is sure to reach: exact
+    top-level options, each with its value as the next token or after
+    ``=``, then a known command and subcommand.
+
+    Anything else gives None, and with it the full parser: ``-h`` before
+    the subcommand, an abbreviated option, ``--``, a value that starts
+    with ``-``, an unknown or missing name.  Its help, usage and error text
+    then stay those of every branch.
+    """
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        option, eq, _ = argv[i].partition("=")
+        if option not in _GLOBAL_OPTIONS:
+            return None
+        if not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+        i += 1
+    branch = tuple(argv[i:i + 2])
+    return branch if branch in _COMMANDS else None
+
+
+def _build_parser(branch: Optional[Tuple[str, str]] = None) -> _Parser:
+    """The top-level parser with every branch, or with only ``branch``.
+
+    Argparse hands everything after the subcommand to that subcommand's
+    parser, so a parser with only the branch argv names parses it as the
+    full one does.  Nothing is kept between calls.
+    """
+    parser = _Parser(prog="treegh", description=__doc__)
+    _add_common(parser, leaf=False)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    groups = {}
+    for key, spec in _COMMANDS.items():
+        if branch is not None and key != branch:
+            continue
+        command, name = key
+        if command not in groups:
+            group = sub.add_parser(command, help=_GROUPS[command])
+            groups[command] = group.add_subparsers(dest="subcommand", parser_class=_Parser)
+        p = groups[command].add_parser(name, help=spec.help, description=spec.description)
+        spec.arguments(p)
+        _add_common(p)
+        p.set_defaults(func=spec.run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(_branch(argv))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -515,11 +592,9 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         print("usage error: missing subcommand (see --help)", file=sys.stderr)
         return 1
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        # every tolerance check reads `abs(...) > tol`, which NaN or inf passes
-        print("error: tol must be finite and nonnegative, got %r" % args.tol, file=sys.stderr)
-        return 2
     try:
+        if args.tol is not None:
+            _check_tol(args.tol)
         text, code = args.func(args)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

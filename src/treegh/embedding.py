@@ -50,6 +50,7 @@ from .tree import (
 from .families import (
     CombParams,
     StarParams,
+    _MAX_BRANCHES,
     _assembly_star_parts,
     _tooth_heights,
     c_fun,
@@ -121,7 +122,8 @@ class EmbedConfig:
         trees: endpoint trees, one per marked point.
         basepoints: one vertex id per endpoint tree.
         m: number of fibers k = 1..m.
-        branches: star branch count used by the parameter encoding (>= 3).
+        branches: star branch count used by the parameter encoding, 3 to
+            ``_MAX_BRANCHES`` (537).
         eps: sampling resolution.  The scans certify on each tree
             subdivided at eps; the assembly reads it only to put each star
             branch's one interior vertex at its last eps-sample.
@@ -190,6 +192,10 @@ class EmbedConfig:
             raise EmbedConfigError("m must be at least 1")
         if self.branches < 3:
             raise EmbedConfigError("need at least 3 star branches")
+        if self.branches > _MAX_BRANCHES:
+            raise EmbedConfigError(
+                "branches must be at most %d, got %d" % (_MAX_BRANCHES, self.branches)
+            )
         if self.depth_cap < 0:
             raise EmbedConfigError("depth_cap must be nonnegative, got %d" % self.depth_cap)
         if not (self.eps > 0 and math.isfinite(self.eps)):

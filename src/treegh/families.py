@@ -204,8 +204,8 @@ class StarParams:
             raise ValueError("branch coefficients must be positive and finite")
         if not (self.scale >= 0 and math.isfinite(self.scale)):
             raise ValueError("scale must be nonnegative and finite, got %r" % (self.scale,))
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be positive and finite, got %r" % (self.eps,))
 
     def coefficient(self, i: int) -> float:
         """Branch coefficient, with the implicit unit branch 0."""
@@ -347,6 +347,11 @@ def cube_interval(i: int) -> Tuple[float, float]:
     return lo, 2.0 * lo
 
 
+# The most branches rho_embed encodes: past it the coefficient
+# 1.5 * 2**(-2 * i) underflows to zero, which no star takes.
+_MAX_BRANCHES = 537
+
+
 def rho_embed(
     u: Tuple[float, float], k: int, m: int, branches: int
 ) -> Tuple[float, ...]:
@@ -361,7 +366,8 @@ def rho_embed(
         u: point of the unit square.
         k: fiber index in ``1..m``.
         m: number of fibers.
-        branches: total number of nontrivial coefficients (>= 3).
+        branches: total number of nontrivial coefficients, 3 to
+            ``_MAX_BRANCHES`` (537).
 
     Returns:
         ``(a_1, ..., a_branches)`` with ``a_i`` inside ``cube_interval(i)``.
@@ -373,6 +379,8 @@ def rho_embed(
         raise ValueError("fiber index k=%r outside 1..%r" % (k, m))
     if branches < 3:
         raise ValueError("need at least 3 branches to encode (u, k)")
+    if branches > _MAX_BRANCHES:
+        raise ValueError("at most %d branches, got %d" % (_MAX_BRANCHES, branches))
     a = [
         2.0 ** (-2) * (1.0 + u1),
         2.0 ** (-4) * (1.0 + u2),

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .metric import FiniteMetricSpace, MetricValidationError, _entry_violation
+from .metric import FiniteMetricSpace, MetricValidationError, _check_tol, _entry_violation
 from .tree import MetricTree, TreeStructureError
 
 __all__ = [
@@ -132,8 +132,11 @@ def tree_from_document(doc: dict) -> MetricTree:
 
 
 def serialize_tree(tree: MetricTree) -> str:
-    """Canonical JSON text for a tree (sorted keys, two-space indent)."""
-    return json.dumps(tree_to_document(tree), indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text for a tree (sorted keys, two-space indent).
+
+    A NaN or infinite figure raises ValueError: JSON has no token for it.
+    """
+    return json.dumps(tree_to_document(tree), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def parse_tree(text: str) -> MetricTree:
@@ -200,8 +203,10 @@ def load_space(path, tol: float = 1e-9) -> FiniteMetricSpace:
     nonnegative entries) fail by more than ``tol``: an O(n^2) check, made
     here where a command reads the file rather than in
     :class:`FiniteMetricSpace`.  The triangle inequality is left to
-    :func:`~treegh.metric.validate_metric`.
+    :func:`~treegh.metric.validate_metric`.  A NaN, infinite or negative
+    ``tol`` raises ValueError.
     """
+    _check_tol(tol)
     if not str(path).endswith(".csv"):
         return load_tree(path).as_space()
     with open(path, "r", encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ measures how far a metric is from being a tree metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -108,6 +109,13 @@ class ValidationReport:
     category: str
 
 
+def _check_tol(tol: float):
+    # Every check reads `violation > tol`, which nothing passes for a
+    # negative tol and nothing fails for a NaN or infinite one.
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative, got %r" % (tol,))
+
+
 def _entry_violation(d: np.ndarray) -> Tuple[float, Tuple[int, ...], str]:
     """The largest violation of the entrywise axioms in a square matrix,
     with the entry it is at and its category: an entry that is not finite
@@ -152,7 +160,11 @@ def validate_metric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Valid
         A :class:`ValidationReport` carrying the largest violation found
         across the entrywise axioms (:func:`_entry_violation`), positivity
         of off-diagonal entries, and the triangle inequality.
+
+    Raises:
+        ValueError: if ``tol`` is NaN, infinite or negative.
     """
+    _check_tol(tol)
     d = space.dist
     n = space.n
     if n == 0:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pathlib
@@ -452,6 +453,8 @@ def test_lab_refuses_a_basepoint_the_comb_replacement_removes(capsys, tmp_path, 
     (["tree", "star", "--a", "0.5", "--k", "nan"], "scale must be nonnegative and finite, got nan"),
     (["tree", "comb", "--s", "1e-30", "--depth", "40"], "would have 4398046511106 vertices"),
     (["tree", "star", "--a", "0.5", "--k", "1", "--eps", "1e-12"], "would have 1500000000001 vertices"),
+    (["tree", "star", "--a", "0.25,0.0625", "--k", "1", "--eps", "inf"],
+     "eps must be positive and finite, got inf"),
     (["--eps", "1e-17", "lab", "embed", "--config", "{cfg}", "--u", "g1_1", "--k", "1"],
      "eps=1e-17 is too fine for star branch 0"),
     (["--eps", "1e-17", "lab", "scan-injectivity", "--config", "{cfg}"],
@@ -461,8 +464,9 @@ def test_lab_refuses_a_basepoint_the_comb_replacement_removes(capsys, tmp_path, 
 ])
 def test_parameters_that_crashed_or_hung_exit_2(capsys, config_path, argv, message):
     # before: an OverflowError traceback, a NaN scale in the document, runs
-    # past 10 s building 2^42 or 1.5e12 vertices, and lab embed refusing
-    # (duplicate vertex ids) the cells that scan-injectivity certified
+    # past 10 s building 2^42 or 1.5e12 vertices, "eps": Infinity in a star
+    # document, and lab embed refusing (duplicate vertex ids) the cells that
+    # scan-injectivity certified
     code, out, err = _run(capsys, [arg.format(cfg=config_path) for arg in argv])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
@@ -671,3 +675,256 @@ def test_cli_outputs_match_golden_bytes(capsys, tmp_path, config_path):
         assert code == want_code, (name, err)
         assert out == (GOLDEN / name).read_text(), name
         inputs[name.split(".")[0]] = _write(tmp_path / name, out)
+
+
+# -- satellite refusals -------------------------------------------------------
+
+
+def test_tree_output_refuses_non_finite_figures(capsys, monkeypatch):
+    # a tree document is dumped as _dump dumps a report: a NaN or infinite
+    # figure is an error (exit 2), never a JSON token
+    def star_with_an_infinite_figure(params):
+        tree = tree_from_edges([("a", "b", 1.0)])
+        tree.metadata["eps"] = math.inf
+        return tree
+
+    monkeypatch.setattr(treegh.cli, "star_tree", star_with_an_infinite_figure)
+    code, out, err = _run(capsys, ["tree", "star", "--a", "0.5", "--k", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+def test_lab_scan_injectivity_counts_its_cells_before_listing_them(
+    capsys, tmp_path, small_config, monkeypatch
+):
+    # before: "m": 10**12 grew without bound while the cells were listed
+    def no_listing(cfg, k):
+        raise AssertionError("cells listed")
+
+    monkeypatch.setattr(treegh.cli, "_config_cells", no_listing)
+    doc = small_config.to_document()
+    doc["m"] = 10 ** 12
+    path = _write(tmp_path / "cfg.json", json.dumps(doc))
+    code, out, err = _run(capsys, ["lab", "scan-injectivity", "--config", path])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: scan-injectivity would scan 7000000000000 cells (m=1000000000000 "
+        "fibers of 7 unmarked labels), more than 1048576\n"
+    )
+
+
+# -- parser branches ----------------------------------------------------------
+
+
+def _run_exiting(capsys, argv):
+    # -h prints its help and exits through SystemExit
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _differential_corpus(tmp_path, config_path, capsys):
+    """Argv that reach the branch-only parser and argv that need every
+    branch, with the documents they read written under tmp_path."""
+    inputs = {"cfg": config_path}
+    corpus = []
+    for name, argv, _ in GOLDEN_CASES:
+        argv = [a.format(**inputs) for a in argv]
+        corpus.append(argv)
+        inputs[name.split(".")[0]] = _write(tmp_path / name, _run(capsys, argv)[1])
+    comb, cfg = inputs["comb_a"], config_path
+    out = str(tmp_path / "out.json")
+    corpus += [
+        # global options before the command, as --opt value and --opt=value
+        ["--tol", "1e-6", "tree", "validate", comb],
+        ["--tol=1e-6", "tree", "validate", comb],
+        ["--format=csv", "--eps=0.1", "tree", "subdivide", comb],
+        ["--format", "csv", "--eps", "0.1", "tree", "subdivide", comb],
+        ["--out", out, "--format", "json", "tree", "comb", "--s", "0.5"],
+        ["--out=" + out, "tree", "comb", "--s", "0.5"],
+        ["--eps", "0.125", "--eps", "0.0625", "gh", "trees", comb, comb],
+        ["--tol", "-1", "tree", "validate", comb],
+        ["--tol=-1", "tree", "validate", comb],
+        ["--tol=", "tree", "validate", comb],
+        ["--format=", "tree", "validate", comb],
+        ["tree", "validate", comb, "--tol", "1e-6", "--format", "csv"],
+        # abbreviated options and --
+        ["--to", "1e-6", "tree", "validate", comb],
+        ["--ep=0.1", "tree", "subdivide", comb],
+        ["--form", "csv", "--eps", "0.1", "tree", "subdivide", comb],
+        ["tree", "comb", "--s", "0.5", "--dep", "3"],
+        ["tree", "comb", "--s", "0.5", "--d", "3"],
+        ["--", "tree", "validate", comb],
+        ["tree", "--", "validate", comb],
+        ["tree", "validate", "--", comb],
+        ["--tol", "--", "tree", "validate", comb],
+        # unknown and missing commands and subcommands
+        [],
+        ["frobnicate"],
+        ["Tree", "validate", comb],
+        ["tree"],
+        ["tree", "frobnicate"],
+        ["tree", "valid", comb],
+        ["gh", "validate", comb],
+        ["lab", "scan"],
+        ["--tol", "1e-6"],
+        ["--tol", "1e-6", "tree"],
+        ["--tol"],
+        ["--eps", "tree", "validate", comb],
+        ["--out", "tree", "validate", comb],
+        # missing and invalid arguments
+        ["tree", "validate"],
+        ["tree", "validate", comb, comb],
+        ["tree", "comb"],
+        ["tree", "comb", "--s", "x"],
+        ["tree", "comb", "--s", "0.5", "--seed", "7"],
+        ["tree", "comb", "--s", "0.5", "--depth", "2.7"],
+        ["--tol", "x", "tree", "validate", comb],
+        ["--format", "xml", "tree", "comb", "--s", "0.5"],
+        ["tree", "comb", "--s", "0.5", "--format", "xml"],
+        ["gh", "exact", comb],
+        ["gh", "trees", comb, comb, "--cap", "x"],
+        ["lab", "embed", "--config", cfg],
+        ["lab", "path", "--x", comb],
+        ["tree", "validate", str(tmp_path / "missing.json")],
+        # help at each level
+        ["-h"],
+        ["--help"],
+        ["--tol", "1e-6", "-h"],
+        ["--tol", "1e-6", "tree", "-h"],
+        ["--tol", "1e-6", "tree", "validate", "--help"],
+        ["-h", "tree", "validate", comb],
+        ["tree", "validate", "-h", comb],
+        ["tree", "validate", "--he"],
+    ]
+    for command in treegh.cli._GROUPS:
+        corpus.append([command, "-h"])
+    for command, name in treegh.cli._COMMANDS:
+        corpus.append([command, name, "-h"])
+    return corpus
+
+
+def test_the_branch_parser_answers_as_the_full_parser(capsys, tmp_path, config_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = _differential_corpus(tmp_path, config_path, capsys)
+    branched = [argv for argv in corpus if treegh.cli._branch(argv) is not None]
+    assert len(branched) >= len(GOLDEN_CASES) + 12
+    shipped = [_run_exiting(capsys, argv) for argv in corpus]
+    monkeypatch.setattr(treegh.cli, "_branch", lambda argv: None)
+    full = [_run_exiting(capsys, argv) for argv in corpus]
+    for argv, got, want in zip(corpus, shipped, full):
+        assert got == want, argv
+
+
+def test_branch_names_only_exact_options_and_known_names():
+    branch = treegh.cli._branch
+    assert branch(["tree", "validate", "f"]) == ("tree", "validate")
+    assert branch(["--tol", "1e-6", "--format=csv", "lab", "path"]) == ("lab", "path")
+    assert branch(["--tol=-1", "gh", "exact", "a", "b"]) == ("gh", "exact")
+    for argv in (
+        [], ["tree"], ["-h", "tree", "validate"], ["tree", "-h"], ["--to", "1", "tree", "validate"],
+        ["--", "tree", "validate"], ["--tol", "-1", "tree", "validate"], ["--tol"],
+        ["tree", "frobnicate"], ["gh", "validate"], ["--out", "tree", "validate"],
+    ):
+        assert branch(argv) is None, argv
+
+
+def test_tree_validate_builds_no_other_branch(capsys, tmp_path, monkeypatch):
+    def refuse(parser):
+        raise AssertionError("built %s" % parser.prog)
+
+    for key, spec in treegh.cli._COMMANDS.items():
+        if key != ("tree", "validate"):
+            monkeypatch.setitem(treegh.cli._COMMANDS, key, spec._replace(arguments=refuse))
+    doc = str(tmp_path / "t.json")
+    save_tree(tree_from_edges([("a", "b", 1.0), ("b", "c", 0.5)]), doc)
+    for argv in (["tree", "validate", doc], ["--tol=1e-6", "--format", "json", "tree", "validate", doc]):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"ok": True, "n": 3, "diameter": 1.5, "category": "ok"}
+    # the full parser does build the others
+    with pytest.raises(AssertionError, match="built treegh tree comb"):
+        main(["tree", "-h"])
+    # and no parser outlives its call
+    assert not any(isinstance(v, argparse.ArgumentParser) for v in vars(treegh.cli).values())
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "5e-324", "1e300")
+
+# (argv the option is added to, option, integer option?) for every numeric
+# option; the global --tol and --eps go with each command that reads them.
+# "{tree}", "{host}", "{patch}", "{csv}" and "{cfg}" name the documents of
+# the fuzz test.
+FUZZ_OPTIONS = [
+    (["tree", "replace", "{host}", "--edge", "u,v", "--with", "{patch}",
+      "--alpha", "s", "--beta", "t"], "--tol", False),
+    (["gh", "exact", "{csv}", "{tree}"], "--tol", False),
+    (["gh", "bounds", "{csv}", "{tree}"], "--tol", False),
+    (["lab", "scan-continuity", "--config", "{cfg}"], "--tol", False),
+    (["tree", "star", "--a", "0.5", "--k", "1"], "--eps", False),
+    (["tree", "subdivide", "{tree}"], "--eps", False),
+    (["gh", "trees", "{tree}", "{tree}"], "--eps", False),
+    (["lab", "embed", "--config", "{cfg}", "--u", "g1_1", "--k", "1"], "--eps", False),
+    (["lab", "scan-injectivity", "--config", "{cfg}"], "--eps", False),
+    (["lab", "path", "--x", "{tree}", "--s-grid", "0,0.5", "--depth", "2"], "--eps", False),
+    (["tree", "comb", "--depth", "3"], "--s", False),
+    (["tree", "comb", "--s", "0.5", "--depth", "3"], "--scale", False),
+    (["tree", "comb", "--s", "0.5"], "--depth", True),
+    (["tree", "star", "--k", "1"], "--a", False),
+    (["tree", "star", "--a", "0.5"], "--k", False),
+    (["tree", "star", "--a", "0.5", "--k", "1"], "--branches", True),
+    (["gh", "exact", "{csv}", "{tree}"], "--cap", True),
+    (["gh", "trees", "{tree}", "{tree}"], "--cap", True),
+    (["lab", "embed", "--config", "{cfg}", "--u", "g1_1"], "--k", True),
+    (["lab", "scan-continuity", "--config", "{cfg}"], "--k", True),
+    (["lab", "path", "--x", "{tree}", "--depth", "2"], "--s-grid", False),
+    (["lab", "path", "--x", "{tree}", "--s-grid", "0,0.5"], "--depth", True),
+]
+
+# Every numeric field of a config document, and whether it is an integer.
+FUZZ_FIELDS = [("m", True), ("branches", True), ("eps", False), ("tol", False),
+               ("depth_cap", True)]
+
+
+def _fuzz_values(integer):
+    return FUZZ_VALUES + (("2.7",) if integer else ())
+
+
+def _fuzz_cases(paths, small_config):
+    for argv, option, integer in FUZZ_OPTIONS:
+        for value in _fuzz_values(integer):
+            yield [a.format(**paths) for a in argv] + ["%s=%s" % (option, value)]
+    for field, integer in FUZZ_FIELDS:
+        for value in _fuzz_values(integer):
+            doc = small_config.to_document()
+            doc[field] = int(value) if value in ("-1", "0") else float(value)
+            path = _write(paths["dir"] / ("cfg-%s-%s.json" % (field, value)), json.dumps(doc))
+            for command in ("embed", "scan-continuity", "scan-injectivity"):
+                extra = ["--u", "g1_1", "--k", "1"] if command == "embed" else []
+                yield ["lab", command, "--config", path] + extra
+
+
+def test_numeric_options_and_fields_exit_cleanly_and_print_no_nan(capsys, tmp_path, small_config):
+    # every numeric option and config field at nan, +-inf, -1, 0, the least
+    # subnormal, 1e300 and (integers) 2.7: a usage error (1), a refusal (2)
+    # or a report (0) free of NaN and Infinity, never a traceback
+    paths = {"dir": tmp_path, "cfg": _write(tmp_path / "cfg.json", json.dumps(small_config.to_document()))}
+    for name, tree in (("tree", tree_from_edges([("a", "b", 1.0), ("b", "c", 0.5)])),
+                       ("host", tree_from_edges([("u", "v", 1.0)])),
+                       ("patch", tree_from_edges([("s", "m", 0.5), ("m", "t", 0.5)]))):
+        paths[name] = str(tmp_path / ("%s.json" % name))
+        save_tree(tree, paths[name])
+    paths["csv"] = _write(tmp_path / "m.csv", TWO_POINT)
+    cases = 0
+    for argv in _fuzz_cases(paths, small_config):
+        code, out, err = _run(capsys, argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert "NaN" not in out and "Infinity" not in out, argv
+        cases += 1
+    assert cases == 275

@@ -199,6 +199,19 @@ def test_config_takes_an_integer_of_any_size(small_config):
     assert dataclasses.replace(small_config, m=np.int64(5)).m == 5
 
 
+@pytest.mark.parametrize("branches", [538, 1e300])
+def test_config_refuses_more_branches_than_the_encoding_has(small_config, branches):
+    # before: 1e300 branches built the encoding's coefficient list forever
+    doc = small_config.to_document()
+    doc["branches"] = branches
+    with pytest.raises(EmbedConfigError, match="branches must be at most 537, got %d" % branches):
+        EmbedConfig.from_document(doc)
+    with pytest.raises(ValueError, match="at most 537 branches"):
+        rho_embed((0.5, 0.5), 1, 1, int(branches))
+    # the last coefficient 1.5 * 4**-537 is the least positive double but one
+    assert min(rho_embed((0.5, 0.5), 1, 1, 537)) == 1e-323
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.125, math.inf, math.nan])
 def test_config_rejects_a_nonpositive_or_nonfinite_eps(small_config, eps):
     # an infinite eps widens every continuity margin to NaN

@@ -151,6 +151,14 @@ def test_star_refuses_a_negative_or_nonfinite_scale(scale):
         StarParams(a=(0.5,), scale=scale)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.125])
+def test_star_refuses_an_eps_that_is_not_positive_and_finite(eps):
+    # an infinite eps built a star of branch ends only, whose document held
+    # "eps": Infinity, which is not JSON
+    with pytest.raises(ValueError, match="eps must be positive and finite, got %r" % eps):
+        StarParams(a=(0.5,), scale=1.0, eps=eps)
+
+
 def test_huge_combs_and_stars_fail_fast():
     # 2 (2^41 + 1) comb vertices and 1.5e12 star vertices, refused before
     # any list is built; a cap far past the last active generation costs
@@ -206,7 +214,7 @@ def test_star_tree_equals_the_per_branch_build():
     for _ in range(200):
         a = tuple(float(x) for x in rng.uniform(0.01, 2.0, int(rng.integers(1, 5))))
         scale = float(rng.choice([0.0, 1e-3, 0.7, 3.0]))
-        eps = float(rng.choice([0.01, 0.125, 0.3, 10.0, math.inf]))
+        eps = float(rng.choice([0.01, 0.125, 0.3, 10.0, 1e300]))
         for params in (StarParams(a=a, scale=scale, eps=eps), StarParams(a=(0.27,), scale=1.0, eps=0.03)):
             # 0.27 / 0.03 is 9 and an ulp, which the 1e-12 slack rounds down
             t = star_tree(params)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def test_metadata_survives_roundtrip():
     back = parse_tree(serialize_tree(t))
     assert back.metadata["truncation_error"] == pytest.approx(0.1)
     assert back.metadata["generator"] == t.metadata["generator"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_serialize_tree_refuses_non_finite_figures(bad, tmp_path):
+    t = tree_from_edges([("a", "b", 1.0)])
+    t.metadata["eps"] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize_tree(t)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_tree(t, tmp_path / "t.json")
 
 
 def test_comb_document_shape():
@@ -123,6 +134,14 @@ def test_load_space_from_tree_or_csv(tmp_path):
     cpath.write_text(matrix_to_csv(t.as_space()))
     sp2 = load_space(cpath)
     assert sp2.dist[0, 1] == 2.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_load_space_refuses_a_nan_infinite_or_negative_tol(tol, tmp_path):
+    cpath = tmp_path / "m.csv"
+    cpath.write_text(",a,b\na,0,1\nb,1,0\n")
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        load_space(cpath, tol)
 
 
 def test_format_sig():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,17 @@ def test_valid_space_reports_ok():
     assert rep.ok
     assert rep.category == "ok"
     assert rep.worst_violation == 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_validate_metric_refuses_a_nan_infinite_or_negative_tol(tol):
+    # before: tol=inf reported ok, category "ok", for a triangle violation of 3
+    x = FiniteMetricSpace(
+        ("a", "b", "c"), np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    )
+    assert validate_metric(x).category == "triangle"
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative, got %r" % tol):
+        validate_metric(x, tol=tol)
 
 
 def test_construction_rejects_shape_and_label_errors():
