@@ -365,6 +365,10 @@ def _cmd_lab_path(args) -> Tuple[str, int]:
 # -- wiring -------------------------------------------------------------------
 
 
+# The flags _add_common registers, each taking one value.
+_GLOBAL_OPTIONS = ("--tol", "--eps", "--out", "--format")
+
+
 def _add_common(p: _Parser, leaf: bool = True):
     # The same flags are registered on the top-level parser (with real
     # defaults) and on every leaf subparser (defaulting to SUPPRESS so an
@@ -414,7 +418,7 @@ def _wedge_arguments(p: _Parser):
 
 
 def _replace_arguments(p: _Parser):
-    p.add_argument("file")
+    _file_argument(p)
     p.add_argument("--edge", required=True, help="a,b endpoints")
     p.add_argument("--with", required=True, help="replacement tree document")
     p.add_argument("--alpha", required=True, help="marked vertex matched to a")
@@ -527,9 +531,6 @@ _COMMANDS = {
         "--depth >= 0.",
         _path_arguments, _cmd_lab_path),
 }
-
-# The top-level options, each taking one value.
-_GLOBAL_OPTIONS = ("--tol", "--eps", "--out", "--format")
 
 
 def _branch(argv: List[str]) -> Optional[Tuple[str, str]]:

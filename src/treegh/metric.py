@@ -110,8 +110,8 @@ class ValidationReport:
 
 
 def _check_tol(tol: float):
-    # Every check reads `violation > tol`, which nothing passes for a
-    # negative tol and nothing fails for a NaN or infinite one.
+    # The checks compare a violation with tol: a negative tol fails every
+    # input, an infinite one passes every input, and NaN compares false.
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and nonnegative, got %r" % (tol,))
 

@@ -453,14 +453,14 @@ def test_lab_refuses_a_basepoint_the_comb_replacement_removes(capsys, tmp_path, 
     (["tree", "star", "--a", "0.5", "--k", "nan"], "scale must be nonnegative and finite, got nan"),
     (["tree", "comb", "--s", "1e-30", "--depth", "40"], "would have 4398046511106 vertices"),
     (["tree", "star", "--a", "0.5", "--k", "1", "--eps", "1e-12"], "would have 1500000000001 vertices"),
-    (["tree", "star", "--a", "0.25,0.0625", "--k", "1", "--eps", "inf"],
-     "eps must be positive and finite, got inf"),
     (["--eps", "1e-17", "lab", "embed", "--config", "{cfg}", "--u", "g1_1", "--k", "1"],
      "eps=1e-17 is too fine for star branch 0"),
     (["--eps", "1e-17", "lab", "scan-injectivity", "--config", "{cfg}"],
      "eps=1e-17 is too fine for star branch 0"),
     (["--eps", "5e-324", "lab", "scan-injectivity", "--config", "{cfg}"],
      "eps=5e-324 is too fine for star branch 0"),
+    (["tree", "star", "--a", "0.25,0.0625", "--k", "1", "--eps", "inf"],
+     "eps must be positive and finite, got inf"),
 ])
 def test_parameters_that_crashed_or_hung_exit_2(capsys, config_path, argv, message):
     # before: an OverflowError traceback, a NaN scale in the document, runs
