@@ -677,7 +677,7 @@ def test_cli_outputs_match_golden_bytes(capsys, tmp_path, config_path):
         inputs[name.split(".")[0]] = _write(tmp_path / name, out)
 
 
-# -- satellite refusals -------------------------------------------------------
+# -- refused inputs -----------------------------------------------------------
 
 
 def test_tree_output_refuses_non_finite_figures(capsys, monkeypatch):
