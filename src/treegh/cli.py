@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .metric import DEFAULT_TOL, MetricValidationError, _check_tol, validate_metric
+from .metric import DEFAULT_TOL, MetricValidationError, _check_tol, _entry_violation, _validated
 from .tree import (
     ReplacementEntry,
     ReplacementError,
@@ -36,6 +36,7 @@ from .gh import (
 )
 from .io import (
     TreeDocumentError,
+    _load_space,
     format_sig,
     load_space,
     load_tree,
@@ -216,13 +217,15 @@ def _tol(args) -> float:
 
 def _cmd_gh_exact(args) -> Tuple[str, int]:
     cap = _cap(args)
-    x = load_space(args.a, _tol(args))
-    y = load_space(args.b, _tol(args))
+    x, x_entries = _load_space(args.a, _tol(args))
+    y, y_entries = _load_space(args.b, _tol(args))
     if max(x.n, y.n) <= cap:
         # the search trusts the triangle inequality; within the cap its
-        # O(n^3) check is cheap
-        for path, space in ((args.a, x), (args.b, y)):
-            report = validate_metric(space, _tol(args))
+        # O(n^3) check is cheap.  A CSV matrix's entrywise checks were made
+        # as it was read, and are not made again.
+        for path, space, entries in ((args.a, x, x_entries), (args.b, y, y_entries)):
+            entries = entries or _entry_violation(space.dist)
+            report = _validated(space.dist, _tol(args), entries)
             if not report.ok:
                 raise MetricValidationError(
                     "%s is not a metric space: %s violated by %.6g at points %s"

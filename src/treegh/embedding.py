@@ -26,6 +26,7 @@ arrays and interpolates the eps-sample's inserted vertices per edge.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -1189,16 +1190,18 @@ def continuity_scan(
     once, in one pass over the tree's edges from the cell's coordinates,
     and reused by all of the cell's pairs.
 
-    No sample's distance matrix is filled.  Every pair is planned first,
-    in order: its correspondence and the rows its distortion may read
-    (:func:`treegh.gh._plan`, from depths alone).  At its last pair there a
+    No sample's distance matrix is filled.  The pairs are planned in
+    order: each pair's correspondence and the rows its distortion may read
+    (:func:`treegh.gh._plan`, from depths alone).  At its last pair a
     cell's sample is walked once for the union of the rows its pairs
     planned (:meth:`~treegh.tree.MetricTree._rows`, the fill's own
     floats), and the sample, its index and the cell go.  A cell whose
     planned rows would take more than the fill's 2 GiB is refused at the
-    pair that makes them so, before any row is walked.  Then each pair
-    reads its cells' rows, which go after its last pair.  ``hi`` is bit
-    for bit what the full distortion product gives.
+    pair that makes them so, before its rows are walked.  A pair reads
+    its cells' rows as soon as both are walked, and a cell's rows go when
+    its last pair has read them, so rows are held only by walked cells
+    with a pair still to read.  ``hi`` is bit for bit what the full
+    distortion product gives.
 
     Args:
         cfg: embedding configuration.
@@ -1236,10 +1239,15 @@ def continuity_scan(
         cells.append((cell, cell.wedge()))
     del stages  # each part is then freed with the last cell that holds it
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
+    unread = Counter(i for pair in adjacency for i in set(pair))  # pairs left per cell
+    ready: Dict[int, List[int]] = {}  # the pairs whose cells are walked at each pair
+    for pos, (ia, ib) in enumerate(adjacency):
+        ready.setdefault(max(last_use[ia], last_use[ib]), []).append(pos)
     samples: Dict[int, _CandidateIndex] = {}
     need: Dict[int, np.ndarray] = {}  # the sorted vertices whose rows a cell reads
     walked: Dict[int, _Rows] = {}
-    planned: List[Tuple[_Plan, float]] = []
+    planned: Dict[int, Tuple[_Plan, float]] = {}
+    rows: List[Optional[ContinuityRow]] = [None] * len(adjacency)
     for pos, (ia, ib) in enumerate(adjacency):
         for i in (ia, ib):
             if i not in samples:
@@ -1251,28 +1259,27 @@ def continuity_scan(
         del sa, sb  # so each sample goes with its walk
         for i, vertices in ((ia, plan.x_rows), (ib, plan.y_rows)):
             need[i] = np.union1d(need[i], vertices) if i in need else vertices
-            samples[i].tree._refuse_rows(len(need[i]))  # before any row is walked
-        planned.append((plan, _analytic_bound(cells[ia][0], cells[ib][0])))
+            samples[i].tree._refuse_rows(len(need[i]))  # before its rows are walked
+        planned[pos] = plan, _analytic_bound(cells[ia][0], cells[ib][0])
+        del plan
         for i in (ia, ib):
             if last_use[i] == pos and i in samples:
                 walked[i] = _walked(samples.pop(i).tree, need.pop(i))
                 cells[i] = None
-
-    rows: List[ContinuityRow] = []
-    for pos, ((ia, ib), (plan, bound)) in enumerate(zip(adjacency, planned)):
-        la, ka = grid[ia]
-        lb = grid[ib][0]
-        hi = 0.5 * _planned_maximum(plan, walked[ia], walked[ib]) + cfg.eps
-        for i in (ia, ib):
-            if last_use[i] == pos:
-                walked.pop(i, None)
-        margin = bound + 2.0 * cfg.eps + cfg.tol - hi
-        rows.append(
-            ContinuityRow(
+        for p in ready.pop(pos, ()):
+            (a, b), (plan, bound) = adjacency[p], planned.pop(p)
+            hi = 0.5 * _planned_maximum(plan, walked[a], walked[b]) + cfg.eps
+            del plan
+            for i in {a, b}:
+                unread[i] -= 1
+                if not unread[i]:
+                    del walked[i]
+            (la, ka), lb = grid[a], grid[b][0]
+            margin = bound + 2.0 * cfg.eps + cfg.tol - hi
+            rows[p] = ContinuityRow(
                 label_a=la, label_b=lb, u=cfg.coords[la], k=ka,
                 hi=hi, bound=bound, margin=margin, ok=margin >= 0.0,
             )
-        )
     if strict:
         bad = [r for r in rows if not r.ok]
         if bad:

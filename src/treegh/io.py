@@ -18,7 +18,7 @@ from __future__ import annotations
 import io as _io
 import json
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -206,12 +206,20 @@ def load_space(path, tol: float = 1e-9) -> FiniteMetricSpace:
     :func:`~treegh.metric.validate_metric`.  A NaN, infinite or negative
     ``tol`` raises ValueError.
     """
+    return _load_space(path, tol)[0]
+
+
+def _load_space(
+    path, tol: float
+) -> Tuple[FiniteMetricSpace, Optional[Tuple[float, Tuple[int, ...], str]]]:
+    """:func:`load_space`, with the result of the entrywise checks it made
+    on a CSV matrix (None for a tree document, which it does not check)."""
     _check_tol(tol)
     if not str(path).endswith(".csv"):
-        return load_tree(path).as_space()
+        return load_tree(path).as_space(), None
     with open(path, "r", encoding="utf-8") as fh:
         space = space_from_csv(fh.read())
-    worst, witness, category = _entry_violation(space.dist)
+    entries = worst, witness, category = _entry_violation(space.dist)
     if category == "finite" or worst > tol:
         i, j = witness
         what = {
@@ -223,4 +231,4 @@ def load_space(path, tol: float = 1e-9) -> FiniteMetricSpace:
         raise MetricValidationError("%s: entry (%s, %s) = %r %s" % (
             path, space.labels[i], space.labels[j], float(space.dist[i, j]),
             what if category == "finite" else what % tol))
-    return space
+    return space, entries

@@ -126,7 +126,8 @@ def _entry_violation(d: np.ndarray) -> Tuple[float, Tuple[int, ...], str]:
 
     These are the O(n^2) checks of :func:`validate_metric`, which adds
     positivity and the triangle inequality; a command reading a matrix
-    from a file runs them alone.
+    from a file runs them alone, and hands them on to :func:`_validated`
+    when it checks the rest.
     """
     if not d.size:
         return 0.0, (), "ok"
@@ -165,12 +166,20 @@ def validate_metric(space: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Valid
         ValueError: if ``tol`` is NaN, infinite or negative.
     """
     _check_tol(tol)
-    d = space.dist
-    n = space.n
+    return _validated(space.dist, tol, _entry_violation(space.dist))
+
+
+def _validated(
+    d: np.ndarray, tol: float, entries: Tuple[float, Tuple[int, ...], str]
+) -> ValidationReport:
+    """:func:`validate_metric` of the matrix ``d``, given its
+    :func:`_entry_violation` ``entries``, for a caller that has made those
+    checks already: the report is the same, and they are not made again."""
+    n = d.shape[0]
     if n == 0:
         return ValidationReport(True, 0.0, (), "ok")
 
-    worst, witness, category = _entry_violation(d)
+    worst, witness, category = entries
     if category == "finite":
         return ValidationReport(False, worst, witness, category)
 

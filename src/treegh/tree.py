@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,9 +78,9 @@ class _Preorder(NamedTuple):
 
     order: List[int]  # vertex at each position
     pos: np.ndarray  # position of each vertex
-    parent: List[int]  # position of each position's parent, -1 at the root
+    parent: np.ndarray  # position of each position's parent, -1 at the root
     weight: List[float]  # length of the edge to the parent, 0.0 at the root
-    end: List[int]  # one past the last position of each subtree
+    end: np.ndarray  # one past the last position of each subtree
     depth: np.ndarray  # distance from vertex 0 by position, as the fill sums it
 
 
@@ -164,20 +165,29 @@ class MetricTree:
     ) -> "MetricTree":
         """A tree from parts already known to form one, such as a valid tree
         with vertices inserted on its edges or the connected subset of a
-        ball: string ids and Python float lengths.  The index and the
-        adjacency lists are linked in edge order, as the constructor links
-        them; nothing is checked and no walk is made."""
+        ball: string ids and Python float lengths.  The index is linked
+        here and the adjacency lists on first read (:attr:`_adj`); nothing
+        is checked and no walk is made."""
         t = cls.__new__(cls)
         t.vertices, t.edges = tuple(vertices), tuple(edges)
         t.labels, t.metadata = labels, metadata
-        t._index = index = {v: i for i, v in enumerate(t.vertices)}
-        t._adj = adj = [[] for _ in t.vertices]
-        for a, b, w in t.edges:
+        t._index = {v: i for i, v in enumerate(t.vertices)}
+        t._dist = t._cols = t._total_length = t._pre = t._minima = None
+        return t
+
+    @cached_property
+    def _adj(self) -> List[List[Tuple[int, float]]]:
+        """Each vertex's ``(neighbour, length)`` list, linked in edge order
+        as the constructor links it.  The constructor sets it while it
+        checks the edges; a tree from :meth:`_unchecked` links it on first
+        read, so a sample whose preorder is spliced from its host's
+        (:func:`subdivide`) and that nothing else walks never has one."""
+        index, adj = self._index, [[] for _ in self.vertices]
+        for a, b, w in self.edges:
             ia, ib = index[a], index[b]
             adj[ia].append((ib, w))
             adj[ib].append((ia, w))
-        t._dist = t._cols = t._total_length = t._pre = t._minima = None
-        return t
+        return adj
 
     # -- construction helpers -------------------------------------------------
 
@@ -255,8 +265,8 @@ class MetricTree:
             for i in range(1, n):
                 depth[i] = depth[parent[i]] + weight[i]
             self._pre = _Preorder(
-                order, np.array(pos, dtype=np.intp), parent, weight,
-                [i + k for i, k in enumerate(size)], np.array(depth),
+                order, np.array(pos, dtype=np.intp), np.array(parent, dtype=np.intp),
+                weight, np.arange(n) + size, np.array(depth),
             )
         return self._pre
 
@@ -285,12 +295,12 @@ class MetricTree:
         buf = np.empty(n * n + n)
         d = buf[: n * n].reshape(n, n)
         cols = buf[n * n :].view(np.int64)
-        order, parent, weight, end = pre.order, pre.parent, pre.weight, pre.end
+        order, weight = pre.order, pre.weight
         d[0] = pre.depth
-        for i in range(1, n):
-            prow, row, w = d[order[parent[i]]], d[order[i]], weight[i]
+        for i, (p, e) in enumerate(np.column_stack((pre.parent, pre.end))[1:].tolist(), 1):
+            prow, row, w = d[order[p]], d[order[i]], weight[i]
             np.add(prow, w, out=row)
-            np.subtract(prow[i:end[i]], w, out=row[i:end[i]])
+            np.subtract(prow[i:e], w, out=row[i:e])
         cols[:] = pre.pos
         d[np.arange(n), cols] = 0.0
         return d, cols
@@ -320,8 +330,7 @@ class MetricTree:
         out = np.empty((len(keep), n))
         slot = np.full(n, -1, dtype=np.intp)
         slot[keep] = np.arange(len(keep))
-        up = np.array(pre.parent, dtype=np.intp)
-        end = np.array(pre.end, dtype=np.intp)
+        up, end = pre.parent, pre.end
         asked = np.zeros(n + 1, dtype=np.intp)
         asked[keep + 1] = 1
         asked = np.cumsum(asked)  # asked-for positions before each position
@@ -402,7 +411,7 @@ class MetricTree:
             pre, n, B = self._preorder(), self.n, _DEPTH_BLOCK
             nb = -(-n // B)
             up = np.full(nb * B, np.inf)
-            up[1:n] = pre.depth[np.array(pre.parent[1:], dtype=np.intp)]
+            up[1:n] = pre.depth[pre.parent[1:]]
             blocks = up.reshape(nb, B)
             head = np.minimum.accumulate(blocks, axis=1)  # blocks[k, :t + 1]
             tail = np.full_like(blocks, np.inf)  # blocks[k, t + 1:]
@@ -1244,7 +1253,8 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     follow the original vertices.  If no edge exceeds eps the input tree is
     returned unchanged.  The sample is built in one pass over the edges and,
     being the input tree with vertices on its edges, is not proved a tree
-    again.
+    again; its preorder is spliced from the input tree's
+    (:func:`_spliced_preorder`), so building it walks no sample vertex.
 
     Raises:
         ValueError: eps is not positive, or the sample would insert more
@@ -1267,8 +1277,62 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
         return tree
     cuts = pieces.astype(np.intp) - 1
     offsets = _offsets(lengths, cuts).tolist()
-    return _split_edges(
+    sample = _split_edges(
         tree, cuts.tolist(), offsets, ["sub:%d" % c for c in range(len(offsets))],
         "subdivide", "subdividing edge ({a}, {b}) of length {w!r} at eps=%r" % (eps,),
         eps=eps,
     )
+    sample._pre = _spliced_preorder(tree, cuts, sample)
+    return sample
+
+
+def _spliced_preorder(tree: MetricTree, cuts: np.ndarray, sample: MetricTree) -> _Preorder:
+    """The preorder of ``sample``, ``tree`` with ``cuts[e]`` vertices
+    inserted on each edge e by :func:`_split_edges`, from the preorder of
+    ``tree``: field for field what walking the sample gives.
+
+    The sample's adjacency lists are the tree's, with each neighbour
+    replaced by the first inserted vertex on that edge, and an inserted
+    vertex's only neighbour besides the one it was reached from is the
+    next vertex along its edge.  So the walk reaches the same children in
+    the same order, and each edge's inserted run comes just before the
+    child end of that edge, in walk order: forward along the edge when its
+    first end is the parent, else backward.  Each position's length is the
+    sample's piece in that direction, and the depths are summed again as
+    ``parent depth + piece``, in preorder, as the walk's preorder sums them.
+    """
+    pre, n, index = tree._preorder(), tree.n, tree._index
+    ends = pre.pos[np.array([(index[a], index[b]) for a, b, _ in tree.edges], dtype=np.intp)]
+    child = ends.max(axis=1)  # a parent comes before its children
+    edge = np.zeros(n, dtype=np.intp)
+    edge[child] = np.arange(len(child))
+    forward = np.zeros(n, dtype=bool)
+    forward[child] = ends[:, 0] < ends[:, 1]
+    run = np.zeros(n, dtype=np.intp)  # inserted vertices before each position
+    run[child] = cuts
+    size = run + 1
+    start = np.cumsum(size) - size  # where each position's run starts in the sample
+    m = int(size.sum())
+    host = np.repeat(np.arange(n), size)  # the tree position of each sample position
+    k = np.arange(m) - start[host]  # the offset within the run
+    c, e, fwd = run[host], edge[host], forward[host]
+    j = np.where(fwd, k, c - k)  # the piece, counted from the edge's first end
+    taken = np.cumsum(cuts) - cuts  # inserted vertices on the edges before each
+    order = np.where(
+        k < c, n + taken[e] + j - ~fwd, np.asarray(pre.order, dtype=np.intp)[host]
+    )
+    lengths = np.array([w for _, _, w in sample.edges])
+    weight = lengths[e + taken[e] + j]
+    weight[0] = 0.0
+    parent = np.arange(m) - 1
+    heads = start + run  # where each tree position sits in the sample
+    parent[k == 0] = heads[pre.parent[host[k == 0]]]
+    parent[0] = -1
+    end = np.r_[start, m][pre.end[host]]
+    pos = np.empty(m, dtype=np.intp)
+    pos[order] = np.arange(m)
+    weights = weight.tolist()
+    depth = [0.0] * m
+    for i, p in enumerate(parent[1:].tolist(), 1):
+        depth[i] = depth[p] + weights[i]
+    return _Preorder(order.tolist(), pos, parent, weights, end, np.array(depth))

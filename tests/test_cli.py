@@ -324,6 +324,56 @@ def test_gh_exact_refuses_a_triangle_violation_within_its_cap(capsys, tmp_path):
     assert (code, out) == (2, "") and "exact search capped at 2 points" in err
 
 
+NOT_A_METRIC_TRIANGLE = "{triangle} is not a metric space: triangle violated by 3 at points a, c, b"
+
+
+@pytest.mark.parametrize("argv, calls, code, out, err", [
+    (["good", "three"], 2, 0, "1.5\n", ""),
+    (["triangle", "good"], 2, 2, "", NOT_A_METRIC_TRIANGLE),
+    (["good", "triangle"], 2, 2, "", NOT_A_METRIC_TRIANGLE),
+    (["zero", "good"], 2, 2, "", "{zero} is not a metric space: positivity violated by 2e-09 at points a, b"),
+    (["near", "good"], 2, 2, "", "{near} is not a metric space: triangle violated by 3 at points c, a, b"),
+    (["--tol", "0.5", "diag", "good"], 2, 0, "0.125\n", ""),
+    (["diag", "good"], 1, 2, "", "{diag}: entry (a, a) = 0.25 is on the diagonal but not within tol=1e-09 of zero"),
+    (["asym", "good"], 1, 2, "", "{asym}: entry (a, b) = 1.0 differs from its transpose by more than tol=1e-09"),
+    (["tree", "three"], 2, 0, "1.25\n", ""),
+    (["tree", "triangle"], 2, 2, "", NOT_A_METRIC_TRIANGLE),
+    (["triangle", "good", "--cap", "2"], 2, 2, "", "exact search capped at 2 points, got 3 and 2"),
+])
+def test_gh_exact_checks_each_space_entrywise_once(capsys, tmp_path, monkeypatch, argv, calls, code, out, err):
+    # load_space checks a CSV matrix's entries; the axiom check within the
+    # cap reuses them, where it ran them again before, with the same reports
+    files = {
+        "good": TWO_POINT,
+        "three": ",p,q,r\np,0,2,3\nq,2,0,4\nr,3,4,0\n",
+        "triangle": ",a,b,c\na,0,1,5\nb,1,0,1\nc,5,1,0\n",
+        "zero": ",a,b\na,0,0\nb,0,0\n",
+        "near": ",a,b,c\na,0,1,5\nb,1,0,1\nc,5.0000000000001,1,0\n",
+        "diag": ",a,b\na,0.25,1\nb,1,0\n",
+        "asym": ",a,b\na,0,1\nb,1.5,0\n",
+    }
+    paths = {name: _write(tmp_path / (name + ".csv"), text) for name, text in files.items()}
+    paths["tree"] = str(tmp_path / "tree.json")
+    save_tree(tree_from_edges([("u", "v", 1.0), ("v", "w", 0.5)]), paths["tree"])
+    seen = []
+    entry_violation = treegh.metric._entry_violation
+
+    def counted(d):
+        seen.append(d.shape)
+        return entry_violation(d)
+
+    for module in (treegh.metric, treegh.io, treegh.cli):
+        monkeypatch.setattr(module, "_entry_violation", counted, raising=False)
+    args = [paths.get(a, a) for a in argv]
+    if args[0] == "--tol":
+        args = args[:2] + ["gh", "exact"] + args[2:]
+    else:
+        args = ["gh", "exact"] + args
+    want = "error: %s\n" % err.format(**paths) if err else ""
+    assert _run(capsys, args) == (code, out, want)
+    assert len(seen) == calls
+
+
 def test_reports_never_print_nan_or_infinity(monkeypatch):
     assert treegh.cli._dump({"hi": 1.5}) == '{\n  "hi": 1.5\n}\n'
     for bad in (math.nan, math.inf, -math.inf):

@@ -1183,7 +1183,7 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     plan, walked, maximum = (
         treegh.embedding._plan, treegh.embedding._walked, treegh.embedding._planned_maximum
     )
-    planned, read, walks = [], [], []
+    planned, plans, read, pairs_read, walks = [], [], [], [], []
 
     def built(cell):
         tree = wedge(cell)
@@ -1202,7 +1202,8 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
         assert alive == {cell for cell, *_ in samples if last_use[cell] >= len(planned)}
         assert alive == {cell for cell, _, tree in samples if tree() is not None}
         planned.append(alive)
-        return plan(x, y, corr)
+        plans.append(plan(x, y, corr))
+        return plans[-1]
 
     def walking(tree, vertices):
         cell = next(cell for cell, _, ref in samples if ref() is tree)
@@ -1210,13 +1211,24 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
         walks.append((cell, weakref.ref(rows[0])))
         return rows
 
-    def reading(*args):
-        gc.collect()  # every sample tree is gone, each cell's rows after its last pair
-        assert all(tree() is None for *_, tree in samples)
+    def reading(pair_plan, *args):
+        gc.collect()  # a cell's sample goes with its walk, its rows after its last read
+        p = next(p for p, q in enumerate(plans) if q is pair_plan)
+        cells = set(adjacency[p])
+        done = {cell for cell, _ in walks}
+        # read at the pair whose walks complete it, not later
+        assert cells <= done and len(plans) == 1 + max(last_use[i] for i in cells)
+        assert {cell for cell, _, tree in samples if tree() is not None} == {
+            cell for cell, *_ in samples if cell not in done
+        }
         rows = {cell for cell, ref in walks if ref() is not None}
-        assert rows == {cell for cell, _ in walks if last_use[cell] >= len(read)}
+        assert rows == {
+            cell for cell in done
+            if any(cell in pair for q, pair in enumerate(adjacency) if q not in pairs_read)
+        }
+        pairs_read.append(p)
         read.append(rows)
-        return maximum(*args)
+        return maximum(pair_plan, *args)
 
     monkeypatch.setattr(treegh.embedding._Cell, "wedge", built)
     monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
@@ -1229,8 +1241,31 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     assert [cell for cell, *_ in samples] == [0, 1, 2, 3]  # each cell sampled once
     assert [cell for cell, _ in walks] == [1, 0, 2, 3]  # and walked once, at its last pair
     assert planned == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
-    assert read == [{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 2, 3}, {2, 3}, {3}]
+    assert pairs_read == [0, 1, 2, 3, 4]
+    assert read == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
     assert freed == continuity_scan(small_config, grid, adjacency)
+
+
+def test_continuity_samples_link_no_adjacency_lists(small_config, monkeypatch):
+    # each sample's preorder is spliced from its cell's tree, and nothing
+    # else the scan does with a sample walks it
+    samples = []
+
+    def kept(tree, eps):
+        samples.append(sample(tree, eps))
+        return samples[-1]
+
+    sample = treegh.embedding.subdivide
+    cells = [(lab, 1) for lab in small_config.h_space.labels if lab not in small_config.marked]
+    adjacency = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)]
+    for eps in (2.0 ** -4, 2.0 ** -6):
+        monkeypatch.setattr(treegh.embedding, "subdivide", kept)
+        got = continuity_scan(dataclasses.replace(small_config, eps=eps), cells, adjacency)
+        monkeypatch.undo()
+        assert len(samples) == 4 and all(s.n > 30 for s in samples)
+        assert not [s for s in samples if "_adj" in vars(s)]
+        assert got == continuity_scan(dataclasses.replace(small_config, eps=eps), cells, adjacency)
+        samples.clear()
 
 
 def test_continuity_scan_and_replacement_path_fill_no_matrix(small_config, monkeypatch):

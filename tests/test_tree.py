@@ -988,6 +988,60 @@ def test_subdivide_equals_the_insert_points_reference():
             fn(tree_from_edges([("a", "b", 1.7e308), ("b", "c", 1.0)]), 1.7e308 / 3)
 
 
+def _walked_preorder(t):
+    """The preorder of a walk of ``t``: a copy through the checked constructor."""
+    return MetricTree(t.vertices, t.edges)._preorder()
+
+
+def _hexed(pre):
+    return (
+        pre.order, pre.pos.tolist(), pre.parent.tolist(), [w.hex() for w in pre.weight],
+        pre.end.tolist(), [d.hex() for d in pre.depth.tolist()],
+    )
+
+
+def _splice_hosts(small_config):
+    """Hosts and eps: seeded random trees with shuffled vertices and edges,
+    each edge listed either way round; the continuity-scan benchmark's
+    seed-1 cells at eps 2**-4, 2**-6 and 2**-7; a star, a comb and a path;
+    and a tree with one edge cut of three."""
+    rng = np.random.default_rng(2626)
+    for _ in range(80):
+        t = random_tree(rng, 2, 30, scale=float(rng.choice([0.3, 1.0, 3.0])))
+        edges = [(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in t.edges]
+        vertices = [t.vertices[i] for i in rng.permutation(t.n)]
+        longest = max(w for *_, w in edges)  # cut, while shorter edges may not be
+        yield MetricTree(vertices, [edges[i] for i in rng.permutation(len(edges))]), float(
+            longest * rng.uniform(0.1, 0.9)
+        )
+    for e in (4, 6, 7):
+        cfg = dataclasses.replace(small_config, trees=BENCH_SEED1_TREES, m=3, eps=2.0 ** -e)
+        for lab in cfg.h_space.labels:
+            if lab not in cfg.marked:
+                yield build_F(cfg, lab, 1), cfg.eps
+    yield tree_from_edges([("c", "l%d" % i, 0.1 + 0.02 * i) for i in range(20)]), 0.07
+    yield comb_tree(CombParams(s=0.5, scale=1.0)), 2.0 ** -6
+    yield tree_from_edges([("q%d" % i, "q%d" % (i + 1), 0.3) for i in range(200)]), 0.1
+    yield tree_from_edges([("a", "b", 0.2), ("b", "c", 0.9), ("b", "d", 0.3)]), 0.5
+
+
+def test_subdivide_splices_the_walked_preorder(small_config):
+    # the sample's preorder comes from its host's, field for field the walk's
+    spliced = 0
+    for host, eps in _splice_hosts(small_config):
+        sample = subdivide(host, eps)
+        assert sample is not host
+        assert "_adj" not in vars(sample)  # no adjacency lists were linked
+        assert _hexed(sample._preorder()) == _hexed(_walked_preorder(sample))
+        spliced += 1
+    assert spliced == 80 + 3 * 7 + 4
+    # with no edge cut the splice is the host's own walk
+    t = MetricTree(("b", "a", "c"), [("a", "b", 0.5), ("c", "b", 0.25)])
+    got = tree_module._spliced_preorder(t, np.zeros(2, dtype=np.intp), t)
+    assert _hexed(got) == _hexed(_walked_preorder(t))
+    assert subdivide(t, 0.5) is t
+
+
 def checked(fn, *args):
     """fn(*args) with vertices put on edges by the reference _insert_points
     and every trusted tree built through MetricTree(...) instead."""
