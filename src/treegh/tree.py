@@ -11,7 +11,8 @@ boundaries and ball cuts put vertices on the edges of a valid tree through
 one builder that checks only the new ids and pieces, a closed ball keeps a
 connected set of vertices, and edge replacement glues trees across plain
 paths that its entry checks have vetted.  The same walk, as a preorder with
-parents, edge lengths and depths (cached), fills the full matrix of path
+parents, edge lengths and depths (cached; a subdivision splices its own
+from its host's instead of walking), fills the full matrix of path
 distances when it is first needed (then cached; its columns stay in
 preorder until ``dist`` is read; refused above 2**14 vertices), walks the
 same rows for a chosen set of sources without the matrix, bit for bit, and
@@ -258,15 +259,9 @@ class MetricTree:
             size = [1] * n
             for i in range(n - 1, 0, -1):
                 size[parent[i]] += size[i]
-            # Distances from vertex 0 summed along the walk: the fill's first
-            # row, so every other row the fill or the walk makes is one
-            # update of it.
-            depth = [0.0] * n
-            for i in range(1, n):
-                depth[i] = depth[parent[i]] + weight[i]
             self._pre = _Preorder(
                 order, np.array(pos, dtype=np.intp), np.array(parent, dtype=np.intp),
-                weight, np.arange(n) + size, np.array(depth),
+                weight, np.arange(n) + size, _depths(parent, weight),
             )
         return self._pre
 
@@ -1299,7 +1294,8 @@ def _spliced_preorder(tree: MetricTree, cuts: np.ndarray, sample: MetricTree) ->
     child end of that edge, in walk order: forward along the edge when its
     first end is the parent, else backward.  Each position's length is the
     sample's piece in that direction, and the depths are summed again as
-    ``parent depth + piece``, in preorder, as the walk's preorder sums them.
+    ``parent depth + piece``, in preorder (:func:`_depths`), as the walk's
+    preorder sums them.
     """
     pre, n, index = tree._preorder(), tree.n, tree._index
     ends = pre.pos[np.array([(index[a], index[b]) for a, b, _ in tree.edges], dtype=np.intp)]
@@ -1332,7 +1328,14 @@ def _spliced_preorder(tree: MetricTree, cuts: np.ndarray, sample: MetricTree) ->
     pos = np.empty(m, dtype=np.intp)
     pos[order] = np.arange(m)
     weights = weight.tolist()
-    depth = [0.0] * m
-    for i, p in enumerate(parent[1:].tolist(), 1):
-        depth[i] = depth[p] + weights[i]
-    return _Preorder(order.tolist(), pos, parent, weights, end, np.array(depth))
+    return _Preorder(order.tolist(), pos, parent, weights, end, _depths(parent.tolist(), weights))
+
+
+def _depths(parent: List[int], weight: List[float]) -> np.ndarray:
+    """Distances from vertex 0 by preorder position, each summed as its
+    parent's plus its edge length: the fill's first row, so every other
+    row the fill or the row walk makes is one update of it."""
+    depth = [0.0] * len(parent)
+    for i in range(1, len(parent)):
+        depth[i] = depth[parent[i]] + weight[i]
+    return np.array(depth)
