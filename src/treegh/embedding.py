@@ -26,9 +26,8 @@ arrays and interpolates the eps-sample's inserted vertices per edge.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,15 +59,7 @@ from .families import (
     rho_embed,
     tau,
 )
-from .gh import (
-    Correspondence,
-    _Plan,
-    _Rows,
-    _plan,
-    _planned_maximum,
-    _walked,
-    gh_upper_bound,
-)
+from .gh import Correspondence, _plan, _planned_maximum, gh_upper_bound
 from .io import tree_from_document, tree_to_document
 
 __all__ = [
@@ -1002,6 +993,7 @@ class _CandidateIndex:
         for br, (ss, idx) in self.star.items():
             order = np.argsort(ss, kind="stable")
             self.sorted_star[br] = ss[order], idx[order]
+        self.sorted_seg = {key: _sorted_segment(*cols) for key, cols in self.seg.items()}
         self.heights = {
             i: _tooth_heights(g.combed.s, g.combed.depth_cap) for i, g in enumerate(parts)
         }
@@ -1049,6 +1041,105 @@ def _nearest_on_branch(ss: np.ndarray, idx: np.ndarray, sv: np.ndarray) -> np.nd
     return win
 
 
+class _SortedSegment(NamedTuple):
+    """A segment's vertices sorted by ``(x, h)``, for
+    :func:`_nearest_on_segment`: their coordinates, their positions in the
+    segment's vertex order, the same as complex keys ``x + ih`` (numpy
+    orders complex numbers by real part, then imaginary), and the running
+    minima of ``x + h`` from the last vertex back and of ``h - x`` from the
+    first forward."""
+
+    xs: np.ndarray
+    hs: np.ndarray
+    at: np.ndarray
+    keys: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    idx: np.ndarray  # tree index by position in vertex order
+    size: float  # the largest coordinate magnitude
+
+
+def _sorted_segment(xs: np.ndarray, hs: np.ndarray, idx: np.ndarray) -> _SortedSegment:
+    at = np.lexsort((hs, xs))
+    sx, sh = xs[at], hs[at]
+    keys = np.empty(len(at), dtype=complex)
+    keys.real, keys.imag = sx, sh
+    right = np.minimum.accumulate((sx + sh)[::-1])[::-1]
+    left = np.minimum.accumulate(sh - sx)
+    size = float(np.abs(sx).max() + np.abs(sh).max())
+    return _SortedSegment(sx, sh, at, keys, right, left, idx, size)
+
+
+def _nearest_on_segment(
+    seg: _SortedSegment, x: np.ndarray, th: np.ndarray, scale: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cost and tree index of the nearest segment vertex to each query
+    ``(x, th)``: the least of ``scale * (|hs - th|)`` at ``xs == x``, else
+    ``scale * (th + |xs - x| + hs)``, and the first such vertex in the
+    segment's vertex order, as an argmin over every vertex gives, bit for
+    bit and ties included.
+
+    Sorted by ``(x, h)``, the vertices at the query's ``x`` are one run,
+    ordered by ``h``; those past it cost about ``th - x + (xs + hs)`` and
+    those before it ``th + x + (hs - xs)``, so the running minima of those
+    keys bound each side's cheapest vertex.  With ``mu`` far above every
+    rounding of these sums (``2**-44`` of the coordinates' size), the least
+    cost is at most ``U``, the least of the cheapest same-x cost and each
+    side's bound plus ``mu``.  Rounding is monotone, so every vertex whose
+    scaled cost ties the least has a cost within ``2**-48 U + mu`` of it:
+    one run of ``h`` at the query's ``x`` and, on each side, a run from
+    the query out to the last vertex whose running minimum is within that
+    reach.  Those candidates alone are costed with the formula above, a
+    block of ``_MATCH_BLOCK_CELLS`` at a time.
+    """
+    m, k = len(seg.xs), len(x)
+    mu = 2.0 ** -44 * 4.0 * (1.0 + seg.size + float(np.abs(x).max()) + float(np.abs(th).max()))
+    l0 = np.searchsorted(seg.xs, x, "left")
+    r0 = np.searchsorted(seg.xs, x, "right")
+    query = np.empty(k, dtype=complex)
+    query.real, query.imag = x, th
+    i = np.searchsorted(seg.keys, query)
+    same = np.full(k, math.inf)
+    for j in (i - 1, i):
+        on = (j >= l0) & (j < r0)
+        same[on] = np.minimum(same[on], np.abs(seg.hs[j[on]] - th[on]))
+    up = np.full(k, math.inf)
+    up[r0 < m] = (th - x)[r0 < m] + seg.right[r0[r0 < m]]
+    down = np.full(k, math.inf)
+    down[l0 > 0] = (th + x)[l0 > 0] + seg.left[l0[l0 > 0] - 1]
+    reach = np.minimum(same, np.minimum(up, down) + mu)
+    reach += 2.0 ** -48 * reach + mu + 2.0 ** -1074 / scale
+    query.imag = th - reach - mu
+    s0 = np.maximum(np.searchsorted(seg.keys, query, "left"), l0)
+    query.imag = th + reach + mu
+    s1 = np.minimum(np.searchsorted(seg.keys, query, "right"), r0)
+    r1 = np.maximum(np.searchsorted(seg.right, reach - (th - x) + 2.0 * mu, "right"), r0)
+    l1 = np.minimum(np.searchsorted(-seg.left, (th + x) - reach - 2.0 * mu, "left"), l0)
+    starts = np.column_stack([s0, r0, l1]).ravel()
+    sizes = np.maximum(np.column_stack([s1, r1, l0]).ravel() - starts, 0)
+    per_query = sizes.reshape(k, 3).sum(axis=1)
+    ends = np.cumsum(per_query)
+    cost = np.empty(k)
+    cand = np.empty(k, dtype=np.intp)
+    lo = 0
+    while lo < k:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _MATCH_BLOCK_CELLS, "right")))
+        n = sizes[3 * lo : 3 * hi]
+        owner = np.repeat(np.arange(hi - lo), per_query[lo:hi])
+        p = np.repeat(starts[3 * lo : 3 * hi] - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
+        xv, tv = x[lo:hi][owner], th[lo:hi][owner]
+        xs, hs = seg.xs[p], seg.hs[p]
+        c = scale * np.where(xs == xv, np.abs(hs - tv), tv + np.abs(xs - xv) + hs)
+        heads = np.cumsum(per_query[lo:hi]) - per_query[lo:hi]
+        least = np.minimum.reduceat(c, heads)
+        first = np.minimum.reduceat(np.where(c == least[owner], seg.at[p], m), heads)
+        cost[lo:hi] = least
+        cand[lo:hi] = seg.idx[first]
+        lo = hi
+    return cost, cand
+
+
 def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
     """Tree index in ``dst`` of the nearest partner of every ``src`` vertex.
 
@@ -1087,14 +1178,8 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
             continue
         scale = dst.parts[part].combed.seg_scale[l]
         heights = dst.heights[part]
-        target_h = np.minimum(h, [heights.get(xv, 0.0) for xv in x.tolist()])[:, None]
-        xs, hs, idx = dst.seg[(part, l)]
-        step = max(1, _MATCH_BLOCK_CELLS // max(1, len(xs)))
-        for lo in range(0, len(x), step):
-            xb, tb = x[lo : lo + step, None], target_h[lo : lo + step]
-            c = scale * np.where(xs == xb, np.abs(hs - tb), tb + np.abs(xs - xb) + hs)
-            j = np.argmin(c, axis=1)
-            offer(rows[lo : lo + step], c[np.arange(len(j)), j], idx[j])
+        target_h = np.minimum(h, [heights.get(xv, 0.0) for xv in x.tolist()])
+        offer(rows, *_nearest_on_segment(dst.sorted_seg[(part, l)], x, target_h, scale))
     partner[partner < 0] = dst.fallback
     if src.wedge:
         partner[src.fallback] = dst.fallback
@@ -1239,47 +1324,29 @@ def continuity_scan(
         cells.append((cell, cell.wedge()))
     del stages  # each part is then freed with the last cell that holds it
     last_use = {i: pos for pos, pair in enumerate(adjacency) for i in pair}
-    unread = Counter(i for pair in adjacency for i in set(pair))  # pairs left per cell
-    ready: Dict[int, List[int]] = {}  # the pairs whose cells are walked at each pair
-    for pos, (ia, ib) in enumerate(adjacency):
-        ready.setdefault(max(last_use[ia], last_use[ib]), []).append(pos)
     samples: Dict[int, _CandidateIndex] = {}
-    need: Dict[int, np.ndarray] = {}  # the sorted vertices whose rows a cell reads
-    walked: Dict[int, _Rows] = {}
-    planned: Dict[int, Tuple[_Plan, float]] = {}
-    rows: List[Optional[ContinuityRow]] = [None] * len(adjacency)
+    rows: List[ContinuityRow] = []
     for pos, (ia, ib) in enumerate(adjacency):
         for i in (ia, ib):
             if i not in samples:
                 cell, tree = cells[i]
                 samples[i] = _CandidateIndex(tree, cell.coords(), cell.parts, True, cfg.eps)
                 del cell, tree
-        sa, sb = samples[ia], samples[ib]
-        plan = _plan(sa.tree, sb.tree, _composite_correspondence(sa, sb))
-        del sa, sb  # so each sample goes with its walk
-        for i, vertices in ((ia, plan.x_rows), (ib, plan.y_rows)):
-            need[i] = np.union1d(need[i], vertices) if i in need else vertices
-            samples[i].tree._refuse_rows(len(need[i]))  # before its rows are walked
-        planned[pos] = plan, _analytic_bound(cells[ia][0], cells[ib][0])
-        del plan
+        x, y = samples[ia].tree, samples[ib].tree
+        plan = _plan(x, y, _composite_correspondence(samples[ia], samples[ib]))
+        hi = 0.5 * _planned_maximum(plan, x, y) + cfg.eps
+        del plan, x, y
+        bound = _analytic_bound(cells[ia][0], cells[ib][0])
         for i in (ia, ib):
             if last_use[i] == pos and i in samples:
-                walked[i] = _walked(samples.pop(i).tree, need.pop(i))
+                del samples[i]
                 cells[i] = None
-        for p in ready.pop(pos, ()):
-            (a, b), (plan, bound) = adjacency[p], planned.pop(p)
-            hi = 0.5 * _planned_maximum(plan, walked[a], walked[b]) + cfg.eps
-            del plan
-            for i in {a, b}:
-                unread[i] -= 1
-                if not unread[i]:
-                    del walked[i]
-            (la, ka), lb = grid[a], grid[b][0]
-            margin = bound + 2.0 * cfg.eps + cfg.tol - hi
-            rows[p] = ContinuityRow(
-                label_a=la, label_b=lb, u=cfg.coords[la], k=ka,
-                hi=hi, bound=bound, margin=margin, ok=margin >= 0.0,
-            )
+        (la, ka), lb = grid[ia], grid[ib][0]
+        margin = bound + 2.0 * cfg.eps + cfg.tol - hi
+        rows.append(ContinuityRow(
+            label_a=la, label_b=lb, u=cfg.coords[la], k=ka,
+            hi=hi, bound=bound, margin=margin, ok=margin >= 0.0,
+        ))
     if strict:
         bad = [r for r in rows if not r.ok]
         if bad:

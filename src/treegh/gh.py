@@ -43,9 +43,13 @@ DEFAULT_CAP = 8
 # than 2**13 or 2**20; metric._BLOCK_CELLS (4M) would hold all of |C|^2 in
 # one block and gain nothing.
 _DISTORTION_BLOCK_CELLS = 1 << 16
-# Between trees, distortion bounds every row of the product from every
-# this-many-th row.
+# Between trees, distortion bounds every row of the product from one
+# representative row per this many rows, and from at most
+# _REPRESENTATIVES rows in all.
 _REPRESENTATIVE_STRIDE = 32
+_REPRESENTATIVES = 256
+# Representatives chosen at once after the first, evenly spaced, batch.
+_REPRESENTATIVE_BATCH = 8
 
 
 class GHCapError(ValueError):
@@ -139,8 +143,7 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
         cx = I if px is None else px[I]
         cy = J if py is None else py[J]
         return float(_row_maxima(dx, I, cx, dy, J, cy, np.arange(len(I))).max(initial=0.0))
-    plan = _plan(x, y, corr)
-    return _planned_maximum(plan, _tree_rows(x, plan.x_rows), _tree_rows(y, plan.y_rows))
+    return _planned_maximum(_plan(x, y, corr), x, y)
 
 
 def _filled(space: Space) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -162,6 +165,7 @@ class _Plan(NamedTuple):
     low: float  # at most the largest entry
     x_rows: np.ndarray  # the sorted sources in x of the rows with bound > low
     y_rows: np.ndarray
+    slack: float  # how far an entry read from depth rows may be from the fill's
 
 
 # The rows a tree distortion reads: the matrix they are in, the row of each
@@ -207,19 +211,31 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
         raise ValueError("correspondence does not cover both spaces")
     I, J = corr.rows.T.astype(np.intp)
     from_x, from_y = _sketch(x, I), _sketch(y, J)
-    reps = np.arange(0, len(I), _REPRESENTATIVE_STRIDE)
-    bound = np.full(len(I), np.inf)
-    low = -math.inf
+    count = min(_REPRESENTATIVES, -(-len(I) // _REPRESENTATIVE_STRIDE))
     step = _block_rows(max(len(I), x.n, y.n))
-    for start in range(0, len(reps), step):
-        r = reps[start : start + step]
+    bound = np.full(len(I), np.inf)
+    owner = np.zeros(len(I), dtype=np.intp)  # the representative that bounds each row
+    low = -math.inf
+    first = min(step, -(-count // 2))
+    r = np.arange(first) * len(I) // first  # the first batch evenly spaced
+    taken = 0
+    while True:
         a = from_x(I[r])
         b = from_y(J[r])
         near = np.abs(a - b).max(axis=1)
         low = max(low, float(near.max()))  # a NaN block proves nothing
         a += b
         a += near[:, None]
-        np.fmin(bound, a.min(axis=0), out=bound)
+        taken += len(r)
+        if taken >= count:
+            np.fmin(bound, a.min(axis=0), out=bound)
+            break
+        for k, row in enumerate(a, taken - len(r)):
+            np.copyto(owner, k, where=row < bound)
+            np.fmin(bound, row, out=bound)
+        r = _farthest(bound, owner, low, min(step, _REPRESENTATIVE_BATCH, count - taken))
+        if not len(r):
+            break
     slack = 6.0 * 2.0 ** -52 * (
         (x.n + 1) * x.total_edge_length() + (y.n + 1) * y.total_edge_length()
     )
@@ -228,7 +244,23 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     if not math.isfinite(low):
         low = -math.inf
     keep = bound > low
-    return _Plan(I, J, bound, low, np.unique(I[keep]), np.unique(J[keep]))
+    return _Plan(I, J, bound, low, np.unique(I[keep]), np.unique(J[keep]), slack)
+
+
+def _farthest(bound: np.ndarray, owner: np.ndarray, low: float, k: int) -> np.ndarray:
+    """The next at most ``k`` representatives of :func:`_plan`: the pairs
+    farthest from the representatives so far, in the distance that bounds
+    rows (largest ``bound``), one per representative's own rows (``owner``)
+    and none whose bound is at most ``low``.  With ``k`` = 1 that is the
+    farthest pair, one step of Gonzalez's farthest-point sweep."""
+    if k == 1:
+        return np.array([int(np.argmax(bound))])
+    far = np.full(int(owner.max()) + 1, -np.inf)
+    np.maximum.at(far, owner, bound)
+    hit = np.flatnonzero(bound == far[owner])
+    hit = hit[np.unique(owner[hit], return_index=True)[1]]
+    hit = hit[bound[hit] > low]
+    return hit[np.argsort(-bound[hit], kind="stable")[:k]]
 
 
 def _sketch(tree: MetricTree, points: np.ndarray):
@@ -260,9 +292,105 @@ def _walked(tree: MetricTree, vertices: np.ndarray) -> _Rows:
     return tree._rows(vertices), slot, tree._preorder().pos
 
 
-def _planned_maximum(plan: _Plan, xs: _Rows, ys: _Rows) -> float:
+def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
+    """The largest entry of the mismatch product between the trees ``x``
+    and ``y`` that ``plan`` bounds, reading only rows whose bound exceeds
+    ``plan.low``.
+
+    A tree with a cached fill is read from it (:func:`_read_maximum`).
+    Otherwise no row is walked: rows are read from depth rows
+    (:meth:`MetricTree._depth_rows`) in order of decreasing bound, a block
+    at a time, each block cut to the rows whose bound exceeds both ``low``
+    and the largest entry read so far less the slack; the loop ends at the
+    first empty block.  Then the entries within twice the slack of the
+    largest one read, and not below ``low`` less the slack, are settled:
+    recomputed with the fill's own floats
+    (:meth:`MetricTree._fill_entries`).
+
+    Proof, with ``d`` the plan's slack.  A depth-row entry is within 4n
+    units of ``2**-53 L`` of the exact distance and a fill entry within
+    2(n - 1) (see :func:`_plan`), so the two differ by at most ``6n - 2``
+    units per tree, and a mismatch read from depth rows is within ``6n``
+    units per tree of the fill's, at most half of ``d``.  So the largest
+    fill entry among the rows read is at least the largest entry read
+    less ``d``, every row left unread is bounded by ``low`` or by that
+    entry, and the entry itself was read within ``2d`` of the largest and
+    is settled.  The value is the largest settled entry or ``low``,
+    whichever is larger: an entry of the product, bit for bit, as in
+    :func:`_read_maximum`.
+
+    Settling an entry sums a root path, so when more entries are within
+    reach than the larger tree has vertices (as for two isometric trees
+    paired by an isometry) the rows holding them are walked instead
+    (:meth:`MetricTree._rows`), under the walk's memory budget.  A NaN
+    entry (distances that overflowed) reads the walked rows of the whole
+    plan, so it is the value as it is the full product's maximum.
+    """
+    if x._dist is not None or y._dist is not None:
+        return _read_maximum(plan, _tree_rows(x, plan.x_rows), _tree_rows(y, plan.y_rows))
+    I, J, bound, low, slack = plan.I, plan.J, plan.bound, plan.low, plan.slack
+    cx, cy = x._preorder().pos[I], y._preorder().pos[J]
+    limit = max(x.n, y.n)
+    order = np.argsort(-bound, kind="stable")
+    best = -math.inf
+    read, tops = [], []  # the rows read, and each one's largest entry read
+    held = np.empty((0, 2), dtype=np.intp)  # (row, column) of each entry within reach
+    near = np.empty(0)  # those entries as read
+    step = _block_rows(max(len(I), x.n, y.n))
+    for start in range(0, len(order), step):
+        rows = order[start : start + step]
+        rows = rows[bound[rows] > max(low, best - slack)]
+        if not len(rows):
+            break
+        block = _depth_mismatch(x, I, cx, y, J, cy, rows)
+        top = block.max(axis=1)
+        if np.isnan(top).any():
+            return _read_maximum(plan, _walked(x, plan.x_rows), _walked(y, plan.y_rows))
+        best = max(best, float(top.max()))
+        read.append(rows)
+        tops.append(top)
+        if held is None:
+            continue  # too many within reach: their rows are walked
+        reach = max(best - 2.0 * slack, low - slack)
+        keep = near >= reach
+        r, c = np.nonzero(block >= reach)
+        held = np.concatenate([held[keep], np.column_stack([rows[r], c])])
+        near = np.concatenate([near[keep], block[r, c]])
+        if len(near) > limit:
+            held = near = None
+    if not read:
+        return float(low)
+    reach = max(best - 2.0 * slack, low - slack)
+    if held is not None:
+        rc = held[near >= reach]
+        if not len(rc):
+            return float(low)
+        r, c = rc.T
+        settled = np.abs(x._fill_entries(I[r], I[c]) - y._fill_entries(J[r], J[c]))
+        return float(np.maximum(low, settled.max()))
+    rows = np.concatenate(read)[np.concatenate(tops) >= reach]
+    (dx, sx, px), (dy, sy, py) = _walked(x, np.unique(I[rows])), _walked(y, np.unique(J[rows]))
+    return float(np.maximum(low, _row_maxima(dx, sx[I], px[I], dy, sy[J], py[J], rows).max()))
+
+
+def _depth_mismatch(
+    x: MetricTree, I: np.ndarray, cx: np.ndarray,
+    y: MetricTree, J: np.ndarray, cy: np.ndarray, rows: np.ndarray,
+) -> np.ndarray:
+    """The given rows of the mismatch product read from depth rows: row
+    ``c`` is ``|A(I[c], .) - B(J[c], .)|`` at the columns ``cx``, ``cy``
+    (the preorder positions of the pairs' points)."""
+    ux, rx = np.unique(I[rows], return_inverse=True)
+    uy, ry = np.unique(J[rows], return_inverse=True)
+    block = x._depth_rows(ux)[rx[:, None], cx]
+    block -= y._depth_rows(uy)[ry[:, None], cy]
+    return np.abs(block, out=block)
+
+
+def _read_maximum(plan: _Plan, xs: _Rows, ys: _Rows) -> float:
     """The largest entry of the mismatch product, reading only rows whose
-    bound exceeds ``plan.low``.
+    bound exceeds ``plan.low`` from exact rows: a cached fill or walked
+    rows.
 
     Rows are read in order of decreasing bound, a block at a time, each
     block cut to the rows whose bound exceeds both ``low`` and the largest

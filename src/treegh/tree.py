@@ -85,6 +85,25 @@ class _Preorder(NamedTuple):
     depth: np.ndarray  # distance from vertex 0 by position, as the fill sums it
 
 
+class _InsertedRuns(NamedTuple):
+    """The vertices :func:`_split_edges` inserted, as runs: the ends of
+    each split edge, the run lengths and the offsets of every inserted
+    vertex, which follow the first ``first`` vertices in run order."""
+
+    ends: List[Tuple[str, str]]
+    cuts: List[int]
+    offsets: np.ndarray
+    first: int
+
+    def records(self, vertices: Sequence[str]) -> Dict[str, Tuple[str, str, float]]:
+        """``new_id -> (u, v, offset)`` in insertion order."""
+        ends = [end for end, c in zip(self.ends, self.cuts) for _ in range(c)]
+        return {
+            vid: (a, b, off)
+            for vid, (a, b), off in zip(vertices[self.first:], ends, self.offsets.tolist())
+        }
+
+
 class TreeStructureError(ValueError):
     """Raised for edge lists that do not describe a metric tree."""
 
@@ -123,7 +142,8 @@ class MetricTree:
             (str(a), str(b), float(w)) for a, b, w in edges
         )
         self.labels: Dict[str, str] = dict(labels or {})
-        self.metadata: dict = dict(metadata or {})
+        self._metadata: dict = dict(metadata or {})
+        self._inserted: Optional[_InsertedRuns] = None
         self._index: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
         if n == 0:
@@ -171,7 +191,7 @@ class MetricTree:
         is checked and no walk is made."""
         t = cls.__new__(cls)
         t.vertices, t.edges = tuple(vertices), tuple(edges)
-        t.labels, t.metadata = labels, metadata
+        t.labels, t._metadata, t._inserted = labels, metadata, None
         t._index = {v: i for i, v in enumerate(t.vertices)}
         t._dist = t._cols = t._total_length = t._pre = t._minima = None
         return t
@@ -386,6 +406,44 @@ class MetricTree:
         out[np.arange(len(keep)), keep] = 0.0
         return out
 
+    def _fill_entries(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The fill's entries from ``sources[k]`` to ``targets[k]`` (vertex
+        indices), bit for bit, with no fill and no walk: entry k is
+        ``_all_pairs()[0][sources[k], pos[targets[k]]]``.
+
+        The fill's row of a source is the root's row, the depths, updated
+        once per edge on the source's root path from the root down: plus w
+        at a column outside the child's subtree, minus w inside it.  So an
+        entry is the target's depth followed by those signed lengths, added
+        in order (``np.add.accumulate``), and 0 on the diagonal.  The root
+        path is the positions whose subtree holds the source's, and the
+        sums of one source are made a block of ``_PERMUTE_BLOCK_CELLS``
+        terms at a time.
+        """
+        pre = self._preorder()
+        src = pre.pos[np.asarray(sources, dtype=np.intp)]
+        col = pre.pos[np.asarray(targets, dtype=np.intp)]
+        out = np.zeros(len(src))
+        starts = np.arange(self.n)
+        lengths = np.asarray(pre.weight)
+        by_source = np.argsort(src, kind="stable")
+        heads = np.flatnonzero(np.r_[True, src[by_source[1:]] != src[by_source[:-1]]])
+        for group in np.split(by_source, heads[1:]):
+            s = src[group[0]]
+            path = np.flatnonzero((starts[1:] <= s) & (s < pre.end[1:])) + 1
+            w = lengths[path][:, None]
+            step = max(1, _PERMUTE_BLOCK_CELLS // (len(path) + 1))
+            for lo in range(0, len(group), step):
+                k = group[lo:lo + step]
+                c = col[k]
+                terms = np.empty((len(path) + 1, len(k)))
+                terms[0] = pre.depth[c]
+                inside = (path[:, None] <= c) & (c < pre.end[path][:, None])
+                np.copyto(terms[1:], np.where(inside, -w, w))
+                out[k] = np.add.accumulate(terms, axis=0)[-1]
+            out[group[col[group] == s]] = 0.0
+        return out
+
     def _refuse_rows(self, k: int) -> None:
         """Raise ValueError if ``k`` distance rows of this tree would take
         more than ``_MAX_ROW_BYTES``: a too-fine sample fails at once, as
@@ -480,6 +538,17 @@ class MetricTree:
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def metadata(self) -> dict:
+        """Free-form provenance.  Its ``inserted`` records (see the module
+        docstring) are built from the runs :func:`_split_edges` keeps on
+        the first read, so a sample that nothing asks about holds a few
+        bytes per inserted vertex instead of a dict entry and a tuple."""
+        if self._inserted is not None:
+            self._metadata["inserted"] = self._inserted.records(self.vertices)
+            self._inserted = None
+        return self._metadata
 
     def index(self, v: str) -> int:
         try:
@@ -931,7 +1000,8 @@ def _split_edges(
     id the tree already has.
     """
     edges: List[Tuple[str, str, float]] = []
-    inserted: Dict[str, Tuple[str, str, float]] = {}
+    ends: List[Tuple[str, str]] = []
+    runs: List[int] = []
     s = 0
     for (a, b, w), c in zip(tree.edges, cuts):
         if not c:
@@ -945,12 +1015,16 @@ def _split_edges(
                 doing.format(a=a, b=b, w=w) + " leaves a piece that is not positive"
             )
         edges.extend(zip([a, *run], [*run, b], pieces))
-        inserted.update(zip(run, zip([a] * c, [b] * c, offs)))
+        ends.append((a, b))
+        runs.append(c)
     taken = tree._index.keys() & ids
     if taken:
         raise TreeStructureError("duplicate vertex ids: %s" % sorted(taken)[:3])
-    meta = {"generator": generator, "inserted": inserted, **extra}
-    return MetricTree._unchecked([*tree.vertices, *ids], edges, dict(tree.labels), meta)
+    # "inserted" keeps its place among the keys and is filled on first read
+    meta = {"generator": generator, "inserted": None, **extra}
+    out = MetricTree._unchecked([*tree.vertices, *ids], edges, dict(tree.labels), meta)
+    out._inserted = _InsertedRuns(ends, runs, np.array(offsets[:s], dtype=float), tree.n)
+    return out
 
 
 # -- balls --------------------------------------------------------------------

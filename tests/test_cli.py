@@ -610,21 +610,26 @@ def test_lab_scan_continuity_refuses_a_too_fine_eps(capsys, config_path):
 
 
 def test_lab_scan_continuity_refuses_rows_beyond_the_budget(capsys, config_path, monkeypatch):
-    # the same walk as a fill: past its budget the scan exits 2 while
-    # planning, before any row is walked
+    # Adjacent cells settle their few largest entries and walk no row.  A
+    # degenerate pair, a cell paired with itself, has every entry tied at
+    # 0, so its rows are walked: past the walk's budget the scan exits 2
+    # before any row is allocated.
     def refuse(self, vertices):
         raise AssertionError("walked %d rows" % len(vertices))
 
     argv = ["--eps", "0.125", "lab", "scan-continuity", "--config", config_path, "--k", "1"]
     monkeypatch.setattr(treegh.tree, "_MAX_ROW_BYTES", 8 * 40 * 40)
-    monkeypatch.setattr(treegh.tree.MetricTree, "_rows", refuse)
+    with monkeypatch.context() as walks:
+        walks.setattr(treegh.tree.MetricTree, "_rows", refuse)
+        assert _run(capsys, argv)[0] == 0
+    monkeypatch.setattr(treegh.cli, "_grid_adjacency", lambda cfg, cells: [(0, 0)])
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
-    assert re.fullmatch(
-        r"error: \d+ distance rows of a tree of \d+ vertices would take \d+ bytes; "
-        r"at most 12800 bytes of rows are walked\n", err
+    assert err == (
+        "error: 101 distance rows of a tree of 101 vertices would take 81608 bytes; "
+        "at most 12800 bytes of rows are walked\n"
     ), err
-    monkeypatch.undo()
+    monkeypatch.setattr(treegh.tree, "_MAX_ROW_BYTES", 8 * 101 * 101)
     assert _run(capsys, argv)[0] == 0
 
 

@@ -1146,6 +1146,88 @@ def test_matcher_partners_do_not_depend_on_its_cost_blocks(small_config, monkeyp
         assert treegh.embedding._matches(a, b).tolist() == partners.tolist()
 
 
+def _broadcast_segment(xs, hs, idx, x, th, scale, cells):
+    """The segment search the sorted one replaced: every query against
+    every vertex, in blocks of about ``cells`` entries, first minimum."""
+    cost, cand = np.empty(len(x)), np.empty(len(x), dtype=np.intp)
+    step = max(1, cells // max(1, len(xs)))
+    for lo in range(0, len(x), step):
+        xb, tb = x[lo : lo + step, None], th[lo : lo + step, None]
+        c = scale * np.where(xs == xb, np.abs(hs - tb), tb + np.abs(xs - xb) + hs)
+        j = np.argmin(c, axis=1)
+        cost[lo : lo + step], cand[lo : lo + step] = c[np.arange(len(j)), j], idx[j]
+    return cost, cand
+
+
+def test_sorted_segment_search_equals_the_broadcast_argmin(monkeypatch):
+    rng = np.random.default_rng(2727)
+    ties = 0
+    for trial in range(300):
+        m = int(rng.integers(1, 60))
+        if trial % 3 == 0:  # a coarse grid: shared x, equal heights, midpoint ties
+            xs, hs = rng.integers(0, 9, m) / 8.0, rng.integers(0, 5, m) / 16.0
+            x, th = rng.integers(0, 17, 40) / 16.0, rng.integers(0, 9, 40) / 32.0
+        elif trial % 3 == 1:  # a comb: a spine at h = 0 and teeth at a few x
+            teeth = rng.uniform(0.0, 1.0, 3)
+            on = rng.random(m) < 0.5
+            xs = np.where(on, teeth[rng.integers(0, 3, m)], rng.uniform(0.0, 1.0, m))
+            hs = np.where(on, rng.uniform(0.0, 0.3, m), 0.0)
+            x = np.concatenate([xs[rng.integers(0, m, 20)], rng.uniform(0.0, 1.0, 20)])
+            th = np.concatenate([hs[rng.integers(0, m, 20)], np.zeros(20)])
+        else:  # near-equal values a few ulps apart
+            base = rng.uniform(0.0, 1.0, 3)
+            xs = base[rng.integers(0, 3, m)] * (1 + rng.integers(0, 3, m) * 2.0 ** -52)
+            hs = base[rng.integers(0, 3, m)] * (1 + rng.integers(0, 3, m) * 2.0 ** -52)
+            x, th = np.r_[base, rng.uniform(0, 1, 10)], np.r_[base[::-1], rng.uniform(0, 1, 10)]
+        idx = np.sort(rng.choice(10 * m + 10, m, replace=False)).astype(np.intp)
+        seg = treegh.embedding._sorted_segment(xs, hs, idx)
+        for scale in (1.0, 0.6, 1.0 / 3.0):
+            want = _broadcast_segment(xs, hs, idx, x, th, scale, 1 << 18)
+            for cells in (1, 7, 1 << 18):
+                monkeypatch.setattr(treegh.embedding, "_MATCH_BLOCK_CELLS", cells)
+                got = treegh.embedding._nearest_on_segment(seg, x, th, scale)
+                assert got[1].tolist() == want[1].tolist(), (trial, scale, cells)
+                assert [c.hex() for c in got[0].tolist()] == [c.hex() for c in want[0].tolist()]
+            c = scale * np.where(
+                xs == x[:, None], np.abs(hs - th[:, None]), th[:, None] + np.abs(xs - x[:, None]) + hs
+            )
+            ties += int(((c == c.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties > 1000
+
+
+def test_sorted_matcher_equals_the_broadcast_matcher(small_config, monkeypatch):
+    # whole cells' partners, against segments searched by broadcast
+    indexes = []
+    index_of = treegh.embedding._CandidateIndex
+
+    def tracked(*args):
+        indexes.append(index_of(*args))
+        return indexes[-1]
+
+    monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
+    for eps in (2.0 ** -4, 2.0 ** -6):
+        cfg = dataclasses.replace(small_config, eps=eps)
+        cells = [(lab, 2) for lab in cfg.h_space.labels if lab not in cfg.marked]
+        continuity_scan(cfg, cells[:4], [(0, 1), (1, 2), (2, 3)], strict=False)
+    monkeypatch.undo()
+    sorted_search = treegh.embedding._nearest_on_segment
+    for cells in (7, 1 << 10, 1 << 18):
+        monkeypatch.setattr(treegh.embedding, "_MATCH_BLOCK_CELLS", cells)
+
+        def broadcast(seg, x, th, scale):
+            xs, hs = np.empty(len(seg.xs)), np.empty(len(seg.hs))
+            xs[seg.at], hs[seg.at] = seg.xs, seg.hs
+            return _broadcast_segment(xs, hs, seg.idx, x, th, scale, cells)
+
+        for a in indexes:
+            for b in indexes:
+                got = treegh.embedding._matches(a, b)
+                monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", broadcast)
+                want = treegh.embedding._matches(a, b)
+                monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", sorted_search)
+                assert got.tolist() == want.tolist()
+
+
 def test_matcher_tie_and_empty_coordinate_rules():
     # "v" lies on segments 0 and 1 and is equally near "b" on the first and
     # "a" on the second: the smaller vid wins, whatever the vertex order.
@@ -1180,10 +1262,10 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     samples = []  # (cell, weak references to its index and its sample tree)
     wedges = []  # weak references to the cells' trees, in grid order
     wedge, index_of = treegh.embedding._Cell.wedge, treegh.embedding._CandidateIndex
-    plan, walked, maximum = (
-        treegh.embedding._plan, treegh.embedding._walked, treegh.embedding._planned_maximum
+    plan, maximum, walk = (
+        treegh.embedding._plan, treegh.embedding._planned_maximum, MetricTree._rows
     )
-    planned, plans, read, pairs_read, walks = [], [], [], [], []
+    planned, read, walks = [], [], []
 
     def built(cell):
         tree = wedge(cell)
@@ -1202,47 +1284,33 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
         assert alive == {cell for cell, *_ in samples if last_use[cell] >= len(planned)}
         assert alive == {cell for cell, _, tree in samples if tree() is not None}
         planned.append(alive)
-        plans.append(plan(x, y, corr))
-        return plans[-1]
+        return plan(x, y, corr)
+
+    def reading(pair_plan, x, y):
+        read.append(len(planned) - 1)  # each pair is read as soon as it is planned
+        return maximum(pair_plan, x, y)
 
     def walking(tree, vertices):
-        cell = next(cell for cell, _, ref in samples if ref() is tree)
-        rows = walked(tree, vertices)
-        walks.append((cell, weakref.ref(rows[0])))
-        return rows
-
-    def reading(pair_plan, *args):
-        gc.collect()  # a cell's sample goes with its walk, its rows after its last read
-        p = next(p for p, q in enumerate(plans) if q is pair_plan)
-        cells = set(adjacency[p])
-        done = {cell for cell, _ in walks}
-        # read at the pair whose walks complete it, not later
-        assert cells <= done and len(plans) == 1 + max(last_use[i] for i in cells)
-        assert {cell for cell, _, tree in samples if tree() is not None} == {
-            cell for cell, *_ in samples if cell not in done
-        }
-        rows = {cell for cell, ref in walks if ref() is not None}
-        assert rows == {
-            cell for cell in done
-            if any(cell in pair for q, pair in enumerate(adjacency) if q not in pairs_read)
-        }
-        pairs_read.append(p)
-        read.append(rows)
-        return maximum(pair_plan, *args)
+        walks.append(read[-1])
+        return walk(tree, vertices)
 
     monkeypatch.setattr(treegh.embedding._Cell, "wedge", built)
     monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
     monkeypatch.setattr(treegh.embedding, "_plan", planning)
-    monkeypatch.setattr(treegh.embedding, "_walked", walking)
     monkeypatch.setattr(treegh.embedding, "_planned_maximum", reading)
+    monkeypatch.setattr(MetricTree, "_rows", walking)
     freed = continuity_scan(small_config, grid, adjacency)
     monkeypatch.undo()
     assert len(wedges) == len(grid)  # each cell assembled once
     assert [cell for cell, *_ in samples] == [0, 1, 2, 3]  # each cell sampled once
-    assert [cell for cell, _ in walks] == [1, 0, 2, 3]  # and walked once, at its last pair
     assert planned == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
-    assert pairs_read == [0, 1, 2, 3, 4]
-    assert read == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
+    assert read == [0, 1, 2, 3, 4]
+    # Only degenerate pairs walk rows, those with more entries tied with
+    # the largest, up to rounding, than a sample has vertices: the cell
+    # paired with itself, whose entries are all 0, and the mirror cells
+    # g0_1 and g1_0, which share their parts (304 entries within 1e-12 of
+    # the largest, 191 and 183 vertices).  The other pairs settle a few.
+    assert walks == [2, 2, 4, 4]
     assert freed == continuity_scan(small_config, grid, adjacency)
 
 

@@ -595,8 +595,41 @@ def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeyp
         assert distortion(*fresh, corr) == rows.max()  # walked rows
 
 
+def _reads(monkeypatch):
+    """Record the rows each tree distortion reads: exact rows
+    (``_row_maxima``), rows read from depth rows (``_depth_mismatch``),
+    the rows of the entries it settles and the rows it walks."""
+    read = {"exact": [], "depth": [], "settled": [], "walked": []}
+    real_rows, real_depth = treegh.gh._row_maxima, treegh.gh._depth_mismatch
+    real_entries, real_walk = MetricTree._fill_entries, MetricTree._rows
+
+    def exact(dx, rx, cx, dy, ry, cy, rows):
+        read["exact"].extend(rows.tolist())
+        return real_rows(dx, rx, cx, dy, ry, cy, rows)
+
+    def depth(x, I, cx, y, J, cy, rows):
+        read["depth"].extend(rows.tolist())
+        return real_depth(x, I, cx, y, J, cy, rows)
+
+    def entries(tree, sources, targets):
+        read["settled"].append((tree, sources.tolist()))
+        return real_entries(tree, sources, targets)
+
+    def walk(tree, vertices):
+        read["walked"].append((tree, len(vertices)))
+        return real_walk(tree, vertices)
+
+    monkeypatch.setattr(treegh.gh, "_row_maxima", exact)
+    monkeypatch.setattr(treegh.gh, "_depth_mismatch", depth)
+    monkeypatch.setattr(MetricTree, "_fill_entries", entries)
+    monkeypatch.setattr(MetricTree, "_rows", walk)
+    return read
+
+
 def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
-    # The walked rows hold only planned sources; reading any other raises.
+    # Fresh trees read only planned rows, from depth rows, and settle
+    # entries of rows they read; the walked rows of a plan hold only
+    # planned sources, and reading any other raises.
     cases = _plan_cases(small_config, monkeypatch)
     plans = []
     real_plan = treegh.gh._plan
@@ -606,22 +639,24 @@ def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
         return plans[-1]
 
     monkeypatch.setattr(treegh.gh, "_plan", plan)
-    read = []
-    real = treegh.gh._row_maxima
-
-    def count(dx, rx, cx, dy, ry, cy, rows):
-        read.extend(rows.tolist())
-        return real(dx, rx, cx, dy, ry, cy, rows)
-
-    monkeypatch.setattr(treegh.gh, "_row_maxima", count)
-    skipped = 0
+    read = _reads(monkeypatch)
+    skipped = walked = 0
     for x, y, corr in cases:
         fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]
-        read.clear()
+        for rows in read.values():
+            rows.clear()
         distortion(*fresh, corr)
         assert all(t._dist is None for t in fresh)
         p = plans[-1]
-        assert set(read) <= set(np.flatnonzero(p.bound > p.low).tolist())
+        assert set(read["depth"]) <= set(np.flatnonzero(p.bound > p.low).tolist())
+        assert set(read["exact"]) <= set(read["depth"])
+        I, J = corr.rows.T
+        sources = {t: set(v.tolist()) for t, v in zip(fresh, (I[read["depth"]], J[read["depth"]]))}
+        assert all(set(v) <= sources[t] for t, v in read["settled"])
+        # only a pair of a few vertices has more entries within reach of
+        # the largest than vertices, and walks their rows
+        assert not read["walked"] or max(x.n, y.n) < 10, (x.n, y.n)
+        walked += bool(read["walked"])
         x_rows, slot, pos = treegh.gh._walked(fresh[0], p.x_rows)
         unplanned = np.setdiff1d(np.arange(x.n), p.x_rows)
         skipped += len(unplanned) > 0
@@ -630,6 +665,7 @@ def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
                 x_rows[slot[unplanned]]
         assert np.array_equal(x_rows[slot[p.x_rows]], fresh[0]._filled()[0][p.x_rows])
     assert skipped >= len(cases) // 2
+    assert walked <= 1
 
 
 def test_unique_maximum_in_a_skipped_row_is_found(monkeypatch):
@@ -656,20 +692,47 @@ def test_pruned_distortion_reads_few_rows(small_config, monkeypatch):
     cases = _certified_distortions(
         monkeypatch, lambda: continuity_scan(cfg, cells, [(0, 1), (1, 2)], strict=False)
     )
-    read = []
-    real = treegh.gh._row_maxima
-
-    def count(*args):
-        read.append(len(args[-1]))
-        return real(*args)
-
-    monkeypatch.setattr(treegh.gh, "_row_maxima", count)
+    read = _reads(monkeypatch)
     for x, y, corr in cases:
-        read.clear()
+        for rows in read.values():
+            rows.clear()
         value = distortion(x, y, corr)
         assert len(corr) >= 1000
-        assert sum(read) <= len(corr) / 2, (sum(read), len(corr))
+        rows = len(read["exact"]) + len(read["depth"])
+        assert rows <= len(corr) / 2, (rows, len(corr))
         assert value == unblocked_distortion(x, y, corr)
+
+
+def test_settled_distortion_equals_the_full_product():
+    # fresh trees, so every value is read from depth rows and settled
+    read = 0
+    for seed in range(200):
+        rng = np.random.default_rng([7070, seed])
+        x = subdivide(random_tree(rng, 4, 12, 3.0), 0.3)
+        y = subdivide(random_tree(rng, 4, 12, 3.0), 0.3)
+        corr = greedy_tree_correspondence(
+            MetricTree(x.vertices, x.edges), MetricTree(y.vertices, y.edges)
+        )
+        got = distortion(x, y, corr)
+        assert x._dist is None and y._dist is None
+        assert got.hex() == unblocked_distortion(x, y, corr).hex(), seed
+        read += 1
+    assert read == 200
+
+
+def test_isometric_pair_takes_the_walked_rows(monkeypatch):
+    # Every entry of an isometric pair under an isometry is 0, so all of
+    # them are within reach of the largest: too many to settle, so the rows
+    # holding them are walked.
+    x = subdivide(comb_tree(CombParams(s=0.5)), 2.0 ** -6)
+    y = MetricTree(x.vertices, x.edges)
+    assert x.n == 161
+    ident = Correspondence.from_pairs([(i, i) for i in range(x.n)])
+    read = _reads(monkeypatch)
+    assert distortion(x, y, ident) == 0.0
+    assert not read["settled"] and read["walked"] == [(x, 161), (y, 161)]
+    assert x._dist is None and y._dist is None
+    assert unblocked_distortion(x, y, ident) == 0.0
 
 
 def test_distortion_of_identity_is_zero():

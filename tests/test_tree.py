@@ -382,6 +382,29 @@ def test_walked_rows_equal_the_fill_bit_for_bit(small_config):
         assert t._dist is None  # the walk fills no matrix
 
 
+def test_fill_entries_equal_the_fill_bit_for_bit(small_config, monkeypatch):
+    # each entry from its root path alone, on plain and subdivided seeded
+    # trees and on the walk's trees, also when a source's sums are cut into
+    # blocks of a few columns
+    rng = np.random.default_rng(7070)
+    trees = []
+    for _ in range(40):
+        t = random_tree(rng, 4, 12, 3.0)
+        trees += [t, subdivide(t, 0.3)]
+    trees += list(_walk_trees(small_config))
+    for block in (1 << 16, 5):
+        monkeypatch.setattr(tree_module, "_PERMUTE_BLOCK_CELLS", block)
+        for t in trees:
+            fresh = MetricTree(t.vertices, t.edges)
+            # every entry of a small tree, some thousands of a large one
+            src, dst = np.divmod(rng.permutation(t.n * t.n)[:4000], t.n)
+            got = fresh._fill_entries(src, dst)
+            assert fresh._dist is None
+            want = fresh._all_pairs()
+            want = want[0][src, want[1][dst]]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], t
+
+
 def test_the_walk_holds_few_working_rows():
     # A caterpillar: a spine with a leg on each spine vertex.  Asked for
     # every leg's row, a walk that went down the spine before the legs
