@@ -484,7 +484,7 @@ def _interpolate_on_shared_segment(
 
 
 _STAR_TIP = "branch:0:1.0"  # the star's basepoint: the tip of its unit branch
-# Entries per block of a segment's cost matrix in `_matches`, so matching
+# Candidates costed per block of a segment search in `_matches`, so matching
 # memory stays linear in the sample sizes.
 _MATCH_BLOCK_CELLS = 1 << 18
 
@@ -925,7 +925,8 @@ class _CandidateIndex:
     ``(xs, hs)`` and per star branch the positions ``ss``, each with the
     vertices' sample indices ``idx`` in vertex order.  ``sorted_star``
     holds each branch sorted by position (stably, so ``idx`` rises within
-    equal positions).  It keeps the sample ``tree``, the ``parts`` and
+    equal positions), and ``sorted_seg`` each segment sorted for
+    :func:`_nearest_on_segment`.  It keeps the sample ``tree``, the ``parts`` and
     whether the tree is a wedge at ``p``; ``fallback`` is the wedge's
     index, or 0 without a wedge.
 
@@ -1056,7 +1057,7 @@ class _SortedSegment(NamedTuple):
     right: np.ndarray
     left: np.ndarray
     idx: np.ndarray  # tree index by position in vertex order
-    size: float  # the largest coordinate magnitude
+    size: float  # max |x| + max |h|, which bounds the rounding of the sums
 
 
 def _sorted_segment(xs: np.ndarray, hs: np.ndarray, idx: np.ndarray) -> _SortedSegment:
@@ -1148,10 +1149,10 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
     per-segment nearest vertices (first minimum within a segment), where a
     segment the ball cut removed from ``dst`` is reached through its corners
     (:func:`_routed_nearest`).  The wedge goes to the wedge, and a vertex
-    without coordinates to the wedge or, lacking one, to vertex 0.  A star
-    branch is matched by sorted search (:func:`_nearest_on_branch`); each
-    segment group is a broadcast cost matrix, made a block of
-    ``_MATCH_BLOCK_CELLS`` entries at a time.
+    without coordinates to the wedge or, lacking one, to vertex 0.  Both
+    are sorted searches, with the partners and ties of an argmin over
+    every vertex: a star branch by position (:func:`_nearest_on_branch`),
+    a segment by ``(x, h)`` (:func:`_nearest_on_segment`).
     """
     names = dst.tree.vertices
     cost = np.full(src.tree.n, math.inf)
@@ -1275,18 +1276,17 @@ def continuity_scan(
     once, in one pass over the tree's edges from the cell's coordinates,
     and reused by all of the cell's pairs.
 
-    No sample's distance matrix is filled.  The pairs are planned in
-    order: each pair's correspondence and the rows its distortion may read
-    (:func:`treegh.gh._plan`, from depths alone).  At its last pair a
-    cell's sample is walked once for the union of the rows its pairs
-    planned (:meth:`~treegh.tree.MetricTree._rows`, the fill's own
-    floats), and the sample, its index and the cell go.  A cell whose
-    planned rows would take more than the fill's 2 GiB is refused at the
-    pair that makes them so, before its rows are walked.  A pair reads
-    its cells' rows as soon as both are walked, and a cell's rows go when
-    its last pair has read them, so rows are held only by walked cells
-    with a pair still to read.  ``hi`` is bit for bit what the full
-    distortion product gives.
+    No sample's distance matrix is filled and no row is kept between
+    pairs.  Each pair, in order, builds its correspondence, plans the rows
+    its distortion may read (:func:`treegh.gh._plan`, from depths alone)
+    and reads them at once (:func:`treegh.gh._planned_maximum`): from
+    depth rows, settling the few entries that can be the largest with the
+    fill's own floats.  A cell's sample, its index and the cell go after
+    its last pair.  Only a degenerate pair, with more entries tied with the
+    largest than a sample has vertices (a cell paired with itself), walks
+    the rows holding them (:meth:`~treegh.tree.MetricTree._rows`), and
+    rows past the fill's 2 GiB are refused before they are walked.
+    ``hi`` is bit for bit what the full distortion product gives.
 
     Args:
         cfg: embedding configuration.

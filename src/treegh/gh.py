@@ -128,11 +128,14 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     A :class:`FiniteMetricSpace` need not satisfy the triangle inequality,
     so two spaces (or a space and a tree) walk the whole product.  Between
     two :class:`MetricTree` objects the rows that can hold the maximum are
-    planned first (:func:`_plan`), their sources' rows are taken from the
-    tree's cached fill or else walked for them alone
-    (:meth:`MetricTree._rows`, the fill's own floats), and only planned rows
-    are read (:func:`_planned_maximum`).  Every entry read is the float the
-    full product holds, so the value is bit for bit the full product's
+    planned first (:func:`_plan`), and only planned rows are read
+    (:func:`_planned_maximum`): from the trees' cached fills, or else from
+    depth rows, which need no walk.  The few entries of those rows that
+    can be the largest are then settled, recomputed with the fill's own
+    floats from their sources' root paths; the plan's slack bounds how far
+    a depth-row mismatch can be from the fill's (a depth-row entry is
+    within 4n units of ``2**-53 L`` of the exact distance and a fill entry
+    within 2(n - 1)).  So the value is bit for bit the full product's
     maximum.
     """
     if not (isinstance(x, MetricTree) and isinstance(y, MetricTree)):
@@ -178,8 +181,9 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     walk and fill no row: a tree without a cached fill is read through its
     depths.
 
-    Every ``_REPRESENTATIVE_STRIDE``-th pair ``r = (a_r, b_r)`` is a
-    representative.  With ``A``, ``B`` the distances from its points, read
+    One pair in ``_REPRESENTATIVE_STRIDE``, and at most
+    ``_REPRESENTATIVES`` pairs in all, are representatives ``r = (a_r,
+    b_r)``.  With ``A``, ``B`` the distances from its points, read
     from a tree's cached fill when it has one and else from
     :meth:`MetricTree._depth_rows`, its row's largest entry
     is about ``near(r) = max_c |A(a_r, a) - B(b_r, b)|``, and every row
@@ -189,6 +193,16 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     that overflows to NaN proves nothing, so it bounds no row (a row no
     finite sum bounds keeps bound inf) and raises no ``low``, and a ``low``
     that is not finite becomes -inf.
+
+    The representatives are chosen in batches, one depth-row call per side
+    each: a first batch of at most half of them evenly spaced in the
+    correspondence's order, then up to ``_REPRESENTATIVE_BATCH`` at a time
+    by Gonzalez's farthest-point sweep (TCS 1985) in the distance that
+    bounds rows, each next pair the one whose bound ``near(r) + A + B`` is
+    largest (:func:`_farthest`).
+    That puts representatives on the rows that would be read, so few are.
+    The sweep stops early once no bound exceeds ``low``.  Any choice keeps
+    the value bit for bit: the plan only bounds rows.
 
     The slack is ``6 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)``, with L the
     total edge length; per tree it is ``12 (n + 1)`` units of ``2**-53 L``.
@@ -205,7 +219,10 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     4`` units per tree, below ``12(n + 1)``.  Likewise ``near(r)`` exceeds
     its representative's true row maximum by at most ``h + e + 1 = 6n - 1``
     units, and subtracting the slack rounds once more, so ``low`` never
-    exceeds the largest entry.
+    exceeds the largest entry.  The same slack covers the settle step of
+    :func:`_planned_maximum`: a depth-row entry and a fill entry differ by
+    at most ``h + e = 6n - 2`` units, and a mismatch of them by ``6n``
+    units per tree, half the slack.
     """
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
@@ -335,7 +352,7 @@ def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
     best = -math.inf
     read, tops = [], []  # the rows read, and each one's largest entry read
     held = np.empty((0, 2), dtype=np.intp)  # (row, column) of each entry within reach
-    near = np.empty(0)  # those entries as read
+    value = np.empty(0)  # those entries as read
     step = _block_rows(max(len(I), x.n, y.n))
     for start in range(0, len(order), step):
         rows = order[start : start + step]
@@ -352,17 +369,15 @@ def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
         if held is None:
             continue  # too many within reach: their rows are walked
         reach = max(best - 2.0 * slack, low - slack)
-        keep = near >= reach
+        keep = value >= reach
         r, c = np.nonzero(block >= reach)
         held = np.concatenate([held[keep], np.column_stack([rows[r], c])])
-        near = np.concatenate([near[keep], block[r, c]])
-        if len(near) > limit:
-            held = near = None
-    if not read:
-        return float(low)
+        value = np.concatenate([value[keep], block[r, c]])
+        if len(value) > limit:
+            held = value = None
     reach = max(best - 2.0 * slack, low - slack)
     if held is not None:
-        rc = held[near >= reach]
+        rc = held[value >= reach]
         if not len(rc):
             return float(low)
         r, c = rc.T

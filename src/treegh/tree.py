@@ -14,18 +14,24 @@ paths that its entry checks have vetted.  The same walk, as a preorder with
 parents, edge lengths and depths (cached; a subdivision splices its own
 from its host's instead of walking), fills the full matrix of path
 distances when it is first needed (then cached; its columns stay in
-preorder until ``dist`` is read; refused above 2**14 vertices), walks the
-same rows for a chosen set of sources without the matrix, bit for bit, and
-finds geodesics; operations that need one source's distances or only edge
-lengths (balls, degree-<=2 components, edge replacement) never build the
-matrix.  Points of the underlying continuum
-exist only once an operation materialises them -- subdivision, chunk
-boundaries and ball cuts all insert explicit vertices.
+preorder until ``dist`` is read; refused above 2**14 vertices) and finds
+geodesics.  Without the matrix it gives, bit for bit, the fill's rows of
+chosen sources (walked, at a row update per vertex on their root paths)
+and single entries (each summed along its source's root path), and
+distances within a proven rounding error from depths alone, with no walk;
+tree distortions read those (see :func:`treegh.gh.distortion`).
+Operations that need one source's distances or only edge lengths (balls,
+degree-<=2 components, edge replacement) never build the matrix.  Points
+of the underlying continuum exist only once an operation materialises
+them -- subdivision, chunk boundaries and ball cuts all insert explicit
+vertices.
 
 Operations that insert vertices record them in ``metadata["inserted"]`` as
 ``new_id -> (u, v, offset)``, meaning the new vertex sits on the former
-edge (u, v) at distance ``offset`` from ``u``.  Downstream code uses these
-records to track coordinates without parsing identifiers.
+edge (u, v) at distance ``offset`` from ``u``.  The records are built from
+compact runs on first read, so samples that nothing asks about never hold
+them.  Downstream code uses these records to track coordinates without
+parsing identifiers.
 """
 
 from __future__ import annotations
@@ -59,8 +65,9 @@ __all__ = [
 ]
 
 _EPS_VERTEX = 1e-12  # slack for "a position lands exactly on a vertex"
-# Entries per block when `dist` permutes the fill's columns: the only
-# temporary beside the matrix, small enough to stay in cache.
+# Entries per block when `dist` permutes the fill's columns (the only
+# temporary beside the matrix) and per block of `_fill_entries`' sums:
+# small enough to stay in cache.
 _PERMUTE_BLOCK_CELLS = 1 << 16
 # Most vertices `subdivide` inserts: a finer eps fails at once instead of
 # allocating without bound.
@@ -121,13 +128,17 @@ class MetricTree:
         dist: matrix of path distances (float64, read-only), filled with
             its columns in DFS preorder when first needed, permuted to
             vertex order on the first read of ``dist`` and cached;
-            :meth:`row` gives one source's distances in O(n) without it,
-            and :meth:`_rows` the fill's rows of chosen sources, walked
-            with O(log n) working rows (as tree distortions read them).
-            A fill of more than 2**14 vertices, or walked rows of more
-            than 2 GiB, is refused before it is allocated.
+            :meth:`row` gives one source's distances in O(n) without it.
+            Tree distortions read no matrix: :meth:`_depth_rows` gives
+            rows within a proven error from depths, :meth:`_fill_entries`
+            the fill's entries bit for bit from root paths, and
+            :meth:`_rows` the fill's rows of chosen sources, walked with
+            O(log n) working rows.  A fill of more than 2**14 vertices, or
+            walked rows of more than 2 GiB, is refused before it is
+            allocated.
         labels: optional display labels per vertex id.
-        metadata: free-form provenance (generators fill this in).
+        metadata: free-form provenance (generators fill this in; the
+            ``inserted`` records are built on first read).
     """
 
     def __init__(
@@ -423,7 +434,7 @@ class MetricTree:
         pre = self._preorder()
         src = pre.pos[np.asarray(sources, dtype=np.intp)]
         col = pre.pos[np.asarray(targets, dtype=np.intp)]
-        out = np.zeros(len(src))
+        out = np.empty(len(src))
         starts = np.arange(self.n)
         lengths = np.asarray(pre.weight)
         by_source = np.argsort(src, kind="stable")
