@@ -1281,12 +1281,16 @@ def continuity_scan(
     its distortion may read (:func:`treegh.gh._plan`, from depths alone)
     and reads them at once (:func:`treegh.gh._planned_maximum`): from
     depth rows, settling the few entries that can be the largest with the
-    fill's own floats.  A cell's sample, its index and the cell go after
-    its last pair.  Only a degenerate pair, with more entries tied with the
-    largest than a sample has vertices (a cell paired with itself), walks
-    the rows holding them (:meth:`~treegh.tree.MetricTree._rows`), and
-    rows past the fill's 2 GiB are refused before they are walked.
-    ``hi`` is bit for bit what the full distortion product gives.
+    fill's own floats.  A depth-row entry is within 4n units of
+    ``2**-53 L`` of the exact distance and a fill entry within 2(n - 1),
+    so each mismatch read is within the plan's slack of the fill's and
+    the settled entries hold the largest.  A cell's sample, its index and
+    the cell go after its last pair.  Only a degenerate pair, with more
+    entries within twice the slack of the largest than the larger sample
+    has vertices (a cell paired with itself), walks the rows holding them
+    (:meth:`~treegh.tree.MetricTree._rows`), and rows past the fill's
+    2 GiB are refused before they are walked.  ``hi`` is bit for bit what
+    the full distortion product gives.
 
     Args:
         cfg: embedding configuration.

@@ -435,13 +435,12 @@ class MetricTree:
         src = pre.pos[np.asarray(sources, dtype=np.intp)]
         col = pre.pos[np.asarray(targets, dtype=np.intp)]
         out = np.empty(len(src))
-        starts = np.arange(self.n)
         lengths = np.asarray(pre.weight)
         by_source = np.argsort(src, kind="stable")
         heads = np.flatnonzero(np.r_[True, src[by_source[1:]] != src[by_source[:-1]]])
         for group in np.split(by_source, heads[1:]):
             s = src[group[0]]
-            path = np.flatnonzero((starts[1:] <= s) & (s < pre.end[1:])) + 1
+            path = np.flatnonzero(pre.end[1 : s + 1] > s) + 1
             w = lengths[path][:, None]
             step = max(1, _PERMUTE_BLOCK_CELLS // (len(path) + 1))
             for lo in range(0, len(group), step):

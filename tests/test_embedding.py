@@ -1315,8 +1315,9 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
 
 
 def test_continuity_samples_link_no_adjacency_lists(small_config, monkeypatch):
-    # each sample's preorder is spliced from its cell's tree, and nothing
-    # else the scan does with a sample walks it
+    # each sample's preorder is spliced from its cell's tree, nothing else
+    # the scan does with a sample walks it, and its subdivision records
+    # stay runs until something reads its metadata
     samples = []
 
     def kept(tree, eps):
@@ -1332,6 +1333,7 @@ def test_continuity_samples_link_no_adjacency_lists(small_config, monkeypatch):
         monkeypatch.undo()
         assert len(samples) == 4 and all(s.n > 30 for s in samples)
         assert not [s for s in samples if "_adj" in vars(s)]
+        assert all(s._inserted is not None for s in samples)
         assert got == continuity_scan(dataclasses.replace(small_config, eps=eps), cells, adjacency)
         samples.clear()
 
