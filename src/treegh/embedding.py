@@ -487,6 +487,10 @@ _STAR_TIP = "branch:0:1.0"  # the star's basepoint: the tip of its unit branch
 # Candidates costed per block of a segment search in `_matches`, so matching
 # memory stays linear in the sample sizes.
 _MATCH_BLOCK_CELLS = 1 << 18
+# Most query-vertex pairs of one segment that `_matches` costs in a single
+# broadcast: below this the broadcast is cheaper than setting up the sorted
+# search (about forty numpy calls), and it gives the same partners.
+_MATCH_BROADCAST_CELLS = 1 << 14
 
 
 _StarLists = Tuple[List[str], List[Tuple[str, str, float]], Dict[str, Tuple[int, float]]]
@@ -925,10 +929,10 @@ class _CandidateIndex:
     ``(xs, hs)`` and per star branch the positions ``ss``, each with the
     vertices' sample indices ``idx`` in vertex order.  ``sorted_star``
     holds each branch sorted by position (stably, so ``idx`` rises within
-    equal positions), and ``sorted_seg`` each segment sorted for
-    :func:`_nearest_on_segment`.  It keeps the sample ``tree``, the ``parts`` and
-    whether the tree is a wedge at ``p``; ``fallback`` is the wedge's
-    index, or 0 without a wedge.
+    equal positions), and :meth:`sorted_segment` sorts a segment for
+    :func:`_nearest_on_segment` when first asked.  It keeps the sample
+    ``tree``, the ``parts`` and whether the tree is a wedge at ``p``;
+    ``fallback`` is the wedge's index, or 0 without a wedge.
 
     The tree's own vertices are grouped from their coordinates.  The
     vertices that :func:`~treegh.tree.subdivide` inserts on an edge come
@@ -994,13 +998,20 @@ class _CandidateIndex:
         for br, (ss, idx) in self.star.items():
             order = np.argsort(ss, kind="stable")
             self.sorted_star[br] = ss[order], idx[order]
-        self.sorted_seg = {key: _sorted_segment(*cols) for key, cols in self.seg.items()}
+        self._sorted_seg: Dict[Tuple[int, int], _SortedSegment] = {}
         self.heights = {
             i: _tooth_heights(g.combed.s, g.combed.depth_cap) for i, g in enumerate(parts)
         }
         self.part_segments = {
             i: sorted(l for (pi, l) in self.seg if pi == i) for i in range(len(parts))
         }
+
+    def sorted_segment(self, key: Tuple[int, int]) -> _SortedSegment:
+        """Segment ``key`` sorted for :func:`_nearest_on_segment`, built on
+        first call and kept."""
+        if key not in self._sorted_seg:
+            self._sorted_seg[key] = _sorted_segment(*self.seg[key])
+        return self._sorted_seg[key]
 
 
 def _joined(runs: List[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
@@ -1152,7 +1163,9 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
     without coordinates to the wedge or, lacking one, to vertex 0.  Both
     are sorted searches, with the partners and ties of an argmin over
     every vertex: a star branch by position (:func:`_nearest_on_branch`),
-    a segment by ``(x, h)`` (:func:`_nearest_on_segment`).
+    a segment by ``(x, h)`` (:func:`_nearest_on_segment`).  A segment with
+    at most ``_MATCH_BROADCAST_CELLS`` query-vertex pairs is costed whole,
+    by that argmin.
     """
     names = dst.tree.vertices
     cost = np.full(src.tree.n, math.inf)
@@ -1180,7 +1193,14 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
         scale = dst.parts[part].combed.seg_scale[l]
         heights = dst.heights[part]
         target_h = np.minimum(h, [heights.get(xv, 0.0) for xv in x.tolist()])
-        offer(rows, *_nearest_on_segment(dst.sorted_seg[(part, l)], x, target_h, scale))
+        xs, hs, idx = dst.seg[(part, l)]
+        if len(x) * len(xs) > _MATCH_BROADCAST_CELLS:
+            offer(rows, *_nearest_on_segment(dst.sorted_segment((part, l)), x, target_h, scale))
+            continue
+        xb, tb = x[:, None], target_h[:, None]
+        c = scale * np.where(xs == xb, np.abs(hs - tb), tb + np.abs(xs - xb) + hs)
+        j = np.argmin(c, axis=1)
+        offer(rows, c[np.arange(len(j)), j], idx[j])
     partner[partner < 0] = dst.fallback
     if src.wedge:
         partner[src.fallback] = dst.fallback

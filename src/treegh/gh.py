@@ -43,12 +43,12 @@ DEFAULT_CAP = 8
 # than 2**13 or 2**20; metric._BLOCK_CELLS (4M) would hold all of |C|^2 in
 # one block and gain nothing.
 _DISTORTION_BLOCK_CELLS = 1 << 16
-# Between trees, distortion bounds every row of the product from one
-# representative row per this many rows, and from at most
-# _REPRESENTATIVES rows in all.
-_REPRESENTATIVE_STRIDE = 32
+# Between trees, distortion bounds every row of the product from at most
+# _REPRESENTATIVES representative rows: first one row per
+# _REPRESENTATIVE_STRIDE rows, evenly spaced, then batches of
+# _REPRESENTATIVE_BATCH rows.
+_REPRESENTATIVE_STRIDE = 64
 _REPRESENTATIVES = 256
-# Representatives chosen at once after the first, evenly spaced, batch.
 _REPRESENTATIVE_BATCH = 8
 
 
@@ -181,8 +181,7 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     walk and fill no row: a tree without a cached fill is read through its
     depths.
 
-    One pair in ``_REPRESENTATIVE_STRIDE``, and at most
-    ``_REPRESENTATIVES`` pairs in all, are representatives ``r = (a_r,
+    At most ``_REPRESENTATIVES`` pairs are representatives ``r = (a_r,
     b_r)``.  With ``A``, ``B`` the distances from its points, read
     from a tree's cached fill when it has one and else from
     :meth:`MetricTree._depth_rows`, its row's largest entry
@@ -195,14 +194,17 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     that is not finite becomes -inf.
 
     The representatives are chosen in batches, one depth-row call per side
-    each: a first batch of at most half of them evenly spaced in the
-    correspondence's order, then up to ``_REPRESENTATIVE_BATCH`` at a time
-    by Gonzalez's farthest-point sweep (TCS 1985) in the distance that
-    bounds rows, each next pair the one whose bound ``near(r) + A + B`` is
-    largest (:func:`_farthest`).
-    That puts representatives on the rows that would be read, so few are.
-    The sweep stops early once no bound exceeds ``low``.  Any choice keeps
-    the value bit for bit: the plan only bounds rows.
+    each: a first batch of one pair in ``_REPRESENTATIVE_STRIDE``, evenly
+    spaced in the correspondence's order, then up to
+    ``_REPRESENTATIVE_BATCH`` at a time by Gonzalez's farthest-point sweep
+    (TCS 1985) in the distance that bounds rows, each next pair the one
+    whose bound ``near(r) + A + B`` is largest (:func:`_farthest`).  That
+    puts representatives on the rows that would be read, so few are.  The
+    sweep stops once no more rows have a bound above ``low`` than the next
+    batch would take, since reading those rows costs no more than the
+    batch.  A batch is at most a block of ``_DISTORTION_BLOCK_CELLS``
+    entries.  Any choice keeps the value bit for bit: the plan only bounds
+    rows.
 
     The slack is ``6 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)``, with L the
     total edge length; per tree it is ``12 (n + 1)`` units of ``2**-53 L``.
@@ -228,12 +230,12 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
         raise ValueError("correspondence does not cover both spaces")
     I, J = corr.rows.T.astype(np.intp)
     from_x, from_y = _sketch(x, I), _sketch(y, J)
-    count = min(_REPRESENTATIVES, -(-len(I) // _REPRESENTATIVE_STRIDE))
+    count = min(_REPRESENTATIVES, len(I))
     step = _block_rows(max(len(I), x.n, y.n))
     bound = np.full(len(I), np.inf)
     owner = np.zeros(len(I), dtype=np.intp)  # the representative that bounds each row
     low = -math.inf
-    first = min(step, -(-count // 2))
+    first = min(step, count, -(-len(I) // _REPRESENTATIVE_STRIDE))
     r = np.arange(first) * len(I) // first  # the first batch evenly spaced
     taken = 0
     while True:
@@ -250,9 +252,10 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
         for k, row in enumerate(a, taken - len(r)):
             np.copyto(owner, k, where=row < bound)
             np.fmin(bound, row, out=bound)
-        r = _farthest(bound, owner, low, min(step, _REPRESENTATIVE_BATCH, count - taken))
-        if not len(r):
-            break
+        k = min(step, _REPRESENTATIVE_BATCH, count - taken)
+        if np.count_nonzero(bound > low) <= k:
+            break  # reading the rows left costs no more than another batch
+        r = _farthest(bound, owner, low, k)
     slack = 6.0 * 2.0 ** -52 * (
         (x.n + 1) * x.total_edge_length() + (y.n + 1) * y.total_edge_length()
     )
@@ -397,8 +400,8 @@ def _depth_mismatch(
     (the preorder positions of the pairs' points)."""
     ux, rx = np.unique(I[rows], return_inverse=True)
     uy, ry = np.unique(J[rows], return_inverse=True)
-    block = x._depth_rows(ux)[rx[:, None], cx]
-    block -= y._depth_rows(uy)[ry[:, None], cy]
+    block = x._depth_rows(ux).take(cx, axis=1)[rx]
+    block -= y._depth_rows(uy).take(cy, axis=1)[ry]
     return np.abs(block, out=block)
 
 

@@ -431,11 +431,10 @@ class MetricTree:
         sums of one source are made a block of ``_PERMUTE_BLOCK_CELLS``
         terms at a time.
         """
-        pre = self._preorder()
+        pre, lengths = self._preorder(), self._lengths
         src = pre.pos[np.asarray(sources, dtype=np.intp)]
         col = pre.pos[np.asarray(targets, dtype=np.intp)]
         out = np.empty(len(src))
-        lengths = np.asarray(pre.weight)
         by_source = np.argsort(src, kind="stable")
         heads = np.flatnonzero(np.r_[True, src[by_source[1:]] != src[by_source[:-1]]])
         for group in np.split(by_source, heads[1:]):
@@ -454,6 +453,12 @@ class MetricTree:
             out[group[col[group] == s]] = 0.0
         return out
 
+    @cached_property
+    def _lengths(self) -> np.ndarray:
+        """The preorder's lengths as an array, for :meth:`_fill_entries`;
+        built on first read."""
+        return np.array(self._preorder().weight)
+
     def _refuse_rows(self, k: int) -> None:
         """Raise ValueError if ``k`` distance rows of this tree would take
         more than ``_MAX_ROW_BYTES``: a too-fine sample fails at once, as
@@ -469,17 +474,23 @@ class MetricTree:
         """The tables :meth:`_depth_rows` reads, built on first call and
         cached: each position's parent depth in blocks of ``_DEPTH_BLOCK``
         positions (inf past the last), the running minima of every block
-        from its head and from its tail, and each block's minimum."""
+        from its tail and from its head (stacked, so one gather reads
+        either), each block's minimum, and the depths padded with zeros to
+        whole blocks."""
         if self._minima is None:
             pre, n, B = self._preorder(), self.n, _DEPTH_BLOCK
             nb = -(-n // B)
             up = np.full(nb * B, np.inf)
             up[1:n] = pre.depth[pre.parent[1:]]
             blocks = up.reshape(nb, B)
-            head = np.minimum.accumulate(blocks, axis=1)  # blocks[k, :t + 1]
-            tail = np.full_like(blocks, np.inf)  # blocks[k, t + 1:]
-            tail[:, :-1] = np.minimum.accumulate(blocks[:, :0:-1], axis=1)[:, ::-1]
-            self._minima = blocks, head, tail, blocks.min(axis=1)
+            ends = np.full((2, nb, B), np.inf)
+            # ends[0, k, t] is the least of blocks[k, t + 1:], ends[1, k, t]
+            # the least of blocks[k, :t + 1].
+            ends[0, :, :-1] = np.minimum.accumulate(blocks[:, :0:-1], axis=1)[:, ::-1]
+            np.minimum.accumulate(blocks, axis=1, out=ends[1])
+            depth = np.zeros(nb * B)
+            depth[:n] = pre.depth
+            self._minima = blocks, ends, ends[1, :, -1].copy(), depth
         return self._minima
 
     def _depth_rows(self, vertices: np.ndarray) -> np.ndarray:
@@ -492,10 +503,12 @@ class MetricTree:
         the lowest common ancestor is then the least parent depth over the
         positions ``(a, b]``: they lie inside the ancestor's subtree, below
         it, and include its child toward the later vertex.  That minimum is
-        read from the blocks of :meth:`_depth_minima`: the running minima
-        from each end of a block, and, per source, the running minima of
-        the block minima outward from the source's block, so a call costs
-        O(n) per source.
+        read from the blocks of :meth:`_depth_minima`: per source, the
+        running minima of the block minima outward from the source's block,
+        then, in one gather, the head of each later block and the tail of
+        each earlier one, and running minima from the source inside its own
+        block; so a call costs O(n) per source.  The sums run over whole
+        blocks, as the padded depths are.
 
         Error: each depth is at most n - 1 roundings of values at most the
         total length L away from the exact depth, and the sum and the
@@ -504,43 +517,43 @@ class MetricTree:
         distance.
         """
         pre = self._preorder()
-        blocks, head, tail, least = self._depth_minima()
+        blocks, ends, least, padded = self._depth_minima()
         depth, n, (nb, B) = pre.depth, self.n, blocks.shape
         src = pre.pos[np.asarray(vertices, dtype=np.intp)]
         rows = np.arange(len(src))
         ka, ta = np.divmod(src, B)
-        k = np.arange(nb)
-        later = k > ka[:, None]
-        # after[s, k]: the least block minimum strictly between the source's
-        # block and a later block k; before[s, k] likewise for an earlier one.
-        after = np.full((len(src), nb), np.inf)
-        after[:, 1:] = np.where(later[:, :-1], least[:-1], np.inf)
+        later = np.arange(nb) > ka[:, None]
+        # Toward a later block: the tail of the source's block, then the
+        # block minima in order; toward an earlier one: the head of the
+        # source's block, then the block minima in reverse.
+        after = np.where(later, least, np.inf)
+        after[rows, ka] = ends[0, ka, ta]
         np.minimum.accumulate(after, axis=1, out=after)
-        before = np.full((len(src), nb), np.inf)
-        before[:, :-1] = np.where(k[1:] < ka[:, None], least[1:], np.inf)
+        before = np.where(later, np.inf, least)
+        before[rows, ka] = ends[1, ka, ta]
         before = np.minimum.accumulate(before[:, ::-1], axis=1)[:, ::-1]
-        # Past the source's block: the tail of the source's block, the
-        # whole blocks between, the head of the target's.  Before it: the
-        # tail of the target's block, the whole blocks between, the head of
-        # the source's.
-        between = np.where(
-            later,
-            np.minimum(after, tail[ka, ta][:, None]),
-            np.minimum(before, head[ka, ta][:, None]),
-        )
-        lca = np.minimum(between[:, :, None], np.where(later[:, :, None], head, tail))
+        # between[s, k]: the least parent depth from the source up to block
+        # k, or from block k up to the source, block k left out.
+        between = np.empty((len(src), nb))
+        between[:, 1:] = after[:, :-1]
+        np.copyto(between[:, :-1], before[:, 1:], where=~later[:, :-1])
+        # A later block's head up to the target, an earlier block's tail
+        # after it (later as 0/1 picks the table).
+        lca = ends[later.view(np.int8), np.arange(nb)]
+        np.minimum(lca, between[:, :, None], out=lca)
         # Inside the source's own block: the running minima from the source.
         t = np.arange(B)
         own = np.where(t > ta[:, None], blocks[ka], np.inf)
         np.minimum.accumulate(own, axis=1, out=own)
-        back = np.where(t < ta[:, None], blocks[ka[:, None], np.minimum(t + 1, B - 1)], np.inf)
+        back = np.where(t <= ta[:, None], blocks[ka], np.inf)
         back = np.minimum.accumulate(back[:, ::-1], axis=1)[:, ::-1]
-        lca[rows, ka] = np.minimum(own, back)
+        np.minimum(own[:, :-1], back[:, 1:], out=own[:, :-1])
+        lca[rows, ka] = own
         lca = lca.reshape(len(src), nb * B)
         lca[rows, src] = depth[src]
         lca *= -2.0
-        lca[:, :n] += depth
-        lca[:, :n] += depth[src][:, None]
+        lca += padded
+        lca += depth[src][:, None]
         return lca[:, :n]
 
     # -- queries --------------------------------------------------------------

@@ -1142,6 +1142,7 @@ def test_matcher_partners_do_not_depend_on_its_cost_blocks(small_config, monkeyp
     want = [treegh.embedding._matches(a, b) for a, b in pairs]
     assert max(len(x) for _, (x, _, _) in indexes[0].seg.items()) > 7
     monkeypatch.setattr(treegh.embedding, "_MATCH_BLOCK_CELLS", 7)
+    monkeypatch.setattr(treegh.embedding, "_MATCH_BROADCAST_CELLS", 0)  # every segment sorted
     for (a, b), partners in zip(pairs, want):
         assert treegh.embedding._matches(a, b).tolist() == partners.tolist()
 
@@ -1210,7 +1211,25 @@ def test_sorted_matcher_equals_the_broadcast_matcher(small_config, monkeypatch):
         cells = [(lab, 2) for lab in cfg.h_space.labels if lab not in cfg.marked]
         continuity_scan(cfg, cells[:4], [(0, 1), (1, 2), (2, 3)], strict=False)
     monkeypatch.undo()
+    # with the default, the segments of at most _MATCH_BROADCAST_CELLS pairs
+    # are costed by broadcast and the others searched sorted
+    pairs = [(a, b) for a in indexes for b in indexes]
     sorted_search = treegh.embedding._nearest_on_segment
+    searched = []
+
+    def counted(seg, x, th, scale):
+        searched.append(len(x))
+        return sorted_search(seg, x, th, scale)
+
+    monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", counted)
+    default = [treegh.embedding._matches(a, b).tolist() for a, b in pairs]
+    sizes = [
+        len(x) * len(b.seg[key][0]) for a, b in pairs for key, (x, _, _) in a.seg.items() if key in b.seg
+    ]
+    large = sum(c > treegh.embedding._MATCH_BROADCAST_CELLS for c in sizes)
+    assert 0 < large == len(searched) < len(sizes)
+    monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", sorted_search)
+    monkeypatch.setattr(treegh.embedding, "_MATCH_BROADCAST_CELLS", 0)
     for cells in (7, 1 << 10, 1 << 18):
         monkeypatch.setattr(treegh.embedding, "_MATCH_BLOCK_CELLS", cells)
 
@@ -1219,13 +1238,12 @@ def test_sorted_matcher_equals_the_broadcast_matcher(small_config, monkeypatch):
             xs[seg.at], hs[seg.at] = seg.xs, seg.hs
             return _broadcast_segment(xs, hs, seg.idx, x, th, scale, cells)
 
-        for a in indexes:
-            for b in indexes:
-                got = treegh.embedding._matches(a, b)
-                monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", broadcast)
-                want = treegh.embedding._matches(a, b)
-                monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", sorted_search)
-                assert got.tolist() == want.tolist()
+        for (a, b), partners in zip(pairs, default):
+            got = treegh.embedding._matches(a, b)
+            monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", broadcast)
+            want = treegh.embedding._matches(a, b)
+            monkeypatch.setattr(treegh.embedding, "_nearest_on_segment", sorted_search)
+            assert got.tolist() == want.tolist() == partners
 
 
 def test_matcher_tie_and_empty_coordinate_rules():

@@ -538,7 +538,7 @@ def test_pruned_tree_distortion_equals_the_unblocked_formula(small_config, monke
     )
     stride = treegh.gh._REPRESENTATIVE_STRIDE
     assert any(len(c) < stride for _, _, c in cases)
-    assert sum(len(c) > 4 * stride for _, _, c in cases) >= 20
+    assert sum(len(c) > 2 * stride for _, _, c in cases) >= 20
 
     def values(x, y, corr):
         m = len(corr)
@@ -574,10 +574,11 @@ def _plan_cases(small_config, monkeypatch):
     return cases
 
 
-@pytest.mark.parametrize("stride", [1, 32])
+@pytest.mark.parametrize("stride", [1, 64])
 def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeypatch, stride):
-    # Stride 1 makes every row a representative, so `low` sits within the
-    # slack of the largest entry: the slack is what keeps it below.
+    # Stride 1 makes every row of a correspondence of at most 256 pairs a
+    # representative, so `low` sits within the slack of the largest entry:
+    # the slack is what keeps it below.
     cases = _plan_cases(small_config, monkeypatch)
     monkeypatch.setattr(treegh.gh, "_REPRESENTATIVE_STRIDE", stride)
     for x, y, corr in cases:

@@ -467,6 +467,31 @@ def test_depth_rows_are_within_their_proven_error(small_config, monkeypatch):
             assert np.all(got[np.arange(len(rows)), t._preorder().pos[rows]] == 0.0)
 
 
+def test_depth_rows_equal_their_formula_bit_for_bit(small_config, monkeypatch):
+    # each entry is (-2 depth[lca] + depth[v]) + depth[u], with the lowest
+    # common ancestor found by climbing parents: whatever the block size,
+    # and for sources at the ends of blocks and of the preorder
+    rng = np.random.default_rng(5151)
+    for block in (1, 3, 64):
+        monkeypatch.setattr(tree_module, "_DEPTH_BLOCK", block)
+        for t in _walk_trees(small_config):
+            pre = t._preorder()
+            picks = [0, t.n - 1, min(block, t.n - 1), min(2 * block - 1, t.n - 1)]
+            at = np.array(picks + rng.integers(0, t.n, size=4).tolist())
+            got = t._depth_rows(np.array(pre.order)[at])
+            for k, a in enumerate(at.tolist()):
+                line, p = set(), a
+                while p >= 0:
+                    line.add(p)
+                    p = int(pre.parent[p])
+                for b in rng.integers(0, t.n, size=40).tolist() + [a, 0, t.n - 1]:
+                    c = b
+                    while c not in line:
+                        c = int(pre.parent[c])
+                    want = (-2.0 * pre.depth[c] + pre.depth[b]) + pre.depth[a]
+                    assert got[k, b].hex() == float(want).hex(), (t, block, a, b)
+
+
 def test_unpermuted_fill_reads_like_dist(small_config):
     rng = np.random.default_rng(17)
 
