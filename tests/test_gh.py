@@ -574,7 +574,7 @@ def _plan_cases(small_config, monkeypatch):
     return cases
 
 
-@pytest.mark.parametrize("stride", [1, 64])
+@pytest.mark.parametrize("stride", [1, 32, 64])
 def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeypatch, stride):
     # Stride 1 makes every row of a correspondence of at most 256 pairs a
     # representative, so `low` sits within the slack of the largest entry:
