@@ -932,7 +932,10 @@ class _CandidateIndex:
     equal positions), and :meth:`sorted_segment` sorts a segment for
     :func:`_nearest_on_segment` when first asked.  It keeps the sample
     ``tree``, the ``parts`` and whether the tree is a wedge at ``p``;
-    ``fallback`` is the wedge's index, or 0 without a wedge.
+    ``fallback`` is the wedge's index, or 0 without a wedge.  The matcher
+    reads the sample by vertex index, and writes an id only to break a
+    tie, so the sample's ids, edges and index are never built (see
+    :func:`~treegh.tree.subdivide`).
 
     The tree's own vertices are grouped from their coordinates.  The
     vertices that :func:`~treegh.tree.subdivide` inserts on an edge come
@@ -1165,9 +1168,11 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
     every vertex: a star branch by position (:func:`_nearest_on_branch`),
     a segment by ``(x, h)`` (:func:`_nearest_on_segment`).  A segment with
     at most ``_MATCH_BROADCAST_CELLS`` query-vertex pairs is costed whole,
-    by that argmin.
+    by that argmin.  A tie between segments is broken by vertex id, read
+    one at a time (:meth:`~treegh.tree.MetricTree._name`), so a sample's
+    ids are never built.
     """
-    names = dst.tree.vertices
+    name = dst.tree._name
     cost = np.full(src.tree.n, math.inf)
     partner = np.full(src.tree.n, -1, dtype=np.intp)
 
@@ -1176,7 +1181,7 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
         take = c < held
         for k in np.flatnonzero(c == held):
             old = partner[rows[k]]
-            take[k] = old < 0 or names[cand[k]] < names[old]
+            take[k] = old < 0 or name(cand[k]) < name(old)
         cost[rows[take]] = c[take]
         partner[rows[take]] = cand[take]
 
@@ -1219,7 +1224,7 @@ def _routed_nearest(
     toa = scale * (h + x)
     tob = scale * (h + 1.0 - x)
     from_a, from_b = geo.corner_row(seg.a), geo.corner_row(seg.b)
-    best: Optional[Tuple[float, str]] = None
+    best: Optional[Tuple[float, str, int]] = None
     for l2 in dst.part_segments[part]:
         xs, hs, idx = dst.seg[(part, l2)]
         seg2 = geo.segments[l2]
@@ -1234,12 +1239,12 @@ def _routed_nearest(
             np.minimum(tob + dba + ca, tob + dbb + cb),
         )
         j = int(np.argmin(cost))
-        cand = (float(cost[j]), dst.tree.vertices[idx[j]])
+        cand = (float(cost[j]), dst.tree._name(idx[j]), int(idx[j]))
         if best is None or cand < best:
             best = cand
     if best is None:
         return (math.inf, dst.fallback)
-    return best[0], dst.tree.index(best[1])
+    return best[0], best[2]
 
 
 def _composite_correspondence(ia: _CandidateIndex, ib: _CandidateIndex) -> Correspondence:

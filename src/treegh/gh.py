@@ -46,7 +46,8 @@ _DISTORTION_BLOCK_CELLS = 1 << 16
 # Between trees, distortion bounds every row of the product from at most
 # _REPRESENTATIVES representative rows: first one row per
 # _REPRESENTATIVE_STRIDE rows, evenly spaced, then batches of
-# _REPRESENTATIVE_BATCH rows.
+# _REPRESENTATIVE_BATCH rows.  Every batch is read _REPRESENTATIVE_BATCH
+# rows at a time.
 _REPRESENTATIVE_STRIDE = 64
 _REPRESENTATIVES = 256
 _REPRESENTATIVE_BATCH = 8
@@ -193,18 +194,21 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     finite sum bounds keeps bound inf) and raises no ``low``, and a ``low``
     that is not finite becomes -inf.
 
-    The representatives are chosen in batches, one depth-row call per side
-    each: a first batch of one pair in ``_REPRESENTATIVE_STRIDE``, evenly
-    spaced in the correspondence's order, then up to
-    ``_REPRESENTATIVE_BATCH`` at a time by Gonzalez's farthest-point sweep
-    (TCS 1985) in the distance that bounds rows, each next pair the one
-    whose bound ``near(r) + A + B`` is largest (:func:`_farthest`).  That
-    puts representatives on the rows that would be read, so few are.  The
-    sweep stops once no more rows have a bound above ``low`` than the next
-    batch would take, since reading those rows costs no more than the
-    batch.  A batch is at most a block of ``_DISTORTION_BLOCK_CELLS``
-    entries.  Any choice keeps the value bit for bit: the plan only bounds
-    rows.
+    The representatives are chosen in batches: a first batch of one pair
+    in ``_REPRESENTATIVE_STRIDE``, evenly spaced in the correspondence's
+    order, then up to ``_REPRESENTATIVE_BATCH`` at a time by Gonzalez's
+    farthest-point sweep (TCS 1985) in the distance that bounds rows, each
+    next pair the one whose bound ``near(r) + A + B`` is largest
+    (:func:`_farthest`).  That puts representatives on the rows that would
+    be read, so few are.  The sweep stops once no more rows have a bound
+    above ``low`` than the next batch would take, since reading those rows
+    costs no more than the batch.  A batch is at most a block of
+    ``_DISTORTION_BLOCK_CELLS`` entries, and its rows are read
+    ``_REPRESENTATIVE_BATCH`` at a time, one depth-row call per side each,
+    so the first batch holds no more rows at once than a sweep batch.  Each
+    row still updates the bounds in turn, and ``low`` takes the batch's
+    largest ``near``, so the plan does not depend on that step.  Any choice
+    keeps the value bit for bit: the plan only bounds rows.
 
     The slack is ``6 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)``, with L the
     total edge length; per tree it is ``12 (n + 1)`` units of ``2**-53 L``.
@@ -239,19 +243,27 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     r = np.arange(first) * len(I) // first  # the first batch evenly spaced
     taken = 0
     while True:
-        a = from_x(I[r])
-        b = from_y(J[r])
-        near = np.abs(a - b).max(axis=1)
-        low = max(low, float(near.max()))  # a NaN block proves nothing
-        a += b
-        a += near[:, None]
+        last = taken + len(r) >= count
+        nears, least = [], np.full(len(I), np.inf) if last else None
+        for lo in range(0, len(r), _REPRESENTATIVE_BATCH):
+            some = r[lo : lo + _REPRESENTATIVE_BATCH]
+            a = from_x(I[some])
+            b = from_y(J[some])
+            near = np.abs(a - b).max(axis=1)
+            nears.append(near)
+            a += b
+            a += near[:, None]
+            if last:
+                np.minimum(least, a.min(axis=0), out=least)
+                continue
+            for k, row in enumerate(a, taken + lo):
+                np.copyto(owner, k, where=row < bound)
+                np.fmin(bound, row, out=bound)
+        low = max(low, float(np.concatenate(nears).max()))  # a NaN batch proves nothing
         taken += len(r)
-        if taken >= count:
-            np.fmin(bound, a.min(axis=0), out=bound)
+        if last:
+            np.fmin(bound, least, out=bound)
             break
-        for k, row in enumerate(a, taken - len(r)):
-            np.copyto(owner, k, where=row < bound)
-            np.fmin(bound, row, out=bound)
         k = min(step, _REPRESENTATIVE_BATCH, count - taken)
         if np.count_nonzero(bound > low) <= k:
             break  # reading the rows left costs no more than another batch

@@ -7,10 +7,12 @@ proves the edge list is a tree by counting: one depth-first walk from vertex
 0 must reach all n vertices over exactly n - 1 edges.  Only when that fails
 is the graph searched again, to name a cycle or the components.
 Operations that keep a tree a tree skip the proof: subdivision, chunk
-boundaries and ball cuts put vertices on the edges of a valid tree through
-one builder that checks only the new ids and pieces, a closed ball keeps a
-connected set of vertices, and edge replacement glues trees across plain
-paths that its entry checks have vetted.  The same walk, as a preorder with
+boundaries and ball cuts put vertices on the edges of a valid tree and
+check only the new ids and pieces, a closed ball keeps a connected set of
+vertices, and edge replacement glues trees across plain paths that its
+entry checks have vetted.  A subdivision also defers its ids, edges and
+index: it keeps its host, the cuts per host edge and its edge lengths,
+and names no vertex until one is read.  The same walk, as a preorder with
 parents, edge lengths and depths (cached; a subdivision splices its own
 from its host's instead of walking), fills the full matrix of path
 distances when it is first needed (then cached; its columns stay in
@@ -93,9 +95,10 @@ class _Preorder(NamedTuple):
 
 
 class _InsertedRuns(NamedTuple):
-    """The vertices :func:`_split_edges` inserted, as runs: the ends of
-    each split edge, the run lengths and the offsets of every inserted
-    vertex, which follow the first ``first`` vertices in run order."""
+    """The vertices :func:`_split_edges` or :func:`subdivide` inserted, as
+    runs: the ends of each split edge, the run lengths and the offsets of
+    every inserted vertex, which follow the first ``first`` vertices in run
+    order."""
 
     ends: List[Tuple[str, str]]
     cuts: List[int]
@@ -109,6 +112,17 @@ class _InsertedRuns(NamedTuple):
             vid: (a, b, off)
             for vid, (a, b), off in zip(vertices[self.first:], ends, self.offsets.tolist())
         }
+
+
+class _Subdivision(NamedTuple):
+    """What :func:`subdivide` keeps of a sample in place of its ids, edges
+    and index, which are built from it on first read: the host tree, the
+    number of vertices inserted on each host edge, and the sample's edge
+    lengths in edge order."""
+
+    host: "MetricTree"
+    cuts: np.ndarray
+    pieces: np.ndarray
 
 
 class TreeStructureError(ValueError):
@@ -125,6 +139,11 @@ class MetricTree:
     Attributes:
         vertices: vertex identifiers in insertion order.
         edges: tuples ``(a, b, length)``.
+        n: the number of vertices, stored.  A sample from :func:`subdivide`
+            builds ``vertices``, ``edges`` and the id index on first read,
+            from its host and the lengths it keeps (:class:`_Subdivision`);
+            its size, preorder, depth rows, total length and the id of one
+            vertex (:meth:`_name`) read none of them.
         dist: matrix of path distances (float64, read-only), filled with
             its columns in DFS preorder when first needed, permuted to
             vertex order on the first read of ``dist`` and cached;
@@ -155,8 +174,9 @@ class MetricTree:
         self.labels: Dict[str, str] = dict(labels or {})
         self._metadata: dict = dict(metadata or {})
         self._inserted: Optional[_InsertedRuns] = None
+        self._split: Optional[_Subdivision] = None
         self._index: Dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
+        self._n = n = len(self.vertices)
         if n == 0:
             raise TreeStructureError("a tree needs at least one vertex")
         if len(self._index) != n:
@@ -202,10 +222,65 @@ class MetricTree:
         is checked and no walk is made."""
         t = cls.__new__(cls)
         t.vertices, t.edges = tuple(vertices), tuple(edges)
-        t.labels, t._metadata, t._inserted = labels, metadata, None
+        t.labels, t._metadata, t._inserted, t._split = labels, metadata, None, None
         t._index = {v: i for i, v in enumerate(t.vertices)}
+        t._n = len(t.vertices)
         t._dist = t._cols = t._total_length = t._pre = t._minima = None
         return t
+
+    @classmethod
+    def _subdivision(
+        cls, host: "MetricTree", cuts: np.ndarray, pieces: np.ndarray,
+        metadata: dict, runs: _InsertedRuns,
+    ) -> "MetricTree":
+        """The sample of ``host`` with ``cuts[e]`` vertices ``sub:k`` on
+        each edge e and edge lengths ``pieces``, as :func:`subdivide` makes
+        it: nothing is checked, and its ids, edges and index are built on
+        first read (:attr:`vertices`, :attr:`edges`, :attr:`_index`)."""
+        t = cls.__new__(cls)
+        t.labels, t._metadata, t._inserted = dict(host.labels), metadata, runs
+        t._split = _Subdivision(host, cuts, pieces)
+        t._n = host.n + len(runs.offsets)
+        t._dist = t._cols = t._total_length = t._pre = t._minima = None
+        return t
+
+    @cached_property
+    def vertices(self) -> Tuple[str, ...]:
+        """A subdivision's ids, built on first read: its host's, then
+        ``sub:0``, ``sub:1``, ... along the host's edges.  Every other tree
+        sets them when it is built."""
+        host = self._split.host
+        return host.vertices + tuple(["sub:%d" % k for k in range(self._n - host.n)])
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[str, str, float], ...]:
+        """A subdivision's edges, built on first read: each host edge in
+        turn, as the run of its pieces through the ids inserted on it."""
+        host, cuts, pieces = self._split
+        ids = self.vertices[host.n:]
+        left: List[str] = []
+        right: List[str] = []
+        s = 0
+        for (a, b, _), c in zip(host.edges, cuts.tolist()):
+            run = ids[s:s + c]
+            s += c
+            left += (a, *run)
+            right += (*run, b)
+        return tuple(zip(left, right, pieces.tolist()))
+
+    @cached_property
+    def _index(self) -> Dict[str, int]:
+        """A subdivision's vertex index by id, built on first read."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def _name(self, i: int) -> str:
+        """The id of vertex ``i``; a subdivision writes it from its host
+        without building its ids."""
+        split = self._split
+        if split is None:
+            return self.vertices[i]
+        k = i - split.host.n
+        return split.host.vertices[i] if k < 0 else "sub:%d" % k
 
     @cached_property
     def _adj(self) -> List[List[Tuple[int, float]]]:
@@ -305,7 +380,7 @@ class MetricTree:
         # stored at their vertex's index with columns in preorder; the
         # matrix is returned with the preorder position of each vertex, and
         # `dist` permutes the columns to vertex order on its first read.
-        n = len(self.vertices)
+        n = self.n
         if n > _MAX_FILL_VERTICES:
             raise ValueError(
                 "the distance matrix of a tree of %d vertices would take %d "
@@ -560,14 +635,15 @@ class MetricTree:
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self._n
 
     @property
     def metadata(self) -> dict:
         """Free-form provenance.  Its ``inserted`` records (see the module
-        docstring) are built from the runs :func:`_split_edges` keeps on
-        the first read, so a sample that nothing asks about holds a few
-        bytes per inserted vertex instead of a dict entry and a tuple."""
+        docstring) are built on the first read from the runs that
+        :func:`_split_edges` and :func:`subdivide` keep, so a sample that
+        nothing asks about holds a few bytes per inserted vertex instead of
+        a dict entry and a tuple."""
         if self._inserted is not None:
             self._metadata["inserted"] = self._inserted.records(self.vertices)
             self._inserted = None
@@ -680,16 +756,21 @@ class MetricTree:
         return float(self.row(far).max())
 
     def total_edge_length(self) -> float:
-        """Sum of the edge lengths, computed on the first call and cached."""
+        """Sum of the edge lengths in edge order, computed on the first
+        call and cached; a subdivision sums its pieces and builds no edge."""
         if self._total_length is None:
-            self._total_length = float(sum(w for _, _, w in self.edges))
+            if self._split is not None:
+                lengths = self._split.pieces.tolist()
+            else:
+                lengths = [w for _, _, w in self.edges]
+            self._total_length = float(sum(lengths))
         return self._total_length
 
     def as_space(self) -> FiniteMetricSpace:
         return FiniteMetricSpace(self.vertices, self.dist)
 
     def __repr__(self):
-        return "MetricTree(%d vertices, %d edges)" % (self.n, len(self.edges))
+        return "MetricTree(%d vertices, %d edges)" % (self.n, self.n - 1)
 
 
 def tree_from_edges(
@@ -1007,11 +1088,10 @@ def _split_edges(
     offsets: Sequence[float],
     ids: Sequence[str],
     generator: str,
-    doing: str = "inserting vertices on edge ({a}, {b}) of length {w!r}",
     **extra,
 ) -> MetricTree:
-    """``tree`` with new vertices on its edges: the one builder of
-    subdivision, chunk-boundary and ball-cut vertices.
+    """``tree`` with new vertices on its edges: the builder of chunk-boundary
+    and ball-cut vertices (:func:`subdivide` defers its own).
 
     Edge e of ``tree.edges`` gets the next ``cuts[e]`` of ``offsets``
     (Python floats, from the edge's first end) and of ``ids``.  The new
@@ -1019,8 +1099,7 @@ def _split_edges(
     ``metadata["inserted"]``, after ``generator`` and before ``extra``.
     A tree with vertices on its edges is a tree, so only what can go wrong
     is checked: a piece that is not positive (offsets out of order or off
-    their edge), reported as ``doing`` formatted with the edge, and a new
-    id the tree already has.
+    their edge) and a new id the tree already has.
     """
     edges: List[Tuple[str, str, float]] = []
     ends: List[Tuple[str, str]] = []
@@ -1035,7 +1114,8 @@ def _split_edges(
         pieces = [offs[0], *[y - x for x, y in zip(offs, offs[1:])], w - offs[-1]]
         if not all(p > 0 for p in pieces):
             raise TreeStructureError(
-                doing.format(a=a, b=b, w=w) + " leaves a piece that is not positive"
+                "inserting vertices on edge (%s, %s) of length %r leaves a piece that "
+                "is not positive" % (a, b, w)
             )
         edges.extend(zip([a, *run], [*run, b], pieces))
         ends.append((a, b))
@@ -1343,10 +1423,14 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     Original vertices and their pairwise distances are preserved; inserted
     vertices get ids ``sub:k``, numbered along the edges in edge order, and
     follow the original vertices.  If no edge exceeds eps the input tree is
-    returned unchanged.  The sample is built in one pass over the edges and,
-    being the input tree with vertices on its edges, is not proved a tree
-    again; its preorder is spliced from the input tree's
-    (:func:`_spliced_preorder`), so building it walks no sample vertex.
+    returned unchanged.  The sample is the input tree with vertices on its
+    edges, so it is not proved a tree again: only its pieces (from one
+    difference over the offsets) and its new ids are checked.  It keeps
+    the input tree, the cuts per edge and the pieces, and builds its ids,
+    edges and index only when one of them is first read
+    (:meth:`MetricTree._subdivision`); its preorder is spliced from the
+    input tree's (:func:`_spliced_preorder`), so building it walks and
+    names no sample vertex.
 
     Raises:
         ValueError: eps is not positive, or the sample would insert more
@@ -1358,8 +1442,8 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     if not eps > 0:
         raise ValueError("eps must be positive")
     lengths = np.array([w for _, _, w in tree.edges])
-    pieces = _pieces(lengths, eps)
-    added = float(pieces.sum()) - len(pieces)
+    counts = _pieces(lengths, eps)
+    added = float(counts.sum()) - len(counts)
     if added > _MAX_SUBDIVIDE_VERTICES:
         raise ValueError(
             "subdividing at eps=%r would insert %.0f vertices, more than %d"
@@ -1367,21 +1451,51 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
         )
     if added == 0:
         return tree
-    cuts = pieces.astype(np.intp) - 1
-    offsets = _offsets(lengths, cuts).tolist()
-    sample = _split_edges(
-        tree, cuts.tolist(), offsets, ["sub:%d" % c for c in range(len(offsets))],
-        "subdivide", "subdividing edge ({a}, {b}) of length {w!r} at eps=%r" % (eps,),
-        eps=eps,
-    )
-    sample._pre = _spliced_preorder(tree, cuts, sample)
+    cuts = counts.astype(np.intp) - 1
+    offsets = _offsets(lengths, cuts)
+    # Each edge's offsets, then its length; a difference per piece, and at
+    # each edge's head its first offset (or its length).
+    ends = np.insert(offsets, np.cumsum(cuts), lengths)
+    pieces = np.diff(ends, prepend=0.0)
+    heads = np.cumsum(cuts + 1) - (cuts + 1)
+    pieces[heads] = ends[heads]
+    bad = np.flatnonzero(~(pieces > 0))
+    if len(bad):
+        a, b, w = tree.edges[int(np.searchsorted(heads, bad[0], "right")) - 1]
+        raise TreeStructureError(
+            "subdividing edge (%s, %s) of length %r at eps=%r leaves a piece that is "
+            "not positive" % (a, b, w, eps)
+        )
+    taken = _numbered(tree.vertices, "sub:", len(offsets))
+    if taken:
+        raise TreeStructureError("duplicate vertex ids: %s" % sorted(taken)[:3])
+    cut = np.flatnonzero(cuts).tolist()
+    runs = _InsertedRuns([tree.edges[e][:2] for e in cut], cuts[cut].tolist(), offsets, tree.n)
+    # "inserted" keeps its place among the keys and is filled on first read
+    meta = {"generator": "subdivide", "inserted": None, "eps": eps}
+    sample = MetricTree._subdivision(tree, cuts, pieces, meta, runs)
+    sample._pre = _spliced_preorder(tree, cuts, pieces)
     return sample
 
 
-def _spliced_preorder(tree: MetricTree, cuts: np.ndarray, sample: MetricTree) -> _Preorder:
-    """The preorder of ``sample``, ``tree`` with ``cuts[e]`` vertices
-    inserted on each edge e by :func:`_split_edges`, from the preorder of
-    ``tree``: field for field what walking the sample gives.
+def _numbered(vertices: Sequence[str], prefix: str, m: int) -> List[str]:
+    """The ids among ``vertices`` that are ``prefix`` followed by the
+    decimal of some k < m, as ``"%s%d" % (prefix, k)`` writes it."""
+    width = len(str(m))
+    out = []
+    for v in vertices:
+        k = v[len(prefix):]
+        if v.startswith(prefix) and k.isascii() and k.isdigit() and len(k) <= width:
+            if int(k) < m and str(int(k)) == k:
+                out.append(v)
+    return out
+
+
+def _spliced_preorder(tree: MetricTree, cuts: np.ndarray, pieces: np.ndarray) -> _Preorder:
+    """The preorder of the sample of ``tree`` with ``cuts[e]`` vertices
+    inserted on each edge e and edge lengths ``pieces`` (see
+    :func:`subdivide`), from the preorder of ``tree``: field for field what
+    walking the sample gives.
 
     The sample's adjacency lists are the tree's, with each neighbour
     replaced by the first inserted vertex on that edge, and an inserted
@@ -1414,8 +1528,7 @@ def _spliced_preorder(tree: MetricTree, cuts: np.ndarray, sample: MetricTree) ->
     order = np.where(
         k < c, n + taken[e] + j - ~fwd, np.asarray(pre.order, dtype=np.intp)[host]
     )
-    lengths = np.array([w for _, _, w in sample.edges])
-    weight = lengths[e + taken[e] + j]
+    weight = pieces[e + taken[e] + j]
     weight[0] = 0.0
     parent = np.arange(m) - 1
     heads = start + run  # where each tree position sits in the sample

@@ -1273,6 +1273,35 @@ def test_matcher_tie_and_empty_coordinate_rules():
         assert got.tolist() == want
 
 
+def test_matcher_breaks_a_tie_by_id_without_building_the_sample():
+    # "v" is equally near sub:9 on segment 0 and sub:10 on segment 1 of the
+    # subdivided dst: the smaller id as a string, sub:10, wins, although its
+    # index is larger, and the sample's ids, edges and index stay unbuilt.
+    part = SimpleNamespace(combed=SimpleNamespace(s=0.0, depth_cap=1, seg_scale=[1.0, 1.0]))
+    src = CoordTree(
+        tree=tree_from_edges([("v", "w", 1.0)]),
+        coords={"v": {0: {0: (0.5, 0.0), 1: (0.5, 0.0)}}, "w": {0: {}}},
+        parts=[part], wedge=False,
+    )
+    # at eps 1/8 the first edge takes sub:0 .. sub:8, the second sub:9 at
+    # (0.5, 0.25) on segment 0, the last sub:10 at (0.5, 0.25) on segment 1
+    dst = CoordTree(
+        tree=tree_from_edges([("b", "c", 1.25), ("c", "e", 0.25), ("e", "d", 0.1), ("d", "f", 0.25)]),
+        coords={
+            "b": {0: {0: (0.0, 1.0)}}, "c": {0: {0: (0.0, 0.25)}}, "e": {0: {0: (1.0, 0.25)}},
+            "d": {0: {1: (0.0, 0.25)}}, "f": {0: {1: (1.0, 0.25)}},
+        },
+        parts=[part], wedge=False,
+    )
+    a, b = sample_index(src, 1.0), sample_index(dst, 0.125)
+    got = treegh.embedding._matches(a, b)
+    assert sorted(vars(b.tree).keys() & {"vertices", "edges", "_index"}) == []
+    built = MetricTree(b.tree.vertices, b.tree.edges)
+    assert built.vertices[got[a.tree.index("v")]] == "sub:10"
+    b.tree = built
+    assert treegh.embedding._matches(a, b).tolist() == got.tolist()
+
+
 def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, monkeypatch):
     grid = [("g0_1", 1), ("g1_1", 1), ("g1_0", 1), ("g2_1", 1)]
     adjacency = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)]
@@ -1334,8 +1363,9 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
 
 def test_continuity_samples_link_no_adjacency_lists(small_config, monkeypatch):
     # each sample's preorder is spliced from its cell's tree, nothing else
-    # the scan does with a sample walks it, and its subdivision records
-    # stay runs until something reads its metadata
+    # the scan does with a sample walks it, its subdivision records stay
+    # runs until something reads its metadata, and its ids, edges and index
+    # stay unbuilt
     samples = []
 
     def kept(tree, eps):
@@ -1352,6 +1382,7 @@ def test_continuity_samples_link_no_adjacency_lists(small_config, monkeypatch):
         assert len(samples) == 4 and all(s.n > 30 for s in samples)
         assert not [s for s in samples if "_adj" in vars(s)]
         assert all(s._inserted is not None for s in samples)
+        assert not [s for s in samples if {"vertices", "edges", "_index"} & vars(s).keys()]
         assert got == continuity_scan(dataclasses.replace(small_config, eps=eps), cells, adjacency)
         samples.clear()
 

@@ -1085,9 +1085,84 @@ def test_subdivide_splices_the_walked_preorder(small_config):
     assert spliced == 80 + 3 * 7 + 4
     # with no edge cut the splice is the host's own walk
     t = MetricTree(("b", "a", "c"), [("a", "b", 0.5), ("c", "b", 0.25)])
-    got = tree_module._spliced_preorder(t, np.zeros(2, dtype=np.intp), t)
+    got = tree_module._spliced_preorder(t, np.zeros(2, dtype=np.intp), np.array([0.5, 0.25]))
     assert _hexed(got) == _hexed(_walked_preorder(t))
     assert subdivide(t, 0.5) is t
+
+
+_DEFERRED = ("vertices", "edges", "_index")
+
+
+def _built(t):
+    """Which of a tree's deferred parts have been built."""
+    return sorted(_DEFERRED & vars(t).keys())
+
+
+def test_a_deferred_sample_equals_the_eager_reference():
+    # subdivide names no vertex until one is read; whatever is read first,
+    # the sample is field for field the reference built through the checked
+    # constructor, and its size, preorder, fill and length read no id
+    rng = np.random.default_rng(2828)
+    sampled = 0
+    for trial in range(60):
+        t = random_tree(rng, 2, 24, scale=float(rng.choice([0.3, 1.0, 3.0])))
+        t = MetricTree(t.vertices, t.edges, labels={v: v.upper() for v in t.vertices[::3]})
+        longest = max(w for *_, w in t.edges)
+        for eps in (longest * 0.7, longest / 3, longest / 17, float(rng.uniform(0.01, 0.2))):
+            want = reference_subdivide(t, eps)
+            if want is t:
+                continue
+            sampled += 1
+            got = subdivide(t, eps)
+            assert got.n == want.n and repr(got) == repr(want)
+            length = float(sum(w for *_, w in want.edges))
+            assert got.total_edge_length().hex() == length.hex()
+            assert _hexed(got._preorder()) == _hexed(want._preorder())
+            assert got.dist.tobytes() == want.dist.tobytes()
+            assert _built(got) == []
+            assert got.vertices == want.vertices and got.edges == want.edges
+            assert [got.index(v) for v in want.vertices] == list(range(want.n))
+            assert got.labels == want.labels and got.metadata == want.metadata
+            assert list(got.metadata) == ["generator", "inserted", "eps"]
+            # each part built first on its own
+            first = subdivide(t, eps)
+            assert first.edges == want.edges
+            first = subdivide(t, eps)
+            assert [first.index(v) for v in want.vertices] == list(range(want.n))
+            with pytest.raises(KeyError, match="not in tree"):
+                first.index("sub:%d" % want.n)
+            first = subdivide(t, eps)
+            assert [first._name(i) for i in range(want.n)] == list(want.vertices)
+            assert _built(first) == []
+    assert sampled > 150
+
+
+def test_subdivide_refuses_only_its_own_ids():
+    # the new ids are sub:0 .. sub:m-1 with m = 19 here; a host id is taken
+    # only when it is one of them, written as "%d" writes it
+    def host(*extra):
+        return tree_from_edges([("a", "b", 1.0)] + [("a", v, 0.01) for v in extra])
+
+    with pytest.raises(TreeStructureError) as err:
+        subdivide(host("sub:3"), 0.05)
+    assert str(err.value) == "duplicate vertex ids: ['sub:3']"
+    with pytest.raises(TreeStructureError) as err:
+        subdivide(host("sub:18", "sub:12", "sub:3", "sub:0"), 0.05)
+    assert str(err.value) == "duplicate vertex ids: ['sub:0', 'sub:12', 'sub:18']"
+    free = ("sub:03", "sub:x", "sub:-1", "sub:19", "sub:190", "sub:", "sub:+1", "sub: 1",
+            "sub:1_0", "sub:\u0663", "sub:" + "9" * 5000)
+    sample = subdivide(host(*free), 0.05)
+    assert sample.n == 2 + len(free) + 19
+    rebuilt = MetricTree(sample.vertices, sample.edges)  # distinct ids, a tree
+    assert rebuilt.vertices[-19:] == tuple("sub:%d" % k for k in range(19))
+    # an edge so long that w * j overflows still names its edge
+    long = tree_from_edges([("a", "b", 1.0), ("b", "c", 1.7e308), ("c", "d", 1.0)])
+    with pytest.raises(TreeStructureError) as err:
+        subdivide(long, 1.7e308 / 3)
+    assert str(err.value) == (
+        "subdividing edge (b, c) of length 1.7e+308 at eps=5.666666666666667e+307 "
+        "leaves a piece that is not positive"
+    )
 
 
 def checked(fn, *args):
