@@ -43,7 +43,6 @@ from .tree import (
     decompose_deg2,
     deg2_components,
     _offsets,
-    _pieces,
     replace_edges,
     subdivide,
 )
@@ -59,7 +58,7 @@ from .families import (
     rho_embed,
     tau,
 )
-from .gh import Correspondence, _plan, _planned_maximum, gh_upper_bound
+from .gh import Correspondence, gh_upper_bound
 from .io import tree_from_document, tree_to_document
 
 __all__ = [
@@ -980,7 +979,7 @@ class _CandidateIndex:
         self.tree = subdivide(tree, eps)
         if self.tree is not tree:
             lengths = np.array([w for _, _, w in tree.edges])
-            cuts = _pieces(lengths, eps).astype(np.intp) - 1
+            cuts = self.tree._split.cuts
             t = _offsets(lengths, cuts) / np.repeat(lengths, cuts)
             rows = np.arange(tree.n, self.tree.n, dtype=np.intp)
             for (a, b, _), c, e in zip(tree.edges, cuts.tolist(), np.cumsum(cuts).tolist()):
@@ -1004,6 +1003,12 @@ class _CandidateIndex:
         self._sorted_seg: Dict[Tuple[int, int], _SortedSegment] = {}
         self.heights = {
             i: _tooth_heights(g.combed.s, g.combed.depth_cap) for i, g in enumerate(parts)
+        }
+        # Each part's tooth positions, sorted, and their heights, each with
+        # a last entry (inf, 0.0) that no position matches.
+        self.teeth = {
+            i: (np.array(sorted(h) + [math.inf]), np.array([h[x] for x in sorted(h)] + [0.0]))
+            for i, h in self.heights.items()
         }
         self.part_segments = {
             i: sorted(l for (pi, l) in self.seg if pi == i) for i in range(len(parts))
@@ -1196,8 +1201,9 @@ def _matches(src: _CandidateIndex, dst: _CandidateIndex) -> np.ndarray:
             offer(rows, np.array(c), np.array(cand, dtype=np.intp))
             continue
         scale = dst.parts[part].combed.seg_scale[l]
-        heights = dst.heights[part]
-        target_h = np.minimum(h, [heights.get(xv, 0.0) for xv in x.tolist()])
+        teeth, tall = dst.teeth[part]
+        at = np.minimum(np.searchsorted(teeth, x), len(teeth) - 1)
+        target_h = np.minimum(h, np.where(teeth[at] == x, tall[at], 0.0))
         xs, hs, idx = dst.seg[(part, l)]
         if len(x) * len(xs) > _MATCH_BROADCAST_CELLS:
             offer(rows, *_nearest_on_segment(dst.sorted_segment((part, l)), x, target_h, scale))
@@ -1302,20 +1308,17 @@ def continuity_scan(
     and reused by all of the cell's pairs.
 
     No sample's distance matrix is filled and no row is kept between
-    pairs.  Each pair, in order, builds its correspondence, plans the rows
-    its distortion may read (:func:`treegh.gh._plan`, from depths alone)
-    and reads them at once (:func:`treegh.gh._planned_maximum`): from
-    depth rows, settling the few entries that can be the largest with the
-    fill's own floats.  A depth-row entry is within 4n units of
-    ``2**-53 L`` of the exact distance and a fill entry within 2(n - 1),
-    so each mismatch read is within the plan's slack of the fill's and
-    the settled entries hold the largest.  A cell's sample, its index and
-    the cell go after its last pair.  Only a degenerate pair, with more
-    entries within twice the slack of the largest than the larger sample
-    has vertices (a cell paired with itself), walks the rows holding them
-    (:meth:`~treegh.tree.MetricTree._rows`), and rows past the fill's
-    2 GiB are refused before they are walked.  ``hi`` is bit for bit what
-    the full distortion product gives.
+    pairs.  Each pair, in order, builds its correspondence and takes its
+    upper bound (:func:`~treegh.gh.gh_upper_bound`); with no fill on
+    either sample, :func:`~treegh.gh.distortion` plans the rows that can
+    hold the largest mismatch and reads them from depth rows, settling
+    the few entries that can be the largest with the fill's own floats.
+    A cell's sample, its index and the cell go after its last pair.  Only
+    a degenerate pair, with more entries within reach of the largest than
+    the larger sample has vertices (a cell paired with itself), walks the
+    rows holding them (:meth:`~treegh.tree.MetricTree._rows`), and rows
+    past the fill's 2 GiB are refused before they are walked.  ``hi`` is
+    bit for bit what the full distortion product gives.
 
     Args:
         cfg: embedding configuration.
@@ -1362,9 +1365,9 @@ def continuity_scan(
                 samples[i] = _CandidateIndex(tree, cell.coords(), cell.parts, True, cfg.eps)
                 del cell, tree
         x, y = samples[ia].tree, samples[ib].tree
-        plan = _plan(x, y, _composite_correspondence(samples[ia], samples[ib]))
-        hi = 0.5 * _planned_maximum(plan, x, y) + cfg.eps
-        del plan, x, y
+        corr = _composite_correspondence(samples[ia], samples[ib])
+        hi = gh_upper_bound(x, y, corr) + cfg.eps
+        del corr, x, y
         bound = _analytic_bound(cells[ia][0], cells[ib][0])
         for i in (ia, ib):
             if last_use[i] == pos and i in samples:

@@ -120,34 +120,34 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
 
     ``max |d_X(a, a') - d_Y(b, b')|`` over pairs ``c = (a, b), c' = (a', b')``
     of the correspondence: the largest entry of the ``|C| x |C|`` mismatch
-    product, whose row ``c`` runs over every ``c'``.  Rows are computed in
-    blocks holding about ``_DISTORTION_BLOCK_CELLS`` (2**16) entries, so the
-    memory added beyond the rows read is O(block), not O(|C|^2).  Both
-    triangles are read because a tree matrix need not be bit-symmetric.
-    Raises if the relation fails to cover both spaces.
+    product, whose row ``c`` runs over every ``c'``.  Both triangles are
+    read because a tree matrix need not be bit-symmetric.  Raises if the
+    relation fails to cover both spaces.
 
-    A :class:`FiniteMetricSpace` need not satisfy the triangle inequality,
-    so two spaces (or a space and a tree) walk the whole product.  Between
-    two :class:`MetricTree` objects the rows that can hold the maximum are
-    planned first (:func:`_plan`), and only planned rows are read
-    (:func:`_planned_maximum`): from the trees' cached fills, or else from
-    depth rows, which need no walk.  The few entries of those rows that
-    can be the largest are then settled, recomputed with the fill's own
-    floats from their sources' root paths; the plan's slack bounds how far
-    a depth-row mismatch can be from the fill's (a depth-row entry is
-    within 4n units of ``2**-53 L`` of the exact distance and a fill entry
-    within 2(n - 1)).  So the value is bit for bit the full product's
-    maximum.
+    The product is read in one of two ways.  When each side holds a
+    matrix (a :class:`FiniteMetricSpace`, or a :class:`MetricTree` whose
+    fill is cached), every row is read from the matrices, in blocks of
+    about ``_DISTORTION_BLOCK_CELLS`` (2**16) entries, so the memory added
+    beyond the matrices is O(block), not O(|C|^2); a space need not
+    satisfy the triangle inequality, so no row can be skipped.  A space
+    paired with a tree fills the tree.  Between two trees of which one or
+    both hold no fill, the rows that can hold the maximum are planned
+    from depth rows (:func:`_plan`) and only those rows are read, from
+    depth rows again (:func:`_planned_maximum`), which fill and walk
+    nothing; the few entries that can be the largest are settled with the
+    fill's own floats.  Either way the value is the full product's
+    maximum, bit for bit.
     """
-    if not (isinstance(x, MetricTree) and isinstance(y, MetricTree)):
-        if not corr.covers(x.n, y.n):
-            raise ValueError("correspondence does not cover both spaces")
-        I, J = corr.rows.T.astype(np.intp)
-        (dx, px), (dy, py) = _filled(x), _filled(y)
-        cx = I if px is None else px[I]
-        cy = J if py is None else py[J]
-        return float(_row_maxima(dx, I, cx, dy, J, cy, np.arange(len(I))).max(initial=0.0))
-    return _planned_maximum(_plan(x, y, corr), x, y)
+    if isinstance(x, MetricTree) and isinstance(y, MetricTree):
+        if x._dist is None or y._dist is None:
+            return _planned_maximum(_plan(x, y, corr), x, y)
+    if not corr.covers(x.n, y.n):
+        raise ValueError("correspondence does not cover both spaces")
+    I, J = corr.rows.T.astype(np.intp)
+    (dx, px), (dy, py) = _filled(x), _filled(y)
+    cx = I if px is None else px[I]
+    cy = J if py is None else py[J]
+    return float(_row_maxima(dx, I, cx, dy, J, cy, np.arange(len(I))).max(initial=0.0))
 
 
 def _filled(space: Space) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -172,21 +172,20 @@ class _Plan(NamedTuple):
     slack: float  # how far an entry read from depth rows may be from the fill's
 
 
-# The rows a tree distortion reads: the matrix they are in, the row of each
-# vertex in it (None: the vertex's own index) and the column of each vertex.
-_Rows = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+# Walked rows (see _walked): the rows, the row of each vertex in them and
+# the column of each vertex.
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
-    """Bounds on the rows of the mismatch product between two trees that
-    walk and fill no row: a tree without a cached fill is read through its
-    depths.
+    """Bounds on the rows of the mismatch product between two trees, read
+    from depth rows: no row is walked or filled, and a cached fill is not
+    read.
 
     At most ``_REPRESENTATIVES`` pairs are representatives ``r = (a_r,
-    b_r)``.  With ``A``, ``B`` the distances from its points, read
-    from a tree's cached fill when it has one and else from
-    :meth:`MetricTree._depth_rows`, its row's largest entry
-    is about ``near(r) = max_c |A(a_r, a) - B(b_r, b)|``, and every row
+    b_r)``.  With ``A``, ``B`` the distances from its points, read from
+    :meth:`MetricTree._depth_rows`, its row's largest entry is about
+    ``near(r) = max_c |A(a_r, a) - B(b_r, b)|``, and every row
     ``c = (a, b)`` is bounded by the least ``near(r) + A(a_r, a) +
     B(b_r, b) + slack`` (the triangle inequality on both sides), while
     ``low = max_r near(r) - slack`` is at most the largest entry.  A sum
@@ -213,9 +212,8 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     The slack is ``6 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)``, with L the
     total edge length; per tree it is ``12 (n + 1)`` units of ``2**-53 L``.
     Each fill entry is within ``e = 2(n - 1)`` units of the exact distance
-    (at most 2(n - 1) roundings of values at most L), and each entry read
-    within ``h = 4n``: a depth-row entry (see
-    :meth:`MetricTree._depth_rows`) or a fill entry (``e < h``).  The
+    (at most 2(n - 1) roundings of values at most L), and each depth-row
+    entry within ``h = 4n`` (see :meth:`MetricTree._depth_rows`).  The
     exact triangle inequality bounds a row of fill entries by the exact
     representative row plus two exact distances, plus ``e`` per tree; each
     of those three terms is its depth-row value within ``h``, and the
@@ -233,7 +231,7 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
     I, J = corr.rows.T.astype(np.intp)
-    from_x, from_y = _sketch(x, I), _sketch(y, J)
+    cx, cy = x._preorder().pos[I], y._preorder().pos[J]
     count = min(_REPRESENTATIVES, len(I))
     step = _block_rows(max(len(I), x.n, y.n))
     bound = np.full(len(I), np.inf)
@@ -247,8 +245,8 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
         nears, least = [], np.full(len(I), np.inf) if last else None
         for lo in range(0, len(r), _REPRESENTATIVE_BATCH):
             some = r[lo : lo + _REPRESENTATIVE_BATCH]
-            a = from_x(I[some])
-            b = from_y(J[some])
+            a = x._depth_rows(I[some])[:, cx]
+            b = y._depth_rows(J[some])[:, cy]
             near = np.abs(a - b).max(axis=1)
             nears.append(near)
             a += b
@@ -295,27 +293,6 @@ def _farthest(bound: np.ndarray, owner: np.ndarray, low: float, k: int) -> np.nd
     return hit[np.argsort(-bound[hit], kind="stable")[:k]]
 
 
-def _sketch(tree: MetricTree, points: np.ndarray):
-    """How :func:`_plan` reads the distances from chosen vertices to
-    ``points``: from the tree's cached fill when it has one, else from
-    depth rows, which need no walk."""
-    if tree._dist is not None:
-        d, cols = tree._filled()
-        at = points if cols is None else cols[points]
-        return lambda src: d[src][:, at]
-    at = tree._preorder().pos[points]
-    return lambda src: tree._depth_rows(src)[:, at]
-
-
-def _tree_rows(tree: MetricTree, vertices: np.ndarray) -> _Rows:
-    """The rows of ``vertices``: the cached fill when the tree has one,
-    else those rows alone, walked (a vertex not asked for has no row)."""
-    if tree._dist is not None:
-        d, cols = tree._filled()
-        return d, None, cols
-    return _walked(tree, vertices)
-
-
 def _walked(tree: MetricTree, vertices: np.ndarray) -> _Rows:
     """The walked rows of ``vertices``; any other vertex's row index is one
     past the last row, so reading it raises IndexError."""
@@ -329,8 +306,7 @@ def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
     and ``y`` that ``plan`` bounds, reading only rows whose bound exceeds
     ``plan.low``.
 
-    A tree with a cached fill is read from it (:func:`_read_maximum`).
-    Otherwise no row is walked: rows are read from depth rows
+    No row is walked and no fill is read: rows are read from depth rows
     (:meth:`MetricTree._depth_rows`) in order of decreasing bound, a block
     at a time, each block cut to the rows whose bound exceeds both ``low``
     and the largest entry read so far less the slack; the loop ends at the
@@ -348,18 +324,15 @@ def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
     less ``d``, every row left unread is bounded by ``low`` or by that
     entry, and the entry itself was read within ``2d`` of the largest and
     is settled.  The value is the largest settled entry or ``low``,
-    whichever is larger: an entry of the product, bit for bit, as in
-    :func:`_read_maximum`.
+    whichever is larger: an entry of the product, bit for bit.
 
     Settling an entry sums a root path, so when more entries are within
     reach than the larger tree has vertices (as for two isometric trees
     paired by an isometry) the rows holding them are walked instead
-    (:meth:`MetricTree._rows`), under the walk's memory budget.  A NaN
-    entry (distances that overflowed) reads the walked rows of the whole
-    plan, so it is the value as it is the full product's maximum.
+    (:func:`_walked_maximum`), under the walk's memory budget.  A NaN
+    entry (distances that overflowed) walks every row whose bound exceeds
+    ``low``, so it is the value as it is the full product's maximum.
     """
-    if x._dist is not None or y._dist is not None:
-        return _read_maximum(plan, _tree_rows(x, plan.x_rows), _tree_rows(y, plan.y_rows))
     I, J, bound, low, slack = plan.I, plan.J, plan.bound, plan.low, plan.slack
     cx, cy = x._preorder().pos[I], y._preorder().pos[J]
     limit = max(x.n, y.n)
@@ -377,7 +350,7 @@ def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
         block = _depth_mismatch(x, I, cx, y, J, cy, rows)
         top = block.max(axis=1)
         if np.isnan(top).any():
-            return _read_maximum(plan, _walked(x, plan.x_rows), _walked(y, plan.y_rows))
+            return _walked_maximum(plan, x, y, np.flatnonzero(bound > low))
         best = max(best, float(top.max()))
         read.append(rows)
         tops.append(top)
@@ -398,9 +371,16 @@ def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
         r, c = rc.T
         settled = np.abs(x._fill_entries(I[r], I[c]) - y._fill_entries(J[r], J[c]))
         return float(np.maximum(low, settled.max()))
-    rows = np.concatenate(read)[np.concatenate(tops) >= reach]
+    return _walked_maximum(plan, x, y, np.concatenate(read)[np.concatenate(tops) >= reach])
+
+
+def _walked_maximum(plan: _Plan, x: MetricTree, y: MetricTree, rows: np.ndarray) -> float:
+    """``max(plan.low, the largest entry of the given rows)``, the rows
+    read from the walked rows of their sources (:meth:`MetricTree._rows`),
+    the fill's floats bit for bit."""
+    I, J = plan.I, plan.J
     (dx, sx, px), (dy, sy, py) = _walked(x, np.unique(I[rows])), _walked(y, np.unique(J[rows]))
-    return float(np.maximum(low, _row_maxima(dx, sx[I], px[I], dy, sy[J], py[J], rows).max()))
+    return float(np.maximum(plan.low, _row_maxima(dx, sx[I], px[I], dy, sy[J], py[J], rows).max()))
 
 
 def _depth_mismatch(
@@ -415,38 +395,6 @@ def _depth_mismatch(
     block = x._depth_rows(ux).take(cx, axis=1)[rx]
     block -= y._depth_rows(uy).take(cy, axis=1)[ry]
     return np.abs(block, out=block)
-
-
-def _read_maximum(plan: _Plan, xs: _Rows, ys: _Rows) -> float:
-    """The largest entry of the mismatch product, reading only rows whose
-    bound exceeds ``plan.low`` from exact rows: a cached fill or walked
-    rows.
-
-    Rows are read in order of decreasing bound, a block at a time, each
-    block cut to the rows whose bound exceeds both ``low`` and the largest
-    entry read so far; the loop ends at the first empty block.  Every row
-    left unread is then bounded by ``max(low, best)``, every row read is at
-    most ``best``, and the largest entry is at least both, so it is
-    ``max(low, best)``: an entry of the product, bit for bit.  A NaN entry
-    (distances that overflowed) ends the loop and is the value, as it is
-    the full product's maximum.
-    """
-    (dx, rx, cx), (dy, ry, cy) = xs, ys
-    I, J, bound, low = plan.I, plan.J, plan.bound, plan.low
-    rx = I if rx is None else rx[I]
-    ry = J if ry is None else ry[J]
-    cx = I if cx is None else cx[I]
-    cy = J if cy is None else cy[J]
-    order = np.argsort(-bound, kind="stable")
-    best = -math.inf
-    step = _block_rows(len(I))
-    for start in range(0, len(order), step):
-        rows = order[start : start + step]
-        rows = rows[bound[rows] > np.maximum(low, best)]
-        if not len(rows):
-            break
-        best = np.maximum(best, _row_maxima(dx, rx, cx, dy, ry, cy, rows).max())
-    return float(np.maximum(low, best))
 
 
 def _block_rows(m: int) -> int:
@@ -701,7 +649,7 @@ def gh_tree_interval(
     the rank-aligned correspondence.  The two samples go to the solver and
     the bounds as trees, so no distance matrix is copied: the lower bound
     fills each sample's matrix for its eccentricities, and
-    :func:`distortion` reads its planned rows from those fills.
+    :func:`distortion` reads the whole mismatch product from those fills.
 
     Args:
         t1, t2: metric trees.

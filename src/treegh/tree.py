@@ -148,13 +148,14 @@ class MetricTree:
             its columns in DFS preorder when first needed, permuted to
             vertex order on the first read of ``dist`` and cached;
             :meth:`row` gives one source's distances in O(n) without it.
-            Tree distortions read no matrix: :meth:`_depth_rows` gives
-            rows within a proven error from depths, :meth:`_fill_entries`
-            the fill's entries bit for bit from root paths, and
-            :meth:`_rows` the fill's rows of chosen sources, walked with
-            O(log n) working rows.  A fill of more than 2**14 vertices, or
-            walked rows of more than 2 GiB, is refused before it is
-            allocated.
+            A distortion between two filled trees reads their fills; one
+            with a tree that has no fill fills nothing: :meth:`_depth_rows`
+            gives rows within a proven error from depths,
+            :meth:`_fill_entries` the fill's entries bit for bit from root
+            paths, and :meth:`_rows` the fill's rows of chosen sources,
+            walked with O(log n) working rows.  A fill of more than
+            2**14 vertices, or walked rows of more than 2 GiB, is refused
+            before it is allocated.
         labels: optional display labels per vertex id.
         metadata: free-form provenance (generators fill this in; the
             ``inserted`` records are built on first read).

@@ -1309,9 +1309,7 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     samples = []  # (cell, weak references to its index and its sample tree)
     wedges = []  # weak references to the cells' trees, in grid order
     wedge, index_of = treegh.embedding._Cell.wedge, treegh.embedding._CandidateIndex
-    plan, maximum, walk = (
-        treegh.embedding._plan, treegh.embedding._planned_maximum, MetricTree._rows
-    )
+    plan, maximum, walk = treegh.gh._plan, treegh.gh._planned_maximum, MetricTree._rows
     planned, read, walks = [], [], []
 
     def built(cell):
@@ -1343,8 +1341,8 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
 
     monkeypatch.setattr(treegh.embedding._Cell, "wedge", built)
     monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
-    monkeypatch.setattr(treegh.embedding, "_plan", planning)
-    monkeypatch.setattr(treegh.embedding, "_planned_maximum", reading)
+    monkeypatch.setattr(treegh.gh, "_plan", planning)
+    monkeypatch.setattr(treegh.gh, "_planned_maximum", reading)
     monkeypatch.setattr(MetricTree, "_rows", walking)
     freed = continuity_scan(small_config, grid, adjacency)
     monkeypatch.undo()

@@ -481,22 +481,16 @@ def test_distortion_memory_stays_far_below_the_full_product():
 
 def _certified_distortions(monkeypatch, run):
     """Run ``run()`` and return the ``(x, y, corr)`` of every upper bound
-    that continuity_scan plans and replacement_path certifies during it."""
+    that continuity_scan and replacement_path certify during it."""
     seen = []
-    real_plan, real_bound = treegh.embedding._plan, treegh.embedding.gh_upper_bound
-
-    def plan(x, y, corr):
-        seen.append((x, y, corr))
-        return real_plan(x, y, corr)
+    real_bound = treegh.embedding.gh_upper_bound
 
     def bound(x, y, corr):
         seen.append((x, y, corr))
         return real_bound(x, y, corr)
 
-    monkeypatch.setattr(treegh.embedding, "_plan", plan)
     monkeypatch.setattr(treegh.embedding, "gh_upper_bound", bound)
     run()
-    monkeypatch.setattr(treegh.embedding, "_plan", real_plan)
     monkeypatch.setattr(treegh.embedding, "gh_upper_bound", real_bound)
     return seen
 
@@ -719,6 +713,46 @@ def test_settled_distortion_equals_the_full_product():
         assert got.hex() == unblocked_distortion(x, y, corr).hex(), seed
         read += 1
     assert read == 200
+
+
+def test_distortion_reads_the_full_product_once_both_trees_hold_a_fill(monkeypatch):
+    # Two filled trees read every row from their fills and make no plan; a
+    # filled tree and a fresh one, or two fresh trees, read depth rows and
+    # fill no fresh tree.  Every value is the full product's, as float hex.
+    rng = np.random.default_rng(2929)
+    pairs = [
+        tuple(subdivide(random_tree(rng, 4, 12), 0.2) for _ in range(2)) for _ in range(8)
+    ]
+    pairs.append(tuple(subdivide(comb_tree(CombParams(s=s)), 2.0 ** -8) for s in (0.5, 0.375)))
+    assert pairs[-1][0].n == pairs[-1][1].n == 641
+
+    def fresh(t):
+        return MetricTree(t.vertices, t.edges)
+
+    def unplanned(x, y, corr):
+        raise AssertionError("a pair of filled trees was planned")
+
+    read = _reads(monkeypatch)
+    real_plan = treegh.gh._plan
+    for x, y in pairs:
+        corr = greedy_tree_correspondence(fresh(x), fresh(y))
+        want = unblocked_distortion(fresh(x), fresh(y), corr).hex()
+        for filled in ((False, False), (True, False), (False, True), (True, True)):
+            a, b = fresh(x), fresh(y)
+            for t, fill in zip((a, b), filled):
+                if fill:
+                    t._filled()
+            for rows in read.values():
+                rows.clear()
+            if all(filled):
+                monkeypatch.setattr(treegh.gh, "_plan", unplanned)
+            assert distortion(a, b, corr).hex() == want
+            monkeypatch.setattr(treegh.gh, "_plan", real_plan)
+            if all(filled):
+                assert sorted(read["exact"]) == list(range(len(corr))) and not read["depth"]
+            else:
+                assert read["depth"] and (read["walked"] or not read["exact"])
+            assert [t._dist is not None for t in (a, b)] == list(filled)
 
 
 def test_isometric_pair_takes_the_walked_rows(monkeypatch):
