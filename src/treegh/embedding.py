@@ -42,7 +42,6 @@ from .tree import (
     closed_ball_subtree,
     decompose_deg2,
     deg2_components,
-    _offsets,
     replace_edges,
     subdivide,
 )
@@ -980,7 +979,7 @@ class _CandidateIndex:
         if self.tree is not tree:
             lengths = np.array([w for _, _, w in tree.edges])
             cuts = self.tree._split.cuts
-            t = _offsets(lengths, cuts) / np.repeat(lengths, cuts)
+            t = self.tree._split.offsets / np.repeat(lengths, cuts)
             rows = np.arange(tree.n, self.tree.n, dtype=np.intp)
             for (a, b, _), c, e in zip(tree.edges, cuts.tolist(), np.cumsum(cuts).tolist()):
                 if c == 0:

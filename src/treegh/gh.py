@@ -126,16 +126,16 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
 
     The product is read in one of two ways.  When each side holds a
     matrix (a :class:`FiniteMetricSpace`, or a :class:`MetricTree` whose
-    fill is cached), every row is read from the matrices, in blocks of
-    about ``_DISTORTION_BLOCK_CELLS`` (2**16) entries, so the memory added
-    beyond the matrices is O(block), not O(|C|^2); a space need not
-    satisfy the triangle inequality, so no row can be skipped.  A space
-    paired with a tree fills the tree.  Between two trees of which one or
-    both hold no fill, the rows that can hold the maximum are planned
-    from depth rows (:func:`_plan`) and only those rows are read, from
-    depth rows again (:func:`_planned_maximum`), which fill and walk
-    nothing; the few entries that can be the largest are settled with the
-    fill's own floats.  Either way the value is the full product's
+    fill is cached), every row is read from the matrices at the pairs' own
+    indices, in blocks of about ``_DISTORTION_BLOCK_CELLS`` (2**16)
+    entries, so the memory added beyond the matrices is O(block), not
+    O(|C|^2); a space need not satisfy the triangle inequality, so no row
+    can be skipped.  A space paired with a tree fills the tree.  Between
+    two trees of which one or both hold no fill, the rows that can hold the
+    maximum are planned from depth rows (:func:`_plan`) and only those rows
+    are read, from depth rows again (:func:`_planned_maximum`), which fill
+    and walk nothing; the few entries that can be the largest are settled
+    with the fill's own floats.  Either way the value is the full product's
     maximum, bit for bit.
     """
     if isinstance(x, MetricTree) and isinstance(y, MetricTree):
@@ -144,31 +144,18 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
     I, J = corr.rows.T.astype(np.intp)
-    (dx, px), (dy, py) = _filled(x), _filled(y)
-    cx = I if px is None else px[I]
-    cy = J if py is None else py[J]
-    return float(_row_maxima(dx, I, cx, dy, J, cy, np.arange(len(I))).max(initial=0.0))
-
-
-def _filled(space: Space) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    # A distance matrix and, if its columns are not in point order, the
-    # column of each point.
-    if isinstance(space, MetricTree):
-        return space._filled()
-    return space.dist, None
+    return float(_row_maxima(x.dist, I, I, y.dist, J, J, np.arange(len(I))).max(initial=0.0))
 
 
 class _Plan(NamedTuple):
     """What :func:`_plan` proves about the mismatch product between two
     trees: a bound on each row's largest entry and a lower bound on the
-    largest entry, and the vertices whose rows the rows above it read."""
+    largest entry."""
 
     I: np.ndarray  # the pairs' points, as in Correspondence.rows
     J: np.ndarray
     bound: np.ndarray  # at least the largest entry of each row (inf if unknown)
     low: float  # at most the largest entry
-    x_rows: np.ndarray  # the sorted sources in x of the rows with bound > low
-    y_rows: np.ndarray
     slack: float  # how far an entry read from depth rows may be from the fill's
 
 
@@ -273,8 +260,7 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     low -= slack
     if not math.isfinite(low):
         low = -math.inf
-    keep = bound > low
-    return _Plan(I, J, bound, low, np.unique(I[keep]), np.unique(J[keep]), slack)
+    return _Plan(I, J, bound, low, slack)
 
 
 def _farthest(bound: np.ndarray, owner: np.ndarray, low: float, k: int) -> np.ndarray:
@@ -588,18 +574,37 @@ def gh_lower_bound(x: Space, y: Space) -> float:
     Any covering correspondence moves eccentricities by at most its
     distortion, so half the Hausdorff distance between the two sets of
     eccentricities (as subsets of the line) never exceeds the true
-    distance; the diameter gap is the classical bound.  Each diameter is
-    the largest eccentricity, which is the largest distance bit for bit on
-    a space and on a tree alike.
+    distance; the two sets are compared by a sorted search
+    (:func:`_least_gaps`), not a matrix of gaps.  The diameter gap is the
+    classical bound.  Each diameter is the largest eccentricity, which is
+    the largest distance bit for bit on a space and on a tree alike.
     """
     if x.n == 0 or y.n == 0:
         raise ValueError("Gromov-Hausdorff bounds need nonempty spaces")
     ex = x.eccentricities()
     ey = y.eccentricities()
-    gaps = np.abs(ex[:, None] - ey[None, :])
-    ecc_hausdorff = max(float(gaps.min(axis=1).max()), float(gaps.min(axis=0).max()))
+    ecc_hausdorff = max(float(_least_gaps(ex, ey).max()), float(_least_gaps(ey, ex).max()))
     diam_gap = abs(float(ex.max()) - float(ey.max()))
     return 0.5 * max(diam_gap, ecc_hausdorff)
+
+
+def _least_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least gap ``|a[i] - b[j]|`` over j, for each i: bit for bit the
+    row minima of the ``len(a) x len(b)`` gap matrix, with no matrix.
+
+    Each ``a[i]`` is compared with its two neighbours in sorted ``b``, the
+    largest below it and the least at or above it.  A correctly rounded
+    difference is monotone, so no farther ``b[j]`` gives a smaller gap.
+    A NaN gap (a NaN, or ``inf - inf``) makes the matrix row's minimum NaN:
+    NaN sorts last, so a NaN in ``b`` makes every minimum NaN, and an
+    infinite ``a[i]`` meets an equal infinite neighbour.
+    """
+    s = np.sort(b)
+    if math.isnan(s[-1]):
+        return np.full(len(a), np.nan)
+    k = np.searchsorted(s, a)
+    below = np.abs(a - s.take(k - 1, mode="clip"))  # k = 0 clips to the first
+    return np.minimum(below, np.abs(a - s.take(k, mode="clip")))
 
 
 def gh_upper_bound(x: Space, y: Space, corr: Correspondence) -> float:
@@ -648,8 +653,9 @@ def gh_tree_interval(
     interval combines the certified lower bound with the upper bound from
     the rank-aligned correspondence.  The two samples go to the solver and
     the bounds as trees, so no distance matrix is copied: the lower bound
-    fills each sample's matrix for its eccentricities, and
-    :func:`distortion` reads the whole mismatch product from those fills.
+    fills each sample's matrix, in vertex order, for its eccentricities,
+    and :func:`distortion` reads the whole mismatch product from those
+    fills at the pairs' own indices.
 
     Args:
         t1, t2: metric trees.

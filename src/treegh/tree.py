@@ -15,13 +15,13 @@ index: it keeps its host, the cuts per host edge and its edge lengths,
 and names no vertex until one is read.  The same walk, as a preorder with
 parents, edge lengths and depths (cached; a subdivision splices its own
 from its host's instead of walking), fills the full matrix of path
-distances when it is first needed (then cached; its columns stay in
-preorder until ``dist`` is read; refused above 2**14 vertices) and finds
-geodesics.  Without the matrix it gives, bit for bit, the fill's rows of
-chosen sources (walked, at a row update per vertex on their root paths)
-and single entries (each summed along its source's root path), and
-distances within a proven rounding error from depths alone, with no walk;
-tree distortions read those (see :func:`treegh.gh.distortion`).
+distances when it is first needed (then cached, in vertex order; refused
+above 2**14 vertices) and finds geodesics.  Without the matrix it gives,
+bit for bit, the fill's rows of chosen sources (walked, at a row update
+per vertex on their root paths) and single entries (each summed along its
+source's root path), and distances within a proven rounding error from
+depths alone, with no walk; tree distortions read those (see
+:func:`treegh.gh.distortion`).
 Operations that need one source's distances or only edge lengths (balls,
 degree-<=2 components, edge replacement) never build the matrix.  Points
 of the underlying continuum exist only once an operation materialises
@@ -67,8 +67,8 @@ __all__ = [
 ]
 
 _EPS_VERTEX = 1e-12  # slack for "a position lands exactly on a vertex"
-# Entries per block when `dist` permutes the fill's columns (the only
-# temporary beside the matrix) and per block of `_fill_entries`' sums:
+# Entries per block when the fill puts its columns in vertex order (the
+# only temporary beside the matrix) and per block of `_fill_entries`' sums:
 # small enough to stay in cache.
 _PERMUTE_BLOCK_CELLS = 1 << 16
 # Most vertices `subdivide` inserts: a finer eps fails at once instead of
@@ -117,12 +117,14 @@ class _InsertedRuns(NamedTuple):
 class _Subdivision(NamedTuple):
     """What :func:`subdivide` keeps of a sample in place of its ids, edges
     and index, which are built from it on first read: the host tree, the
-    number of vertices inserted on each host edge, and the sample's edge
-    lengths in edge order."""
+    number of vertices inserted on each host edge, the sample's edge
+    lengths in edge order, and the offsets of the inserted vertices (the
+    array :class:`_InsertedRuns` holds)."""
 
     host: "MetricTree"
     cuts: np.ndarray
     pieces: np.ndarray
+    offsets: np.ndarray
 
 
 class TreeStructureError(ValueError):
@@ -144,10 +146,9 @@ class MetricTree:
             from its host and the lengths it keeps (:class:`_Subdivision`);
             its size, preorder, depth rows, total length and the id of one
             vertex (:meth:`_name`) read none of them.
-        dist: matrix of path distances (float64, read-only), filled with
-            its columns in DFS preorder when first needed, permuted to
-            vertex order on the first read of ``dist`` and cached;
-            :meth:`row` gives one source's distances in O(n) without it.
+        dist: matrix of path distances in vertex order (float64,
+            read-only), filled when first needed and cached; :meth:`row`
+            gives one source's distances in O(n) without it.
             A distortion between two filled trees reads their fills; one
             with a tree that has no fill fills nothing: :meth:`_depth_rows`
             gives rows within a proven error from depths,
@@ -200,10 +201,7 @@ class MetricTree:
         # A graph on n vertices is a tree iff it is connected with n - 1 edges.
         if len(self.edges) != n - 1 or sum(1 for _ in self._walk(0)) != n:
             raise TreeStructureError(self._not_a_tree())
-        # The filled distance matrix, and while its columns are still in
-        # DFS preorder, the preorder position of each vertex.
         self._dist: Optional[np.ndarray] = None
-        self._cols: Optional[np.ndarray] = None
         self._total_length: Optional[float] = None
         self._pre: Optional[_Preorder] = None
         self._minima: Optional[Tuple[np.ndarray, ...]] = None
@@ -226,7 +224,7 @@ class MetricTree:
         t.labels, t._metadata, t._inserted, t._split = labels, metadata, None, None
         t._index = {v: i for i, v in enumerate(t.vertices)}
         t._n = len(t.vertices)
-        t._dist = t._cols = t._total_length = t._pre = t._minima = None
+        t._dist = t._total_length = t._pre = t._minima = None
         return t
 
     @classmethod
@@ -240,9 +238,9 @@ class MetricTree:
         first read (:attr:`vertices`, :attr:`edges`, :attr:`_index`)."""
         t = cls.__new__(cls)
         t.labels, t._metadata, t._inserted = dict(host.labels), metadata, runs
-        t._split = _Subdivision(host, cuts, pieces)
+        t._split = _Subdivision(host, cuts, pieces, runs.offsets)
         t._n = host.n + len(runs.offsets)
-        t._dist = t._cols = t._total_length = t._pre = t._minima = None
+        t._dist = t._total_length = t._pre = t._minima = None
         return t
 
     @cached_property
@@ -257,7 +255,7 @@ class MetricTree:
     def edges(self) -> Tuple[Tuple[str, str, float], ...]:
         """A subdivision's edges, built on first read: each host edge in
         turn, as the run of its pieces through the ids inserted on it."""
-        host, cuts, pieces = self._split
+        host, cuts, pieces, _ = self._split
         ids = self.vertices[host.n:]
         left: List[str] = []
         right: List[str] = []
@@ -372,45 +370,41 @@ class MetricTree:
             )
         return self._pre
 
-    def _all_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _all_pairs(self) -> np.ndarray:
         # In the DFS preorder from vertex 0 the subtree of the vertex at
         # position i is the range [i, end).  Moving the source from a parent
         # p to its child v across an edge of length w adds w to the distance
         # of every vertex outside v's subtree and subtracts w inside it, so
         # each row is one vectorized update of its parent's row.  Rows are
         # stored at their vertex's index with columns in preorder; the
-        # matrix is returned with the preorder position of each vertex, and
-        # `dist` permutes the columns to vertex order on its first read.
+        # columns are then put in vertex order in place, a block of rows at
+        # a time, so the matrix is held once.
         n = self.n
         if n > _MAX_FILL_VERTICES:
             raise ValueError(
                 "the distance matrix of a tree of %d vertices would take %d "
                 "bytes; at most %d vertices are filled"
-                % (n, 8 * (n * n + n), _MAX_FILL_VERTICES)
+                % (n, 8 * n * n, _MAX_FILL_VERTICES)
             )
         pre = self._preorder()
-        # One allocation, made after the walk's lists, holds the matrix and
-        # the preorder positions that live as long as it: a small long-lived
-        # array allocated after a matrix can split the heap hole that a
-        # later fill needs, and peak memory over repeated scans then crept
-        # up by a matrix.
-        buf = np.empty(n * n + n)
-        d = buf[: n * n].reshape(n, n)
-        cols = buf[n * n :].view(np.int64)
+        d = np.empty((n, n))
         order, weight = pre.order, pre.weight
         d[0] = pre.depth
         for i, (p, e) in enumerate(np.column_stack((pre.parent, pre.end))[1:].tolist(), 1):
             prow, row, w = d[order[p]], d[order[i]], weight[i]
             np.add(prow, w, out=row)
             np.subtract(prow[i:e], w, out=row[i:e])
-        cols[:] = pre.pos
-        d[np.arange(n), cols] = 0.0
-        return d, cols
+        step = max(1, _PERMUTE_BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            d[lo:lo + step] = d[lo:lo + step, pre.pos]
+        np.fill_diagonal(d, 0.0)
+        d.setflags(write=False)
+        return d
 
     def _rows(self, vertices: np.ndarray) -> np.ndarray:
         """The fill's rows of the distinct ``vertices``, bit for bit, with no
         fill: row k holds the distances from ``vertices[k]`` with columns in
-        preorder, as ``_all_pairs()[0][vertices[k]]`` holds them.
+        preorder, ``dist[vertices[k], order]`` for the preorder's ``order``.
 
         The walk makes the fill's float operations: each row is its
         parent's row plus w, less w on the row's own subtree, and the
@@ -496,7 +490,7 @@ class MetricTree:
     def _fill_entries(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """The fill's entries from ``sources[k]`` to ``targets[k]`` (vertex
         indices), bit for bit, with no fill and no walk: entry k is
-        ``_all_pairs()[0][sources[k], pos[targets[k]]]``.
+        ``dist[sources[k], targets[k]]``.
 
         The fill's row of a source is the root's row, the depths, updated
         once per edge on the source's root path from the root down: plus w
@@ -667,34 +661,11 @@ class MetricTree:
 
     @property
     def dist(self) -> np.ndarray:
-        """Matrix of path distances in vertex order, built on first read.
-
-        The fill leaves its columns in DFS preorder; the first read of
-        ``dist`` permutes them in place, a block of rows at a time, so the
-        matrix is held once.  Callers that only gather blocks of it (such as
-        :func:`treegh.gh.distortion`) read the unpermuted fill through
-        :meth:`_filled` and never pay for the permutation.
-        """
-        d, cols = self._filled()
-        if cols is not None:
-            step = max(1, _PERMUTE_BLOCK_CELLS // self.n)
-            for lo in range(0, self.n, step):
-                d[lo:lo + step] = d[lo:lo + step, cols]
-            d.setflags(write=False)
-            self._cols = None
-        return d
-
-    def _filled(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The distance matrix, filled on first call, and the preorder
-        position of each vertex while its columns are still in preorder
-        (None once ``dist`` has permuted them to vertex order).
-
-        Row ``u``, column ``pos[v]`` (or ``v``) is then the distance from
-        ``u`` to ``v``.  The matrix is private: do not write it.
-        """
+        """Matrix of path distances in vertex order (read-only), filled on
+        first read and cached."""
         if self._dist is None:
-            self._dist, self._cols = self._all_pairs()
-        return self._dist, self._cols
+            self._dist = self._all_pairs()
+        return self._dist
 
     def row(self, v: str) -> np.ndarray:
         """Distances from vertex v to every vertex, in vertex order (read-only).
@@ -704,11 +675,7 @@ class MetricTree:
         """
         s = self.index(v)
         if self._dist is not None:
-            if self._cols is None:
-                return self._dist[s]
-            d = self._dist[s, self._cols]
-            d.setflags(write=False)
-            return d
+            return self._dist[s]
         d = np.zeros(self.n, dtype=float)
         seen = [False] * self.n
         seen[s] = True
@@ -746,9 +713,9 @@ class MetricTree:
 
     def eccentricities(self) -> np.ndarray:
         """Distance from each vertex to its farthest vertex, in vertex order:
-        the row maxima of the fill, the same floats as
-        ``as_space().eccentricities()`` whether or not ``dist`` has been read."""
-        return self._filled()[0].max(axis=1)
+        the row maxima of ``dist``, the same floats as
+        ``as_space().eccentricities()``."""
+        return self.dist.max(axis=1)
 
     def diameter(self) -> float:
         """Largest distance, from two single-source rows: the vertex farthest
@@ -1427,8 +1394,8 @@ def subdivide(tree: MetricTree, eps: float) -> MetricTree:
     returned unchanged.  The sample is the input tree with vertices on its
     edges, so it is not proved a tree again: only its pieces (from one
     difference over the offsets) and its new ids are checked.  It keeps
-    the input tree, the cuts per edge and the pieces, and builds its ids,
-    edges and index only when one of them is first read
+    the input tree, the cuts per edge, the pieces and the offsets, and
+    builds its ids, edges and index only when one of them is first read
     (:meth:`MetricTree._subdivision`); its preorder is spliced from the
     input tree's (:func:`_spliced_preorder`), so building it walks and
     names no sample vertex.

@@ -597,7 +597,7 @@ def test_gh_trees_refuses_a_fill_too_large(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert (
         "error: the distance matrix of a tree of 32769 vertices would take "
-        "8590721040 bytes; at most 16384 vertices are filled"
+        "8590458888 bytes; at most 16384 vertices are filled"
     ) in err
 
 

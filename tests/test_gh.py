@@ -153,6 +153,45 @@ def test_lower_bound_on_spaces_equals_the_reference():
         assert gh_lower_bound(x, y).hex() == reference_lower_bound(x, y).hex()
 
 
+def matrix_lower_bound(x, y):
+    """The lower bound from the full matrix of eccentricity gaps, which the
+    sorted search replaced; NaN gaps propagate through its min and max."""
+    ex, ey = x.eccentricities(), y.eccentricities()
+    gaps = np.abs(ex[:, None] - ey[None, :])
+    ecc_hausdorff = max(float(gaps.min(axis=1).max()), float(gaps.min(axis=0).max()))
+    return 0.5 * max(abs(float(ex.max()) - float(ey.max())), ecc_hausdorff)
+
+
+def test_sorted_eccentricity_gaps_equal_the_gap_matrix():
+    pairs = []
+    for seed in range(400):
+        rng = np.random.default_rng([7070, seed])
+        x, y = random_tree(rng, 2, 40), random_tree(rng, 2, 40)
+        pairs.append((subdivide(x, 0.3), subdivide(y, 0.3)) if seed % 2 else (x, y))
+    combs = [comb_tree(CombParams(s=s)) for s in (0.5, 0.375)]
+    pairs += [tuple(subdivide(t, 2.0 ** -k) for t in combs) for k in (4, 6, 8)]
+    one, tree = MetricTree(("v",), ()), pairs[1][0]
+    pairs += [(tree, tree), (one, one), (one, tree), (tree, one)]
+    inf = FiniteMetricSpace.from_matrix([[0.0, math.inf, 1.0], [math.inf, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    # a NaN eccentricity among finite ones: every gap to it is NaN
+    nan = FiniteMetricSpace.from_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, math.nan, 0.0]])
+    pairs += [(inf, inf), (inf, tree), (tree, inf)]
+    pairs += [(nan, tree), (tree, nan), (one, nan), (nan, one)]
+    # eccentricities that overflow to inf, so that inf - inf is a NaN gap
+    huge = tree_from_edges([("a", "b", 1.7e308), ("b", "c", 1.7e308), ("b", "d", 1.0)])
+    pairs += [(huge, huge), (huge, tree), (tree, huge), (huge, one)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(huge.eccentricities()).all()
+        for x, y in pairs:
+            ex, ey = x.eccentricities(), y.eccentricities()
+            for a, b in ((ex, ey), (ey, ex)):
+                want = np.abs(a[:, None] - b[None, :]).min(axis=1)
+                got = treegh.gh._least_gaps(a, b)
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            assert gh_lower_bound(x, y).hex() == matrix_lower_bound(x, y).hex(), (x, y)
+        assert math.isnan(gh_lower_bound(huge, huge)) and math.isnan(gh_lower_bound(nan, tree))
+
+
 def test_two_point_closed_form():
     assert gh_exact(two_point(1.0), two_point(2.0)) == 0.5
     assert gh_exact(two_point(0.3), two_point(0.3)) == 0.0
@@ -541,17 +580,15 @@ def test_pruned_tree_distortion_equals_the_unblocked_formula(small_config, monke
             monkeypatch.setattr(treegh.gh, "_DISTORTION_BLOCK_CELLS", cells)
             yield distortion(x, y, corr)
 
-    # first from walked rows, with no fill made; then from the fills with
-    # their columns in preorder; then once the reference has permuted every
-    # matrix to vertex order
+    # first planned from depth rows, with no fill made; then from the fills
     walked = [list(values(*case)) for case in cases]
     assert all(t._dist is None for x, y, _ in cases for t in (x, y))
     for x, y, _ in cases:
-        x._filled(), y._filled()
+        x.dist, y.dist
     filled = [list(values(*case)) for case in cases]
     for (x, y, corr), got, read in zip(cases, walked, filled):
         want = unblocked_distortion(x, y, corr)
-        assert got == read == list(values(x, y, corr)) == [want] * 3
+        assert got == read == [want] * 3
 
 
 def _plan_cases(small_config, monkeypatch):
@@ -579,12 +616,10 @@ def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeyp
         I, J = corr.rows.T.astype(np.intp)
         rows = np.abs(x.dist[np.ix_(I, I)] - y.dist[np.ix_(J, J)]).max(axis=1)
         fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]  # no fill
-        # planned from depth rows, then from the fills' own rows
+        # both plans read depth rows; the second is made on trees with a
+        # cached fill, which the plan must ignore
         for plan in (treegh.gh._plan(*fresh, corr), treegh.gh._plan(x, y, corr)):
             assert plan.low <= rows.max() and np.all(plan.bound >= rows)
-            keep = plan.bound > plan.low
-            assert plan.x_rows.tolist() == sorted(set(I[keep].tolist()))
-            assert plan.y_rows.tolist() == sorted(set(J[keep].tolist()))
         assert all(t._dist is None for t in fresh)
         assert distortion(x, y, corr) == rows.max() == unblocked_distortion(x, y, corr)
         assert distortion(*fresh, corr) == rows.max()  # walked rows
@@ -652,13 +687,15 @@ def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
         # the largest than vertices, and walks their rows
         assert not read["walked"] or max(x.n, y.n) < 10, (x.n, y.n)
         walked += bool(read["walked"])
-        x_rows, slot, pos = treegh.gh._walked(fresh[0], p.x_rows)
-        unplanned = np.setdiff1d(np.arange(x.n), p.x_rows)
+        planned = np.unique(I[p.bound > p.low])
+        x_rows, slot, pos = treegh.gh._walked(fresh[0], planned)
+        unplanned = np.setdiff1d(np.arange(x.n), planned)
         skipped += len(unplanned) > 0
         if len(unplanned):
             with pytest.raises(IndexError):
                 x_rows[slot[unplanned]]
-        assert np.array_equal(x_rows[slot[p.x_rows]], fresh[0]._filled()[0][p.x_rows])
+        fill = fresh[0].dist[planned][:, fresh[0]._preorder().order]
+        assert np.array_equal(x_rows[slot[planned]], fill)
     assert skipped >= len(cases) // 2
     assert walked <= 1
 
@@ -741,7 +778,7 @@ def test_distortion_reads_the_full_product_once_both_trees_hold_a_fill(monkeypat
             a, b = fresh(x), fresh(y)
             for t, fill in zip((a, b), filled):
                 if fill:
-                    t._filled()
+                    t.dist
             for rows in read.values():
                 rows.clear()
             if all(filled):

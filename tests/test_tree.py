@@ -371,7 +371,7 @@ def _walk_trees(small_config):
 def test_walked_rows_equal_the_fill_bit_for_bit(small_config):
     rng = np.random.default_rng(2127)
     for t in _walk_trees(small_config):
-        fill = t._all_pairs()[0]
+        fill = MetricTree(t.vertices, t.edges).dist[:, t._preorder().order]
         subsets = [np.arange(t.n), np.array([], dtype=np.intp), np.array([t.n - 1])]
         subsets += [np.flatnonzero(rng.random(t.n) < p) for p in (0.03, 0.2, 0.6)]
         for rows in subsets:
@@ -400,8 +400,7 @@ def test_fill_entries_equal_the_fill_bit_for_bit(small_config, monkeypatch):
             src, dst = np.divmod(rng.permutation(t.n * t.n)[:4000], t.n)
             got = fresh._fill_entries(src, dst)
             assert fresh._dist is None
-            want = fresh._all_pairs()
-            want = want[0][src, want[1][dst]]
+            want = fresh.dist[src, dst]
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], t
 
 
@@ -460,7 +459,7 @@ def test_depth_rows_are_within_their_proven_error(small_config, monkeypatch):
         for t in _walk_trees(small_config):
             rows = rng.integers(0, t.n, size=int(rng.integers(1, 12)))
             got = t._depth_rows(rows)
-            fill = t._all_pairs()[0][rows]
+            fill = t.dist[rows][:, t._preorder().order]
             err = np.abs(got - fill).max()
             # depth rows within 4n units of 2**-53 L, fill entries 2(n - 1)
             assert err <= 6 * t.n * 2.0 ** -53 * t.total_edge_length(), (t, err)
@@ -492,33 +491,6 @@ def test_depth_rows_equal_their_formula_bit_for_bit(small_config, monkeypatch):
                     assert got[k, b].hex() == float(want).hex(), (t, block, a, b)
 
 
-def test_unpermuted_fill_reads_like_dist(small_config):
-    rng = np.random.default_rng(17)
-
-    def block(t, rows, cols):
-        d, pos = t._filled()
-        return d[rows][:, cols if pos is None else pos[cols]]
-
-    for t in list(_differential_trees(small_config)) + [_large_cell(small_config)]:
-        n = t.n
-        rows = rng.permutation(n)[:7]
-        some = rng.integers(0, n, size=2 * n)
-        d, pos = t._filled()
-        assert pos is not None  # columns still in preorder
-        assert np.all(d[np.arange(n), pos] == 0.0)
-        before = block(t, rows, np.arange(n))
-        some_before = block(t, rows, some)
-        for k, r in enumerate(rows):
-            assert np.array_equal(t.row(t.vertices[r]), before[k])
-        full = t.dist
-        assert t._filled()[1] is None
-        assert np.array_equal(full[rows], before)
-        assert np.array_equal(full[rows][:, some], some_before)
-        assert np.array_equal(block(t, rows, some), some_before)
-        for r in rows:
-            assert np.array_equal(t.row(t.vertices[r]), full[r])
-
-
 def test_fill_holds_one_matrix(small_config):
     t = _large_cell(small_config)
     tracemalloc.start()
@@ -531,17 +503,12 @@ def test_fill_holds_one_matrix(small_config):
 
 
 def test_eccentricities_equal_the_spaces_before_and_after_dist(small_config):
-    # The fill's row maxima: the same floats while its columns are still in
-    # preorder and once dist has put them in vertex order.
+    # The fill's row maxima: the same floats as the space's.
     for t in list(_differential_trees(small_config)) + [_large_cell(small_config)]:
-        assert t._dist is None
-        before = t.eccentricities()
-        assert t._filled()[1] is not None
+        got = t.eccentricities()
         want = t.as_space().eccentricities()
-        assert t._filled()[1] is None
-        after = t.eccentricities()
-        assert before.dtype == want.dtype == after.dtype
-        assert before.tobytes() == want.tobytes() == after.tobytes()
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_diameter_takes_two_rows(small_config):
@@ -1257,7 +1224,7 @@ def test_fill_refuses_huge_trees():
     for read in (lambda: big.dist, big.eccentricities):
         with pytest.raises(
             ValueError,
-            match=r"tree of 32769 vertices would take 8590721040 bytes; at most 16384 vertices",
+            match=r"tree of 32769 vertices would take 8590458888 bytes; at most 16384 vertices",
         ):
             read()
     assert big.row("a")[1] == 1.0  # one source's row needs no fill
