@@ -1310,14 +1310,13 @@ def continuity_scan(
     pairs.  Each pair, in order, builds its correspondence and takes its
     upper bound (:func:`~treegh.gh.gh_upper_bound`); with no fill on
     either sample, :func:`~treegh.gh.distortion` plans the rows that can
-    hold the largest mismatch and reads them from depth rows, settling
-    the few entries that can be the largest with the fill's own floats.
-    A cell's sample, its index and the cell go after its last pair.  Only
-    a degenerate pair, with more entries within reach of the largest than
-    the larger sample has vertices (a cell paired with itself), walks the
-    rows holding them (:meth:`~treegh.tree.MetricTree._rows`), and rows
-    past the fill's 2 GiB are refused before they are walked.  ``hi`` is
-    bit for bit what the full distortion product gives.
+    hold the largest mismatch and reads them from depth rows, which hold
+    the samples' own distances.  A cell's sample, its index and the cell
+    go after its last pair.  A degenerate pair, such as a cell paired with
+    itself, whose entries are all 0, reads every row from depth rows, a
+    block at a time; rows holding more distances than a 2-GiB fill are
+    refused before any is read.  ``hi`` is bit for bit what the full
+    distortion product gives.
 
     Args:
         cfg: embedding configuration.
@@ -1332,7 +1331,7 @@ def continuity_scan(
         EmbedConfigError: a grid cell sits on a marked point.
         ValueError: an adjacency pair holds an index outside ``grid`` or
             joins cells of different fibers, raised before any cell is
-            assembled; or a cell's planned rows exceed the memory budget.
+            assembled; or a pair's planned rows exceed the read budget.
         ScanError: a bound violation, when ``strict``.
     """
     _refuse_marked_cells(cfg, grid)

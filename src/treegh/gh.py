@@ -120,8 +120,7 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
 
     ``max |d_X(a, a') - d_Y(b, b')|`` over pairs ``c = (a, b), c' = (a', b')``
     of the correspondence: the largest entry of the ``|C| x |C|`` mismatch
-    product, whose row ``c`` runs over every ``c'``.  Both triangles are
-    read because a tree matrix need not be bit-symmetric.  Raises if the
+    product, whose row ``c`` runs over every ``c'``.  Raises if the
     relation fails to cover both spaces.
 
     The product is read in one of two ways.  When each side holds a
@@ -134,9 +133,8 @@ def distortion(x: Space, y: Space, corr: Correspondence) -> float:
     two trees of which one or both hold no fill, the rows that can hold the
     maximum are planned from depth rows (:func:`_plan`) and only those rows
     are read, from depth rows again (:func:`_planned_maximum`), which fill
-    and walk nothing; the few entries that can be the largest are settled
-    with the fill's own floats.  Either way the value is the full product's
-    maximum, bit for bit.
+    nothing.  A depth row holds the fill's floats, so either way the value
+    is the full product's maximum, bit for bit.
     """
     if isinstance(x, MetricTree) and isinstance(y, MetricTree):
         if x._dist is None or y._dist is None:
@@ -155,30 +153,23 @@ class _Plan(NamedTuple):
     I: np.ndarray  # the pairs' points, as in Correspondence.rows
     J: np.ndarray
     bound: np.ndarray  # at least the largest entry of each row (inf if unknown)
-    low: float  # at most the largest entry
-    slack: float  # how far an entry read from depth rows may be from the fill's
-
-
-# Walked rows (see _walked): the rows, the row of each vertex in them and
-# the column of each vertex.
-_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+    low: float  # an entry of the product, or -inf
 
 
 def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
     """Bounds on the rows of the mismatch product between two trees, read
-    from depth rows: no row is walked or filled, and a cached fill is not
-    read.
+    from depth rows: no row is filled, and a cached fill is not read.
 
     At most ``_REPRESENTATIVES`` pairs are representatives ``r = (a_r,
     b_r)``.  With ``A``, ``B`` the distances from its points, read from
-    :meth:`MetricTree._depth_rows`, its row's largest entry is about
+    :meth:`MetricTree._depth_rows`, its row's largest entry is
     ``near(r) = max_c |A(a_r, a) - B(b_r, b)|``, and every row
     ``c = (a, b)`` is bounded by the least ``near(r) + A(a_r, a) +
     B(b_r, b) + slack`` (the triangle inequality on both sides), while
-    ``low = max_r near(r) - slack`` is at most the largest entry.  A sum
-    that overflows to NaN proves nothing, so it bounds no row (a row no
-    finite sum bounds keeps bound inf) and raises no ``low``, and a ``low``
-    that is not finite becomes -inf.
+    ``low = max_r near(r)`` is an entry of the product.  A sum that
+    overflows to NaN proves nothing, so it bounds no row (a row no finite
+    sum bounds keeps bound inf) and raises no ``low``, and a ``low`` that
+    is not finite becomes -inf.
 
     The representatives are chosen in batches: a first batch of one pair
     in ``_REPRESENTATIVE_STRIDE``, evenly spaced in the correspondence's
@@ -198,22 +189,16 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
 
     The slack is ``6 * 2**-52 * ((n_X + 1) L_X + (n_Y + 1) L_Y)``, with L the
     total edge length; per tree it is ``12 (n + 1)`` units of ``2**-53 L``.
-    Each fill entry is within ``e = 2(n - 1)`` units of the exact distance
-    (at most 2(n - 1) roundings of values at most L), and each depth-row
-    entry within ``h = 4n`` (see :meth:`MetricTree._depth_rows`).  The
-    exact triangle inequality bounds a row of fill entries by the exact
-    representative row plus two exact distances, plus ``e`` per tree; each
-    of those three terms is its depth-row value within ``h``, and the
-    representative's maximum is ``near(r)`` within one more rounding of a
-    difference.  Summing two terms and adding ``near`` and the slack round
-    three times, values at most 2(L_X + L_Y).  That is ``2h + e + 6 = 10n +
-    4`` units per tree, below ``12(n + 1)``.  Likewise ``near(r)`` exceeds
-    its representative's true row maximum by at most ``h + e + 1 = 6n - 1``
-    units, and subtracting the slack rounds once more, so ``low`` never
-    exceeds the largest entry.  The same slack covers the settle step of
-    :func:`_planned_maximum`: a depth-row entry and a fill entry differ by
-    at most ``h + e = 6n - 2`` units, and a mismatch of them by ``6n``
-    units per tree, half the slack.
+    Every distance is within ``h = 4n`` units of the exact one (see
+    :meth:`MetricTree._depth_rows`), so an entry of row c is its exact
+    mismatch within ``h`` per tree and one rounding of a difference.  The
+    exact triangle inequality bounds that exact mismatch by the exact
+    representative entry plus two exact distances; each of those three
+    terms is its read value within ``h`` per tree it involves, and the
+    representative entry is at most ``near(r)`` within one more rounding.
+    Summing two terms and adding ``near`` and the slack round three times,
+    values at most 2(L_X + L_Y).  That is ``3h + 8 = 12n + 8`` units per
+    tree, below ``12(n + 1)``.
     """
     if not corr.covers(x.n, y.n):
         raise ValueError("correspondence does not cover both spaces")
@@ -253,14 +238,12 @@ def _plan(x: MetricTree, y: MetricTree, corr: Correspondence) -> _Plan:
         if np.count_nonzero(bound > low) <= k:
             break  # reading the rows left costs no more than another batch
         r = _farthest(bound, owner, low, k)
-    slack = 6.0 * 2.0 ** -52 * (
+    bound += 6.0 * 2.0 ** -52 * (
         (x.n + 1) * x.total_edge_length() + (y.n + 1) * y.total_edge_length()
     )
-    bound += slack
-    low -= slack
     if not math.isfinite(low):
         low = -math.inf
-    return _Plan(I, J, bound, low, slack)
+    return _Plan(I, J, bound, low)
 
 
 def _farthest(bound: np.ndarray, owner: np.ndarray, low: float, k: int) -> np.ndarray:
@@ -279,94 +262,42 @@ def _farthest(bound: np.ndarray, owner: np.ndarray, low: float, k: int) -> np.nd
     return hit[np.argsort(-bound[hit], kind="stable")[:k]]
 
 
-def _walked(tree: MetricTree, vertices: np.ndarray) -> _Rows:
-    """The walked rows of ``vertices``; any other vertex's row index is one
-    past the last row, so reading it raises IndexError."""
-    slot = np.full(tree.n, len(vertices), dtype=np.intp)
-    slot[vertices] = np.arange(len(vertices))
-    return tree._rows(vertices), slot, tree._preorder().pos
-
-
 def _planned_maximum(plan: _Plan, x: MetricTree, y: MetricTree) -> float:
     """The largest entry of the mismatch product between the trees ``x``
     and ``y`` that ``plan`` bounds, reading only rows whose bound exceeds
     ``plan.low``.
 
-    No row is walked and no fill is read: rows are read from depth rows
-    (:meth:`MetricTree._depth_rows`) in order of decreasing bound, a block
-    at a time, each block cut to the rows whose bound exceeds both ``low``
-    and the largest entry read so far less the slack; the loop ends at the
-    first empty block.  Then the entries within twice the slack of the
-    largest one read, and not below ``low`` less the slack, are settled:
-    recomputed with the fill's own floats
-    (:meth:`MetricTree._fill_entries`).
+    Rows are read from depth rows (:meth:`MetricTree._depth_rows`, the
+    trees' own distances) in order of decreasing bound, a block at a time,
+    each block cut to the rows whose bound exceeds both ``low`` and the
+    largest entry read so far; the loop ends at the first empty block.
+    Every row left unread is then bounded by ``low``, an entry, or by an
+    entry read, so the largest of them is the product's maximum, bit for
+    bit.  A NaN entry (distances that overflowed) is the value, as it is
+    the full product's maximum.
 
-    Proof, with ``d`` the plan's slack.  A depth-row entry is within 4n
-    units of ``2**-53 L`` of the exact distance and a fill entry within
-    2(n - 1) (see :func:`_plan`), so the two differ by at most ``6n - 2``
-    units per tree, and a mismatch read from depth rows is within ``6n``
-    units per tree of the fill's, at most half of ``d``.  So the largest
-    fill entry among the rows read is at least the largest entry read
-    less ``d``, every row left unread is bounded by ``low`` or by that
-    entry, and the entry itself was read within ``2d`` of the largest and
-    is settled.  The value is the largest settled entry or ``low``,
-    whichever is larger: an entry of the product, bit for bit.
-
-    Settling an entry sums a root path, so when more entries are within
-    reach than the larger tree has vertices (as for two isometric trees
-    paired by an isometry) the rows holding them are walked instead
-    (:func:`_walked_maximum`), under the walk's memory budget.  A NaN
-    entry (distances that overflowed) walks every row whose bound exceeds
-    ``low``, so it is the value as it is the full product's maximum.
+    A degenerate pair, such as two isometric trees paired by an isometry,
+    whose entries are all 0, reads every row above ``low``.  Rows above
+    ``low`` that would read more distances of the larger tree than
+    ``_MAX_ROW_ENTRIES`` are refused before any is read
+    (:meth:`MetricTree._refuse_rows`).
     """
-    I, J, bound, low, slack = plan.I, plan.J, plan.bound, plan.low, plan.slack
+    I, J, bound, low = plan
     cx, cy = x._preorder().pos[I], y._preorder().pos[J]
-    limit = max(x.n, y.n)
+    max(x, y, key=lambda t: t.n)._refuse_rows(int(np.count_nonzero(bound > low)))
     order = np.argsort(-bound, kind="stable")
-    best = -math.inf
-    read, tops = [], []  # the rows read, and each one's largest entry read
-    held = np.empty((0, 2), dtype=np.intp)  # (row, column) of each entry within reach
-    value = np.empty(0)  # those entries as read
+    best = low
     step = _block_rows(max(len(I), x.n, y.n))
     for start in range(0, len(order), step):
         rows = order[start : start + step]
-        rows = rows[bound[rows] > max(low, best - slack)]
+        rows = rows[bound[rows] > best]
         if not len(rows):
             break
-        block = _depth_mismatch(x, I, cx, y, J, cy, rows)
-        top = block.max(axis=1)
-        if np.isnan(top).any():
-            return _walked_maximum(plan, x, y, np.flatnonzero(bound > low))
-        best = max(best, float(top.max()))
-        read.append(rows)
-        tops.append(top)
-        if held is None:
-            continue  # too many within reach: their rows are walked
-        reach = max(best - 2.0 * slack, low - slack)
-        keep = value >= reach
-        r, c = np.nonzero(block >= reach)
-        held = np.concatenate([held[keep], np.column_stack([rows[r], c])])
-        value = np.concatenate([value[keep], block[r, c]])
-        if len(value) > limit:
-            held = value = None
-    reach = max(best - 2.0 * slack, low - slack)
-    if held is not None:
-        rc = held[value >= reach]
-        if not len(rc):
-            return float(low)
-        r, c = rc.T
-        settled = np.abs(x._fill_entries(I[r], I[c]) - y._fill_entries(J[r], J[c]))
-        return float(np.maximum(low, settled.max()))
-    return _walked_maximum(plan, x, y, np.concatenate(read)[np.concatenate(tops) >= reach])
-
-
-def _walked_maximum(plan: _Plan, x: MetricTree, y: MetricTree, rows: np.ndarray) -> float:
-    """``max(plan.low, the largest entry of the given rows)``, the rows
-    read from the walked rows of their sources (:meth:`MetricTree._rows`),
-    the fill's floats bit for bit."""
-    I, J = plan.I, plan.J
-    (dx, sx, px), (dy, sy, py) = _walked(x, np.unique(I[rows])), _walked(y, np.unique(J[rows]))
-    return float(np.maximum(plan.low, _row_maxima(dx, sx[I], px[I], dy, sy[J], py[J], rows).max()))
+        top = float(_depth_mismatch(x, I, cx, y, J, cy, rows).max())
+        if math.isnan(top):
+            return top
+        best = max(best, top)
+    return float(best)
 
 
 def _depth_mismatch(
@@ -617,16 +548,32 @@ def greedy_tree_correspondence(x: Space, y: Space) -> Correspondence:
     """Deterministic covering correspondence by eccentricity rank alignment.
 
     Takes spaces or metric trees.  Both vertex sets are sorted by
-    (eccentricity, index) and matched at proportional ranks, in both
-    directions.  On two copies of one space this yields the identity, hence
-    zero distortion.
+    eccentricity, ties (up to rounding, see :func:`_ranked`) broken by
+    index, and matched at proportional ranks, in both directions.  On two
+    copies of one space this yields the identity, hence zero distortion.
     """
-    order_x = np.argsort(x.eccentricities(), kind="stable")
-    order_y = np.argsort(y.eccentricities(), kind="stable")
+    order_x = _ranked(x.eccentricities())
+    order_y = _ranked(y.eccentricities())
     nx, ny = len(order_x), len(order_y)
     to_y = order_y[np.round(np.arange(nx) * (ny - 1) / max(1, nx - 1)).astype(int)]
     to_x = order_x[np.round(np.arange(ny) * (nx - 1) / max(1, ny - 1)).astype(int)]
     return Correspondence.from_pairs(np.column_stack([np.r_[order_x, to_x], np.r_[to_y, order_y]]))
+
+
+def _ranked(ecc: np.ndarray) -> np.ndarray:
+    """Point indices by eccentricity, ties broken by index, where an
+    eccentricity at most ``n * 2**-50 D`` above the next smaller one ties
+    with it, D the largest.  Each of a tree's distances is within
+    ``(n + 2) 2**-53 D`` of the exact one (see
+    :meth:`MetricTree._depth_rows`; every value it rounds is at most 2D),
+    so two points at the same exact eccentricity rank by index, not by how
+    their distances happened to round.  A NaN starts a group of its own."""
+    order = np.argsort(ecc, kind="stable")
+    top = ecc[order[-1]] if len(ecc) else 0.0
+    tol = len(ecc) * 2.0 ** -50 * (top if math.isfinite(top) else 0.0)
+    group = np.empty(len(ecc), dtype=np.intp)
+    group[order] = np.cumsum(np.r_[0, ~(np.diff(ecc[order]) <= tol)])
+    return np.lexsort((np.arange(len(ecc)), group))
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,14 +14,12 @@ entry checks have vetted.  A subdivision also defers its ids, edges and
 index: it keeps its host, the cuts per host edge and its edge lengths,
 and names no vertex until one is read.  The same walk, as a preorder with
 parents, edge lengths and depths (cached; a subdivision splices its own
-from its host's instead of walking), fills the full matrix of path
-distances when it is first needed (then cached, in vertex order; refused
-above 2**14 vertices) and finds geodesics.  Without the matrix it gives,
-bit for bit, the fill's rows of chosen sources (walked, at a row update
-per vertex on their root paths) and single entries (each summed along its
-source's root path), and distances within a proven rounding error from
-depths alone, with no walk; tree distortions read those (see
-:func:`treegh.gh.distortion`).
+from its host's instead of walking), gives every distance by one formula,
+``(depth u + depth v) - 2 depth lca(u, v)``: the full matrix when it is
+first needed (then cached, in vertex order; refused above 2**14
+vertices), single rows and entries, and rows of chosen sources for tree
+distortions (see :func:`treegh.gh.distortion`), the same floats whichever
+reads them.  It also finds geodesics.
 Operations that need one source's distances or only edge lengths (balls,
 degree-<=2 components, edge replacement) never build the matrix.  Points
 of the underlying continuum exist only once an operation materialises
@@ -67,18 +65,19 @@ __all__ = [
 ]
 
 _EPS_VERTEX = 1e-12  # slack for "a position lands exactly on a vertex"
-# Entries per block when the fill puts its columns in vertex order (the
-# only temporary beside the matrix) and per block of `_fill_entries`' sums:
-# small enough to stay in cache.
-_PERMUTE_BLOCK_CELLS = 1 << 16
+# Entries per block when the fill writes its distances (the only temporary
+# beside the matrix): small enough to stay in cache.
+_FILL_BLOCK_CELLS = 1 << 14
 # Most vertices `subdivide` inserts: a finer eps fails at once instead of
 # allocating without bound.
 _MAX_SUBDIVIDE_VERTICES = 1 << 20
 # Most vertices a distance matrix is filled for (2 GiB): a larger tree fails
 # at once instead of exhausting memory.
 _MAX_FILL_VERTICES = 1 << 14
-# Most bytes of distance rows walked in one tree, the fill's budget.
-_MAX_ROW_BYTES = 1 << 31
+# Most distances read as rows of one tree for one distortion, as many as
+# the largest fill holds (2 GiB): a degenerate pair of fine samples fails
+# at once instead of reading for hours.
+_MAX_ROW_ENTRIES = 1 << 28
 # Positions per block of the range minima that `_depth_rows` reads.
 _DEPTH_BLOCK = 64
 
@@ -91,7 +90,7 @@ class _Preorder(NamedTuple):
     parent: np.ndarray  # position of each position's parent, -1 at the root
     weight: List[float]  # length of the edge to the parent, 0.0 at the root
     end: np.ndarray  # one past the last position of each subtree
-    depth: np.ndarray  # distance from vertex 0 by position, as the fill sums it
+    depth: np.ndarray  # distance from vertex 0 by position, as every distance reads it
 
 
 class _InsertedRuns(NamedTuple):
@@ -147,15 +146,14 @@ class MetricTree:
             its size, preorder, depth rows, total length and the id of one
             vertex (:meth:`_name`) read none of them.
         dist: matrix of path distances in vertex order (float64,
-            read-only), filled when first needed and cached; :meth:`row`
-            gives one source's distances in O(n) without it.
-            A distortion between two filled trees reads their fills; one
-            with a tree that has no fill fills nothing: :meth:`_depth_rows`
-            gives rows within a proven error from depths,
-            :meth:`_fill_entries` the fill's entries bit for bit from root
-            paths, and :meth:`_rows` the fill's rows of chosen sources,
-            walked with O(log n) working rows.  A fill of more than
-            2**14 vertices, or walked rows of more than 2 GiB, is refused
+            read-only, bit-symmetric), filled when first needed and cached.
+            Every distance is ``(depth u + depth v) - 2 depth lca(u, v)``
+            with the depths of :meth:`_preorder`, in that order: the fill,
+            :meth:`row` and :meth:`distance` (each in O(n) or less without
+            the fill) and :meth:`_depth_rows` (the rows of chosen sources
+            that tree distortions read) give the same floats, within
+            ``4n`` units of ``2**-53 L`` of the exact distance, L the total
+            edge length.  A fill of more than 2**14 vertices is refused
             before it is allocated.
         labels: optional display labels per vertex id.
         metadata: free-form provenance (generators fill this in; the
@@ -349,36 +347,41 @@ class MetricTree:
         return "tree is disconnected (components containing %s)" % ", ".join(reps[:4])
 
     def _preorder(self) -> "_Preorder":
-        """The DFS preorder from vertex 0 that the fill, the row walk and
-        the row plans of :func:`treegh.gh.distortion` share; built on first
-        call and cached."""
+        """The DFS preorder from vertex 0 whose depths give every distance
+        (see :attr:`dist`), each depth summed as its parent's plus its edge
+        length; built on first call and cached."""
         if self._pre is None:
-            walk = list(self._walk(0))
-            n = len(walk)
-            order = [v for v, _, _ in walk]
+            n = self.n
+            order, parent, weight, depth = [0], [-1], [0.0], [0.0]
             pos = [0] * n
-            for i, v in enumerate(order):
-                pos[v] = i
-            parent = [-1] + [pos[p] for _, p, _ in walk[1:]]
-            weight = [w for _, _, w in walk]
+            walk = self._walk(0)
+            next(walk)  # the root
+            for v, p, w in walk:
+                at = pos[p]
+                pos[v] = len(order)
+                order.append(v)
+                parent.append(at)
+                weight.append(w)
+                depth.append(depth[at] + w)
             size = [1] * n
             for i in range(n - 1, 0, -1):
                 size[parent[i]] += size[i]
             self._pre = _Preorder(
                 order, np.array(pos, dtype=np.intp), np.array(parent, dtype=np.intp),
-                weight, np.arange(n) + size, _depths(parent, weight),
+                weight, np.arange(n) + size, np.array(depth),
             )
         return self._pre
 
     def _all_pairs(self) -> np.ndarray:
-        # In the DFS preorder from vertex 0 the subtree of the vertex at
-        # position i is the range [i, end).  Moving the source from a parent
-        # p to its child v across an edge of length w adds w to the distance
-        # of every vertex outside v's subtree and subtracts w inside it, so
-        # each row is one vectorized update of its parent's row.  Rows are
-        # stored at their vertex's index with columns in preorder; the
-        # columns are then put in vertex order in place, a block of rows at
-        # a time, so the matrix is held once.
+        # Each entry is (depth u + depth v) - 2 depth lca(u, v).  In the DFS
+        # preorder from vertex 0 the subtree of the vertex at position i is
+        # the range [i, end), so the row of 2 depth lca from a child is its
+        # parent's row with 2 depth child written over the child's subtree,
+        # and the root's row is 0.  Rows and columns are in vertex order, so
+        # the matrix is held once; then, a block of rows at a time, each
+        # entry is made the formula's.  The sum is symmetric and doubling is
+        # exact, so the matrix is bit-symmetric, with a zero diagonal
+        # wherever twice a depth is finite.
         n = self.n
         if n > _MAX_FILL_VERTICES:
             raise ValueError(
@@ -388,156 +391,35 @@ class MetricTree:
             )
         pre = self._preorder()
         d = np.empty((n, n))
-        order, weight = pre.order, pre.weight
-        d[0] = pre.depth
+        order = pre.order
+        below = np.asarray(order)  # the vertices of each subtree, as a run
+        d[0] = 0.0  # vertex 0 is the root
+        twice = (2.0 * pre.depth).tolist()
         for i, (p, e) in enumerate(np.column_stack((pre.parent, pre.end))[1:].tolist(), 1):
-            prow, row, w = d[order[p]], d[order[i]], weight[i]
-            np.add(prow, w, out=row)
-            np.subtract(prow[i:e], w, out=row[i:e])
-        step = max(1, _PERMUTE_BLOCK_CELLS // n)
+            row = d[order[i]]
+            np.copyto(row, d[order[p]])
+            row[below[i:e]] = twice[i]
+        depth = pre.depth[pre.pos]  # by vertex
+        step = max(1, _FILL_BLOCK_CELLS // n)
+        sums = np.empty((step, n))
         for lo in range(0, n, step):
-            d[lo:lo + step] = d[lo:lo + step, pre.pos]
-        np.fill_diagonal(d, 0.0)
+            block = d[lo:lo + step]
+            total = sums[:len(block)]
+            np.add(depth[lo:lo + step, None], depth, out=total)
+            np.subtract(total, block, out=block)
         d.setflags(write=False)
         return d
 
-    def _rows(self, vertices: np.ndarray) -> np.ndarray:
-        """The fill's rows of the distinct ``vertices``, bit for bit, with no
-        fill: row k holds the distances from ``vertices[k]`` with columns in
-        preorder, ``dist[vertices[k], order]`` for the preorder's ``order``.
-
-        The walk makes the fill's float operations: each row is its
-        parent's row plus w, less w on the row's own subtree, and the
-        diagonal is zeroed only in the rows written out, after every row
-        that reads them.  It visits only the vertices that are asked for or
-        have a descendant that is, and at each vertex the child with the
-        most asked-for vertices below it comes last.  A row is held until
-        its last child has read it, then goes back to a pool of buffers.  A
-        held row that is not written out belongs to an ancestor left through
-        another child, which has at most half the ancestor's asked-for
-        vertices below it, so the walk holds at most log2(k) + 2 buffers
-        besides the k rows it writes out.  More rows than
-        ``_MAX_ROW_BYTES`` hold are refused before any is allocated.
-        """
-        self._refuse_rows(len(vertices))
-        pre = self._preorder()
-        n = self.n
-        keep = pre.pos[np.asarray(vertices, dtype=np.intp)]
-        out = np.empty((len(keep), n))
-        slot = np.full(n, -1, dtype=np.intp)
-        slot[keep] = np.arange(len(keep))
-        up, end = pre.parent, pre.end
-        asked = np.zeros(n + 1, dtype=np.intp)
-        asked[keep + 1] = 1
-        asked = np.cumsum(asked)  # asked-for positions before each position
-        wanted = asked[end] - asked[:n]  # asked-for positions in each subtree
-        needed = wanted > 0
-        seen = np.r_[0, np.cumsum(needed)]  # needed positions before each
-        size = seen[end] - seen[:n]  # needed positions in each subtree
-        child = np.flatnonzero(needed[1:]) + 1
-        parent = up[child]
-        # The first child with the most wanted below it goes last.  From the
-        # preorder of the needed positions, each later sibling's subtree
-        # moves ahead by the last child's subtree, and that subtree moves
-        # behind all of them.
-        by_parent = np.lexsort((child, -wanted[child], parent))
-        first = np.ones(len(child), dtype=bool)
-        first[1:] = parent[by_parent[1:]] != parent[by_parent[:-1]]
-        heavy = child[by_parent[first]]
-        last = np.zeros(n, dtype=bool)
-        last[heavy] = True
-        heavy_of = np.zeros(n, dtype=np.intp)
-        heavy_of[up[heavy]] = heavy
-        ahead = child[child > heavy_of[parent]]
-        step = size[heavy_of[up[ahead]]]
-        behind = seen[end[up[heavy]]] - seen[end[heavy]]
-        moves = np.bincount(
-            np.concatenate([ahead, end[ahead], heavy, end[heavy]]),
-            np.concatenate([-step, step, behind, -behind]).astype(float),
-            minlength=n + 1,
-        )
-        rank = seen[:n] + np.cumsum(moves[:n]).astype(np.intp)
-        visits = np.empty(len(child) + 1, dtype=np.intp)
-        visits[rank[needed]] = np.flatnonzero(needed)
-        visits = visits[1:]  # the root comes first
-        pp = up[visits]
-        recycle = last[visits] & (slot[pp] < 0) & (pp > 0)  # the root's row is pre.depth
-        held: List[Optional[np.ndarray]] = [None] * n
-        if len(keep):
-            held[0] = pre.depth
-            if slot[0] >= 0:
-                held[0] = out[slot[0]]
-                held[0][:] = pre.depth
-        pool: List[np.ndarray] = []
-        lengths = pre.weight
-        for c, p, e, s, reread, done, back in zip(
-            visits.tolist(), pp.tolist(), end[visits].tolist(), slot[visits].tolist(),
-            (size[visits] > 1).tolist(), last[visits].tolist(), recycle.tolist(),
-        ):
-            prow, w = held[p], lengths[c]
-            row = out[s] if s >= 0 else pool.pop() if pool else np.empty(n)
-            np.add(prow, w, out=row)
-            np.subtract(prow[c:e], w, out=row[c:e])
-            if reread:
-                held[c] = row
-            if done:
-                held[p] = None
-                if back:
-                    pool.append(prow)
-        out[np.arange(len(keep)), keep] = 0.0
-        return out
-
-    def _fill_entries(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """The fill's entries from ``sources[k]`` to ``targets[k]`` (vertex
-        indices), bit for bit, with no fill and no walk: entry k is
-        ``dist[sources[k], targets[k]]``.
-
-        The fill's row of a source is the root's row, the depths, updated
-        once per edge on the source's root path from the root down: plus w
-        at a column outside the child's subtree, minus w inside it.  So an
-        entry is the target's depth followed by those signed lengths, added
-        in order (``np.add.accumulate``), and 0 on the diagonal.  The root
-        path is the positions whose subtree holds the source's, and the
-        sums of one source are made a block of ``_PERMUTE_BLOCK_CELLS``
-        terms at a time.
-        """
-        pre, lengths = self._preorder(), self._lengths
-        src = pre.pos[np.asarray(sources, dtype=np.intp)]
-        col = pre.pos[np.asarray(targets, dtype=np.intp)]
-        out = np.empty(len(src))
-        by_source = np.argsort(src, kind="stable")
-        heads = np.flatnonzero(np.r_[True, src[by_source[1:]] != src[by_source[:-1]]])
-        for group in np.split(by_source, heads[1:]):
-            s = src[group[0]]
-            path = np.flatnonzero(pre.end[1 : s + 1] > s) + 1
-            w = lengths[path][:, None]
-            step = max(1, _PERMUTE_BLOCK_CELLS // (len(path) + 1))
-            for lo in range(0, len(group), step):
-                k = group[lo:lo + step]
-                c = col[k]
-                terms = np.empty((len(path) + 1, len(k)))
-                terms[0] = pre.depth[c]
-                inside = (path[:, None] <= c) & (c < pre.end[path][:, None])
-                np.copyto(terms[1:], np.where(inside, -w, w))
-                out[k] = np.add.accumulate(terms, axis=0)[-1]
-            out[group[col[group] == s]] = 0.0
-        return out
-
-    @cached_property
-    def _lengths(self) -> np.ndarray:
-        """The preorder's lengths as an array, for :meth:`_fill_entries`;
-        built on first read."""
-        return np.array(self._preorder().weight)
-
     def _refuse_rows(self, k: int) -> None:
-        """Raise ValueError if ``k`` distance rows of this tree would take
-        more than ``_MAX_ROW_BYTES``: a too-fine sample fails at once, as
-        its fill would, instead of exhausting memory."""
-        size = 8 * k * self.n
-        if size > _MAX_ROW_BYTES:
+        """Raise ValueError if ``k`` distance rows of this tree hold more
+        than ``_MAX_ROW_ENTRIES`` distances: a distortion that would read
+        that many fails at once, as a too-large fill does, instead of
+        reading for hours."""
+        size = k * self.n
+        if size > _MAX_ROW_ENTRIES:
             raise ValueError(
-                "%d distance rows of a tree of %d vertices would take %d bytes; "
-                "at most %d bytes of rows are walked" % (k, self.n, size, _MAX_ROW_BYTES)
+                "%d distance rows of a tree of %d vertices would hold %d distances; "
+                "at most %d are read" % (k, self.n, size, _MAX_ROW_ENTRIES)
             )
 
     def _depth_minima(self) -> Tuple[np.ndarray, ...]:
@@ -565,8 +447,8 @@ class MetricTree:
 
     def _depth_rows(self, vertices: np.ndarray) -> np.ndarray:
         """Distances from the given vertices to every vertex, columns in
-        preorder, as ``depth[u] + depth[v] - 2 depth[lca]`` with the depths
-        of :meth:`_preorder`: no walk, and not the fill's floats.
+        preorder, as ``(depth[u] + depth[v]) - 2 depth[lca]`` with the
+        depths of :meth:`_preorder`: the fill's floats, with no fill.
 
         A depth is its parent's plus a positive length, rounded, so depths
         never fall along a root path.  For positions ``a < b`` the depth of
@@ -580,11 +462,14 @@ class MetricTree:
         block; so a call costs O(n) per source.  The sums run over whole
         blocks, as the padded depths are.
 
-        Error: each depth is at most n - 1 roundings of values at most the
-        total length L away from the exact depth, and the sum and the
-        difference add two roundings of values at most 2L (the doubling is
-        exact), so an entry is within (4(n - 1) + 4) 2**-53 L of the exact
-        distance.
+        Error, for every reader of a distance: a depth adds its root path
+        in order, each step rounding a value at most the total length L.
+        The steps above the lowest common ancestor are the same floats in
+        all three depths and cancel, so for k edges between u and v the
+        depths err by at most k roundings; the sum rounds a value at most
+        2L and the difference one at most L, and the doubling is exact.  An
+        entry is within (k + 3) 2**-53 L of the exact distance, up to
+        second-order terms, below the 4n units of :func:`treegh.gh._plan`.
         """
         pre = self._preorder()
         blocks, ends, least, padded = self._depth_minima()
@@ -621,9 +506,8 @@ class MetricTree:
         lca[rows, ka] = own
         lca = lca.reshape(len(src), nb * B)
         lca[rows, src] = depth[src]
-        lca *= -2.0
-        lca += padded
-        lca += depth[src][:, None]
+        lca *= 2.0
+        np.subtract(depth[src][:, None] + padded, lca, out=lca)
         return lca[:, :n]
 
     # -- queries --------------------------------------------------------------
@@ -668,31 +552,39 @@ class MetricTree:
         return self._dist
 
     def row(self, v: str) -> np.ndarray:
-        """Distances from vertex v to every vertex, in vertex order (read-only).
-
-        Reads the cached matrix when it has been built; otherwise one O(n)
-        traversal from v, which leaves the matrix unbuilt.
-        """
+        """Distances from vertex v to every vertex, in vertex order
+        (read-only): the cached matrix's row, or the same floats in O(n)
+        from depths, which leaves the matrix unbuilt.  The lowest common
+        ancestors' depths are running minima of the parent depths from v's
+        position outward (see :meth:`_depth_rows`)."""
         s = self.index(v)
         if self._dist is not None:
             return self._dist[s]
-        d = np.zeros(self.n, dtype=float)
-        seen = [False] * self.n
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            du = d[u]
-            for x, w in self._adj[u]:
-                if not seen[x]:
-                    seen[x] = True
-                    d[x] = du + w
-                    stack.append(x)
+        pre = self._preorder()
+        depth, a = pre.depth, pre.pos[s]
+        up = depth[pre.parent]  # each position's parent depth
+        lca = np.empty(self.n)
+        np.minimum.accumulate(up[a + 1:], out=lca[a + 1:])
+        np.minimum.accumulate(up[a:0:-1], out=lca[:a][::-1])
+        lca[a] = depth[a]
+        lca *= 2.0
+        np.subtract(depth[a] + depth, lca, out=lca)
+        d = lca[pre.pos]
         d.setflags(write=False)
         return d
 
     def distance(self, x: str, y: str) -> float:
-        return float(self.dist[self.index(x), self.index(y)])
+        """The distance between x and y: the cached matrix's entry, or the
+        same float from depths, the lowest common ancestor's depth being
+        the least parent depth over the preorder positions between them."""
+        i, j = self.index(x), self.index(y)
+        if self._dist is not None:
+            return float(self._dist[i, j])
+        pre = self._preorder()
+        depth, (a, b) = pre.depth, pre.pos[[i, j]].tolist()
+        lo, hi = min(a, b), max(a, b)
+        lca = depth[pre.parent[lo + 1:hi + 1]].min() if lo < hi else depth[lo]
+        return float((depth[a] + depth[b]) - 2.0 * lca)
 
     def _edge_length(self, a: str, b: str) -> float:
         """Length of the edge (a, b); raises KeyError if a and b are not adjacent."""
@@ -1285,7 +1177,7 @@ def replace_edges(
             raise ReplacementError("entry %d: marks coincide (%s)" % (k, e.alpha))
         path = geodesic(tree, e.a, e.b)
         span_host = tree._path_length(path)
-        span_repl = float(e.tree.row(e.alpha)[e.tree.index(e.beta)])
+        span_repl = e.tree.distance(e.alpha, e.beta)
         if abs(span_host - span_repl) > tol:
             raise ReplacementError(
                 "entry %d: replacement spans %.12g between marks but host "
@@ -1505,15 +1397,23 @@ def _spliced_preorder(tree: MetricTree, cuts: np.ndarray, pieces: np.ndarray) ->
     end = np.r_[start, m][pre.end[host]]
     pos = np.empty(m, dtype=np.intp)
     pos[order] = np.arange(m)
-    weights = weight.tolist()
-    return _Preorder(order.tolist(), pos, parent, weights, end, _depths(parent.tolist(), weights))
+    return _Preorder(order.tolist(), pos, parent, weight.tolist(), end, _depths(parent, weight))
 
 
-def _depths(parent: List[int], weight: List[float]) -> np.ndarray:
+def _depths(parent: np.ndarray, weight: Sequence[float]) -> np.ndarray:
     """Distances from vertex 0 by preorder position, each summed as its
-    parent's plus its edge length: the fill's first row, so every other
-    row the fill or the row walk makes is one update of it."""
-    depth = [0.0] * len(parent)
-    for i in range(1, len(parent)):
-        depth[i] = depth[parent[i]] + weight[i]
-    return np.array(depth)
+    parent's plus its edge length, in preorder.  A run of positions each
+    the child of the one before (the vertices inserted along one edge, the
+    edge's end and its first descendants) is summed by one
+    ``np.add.accumulate``, which adds in that same order, so every depth
+    is the plain loop's bit for bit."""
+    depth = np.array(weight, dtype=float)
+    depth[0] = 0.0
+    n = len(depth)
+    heads = (np.flatnonzero(parent[1:] != np.arange(n - 1)) + 1).tolist()
+    for h, e in zip([0] + heads, heads + [n]):
+        if h:
+            depth[h] += depth[parent[h]]
+        if e - h > 1:
+            np.add.accumulate(depth[h:e], out=depth[h:e])
+    return depth

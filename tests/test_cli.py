@@ -610,26 +610,26 @@ def test_lab_scan_continuity_refuses_a_too_fine_eps(capsys, config_path):
 
 
 def test_lab_scan_continuity_refuses_rows_beyond_the_budget(capsys, config_path, monkeypatch):
-    # Adjacent cells settle their few largest entries and walk no row.  A
+    # Adjacent cells read a few planned rows, within a small budget.  A
     # degenerate pair, a cell paired with itself, has every entry tied at
-    # 0, so its rows are walked: past the walk's budget the scan exits 2
-    # before any row is allocated.
-    def refuse(self, vertices):
-        raise AssertionError("walked %d rows" % len(vertices))
+    # 0, so every row is planned: past the budget the scan exits 2 before
+    # any row of the product is read.
+    def refuse(*args):
+        raise AssertionError("read a row of the product")
 
     argv = ["--eps", "0.125", "lab", "scan-continuity", "--config", config_path, "--k", "1"]
-    monkeypatch.setattr(treegh.tree, "_MAX_ROW_BYTES", 8 * 40 * 40)
-    with monkeypatch.context() as walks:
-        walks.setattr(treegh.tree.MetricTree, "_rows", refuse)
-        assert _run(capsys, argv)[0] == 0
+    monkeypatch.setattr(treegh.tree, "_MAX_ROW_ENTRIES", 40 * 40)
+    assert _run(capsys, argv)[0] == 0
     monkeypatch.setattr(treegh.cli, "_grid_adjacency", lambda cfg, cells: [(0, 0)])
-    code, out, err = _run(capsys, argv)
+    with monkeypatch.context() as reads:
+        reads.setattr(treegh.gh, "_depth_mismatch", refuse)
+        code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == (
-        "error: 101 distance rows of a tree of 101 vertices would take 81608 bytes; "
-        "at most 12800 bytes of rows are walked\n"
+        "error: 101 distance rows of a tree of 101 vertices would hold 10201 distances; "
+        "at most 1600 are read\n"
     ), err
-    monkeypatch.setattr(treegh.tree, "_MAX_ROW_BYTES", 8 * 101 * 101)
+    monkeypatch.setattr(treegh.tree, "_MAX_ROW_ENTRIES", 101 * 101)
     assert _run(capsys, argv)[0] == 0
 
 

@@ -1309,8 +1309,8 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
     samples = []  # (cell, weak references to its index and its sample tree)
     wedges = []  # weak references to the cells' trees, in grid order
     wedge, index_of = treegh.embedding._Cell.wedge, treegh.embedding._CandidateIndex
-    plan, maximum, walk = treegh.gh._plan, treegh.gh._planned_maximum, MetricTree._rows
-    planned, read, walks = [], [], []
+    plan, maximum = treegh.gh._plan, treegh.gh._planned_maximum
+    planned, read = [], []
 
     def built(cell):
         tree = wedge(cell)
@@ -1335,27 +1335,16 @@ def test_continuity_scan_frees_each_sample_after_its_last_pair(small_config, mon
         read.append(len(planned) - 1)  # each pair is read as soon as it is planned
         return maximum(pair_plan, x, y)
 
-    def walking(tree, vertices):
-        walks.append(read[-1])
-        return walk(tree, vertices)
-
     monkeypatch.setattr(treegh.embedding._Cell, "wedge", built)
     monkeypatch.setattr(treegh.embedding, "_CandidateIndex", tracked)
     monkeypatch.setattr(treegh.gh, "_plan", planning)
     monkeypatch.setattr(treegh.gh, "_planned_maximum", reading)
-    monkeypatch.setattr(MetricTree, "_rows", walking)
     freed = continuity_scan(small_config, grid, adjacency)
     monkeypatch.undo()
     assert len(wedges) == len(grid)  # each cell assembled once
     assert [cell for cell, *_ in samples] == [0, 1, 2, 3]  # each cell sampled once
     assert planned == [{0, 1}, {0, 1, 2}, {0, 2}, {2, 3}, {3}]
     assert read == [0, 1, 2, 3, 4]
-    # Only degenerate pairs walk rows, those with more entries tied with
-    # the largest, up to rounding, than a sample has vertices: the cell
-    # paired with itself, whose entries are all 0, and the mirror cells
-    # g0_1 and g1_0, which share their parts (304 entries within 1e-12 of
-    # the largest, 191 and 183 vertices).  The other pairs settle a few.
-    assert walks == [2, 2, 4, 4]
     assert freed == continuity_scan(small_config, grid, adjacency)
 
 

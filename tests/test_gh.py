@@ -177,11 +177,13 @@ def test_sorted_eccentricity_gaps_equal_the_gap_matrix():
     nan = FiniteMetricSpace.from_matrix([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, math.nan, 0.0]])
     pairs += [(inf, inf), (inf, tree), (tree, inf)]
     pairs += [(nan, tree), (tree, nan), (one, nan), (nan, one)]
-    # eccentricities that overflow to inf, so that inf - inf is a NaN gap
+    # eccentricities that overflow: inf, so that inf - inf is a NaN gap,
+    # and NaN where twice a depth overflows too, so that inf - inf is a
+    # NaN distance
     huge = tree_from_edges([("a", "b", 1.7e308), ("b", "c", 1.7e308), ("b", "d", 1.0)])
     pairs += [(huge, huge), (huge, tree), (tree, huge), (huge, one)]
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isinf(huge.eccentricities()).all()
+        assert np.isinf(huge.eccentricities()).any() and np.isnan(huge.eccentricities()).any()
         for x, y in pairs:
             ex, ey = x.eccentricities(), y.eccentricities()
             for a, b in ((ex, ey), (ey, ex)):
@@ -608,8 +610,7 @@ def _plan_cases(small_config, monkeypatch):
 @pytest.mark.parametrize("stride", [1, 32, 64])
 def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeypatch, stride):
     # Stride 1 makes every row of a correspondence of at most 256 pairs a
-    # representative, so `low` sits within the slack of the largest entry:
-    # the slack is what keeps it below.
+    # representative, so `low` is the largest entry itself.
     cases = _plan_cases(small_config, monkeypatch)
     monkeypatch.setattr(treegh.gh, "_REPRESENTATIVE_STRIDE", stride)
     for x, y, corr in cases:
@@ -622,16 +623,14 @@ def test_plan_bounds_every_row_and_stays_below_the_maximum(small_config, monkeyp
             assert plan.low <= rows.max() and np.all(plan.bound >= rows)
         assert all(t._dist is None for t in fresh)
         assert distortion(x, y, corr) == rows.max() == unblocked_distortion(x, y, corr)
-        assert distortion(*fresh, corr) == rows.max()  # walked rows
+        assert distortion(*fresh, corr) == rows.max()  # rows read from depth rows
 
 
 def _reads(monkeypatch):
     """Record the rows each tree distortion reads: exact rows
-    (``_row_maxima``), rows read from depth rows (``_depth_mismatch``),
-    the rows of the entries it settles and the rows it walks."""
-    read = {"exact": [], "depth": [], "settled": [], "walked": []}
+    (``_row_maxima``) and rows read from depth rows (``_depth_mismatch``)."""
+    read = {"exact": [], "depth": []}
     real_rows, real_depth = treegh.gh._row_maxima, treegh.gh._depth_mismatch
-    real_entries, real_walk = MetricTree._fill_entries, MetricTree._rows
 
     def exact(dx, rx, cx, dy, ry, cy, rows):
         read["exact"].extend(rows.tolist())
@@ -641,25 +640,14 @@ def _reads(monkeypatch):
         read["depth"].extend(rows.tolist())
         return real_depth(x, I, cx, y, J, cy, rows)
 
-    def entries(tree, sources, targets):
-        read["settled"].append((tree, sources.tolist()))
-        return real_entries(tree, sources, targets)
-
-    def walk(tree, vertices):
-        read["walked"].append((tree, len(vertices)))
-        return real_walk(tree, vertices)
-
     monkeypatch.setattr(treegh.gh, "_row_maxima", exact)
     monkeypatch.setattr(treegh.gh, "_depth_mismatch", depth)
-    monkeypatch.setattr(MetricTree, "_fill_entries", entries)
-    monkeypatch.setattr(MetricTree, "_rows", walk)
     return read
 
 
 def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
-    # Fresh trees read only planned rows, from depth rows, and settle
-    # entries of rows they read; the walked rows of a plan hold only
-    # planned sources, and reading any other raises.
+    # Fresh trees read only planned rows, from depth rows, and fill
+    # nothing; the plans leave some sources unread.
     cases = _plan_cases(small_config, monkeypatch)
     plans = []
     real_plan = treegh.gh._plan
@@ -670,7 +658,7 @@ def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
 
     monkeypatch.setattr(treegh.gh, "_plan", plan)
     read = _reads(monkeypatch)
-    skipped = walked = 0
+    skipped = 0
     for x, y, corr in cases:
         fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]
         for rows in read.values():
@@ -679,25 +667,10 @@ def test_distortion_reads_only_planned_rows(small_config, monkeypatch):
         assert all(t._dist is None for t in fresh)
         p = plans[-1]
         assert set(read["depth"]) <= set(np.flatnonzero(p.bound > p.low).tolist())
-        assert set(read["exact"]) <= set(read["depth"])
-        I, J = corr.rows.T
-        sources = {t: set(v.tolist()) for t, v in zip(fresh, (I[read["depth"]], J[read["depth"]]))}
-        assert all(set(v) <= sources[t] for t, v in read["settled"])
-        # only a pair of a few vertices has more entries within reach of
-        # the largest than vertices, and walks their rows
-        assert not read["walked"] or max(x.n, y.n) < 10, (x.n, y.n)
-        walked += bool(read["walked"])
-        planned = np.unique(I[p.bound > p.low])
-        x_rows, slot, pos = treegh.gh._walked(fresh[0], planned)
-        unplanned = np.setdiff1d(np.arange(x.n), planned)
-        skipped += len(unplanned) > 0
-        if len(unplanned):
-            with pytest.raises(IndexError):
-                x_rows[slot[unplanned]]
-        fill = fresh[0].dist[planned][:, fresh[0]._preorder().order]
-        assert np.array_equal(x_rows[slot[planned]], fill)
+        assert not read["exact"]
+        planned = np.unique(corr.rows[:, 0][p.bound > p.low])
+        skipped += len(planned) < x.n
     assert skipped >= len(cases) // 2
-    assert walked <= 1
 
 
 def test_unique_maximum_in_a_skipped_row_is_found(monkeypatch):
@@ -710,12 +683,20 @@ def test_unique_maximum_in_a_skipped_row_is_found(monkeypatch):
     fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]  # no fill: walked rows
     assert distortion(x, y, corr) == distortion(*fresh, corr) == full.max()
     assert full.max() == unblocked_distortion(x, y, corr)
-    # a sum that overflows to NaN proves nothing about its row, so every
-    # row is still planned and read
-    real = MetricTree._depth_rows
-    monkeypatch.setattr(MetricTree, "_depth_rows", lambda t, v: np.nan * real(t, v))
+    # a sum that overflows to NaN proves nothing about its row, so a plan
+    # that reads only NaN rows bounds no row, and every row is read
+    real_plan, real_rows = treegh.gh._plan, MetricTree._depth_rows
+
+    def plan(x, y, corr):
+        with monkeypatch.context() as nan:
+            nan.setattr(MetricTree, "_depth_rows", lambda t, v: np.nan * real_rows(t, v))
+            return real_plan(x, y, corr)
+
+    monkeypatch.setattr(treegh.gh, "_plan", plan)
+    read = _reads(monkeypatch)
     fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]
     assert distortion(x, y, corr) == distortion(*fresh, corr) == full.max()
+    assert sorted(read["depth"]) == list(range(len(corr)))
 
 
 def test_pruned_distortion_reads_few_rows(small_config, monkeypatch):
@@ -788,23 +769,55 @@ def test_distortion_reads_the_full_product_once_both_trees_hold_a_fill(monkeypat
             if all(filled):
                 assert sorted(read["exact"]) == list(range(len(corr))) and not read["depth"]
             else:
-                assert read["depth"] and (read["walked"] or not read["exact"])
+                assert read["depth"] and not read["exact"]
             assert [t._dist is not None for t in (a, b)] == list(filled)
 
 
-def test_isometric_pair_takes_the_walked_rows(monkeypatch):
-    # Every entry of an isometric pair under an isometry is 0, so all of
-    # them are within reach of the largest: too many to settle, so the rows
-    # holding them are walked.
+def test_isometric_pair_reads_every_row_from_depth_rows(monkeypatch):
+    # Every entry of an isometric pair under an isometry is 0, so no row is
+    # bounded below `low` and every row is read, from depth rows.
     x = subdivide(comb_tree(CombParams(s=0.5)), 2.0 ** -6)
     y = MetricTree(x.vertices, x.edges)
     assert x.n == 161
     ident = Correspondence.from_pairs([(i, i) for i in range(x.n)])
     read = _reads(monkeypatch)
     assert distortion(x, y, ident) == 0.0
-    assert not read["settled"] and read["walked"] == [(x, 161), (y, 161)]
+    assert sorted(read["depth"]) == list(range(161)) and not read["exact"]
     assert x._dist is None and y._dist is None
     assert unblocked_distortion(x, y, ident) == 0.0
+
+
+def test_planned_distortion_equals_the_full_product_on_degenerate_pairs(small_config, monkeypatch):
+    # Isometric pairs, a cell paired with itself and trees whose distances
+    # overflow to NaN: the planned value is the full product's over
+    # the two fills, as float hex.
+    rng = np.random.default_rng(3131)
+    cases = []
+    for _ in range(6):
+        t = subdivide(random_tree(rng, 3, 12), 0.2)
+        corr = greedy_tree_correspondence(t, MetricTree(t.vertices, t.edges))
+        cases += [(t, t, corr), (t, t, random_covering(rng, t.n, t.n, t.n))]
+    cells = [(lab, 1) for lab in small_config.h_space.labels if lab not in small_config.marked]
+    cases += _certified_distortions(
+        monkeypatch, lambda: continuity_scan(small_config, cells, [(0, 0), (2, 2)], strict=False)
+    )
+    huge = tree_from_edges([("a", "b", 1.7e308), ("b", "c", 1.7e308), ("b", "d", 1.0)])
+    big = tree_from_edges([("a", "b", 1e308), ("b", "c", 1e308)])
+    small = tree_from_edges([("x", "y", 1.0), ("y", "z", 2.0)])
+    cases.append((huge, huge, Correspondence.from_pairs([(i, i) for i in range(4)])))
+    values = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in ((huge, huge), (huge, small), (small, huge), (big, small)):
+            cases.append((x, y, greedy_tree_correspondence(
+                MetricTree(x.vertices, x.edges), MetricTree(y.vertices, y.edges)
+            )))
+        for x, y, corr in cases:
+            fresh = [MetricTree(t.vertices, t.edges) for t in (x, y)]
+            got = distortion(*fresh, corr).hex()
+            assert all(t._dist is None for t in fresh)
+            assert got == unblocked_distortion(*fresh, corr).hex(), (x, y)
+            values.add(got)
+    assert {"nan", "0x0.0p+0"} <= values
 
 
 def test_distortion_of_identity_is_zero():
@@ -843,11 +856,27 @@ def test_greedy_correspondence_is_identity_on_copies():
     assert distortion(x, x, corr) == 0.0
 
 
+def _tie_ranks(ecc):
+    """Indices by eccentricity, one at a time: an eccentricity within
+    n * 2**-50 times the largest of the one before it in sorted order joins
+    its tie, and ties go by index."""
+    values = ecc.tolist()
+    by_value = sorted(range(len(values)), key=lambda i: (values[i], i))
+    top = values[by_value[-1]]
+    tol = len(values) * 2.0 ** -50 * (top if math.isfinite(top) else 0.0)
+    group, ranks = 0, {}
+    for prev, i in zip([None] + by_value, by_value):
+        if prev is not None and not values[i] - values[prev] <= tol:
+            group += 1
+        ranks[i] = group
+    return np.array(sorted(range(len(values)), key=lambda i: (ranks[i], i)), dtype=np.intp)
+
+
 def zipped_greedy_correspondence(x, y):
     """greedy_tree_correspondence as it packed its pairs before: a zip of
-    numpy scalars, one pair at a time."""
-    order_x = np.argsort(x.eccentricities(), kind="stable")
-    order_y = np.argsort(y.eccentricities(), kind="stable")
+    numpy scalars, one pair at a time, with ranks from _tie_ranks."""
+    order_x = _tie_ranks(x.eccentricities())
+    order_y = _tie_ranks(y.eccentricities())
     nx, ny = len(order_x), len(order_y)
     to_y = order_y[np.round(np.arange(nx) * (ny - 1) / max(1, nx - 1)).astype(int)]
     to_x = order_x[np.round(np.arange(ny) * (nx - 1) / max(1, ny - 1)).astype(int)]
@@ -869,6 +898,41 @@ def test_greedy_correspondence_equals_the_zipped_pairs():
     for x, y in pairs:
         got, want = greedy_tree_correspondence(x, y), zipped_greedy_correspondence(x, y)
         assert (got.packed, got.code) == (want.packed, want.code)
+
+
+def test_rank_alignment_does_not_depend_on_rounding(monkeypatch):
+    # Mirror vertices of a comb have the same exact eccentricity, but their
+    # distances round differently on non-dyadic combs; moving every
+    # eccentricity by a few ulps leaves the correspondence as it is.
+    rng = np.random.default_rng(3434)
+    pairs = [
+        tuple(subdivide(comb_tree(CombParams(s=v)), 2.0 ** -6) for v in (s, s * 1.1))
+        for s in rng.uniform(0.13, 0.8, 6)
+    ]
+    for x, y in pairs:
+        want = greedy_tree_correspondence(x, y)
+        for t in (x, y):
+            ecc = t.eccentricities()
+            near = np.flatnonzero(np.isclose(ecc[:, None], ecc[None, :], rtol=1e-12).sum(axis=1) > 1)
+            assert len(near) > 10  # the combs have near ties
+        real = MetricTree.eccentricities
+        for most in (1, 3):
+            monkeypatch.setattr(
+                MetricTree, "eccentricities",
+                lambda t, most=most: _nudge(real(t), rng.integers(-most, most + 1, size=t.n)),
+            )
+            got = greedy_tree_correspondence(x, y)
+            monkeypatch.setattr(MetricTree, "eccentricities", real)
+            assert (got.packed, got.code) == (want.packed, want.code)
+
+
+def _nudge(values, ulps):
+    """Each value moved by its own number of ulps."""
+    out = values.copy()
+    for i, k in enumerate(ulps.tolist()):
+        for _ in range(abs(int(k))):
+            out[i] = np.nextafter(out[i], np.inf if k > 0 else -np.inf)
+    return out
 
 
 # -- tree intervals -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from treegh import (
     tree_from_edges,
     wedge_sum,
 )
+from treegh import gh as treegh_gh
 from treegh import tree as tree_module
 from treegh.embedding import _Stages, scalar_fields
 from treegh.families import CombParams
@@ -287,7 +289,10 @@ def test_vectorized_distances_match_reference(small_config):
 
 
 def _reference_fill(tree):
-    """The preorder fill with one fancy-index copy that the in-place fill replaced."""
+    """The fill with a preorder matrix put in vertex order by one fancy-index
+    copy, where the fill writes its rows in vertex order in place: each
+    preorder row of 2 depth lca is its parent's with the child's subtree
+    overwritten, and each entry is (depth u + depth v) - 2 depth lca."""
     n = tree.n
     order = []
     parent = [0] * n
@@ -307,21 +312,17 @@ def _reference_fill(tree):
     size = [1] * n
     for i in range(n - 1, 0, -1):
         size[parent[order[i]]] += size[i]
-    pre = np.empty((n, n), dtype=float)
-    root = pre[0]
-    root[0] = 0.0
+    depth = np.zeros(n)
     for i in range(1, n):
         v = order[i]
-        root[i] = root[parent[v]] + up[v]
+        depth[i] = depth[parent[v]] + up[v]
+    pre = np.zeros((n, n), dtype=float)
     for i in range(1, n):
         v = order[i]
-        prow, row, w, end = pre[parent[v]], pre[i], up[v], i + size[i]
-        np.add(prow, w, out=row)
-        np.subtract(prow[i:end], w, out=row[i:end])
+        pre[i] = pre[parent[v]]
+        pre[i, i:i + size[i]] = 2.0 * depth[i]
     inv = np.argsort(order)
-    d = pre[np.ix_(inv, inv)]
-    np.fill_diagonal(d, 0.0)
-    return d
+    return (depth[inv][:, None] + depth[inv][None, :]) - pre[np.ix_(inv, inv)]
 
 
 def _large_cell(small_config):
@@ -368,7 +369,9 @@ def _walk_trees(small_config):
     )
 
 
-def test_walked_rows_equal_the_fill_bit_for_bit(small_config):
+def test_depth_rows_equal_the_fill_bit_for_bit(small_config):
+    # rows of chosen sources with no fill, whichever sources and in
+    # whatever order they are asked for
     rng = np.random.default_rng(2127)
     for t in _walk_trees(small_config):
         fill = MetricTree(t.vertices, t.edges).dist[:, t._preorder().order]
@@ -376,61 +379,67 @@ def test_walked_rows_equal_the_fill_bit_for_bit(small_config):
         subsets += [np.flatnonzero(rng.random(t.n) < p) for p in (0.03, 0.2, 0.6)]
         for rows in subsets:
             rows = rng.permutation(rows)
-            got = t._rows(rows)
+            got = t._depth_rows(rows)
             assert got.shape == (len(rows), t.n)
             assert np.array_equal(got.view(np.int64), fill[rows].view(np.int64)), t
-        assert t._dist is None  # the walk fills no matrix
+        assert t._dist is None  # no matrix is filled
 
 
-def test_fill_entries_equal_the_fill_bit_for_bit(small_config, monkeypatch):
-    # each entry from its root path alone, on plain and subdivided seeded
-    # trees and on the walk's trees, also when a source's sums are cut into
-    # blocks of a few columns
+def test_distance_equals_the_fill_bit_for_bit(small_config):
+    # each entry from the least parent depth between two preorder
+    # positions, on plain and subdivided seeded trees and on the walk's
+    # trees, with no fill; then read from the fill
     rng = np.random.default_rng(7070)
     trees = []
     for _ in range(40):
         t = random_tree(rng, 4, 12, 3.0)
         trees += [t, subdivide(t, 0.3)]
     trees += list(_walk_trees(small_config))
-    for block in (1 << 16, 5):
-        monkeypatch.setattr(tree_module, "_PERMUTE_BLOCK_CELLS", block)
-        for t in trees:
-            fresh = MetricTree(t.vertices, t.edges)
-            # every entry of a small tree, some thousands of a large one
-            src, dst = np.divmod(rng.permutation(t.n * t.n)[:4000], t.n)
-            got = fresh._fill_entries(src, dst)
-            assert fresh._dist is None
-            want = fresh.dist[src, dst]
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], t
+    for t in trees:
+        fresh = MetricTree(t.vertices, t.edges)
+        # every entry of a small tree, some hundreds of a large one
+        src, dst = np.divmod(rng.permutation(t.n * t.n)[:300], t.n)
+        pairs = [(fresh.vertices[i], fresh.vertices[j]) for i, j in zip(src.tolist(), dst.tolist())]
+        got = [fresh.distance(a, b).hex() for a, b in pairs]
+        assert fresh._dist is None
+        assert got == [float(v).hex() for v in fresh.dist[src, dst].tolist()], t
+        assert got == [fresh.distance(a, b).hex() for a, b in pairs]
 
 
-def test_the_walk_holds_few_working_rows():
-    # A caterpillar: a spine with a leg on each spine vertex.  Asked for
-    # every leg's row, a walk that went down the spine before the legs
-    # would hold a row per spine vertex; this one holds a few.
-    m = 600
-    edges = [("s%d" % i, "s%d" % (i + 1), 0.3) for i in range(m - 1)]
-    edges += [("s%d" % i, "l%d" % i, 0.2 + (i % 5) / 10) for i in range(m)]
-    t = tree_from_edges(edges)
-    legs = np.array([t.index("l%d" % i) for i in range(m)])
-    t._preorder()
+def test_degenerate_distortion_holds_a_block_of_rows():
+    # Every entry of an isometric pair under an isometry is 0, so every row
+    # is read; they are read from depth rows a block at a time, so memory
+    # stays far below the full product.
+    x = subdivide(comb_tree(CombParams(s=0.5)), 2.0 ** -10)
+    y = MetricTree(x.vertices, x.edges)
+    assert x.n == 2561
+    ident = treegh_gh.Correspondence.from_pairs([(i, i) for i in range(x.n)])
+    x._preorder(), y._preorder(), x._depth_minima(), y._depth_minima()
     tracemalloc.start()
     try:
-        t._rows(legs)
+        value = treegh_gh.distortion(x, y, ident)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row = t.n * 8
-    assert peak - m * row < 150 * row, peak  # index arrays and a few rows
+    assert value == 0.0 and x._dist is None and y._dist is None
+    assert peak < x.n * x.n * 8 / 8, peak
 
 
 def test_rows_beyond_the_budget_are_refused(monkeypatch):
     t = tree_from_edges([("a", "b", 1.0), ("b", "c", 1.0), ("b", "d", 1.0)])
-    monkeypatch.setattr(tree_module, "_MAX_ROW_BYTES", 8 * 4 * 2)
-    assert t._rows(np.array([0, 2])).shape == (2, 4)
-    with pytest.raises(ValueError, match="^3 distance rows of a tree of 4 vertices would "
-                       "take 96 bytes; at most 64 bytes of rows are walked$"):
-        t._rows(np.array([0, 1, 2]))
+    monkeypatch.setattr(tree_module, "_MAX_ROW_ENTRIES", 4 * 2)
+    t._refuse_rows(2)
+    message = "^3 distance rows of a tree of 4 vertices would hold 12 distances; at most 8 are read$"
+    with pytest.raises(ValueError, match=message):
+        t._refuse_rows(3)
+    # an isometric pair reads every row, so it is refused before any is read
+    def read(*args):
+        raise AssertionError("read a row")
+
+    monkeypatch.setattr(treegh_gh, "_depth_mismatch", read)
+    ident = treegh_gh.Correspondence.from_pairs([(i, i) for i in range(4)])
+    with pytest.raises(ValueError, match="^4 distance rows of a tree of 4 vertices"):
+        treegh_gh.distortion(t, MetricTree(t.vertices, t.edges), ident)
 
 
 def test_depth_rows_build_their_block_minima_once():
@@ -467,7 +476,7 @@ def test_depth_rows_are_within_their_proven_error(small_config, monkeypatch):
 
 
 def test_depth_rows_equal_their_formula_bit_for_bit(small_config, monkeypatch):
-    # each entry is (-2 depth[lca] + depth[v]) + depth[u], with the lowest
+    # each entry is (depth[u] + depth[v]) - 2 depth[lca], with the lowest
     # common ancestor found by climbing parents: whatever the block size,
     # and for sources at the ends of blocks and of the preorder
     rng = np.random.default_rng(5151)
@@ -487,8 +496,91 @@ def test_depth_rows_equal_their_formula_bit_for_bit(small_config, monkeypatch):
                     c = b
                     while c not in line:
                         c = int(pre.parent[c])
-                    want = (-2.0 * pre.depth[c] + pre.depth[b]) + pre.depth[a]
+                    want = (pre.depth[a] + pre.depth[b]) - 2.0 * pre.depth[c]
                     assert got[k, b].hex() == float(want).hex(), (t, block, a, b)
+
+
+def test_distances_do_not_change_once_dist_is_read():
+    # Every reader gives the formula's floats, so nothing moves when the
+    # matrix is filled; the matrix is bit-symmetric with a zero diagonal.
+    rng = np.random.default_rng([7070, 2])
+    for _ in range(200):
+        t = random_tree(rng, 4, 20, 3.0)
+        names = t.vertices
+
+        def read():
+            return (
+                [[v.hex() for v in t.row(a).tolist()] for a in names],
+                [t.eccentricity(a).hex() for a in names],
+                t.diameter().hex(),
+                [[t.distance(a, b).hex() for b in names] for a in names],
+            )
+
+        before = read()
+        assert t._dist is None
+        d = t.dist
+        assert d.tobytes() == d.T.tobytes() and not np.diag(d).any()
+        assert read() == before
+        assert [v.hex() for v in t.eccentricities().tolist()] == before[1]
+        assert before[0] == [[v.hex() for v in line] for line in d.tolist()]
+
+
+def _exact_distances(tree):
+    """Every path distance of ``tree`` as a Fraction, summed exactly over
+    the edge lengths from each source, and the number of edges between
+    each two vertices."""
+    n = tree.n
+    out = [[Fraction(0)] * n for _ in range(n)]
+    steps = [[0] * n for _ in range(n)]
+    for s in range(n):
+        row, hops = out[s], steps[s]
+        for v, p, w in tree._walk(s):
+            if p >= 0:
+                row[v] = row[p] + Fraction(w)
+                hops[v] = hops[p] + 1
+    return out, steps
+
+
+def test_distances_are_within_the_formula_error_of_exact():
+    # (depth u + depth v) - 2 depth lca is within k + 3 units of 2**-53 L
+    # of the exact distance, for k edges between u and v and L the total
+    # length (see MetricTree._depth_rows; the factor covers second-order
+    # terms); lengths here are not dyadic
+    rng = np.random.default_rng([7070, 3])
+    worst = 0.0
+    for _ in range(200):
+        t = random_tree(rng, 2, 40, float(rng.choice([0.3, 3.0, 1e5])))
+        unit = Fraction(2) ** -53 * sum(Fraction(w) for *_, w in t.edges) * (1 + Fraction(2) ** -40)
+        exact, steps = _exact_distances(t)
+        for got, want, hops in zip(t.dist.tolist(), exact, steps):
+            for g, e, k in zip(got, want, hops):
+                err = abs(Fraction(g) - e) / unit
+                assert err <= k + 3, (t, g, e, k)
+                worst = max(worst, float(err))
+    assert worst > 1  # some sums round
+
+
+def _loop_depths(parent, weight):
+    """The plain loop the runs of _depths replaced."""
+    depth = [0.0] * len(parent)
+    for i in range(1, len(parent)):
+        depth[i] = depth[parent[i]] + weight[i]
+    return depth
+
+
+def test_spliced_depths_equal_the_loop_bit_for_bit():
+    rng = np.random.default_rng(1212)
+    samples = []
+    for _ in range(30):
+        t = random_tree(rng, 2, 30, float(rng.choice([0.3, 1.0, 3.0])))
+        samples += [subdivide(t, eps) for eps in (0.3, 2.0 ** -4, 2.0 ** -8)]
+    samples += [subdivide(comb_tree(CombParams(s=s)), 2.0 ** -10) for s in (0.5, 0.375)]
+    for t in samples:
+        pre = t._preorder()
+        want = _loop_depths(pre.parent.tolist(), pre.weight)
+        assert [v.hex() for v in pre.depth.tolist()] == [v.hex() for v in want]
+        got = tree_module._depths(pre.parent, pre.weight)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 def test_fill_holds_one_matrix(small_config):
